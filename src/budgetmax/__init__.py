@@ -10,7 +10,7 @@ control of every selection probability.
 from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, Selection,
                    TrialData, derive_constants, discounted_profit, profit,
                    split_costs)
-from .engine import Engine, LARGE_ENERGY_THRESHOLD, TrialLog
+from .engine import Drawer, LARGE_ENERGY_THRESHOLD, Trajectory, TrialLog, learn
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .projection import FEASIBILITY_TOL, is_feasible, project_onto_feasible
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionSet", "BUDGET_SLACK", "InvalidEnergyError", "Selection", "TrialData",
     "derive_constants", "discounted_profit", "profit", "split_costs",
-    "Engine", "LARGE_ENERGY_THRESHOLD", "TrialLog",
+    "Drawer", "LARGE_ENERGY_THRESHOLD", "Trajectory", "TrialLog", "learn",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
     "check_constraints", "generate", "read_stream", "write_stream",
     "FEASIBILITY_TOL", "is_feasible", "project_onto_feasible",

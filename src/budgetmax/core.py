@@ -145,15 +145,17 @@ class Selection:
         return len(self.actions)
 
 
-def profit(selection: Selection, trial: TrialData) -> float:
+def profit(selection: Selection, rewards, costs) -> float:
     """Best reward inside the selection minus the sum of its costs.
 
-    The empty selection earns exactly 0.
+    ``rewards`` and ``costs`` are one trial's vectors, such as a row of a
+    stream or the fields of a :class:`TrialData`. The empty selection earns
+    exactly 0.
     """
     if not selection.actions:
         return 0.0
     idx = selection.indices()
-    return float(np.max(trial.rewards[idx]) - np.sum(trial.costs[idx]))
+    return float(np.max(rewards[idx]) - np.sum(costs[idx]))
 
 
 def discounted_profit(indices, trial: TrialData, alpha: float, delta: float) -> float:

@@ -1,13 +1,16 @@
-"""Per-trial protocol driver.
+"""Weight learning and per-seed selection draws.
 
-Each trial: draw a selection from the current weights, observe the revealed
-rewards and costs, score the realized profit, then take one projected
-gradient step on the trial's surrogate. Randomness is split into per-trial
-substreams of a single seed, so trial ``t`` draws the same selection for a
-given weight vector no matter how earlier trials consumed randomness.
+The learner gets full-information feedback: the projected gradient step on
+trial ``t`` uses only the weights ``w_t`` and the revealed rewards and
+costs, never the sampled selection. So the weight trajectory is the same
+for every engine seed. :func:`learn` computes it once per stream, and a
+:class:`Drawer` draws each seed's selections from it. Randomness is split
+into per-trial substreams of the seed, so trial ``t`` draws the same
+selection for a given weight vector no matter how other trials consumed
+randomness.
 
 When the largest energy reaches 1/2 the standard class partition becomes
-unavailable (its budget argument needs headroom), so the engine switches to
+unavailable (its budget argument needs headroom), so the drawer switches to
 a wrapper: heavy actions (``z_i >= 1/2``) are sampled alone via a biased
 coin with heads probability ``sum_heavy(w_i) / 4``, and on tails the light
 actions are sampled through a partition built as if the maximum energy were
@@ -19,12 +22,11 @@ the action set, which degenerate to a zero step size at ``beta == 1``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSet, Selection, TrialData, profit
+from .core import ActionSet, Selection
 from .sampler import build_partition, sample_selection
 from .surrogate import WeightState, surrogate_gradient, update_weights, step_size
 
@@ -43,104 +45,71 @@ class TrialLog:
     eta: float
 
 
-class Engine:
-    """Runs the select/observe loop for one action set.
+@dataclass(frozen=True)
+class Trajectory:
+    """The weights each trial draws from, and the step taken after it.
 
-    Parameters
-    ----------
-    action_set : ActionSet
-        Fixed energies; ``beta >= 1/2`` activates the large-energy wrapper.
-    seed : int
-        Root seed for the per-trial substreams.
-    log_sink : callable, optional
-        Called with each TrialLog as it is produced (for streaming traces).
-    history_cap : int, optional
-        Keep at most this many recent logs in memory (None keeps all).
+    Row ``t`` of the ``(T, n)`` array ``weights`` holds the weights used on
+    the 0-based trial ``t``; ``grad_norm[t]`` is the norm of that trial's
+    surrogate gradient and ``eta[t]`` the step size taken on it (0 while no
+    non-zero gradient has been seen).
     """
 
-    def __init__(self, action_set: ActionSet, seed: int,
-                 log_sink=None, history_cap: int | None = None):
+    weights: np.ndarray
+    grad_norm: np.ndarray
+    eta: np.ndarray
+
+
+def learn(action_set: ActionSet, trials) -> Trajectory:
+    """One projected-gradient pass over a sized iterable of TrialData.
+
+    Trials are consumed one at a time, so a lazily built sequence (such as
+    a :class:`~budgetmax.environments.Stream`) never holds them all at once.
+
+    Raises
+    ------
+    ValueError
+        If a trial's vectors do not have one entry per action.
+    """
+    T, n = len(trials), action_set.n
+    weights = np.empty((T, n))
+    grad_norm = np.empty(T)
+    eta = np.empty(T)
+    state = WeightState.initial(n)
+    for t, trial in enumerate(trials):
+        if trial.n != n:
+            raise ValueError(f"trial {t + 1} vectors have length {trial.n}, expected {n}")
+        weights[t] = state.w
+        g = surrogate_gradient(state.w, trial, action_set.delta)
+        following = update_weights(state, g, action_set.z)
+        grad_norm[t] = np.linalg.norm(g)
+        eta[t] = step_size(following.eta_prime, state.trial_index)
+        state = following
+    for array in (weights, grad_norm, eta):
+        array.setflags(write=False)
+    return Trajectory(weights, grad_norm, eta)
+
+
+class Drawer:
+    """Draws selections for one action set; ``beta >= 1/2`` activates the wrapper."""
+
+    def __init__(self, action_set: ActionSet):
         self.action_set = action_set
         self.large_beta_mode = action_set.beta >= LARGE_ENERGY_THRESHOLD
+        self.heavy = np.flatnonzero(action_set.z >= LARGE_ENERGY_THRESHOLD)
+        self.partition = build_partition(
+            action_set, cap=LARGE_ENERGY_THRESHOLD if self.large_beta_mode else None)
+
+    def draw(self, w, seed: int, t: int) -> Selection:
+        """Selection of engine seed ``seed`` on the 1-based trial ``t`` at weights ``w``."""
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(t,)))
         if self.large_beta_mode:
-            self._heavy = np.flatnonzero(action_set.z >= LARGE_ENERGY_THRESHOLD)
-            self.partition = build_partition(action_set, cap=LARGE_ENERGY_THRESHOLD)
-        else:
-            self._heavy = np.empty(0, dtype=int)
-            self.partition = build_partition(action_set)
-        self._seed = int(seed)
-        self._state = WeightState.initial(action_set.n)
-        self._pending: Selection | None = None
-        self._log_sink = log_sink
-        self._history_cap = history_cap
-        self.history: list[TrialLog] = []
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._state.w
-
-    @property
-    def trial_index(self) -> int:
-        return self._state.trial_index
-
-    def _trial_rng(self, t: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(t,))
-        return np.random.default_rng(seq)
-
-    def select(self) -> Selection:
-        """Draw this trial's selection from the current weights."""
-        rng = self._trial_rng(self._state.trial_index)
-        w = self._state.w
-        if self.large_beta_mode:
-            heavy_mass = float(np.sum(w[self._heavy]))
+            heavy_w = w[self.heavy]
+            heavy_mass = float(np.sum(heavy_w))
             # heads: one heavy action alone, picked proportionally to weight
             if rng.random() < heavy_mass / 4.0:
-                cum = np.cumsum(w[self._heavy] / heavy_mass)
+                cum = np.cumsum(heavy_w / heavy_mass)
                 cum[-1] = 1.0
-                pick = self._heavy[int(np.searchsorted(cum, rng.random(), side="right"))]
-                selection = Selection.from_indices([pick], self.action_set.z)
-            else:
-                selection = sample_selection(w, self.partition, self.action_set, rng)
-        else:
-            selection = sample_selection(w, self.partition, self.action_set, rng)
-        self._pending = selection
-        return selection
-
-    def observe(self, trial: TrialData) -> TrialLog:
-        """Score the pending selection and take one gradient step."""
-        if self._pending is None:
-            raise RuntimeError("select() must be called before observe()")
-        if trial.n != self.action_set.n:
-            raise ValueError(
-                f"trial vectors have length {trial.n}, expected {self.action_set.n}")
-        prev = self._state
-        g = surrogate_gradient(prev.w, trial, self.action_set.delta)
-        self._state = update_weights(prev, g, self.action_set.z)
-        log = TrialLog(
-            trial=prev.trial_index,
-            selection=self._pending,
-            profit=profit(self._pending, trial),
-            grad_norm=float(np.linalg.norm(g)),
-            eta=step_size(self._state.eta_prime, prev.trial_index),
-        )
-        self._pending = None
-        self._record(log)
-        return log
-
-    def run(self, trials) -> list[TrialLog]:
-        """Select/observe through an iterable of TrialData; returns the logs."""
-        out = []
-        for trial in trials:
-            self.select()
-            out.append(self.observe(trial))
-        return out
-
-    def _record(self, log: TrialLog) -> None:
-        if self._log_sink is not None:
-            self._log_sink(log)
-        if self._history_cap is None:
-            self.history.append(log)
-        elif self._history_cap > 0:
-            self.history.append(log)
-            if len(self.history) > self._history_cap:
-                del self.history[0]
+                pick = self.heavy[int(np.searchsorted(cum, rng.random(), side="right"))]
+                return Selection.from_indices([pick], self.action_set.z)
+        return sample_selection(w, self.partition, self.action_set, rng)

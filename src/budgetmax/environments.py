@@ -77,7 +77,10 @@ class EnvironmentSpec:
 
 @dataclass(frozen=True)
 class Stream:
-    """A full instance: fixed energies plus (T, n) reward and cost matrices."""
+    """A full instance: fixed energies plus (T, n) reward and cost matrices.
+
+    A stream is also a sized iterable of its T trials.
+    """
 
     action_set: ActionSet
     rewards: np.ndarray
@@ -104,7 +107,11 @@ class Stream:
     def trial(self, t: int) -> TrialData:
         return TrialData.from_arrays(self.rewards[t], self.costs[t])
 
-    def trials(self):
+    def __len__(self) -> int:
+        return self.T
+
+    def __iter__(self):
+        """Yield the trials in order, building each TrialData when reached."""
         for t in range(self.T):
             yield self.trial(t)
 
@@ -286,6 +293,8 @@ def read_stream(path) -> Stream:
         row = _parse_floats(fields[1:], lineno, "reward/cost")
         rewards[t] = row[:n]
         costs[t] = row[n:]
+        if not (np.all(np.isfinite(rewards[t])) and np.all(np.isfinite(costs[t]))):
+            raise StreamFormatError(f"line {lineno}: rewards and costs must be finite")
         if np.any(rewards[t] < 0.0):
             raise StreamFormatError(f"line {lineno}: negative reward")
     extra = [k for k in range(T + 1, len(lines)) if lines[k].strip()]

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import budgetmax
 from budgetmax import ActionSet, Selection, TrialData
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER,
                            load_config, main, parse_config, read_trace,
@@ -163,6 +169,33 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="does not match"):
             replay(out / "stream.csv", bad)
 
+    def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
+        traces = []
+        for k, seeds in enumerate(([0, 1, 2], [1])):
+            out = tmp_path / f"run{k}"
+            run_experiment(parse_config(good_config(output_dir=str(out), seeds=seeds)))
+            traces.append((out / "trace_seed1.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    # sha256 of acceptance criterion 10's outputs; these change only with a
+    # deliberate change to the random stream or to a file format
+    PINNED_SHA256 = {
+        "report.json": "15d2f65bae78887a487caaef5da76d33fb32112788498268c6164daa353fcce3",
+        "stream.csv": "dc8edca7d86492ae02d6d88ac850093aaf487f1f4e1e868e395918da41ff3247",
+        "trace_seed0.csv": "dec9334dc890e46177166263b841b4baf60ad3c69990c9febf495c30d276e54f",
+        "trace_seed1.csv": "882a95acbe83ac87089fccb447752d98d27fd9b782601b91aa16fe3bbd85d6a0",
+        "trace_seed2.csv": "692fad073a1e8a9ae8bcdd46de93a8a52989523905eeea6428d6d20ed6979f4d",
+        "trace_seed3.csv": "d2627d38093068beb07be19db9ac77013a9f7ccb41147c4c8afe473569b204c1",
+    }
+
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        out = tmp_path / "out"
+        env = {"kind": "random_adversarial", "n": 6, "T": 60, "seed": 9, "shift_segments": 3}
+        run_experiment(parse_config(good_config(
+            environment=env, seeds=[0, 1, 2, 3], bound_check=True, output_dir=str(out))))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == self.PINNED_SHA256
+
     def test_large_beta_flagged(self):
         spec = EnvironmentSpec(kind="knapsack_median", n=3, T=5, seed=1, beta_max=0.8)
         config = ExperimentConfig(environment=spec, seeds=(0,))
@@ -206,6 +239,37 @@ class TestMain:
         bad = tmp_path / "bad.csv"
         bad.write_text("4,20,0.1,0.1,0.1,0.1\n1,oops\n")
         assert main(["--config", cfg, "replay", "--stream", str(bad)]) == 1
+
+    def test_non_finite_stream_exits_1_before_writing(self, tmp_path):
+        env = {"kind": "facility_location", "n": 3, "T": 5, "seed": 2}
+        cfg = self.write_config(tmp_path, good_config(environment=env))
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "run"]) == 0
+        lines = (tmp_path / "out" / "stream.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        replay_out = tmp_path / "replay"
+        code = main(["--config", cfg, "--out", str(replay_out), "replay", "--stream", str(bad)])
+        assert code == 1
+        assert not replay_out.exists()
+
+    def test_python_dash_m_runs(self, tmp_path):
+        cfg = self.write_config(tmp_path, good_config())
+        src = str(Path(budgetmax.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "budgetmax.cli", "--config", cfg, "--out", "x", "run"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "mean cumulative profit" in proc.stdout
+        assert (tmp_path / "x" / "report.json").exists()
+
+    def test_probcheck_exact_marginal_on_bound_passes(self, capsys):
+        # instance seed 3 has an exact marginal equal to its upper bound; a
+        # Monte Carlo frequency just above it must not fail the sandwich
+        assert main(["--seed", "3", "probcheck", "--actions", "40", "--samples", "3000000"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_probcheck_smoke(self, capsys):
         assert main(["--seed", "5", "probcheck", "--actions", "4", "--samples", "20000"]) == 0

@@ -114,16 +114,16 @@ class TestProfit:
     def test_example(self):
         trial = TrialData.from_arrays([5.0, 7.0], [1.0, 2.0])
         sel = Selection.from_indices([0, 1], [0.2, 0.2])
-        assert profit(sel, trial) == 4.0
+        assert profit(sel, trial.rewards, trial.costs) == 4.0
 
     def test_empty_selection_is_zero(self):
         trial = TrialData.from_arrays([5.0], [-1.0])
-        assert profit(Selection.empty(), trial) == 0.0
+        assert profit(Selection.empty(), trial.rewards, trial.costs) == 0.0
 
     def test_negative_cost_adds(self):
         trial = TrialData.from_arrays([2.0], [-3.0])
         sel = Selection.from_indices([0], [0.1])
-        assert profit(sel, trial) == 5.0
+        assert profit(sel, trial.rewards, trial.costs) == 5.0
 
 
 class TestDiscountedProfit:
@@ -147,4 +147,4 @@ class TestDiscountedProfit:
             idx = list(rng.choice(n, size=size, replace=False))
             sel = Selection.from_indices(idx, np.zeros(n))
             assert discounted_profit(idx, trial, 1.0, 1.0) == pytest.approx(
-                profit(sel, trial), abs=1e-12)
+                profit(sel, trial.rewards, trial.costs), abs=1e-12)

@@ -4,117 +4,117 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, Engine, LARGE_ENERGY_THRESHOLD, TrialData,
-                       build_partition, is_feasible, profit, sample_membership,
-                       surrogate_value)
+from budgetmax import (ActionSet, Drawer, TrialData, is_feasible, learn, profit,
+                       read_stream, sample_membership, step_size, surrogate_gradient,
+                       surrogate_value, update_weights)
+from budgetmax.cli import parse_config, read_trace, run_experiment
 from budgetmax.surrogate import WeightState
 from conftest import random_action_set, random_trial
 
 
-def run_engine(engine, trials):
-    logs = []
-    for trial in trials:
-        engine.select()
-        logs.append(engine.observe(trial))
-    return logs
+def draw_all(drawer, trajectory, seed):
+    return [drawer.draw(w, seed, t) for t, w in enumerate(trajectory.weights, start=1)]
 
 
 class TestProtocol:
     def test_initial_state(self):
-        eng = Engine(ActionSet.from_energies([0.3, 0.0]), seed=1)
-        npt.assert_array_equal(eng.weights, [0.0, 0.0])
-        assert eng.trial_index == 1
-        assert not eng.large_beta_mode
+        aset = ActionSet.from_energies([0.3, 0.0])
+        traj = learn(aset, [TrialData.from_arrays([1.0, 0.0], [0.0, 0.5])])
+        npt.assert_array_equal(traj.weights, [[0.0, 0.0]])
+        # the first step is taken at trial index 1: eta = eta' / sqrt(2 * 1)
+        assert traj.eta[0] == math.sqrt(2) / traj.grad_norm[0] / math.sqrt(2.0)
+        assert not Drawer(aset).large_beta_mode
 
     def test_large_mode_flag(self):
-        assert Engine(ActionSet.from_energies([0.75, 0.1]), seed=1).large_beta_mode
-        assert Engine(ActionSet.from_energies([0.5]), seed=1).large_beta_mode
-        assert not Engine(ActionSet.from_energies([0.49]), seed=1).large_beta_mode
+        assert Drawer(ActionSet.from_energies([0.75, 0.1])).large_beta_mode
+        assert Drawer(ActionSet.from_energies([0.5])).large_beta_mode
+        assert not Drawer(ActionSet.from_energies([0.49])).large_beta_mode
 
     def test_zero_weights_select_nothing(self):
         for z in ([0.3, 0.1], [0.9, 0.2], [0.0, 0.0]):
-            eng = Engine(ActionSet.from_energies(z), seed=5)
-            assert len(eng.select()) == 0
-
-    def test_observe_requires_select(self):
-        eng = Engine(ActionSet.from_energies([0.3]), seed=1)
-        with pytest.raises(RuntimeError):
-            eng.observe(TrialData.from_arrays([1.0], [0.0]))
+            drawer = Drawer(ActionSet.from_energies(z))
+            assert len(drawer.draw(np.zeros(2), seed=5, t=1)) == 0
 
     def test_dimension_mismatch_rejected(self):
-        eng = Engine(ActionSet.from_energies([0.3, 0.1]), seed=1)
-        eng.select()
-        with pytest.raises(ValueError):
-            eng.observe(TrialData.from_arrays([1.0], [0.0]))
+        aset = ActionSet.from_energies([0.3, 0.1])
+        good = TrialData.from_arrays([1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="trial 2"):
+            learn(aset, [good, TrialData.from_arrays([1.0], [0.0])])
 
-    def test_logged_profit_matches_core_formula(self):
-        rng = np.random.default_rng(127)
-        aset = random_action_set(rng, 6)
-        eng = Engine(aset, seed=9)
-        for _ in range(50):
-            sel = eng.select()
-            trial = random_trial(rng, 6)
-            log = eng.observe(trial)
-            assert log.profit == profit(sel, trial)
-            assert log.selection is sel
+    def test_logged_profit_matches_core_formula(self, tmp_path):
+        out = tmp_path / "out"
+        config = parse_config({
+            "version": 1, "output_dir": str(out), "seeds": [9],
+            "environment": {"kind": "random_adversarial", "n": 6, "T": 50, "seed": 127},
+        })
+        run_experiment(config)
+        stream = read_stream(out / "stream.csv")
+        traj = learn(stream.action_set, stream)
+        logs = read_trace(out / "trace_seed9.csv", stream.action_set)
+        assert len(logs) == 50
+        for t, (log, sel) in enumerate(zip(logs, draw_all(Drawer(stream.action_set), traj, 9))):
+            assert log.selection == sel
+            assert log.profit == profit(sel, stream.rewards[t], stream.costs[t])
+            assert log.grad_norm == traj.grad_norm[t] and log.eta == traj.eta[t]
 
     def test_null_trials_leave_weights_untouched(self):
-        eng = Engine(ActionSet.from_energies([0.2, 0.1]), seed=3)
+        aset = ActionSet.from_energies([0.2, 0.1])
         null = TrialData.from_arrays([0.0, 0.0], [0.0, 0.0])
-        logs = run_engine(eng, [null] * 5)
-        npt.assert_array_equal(eng.weights, [0.0, 0.0])
-        assert all(log.eta == 0.0 and log.grad_norm == 0.0 for log in logs)
+        real = TrialData.from_arrays([1.0, 0.0], [0.0, 0.5])
+        traj = learn(aset, [null] * 5 + [real])
+        npt.assert_array_equal(traj.weights, np.zeros((6, 2)))
+        npt.assert_array_equal(traj.eta[:5], 0.0)
+        npt.assert_array_equal(traj.grad_norm[:5], 0.0)
+        # a zero gradient leaves eta' unset, so no step is taken
+        state = WeightState.initial(2)
+        for k in range(1, 6):
+            state = update_weights(state, np.zeros(2), aset.z)
+            assert state.eta_prime is None and step_size(state.eta_prime, k) == 0.0
+        npt.assert_array_equal(state.w, [0.0, 0.0])
         # a real trial afterwards finally sets the learning rate
-        run_engine(eng, [TrialData.from_arrays([1.0, 0.0], [0.0, 0.5])])
-        assert eng._state.eta_prime is not None
+        g = surrogate_gradient(state.w, real, aset.delta)
+        assert update_weights(state, g, aset.z).eta_prime is not None
+        assert traj.eta[5] > 0.0
 
     def test_same_seed_bitwise_identical_runs(self):
         rng = np.random.default_rng(131)
         aset = random_action_set(rng, 5)
         trials = [random_trial(rng, 5) for _ in range(40)]
-        logs_a = run_engine(Engine(aset, seed=77), trials)
-        logs_b = run_engine(Engine(aset, seed=77), trials)
-        for a, b in zip(logs_a, logs_b):
-            assert a == b
+        traj_a, traj_b = learn(aset, trials), learn(aset, trials)
+        for field in ("weights", "grad_norm", "eta"):
+            assert np.array_equal(getattr(traj_a, field), getattr(traj_b, field))
+        drawer = Drawer(aset)
+        assert draw_all(drawer, traj_a, 77) == draw_all(drawer, traj_b, 77)
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(137)
         aset = random_action_set(rng, 5, zero_frac=0.0)
-        trials = [random_trial(rng, 5, c_scale=0.2) for _ in range(30)]
-        sel_a = [log.selection.actions for log in run_engine(Engine(aset, seed=1), trials)]
-        sel_b = [log.selection.actions for log in run_engine(Engine(aset, seed=2), trials)]
-        assert sel_a != sel_b
+        traj = learn(aset, [random_trial(rng, 5, c_scale=0.2) for _ in range(30)])
+        drawer = Drawer(aset)
+        assert draw_all(drawer, traj, 1) != draw_all(drawer, traj, 2)
 
     def test_eta_prime_non_increasing(self):
+        # learn matches a step-by-step update_weights loop, whose eta' only shrinks
         rng = np.random.default_rng(139)
         aset = random_action_set(rng, 7)
-        eng = Engine(aset, seed=21)
+        trials = [random_trial(rng, 7) for _ in range(60)]
+        traj = learn(aset, trials)
+        state = WeightState.initial(7)
         etas = []
-        for _ in range(60):
-            eng.select()
-            eng.observe(random_trial(rng, 7))
-            if eng._state.eta_prime is not None:
-                etas.append(eng._state.eta_prime)
+        for t, trial in enumerate(trials):
+            npt.assert_array_equal(traj.weights[t], state.w)
+            state = update_weights(state, surrogate_gradient(state.w, trial, aset.delta), aset.z)
+            if state.eta_prime is not None:
+                etas.append(state.eta_prime)
         assert all(b <= a for a, b in zip(etas, etas[1:]))
 
     def test_weights_always_feasible(self):
         rng = np.random.default_rng(149)
-        for seed in range(5):
+        for _ in range(5):
             n = int(rng.integers(1, 10))
             aset = random_action_set(rng, n, beta_max=0.9)
-            eng = Engine(aset, seed=seed)
-            for _ in range(40):
-                eng.select()
-                eng.observe(random_trial(rng, n))
-                assert is_feasible(eng.weights, aset.z)
-
-    def test_history_cap_bounds_memory(self):
-        sink = []
-        eng = Engine(ActionSet.from_energies([0.2]), seed=1,
-                     log_sink=sink.append, history_cap=0)
-        run_engine(eng, [TrialData.from_arrays([1.0], [0.1])] * 20)
-        assert eng.history == []
-        assert len(sink) == 20
+            traj = learn(aset, [random_trial(rng, n) for _ in range(40)])
+            assert all(is_feasible(w, aset.z) for w in traj.weights)
 
 
 class TestExpectedProfitFloor:
@@ -124,14 +124,11 @@ class TestExpectedProfitFloor:
         for case in range(6):
             n = int(rng.integers(1, 7))
             aset = random_action_set(rng, n)
-            eng = Engine(aset, seed=case)
             # drive the weights somewhere non-trivial first
-            for _ in range(25):
-                eng.select()
-                eng.observe(random_trial(rng, n, c_scale=0.3))
-            w = eng.weights
+            warmup = [random_trial(rng, n, c_scale=0.3) for _ in range(25)]
             trial = random_trial(rng, n)
-            member = sample_membership(w, eng.partition, aset,
+            w = learn(aset, warmup + [trial]).weights[-1]
+            member = sample_membership(w, Drawer(aset).partition, aset,
                                        np.random.default_rng(1000 + case), 100_000)
             best = np.where(member, trial.rewards, -np.inf).max(axis=1)
             best[~member.any(axis=1)] = 0.0
@@ -156,59 +153,52 @@ class TestLargeEnergyMode:
             z = rng.uniform(0.0, 1.0, n)
             z[int(rng.integers(n))] = float(rng.uniform(0.5, 1.0))  # ensure a heavy one
             aset = ActionSet.from_energies(z)
-            eng = Engine(aset, seed=seed)
-            assert eng.large_beta_mode
-            for _ in range(80):
-                sel = eng.select()
-                assert sel.total_energy <= 1.0 + 1e-12
-                eng.observe(random_trial(rng, n))
+            drawer = Drawer(aset)
+            assert drawer.large_beta_mode
+            traj = learn(aset, [random_trial(rng, n) for _ in range(80)])
+            assert all(sel.total_energy <= 1.0 + 1e-12 for sel in draw_all(drawer, traj, seed))
 
     def test_heads_picks_single_heavy_action(self):
         # all actions heavy: the capped partition is empty, so any non-empty
         # selection must come from the coin branch and be a singleton
-        z = np.array([0.75, 0.6, 0.55])
-        aset = ActionSet.from_energies(z)
-        eng = Engine(aset, seed=11)
-        assert len(eng.partition.groups) == 0
-        heavy = self.heavy_driver_trial(3, [0, 1, 2])
+        aset = ActionSet.from_energies([0.75, 0.6, 0.55])
+        drawer = Drawer(aset)
+        assert len(drawer.partition.groups) == 0
+        traj = learn(aset, [self.heavy_driver_trial(3, [0, 1, 2])] * 400)
         picks = []
-        for _ in range(400):
-            sel = eng.select()
+        for sel in draw_all(drawer, traj, 11):
             if sel.actions:
                 assert len(sel.actions) == 1
                 picks.extend(sel.actions)
-            eng.observe(heavy)
         assert set(picks) == {0, 1, 2}  # every heavy action shows up
 
     def test_heads_frequency_matches_quarter_mass(self):
-        # force a valid w (<w, z> = 1) and count heads over fresh substreams;
-        # with both actions heavy the whole weight mass is 2, heads prob 1/2
+        # a valid w (<w, z> = 1) over fresh substreams; with both actions
+        # heavy the whole weight mass is 2, heads prob 1/2
         z = np.array([0.5, 0.5])
         aset = ActionSet.from_energies(z)
-        eng = Engine(aset, seed=13)
-        assert len(eng.partition.groups) == 0
-        eng._state = WeightState(np.array([1.0, 1.0]), eta_prime=1.0, trial_index=1)
-        hits = 0
+        drawer = Drawer(aset)
+        assert len(drawer.partition.groups) == 0
+        w = np.array([1.0, 1.0])
         trials = 40_000
-        null = TrialData.from_arrays([0.0, 0.0], [0.0, 0.0])
-        for _ in range(trials):
-            if len(eng.select()) > 0:
-                hits += 1
-            log = eng.observe(null)  # zero gradient: w frozen, index advances
-            assert log.eta == pytest.approx(1.0 / math.sqrt(2.0 * log.trial))
+        hits = sum(len(drawer.draw(w, 13, t)) > 0 for t in range(1, trials + 1))
         freq = hits / trials
         expect = (1.0 + 1.0) / 4.0
         sigma = math.sqrt(expect * (1.0 - expect) / trials)
         assert abs(freq - expect) <= 4.0 * sigma
+        # a zero gradient freezes w and eta' while the trial index advances
+        state = WeightState(w, eta_prime=1.0, trial_index=1)
+        for t in range(1, 50):
+            state = update_weights(state, np.zeros(2), aset.z)
+            npt.assert_array_equal(state.w, w)
+            assert state.eta_prime == 1.0 and state.trial_index == t + 1
+            assert step_size(state.eta_prime, t) == pytest.approx(1.0 / math.sqrt(2.0 * t))
 
     def test_beta_one_runs_without_learning(self):
         # delta = 0 at beta = 1: no step ever happens, selections stay valid
         aset = ActionSet.from_energies([1.0, 0.2])
         assert aset.delta == 0.0
-        eng = Engine(aset, seed=17)
         rng = np.random.default_rng(163)
-        for _ in range(30):
-            sel = eng.select()
-            assert sel.total_energy <= 1.0 + 1e-12
-            eng.observe(random_trial(rng, 2))
-        npt.assert_array_equal(eng.weights, [0.0, 0.0])
+        traj = learn(aset, [random_trial(rng, 2) for _ in range(30)])
+        assert all(sel.total_energy <= 1.0 + 1e-12 for sel in draw_all(Drawer(aset), traj, 17))
+        npt.assert_array_equal(traj.weights, np.zeros((30, 2)))

@@ -146,6 +146,13 @@ class TestStreamFiles:
         with pytest.raises(StreamFormatError, match="negative reward"):
             read_stream(path)
 
+    @pytest.mark.parametrize("row", ["2,nan,0.0", "2,0.5,inf", "2,0.5,-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1,2,0.25\n1,0.5,0.0\n{row}\n")
+        with pytest.raises(StreamFormatError, match="line 3: rewards and costs must be finite"):
+            read_stream(path)
+
     def test_invalid_energy_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1,1,1.5\n1,0.5,0.0\n")
