@@ -13,7 +13,8 @@ from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, Selection,
 from .engine import Drawer, LARGE_ENERGY_THRESHOLD, Trajectory, TrialLog, learn
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
-from .projection import FEASIBILITY_TOL, is_feasible, project_onto_feasible
+from .projection import (FEASIBILITY_TOL, ProjectionCertificate, is_feasible,
+                         project_onto_feasible, projection_certificate)
 from .sampler import (GroupDrawPlan, Partition, ZERO_CLASS,
                       analytic_intersection_lower_bound,
                       analytic_selection_bounds, build_draw_plans,
@@ -29,7 +30,8 @@ __all__ = [
     "Drawer", "LARGE_ENERGY_THRESHOLD", "Trajectory", "TrialLog", "learn",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
     "check_constraints", "generate", "read_stream", "write_stream",
-    "FEASIBILITY_TOL", "is_feasible", "project_onto_feasible",
+    "FEASIBILITY_TOL", "ProjectionCertificate", "is_feasible",
+    "project_onto_feasible", "projection_certificate",
     "GroupDrawPlan", "Partition", "ZERO_CLASS",
     "analytic_intersection_lower_bound", "analytic_selection_bounds",
     "build_draw_plans", "build_partition", "sample_membership", "sample_selection",

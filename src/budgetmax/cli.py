@@ -164,6 +164,8 @@ def parse_config(data) -> ExperimentConfig:
     bound_check = data.get("bound_check", False)
     if not isinstance(bound_check, bool):
         problems.append(f"bound_check must be a boolean, got {_type_name(bound_check)}")
+    elif bound_check and env_spec is not None and env_spec.n > MAX_EXHAUSTIVE_ACTIONS:
+        problems.append(f"bound_check needs n <= {MAX_EXHAUSTIVE_ACTIONS}, got {env_spec.n}")
 
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
@@ -225,10 +227,13 @@ def read_trace(path, action_set: ActionSet) -> list[TrialLog]:
         fields = line.split(",")
         if len(fields) != 6:
             raise ValueError(f"{path} line {k}: expected 6 fields, got {len(fields)}")
-        trial = int(fields[0])
-        indices = [int(i) for i in fields[1].split(";")] if fields[1] else []
-        selection = Selection.from_indices(indices, action_set.z)
-        prof, cum_read, grad_norm, eta = (float(f) for f in fields[2:])
+        try:
+            trial = int(fields[0])
+            indices = [int(i) for i in fields[1].split(";")] if fields[1] else []
+            selection = Selection.from_indices(indices, action_set.z)
+            prof, cum_read, grad_norm, eta = (float(f) for f in fields[2:])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {k}: {exc}") from None
         cum += prof
         if not math.isclose(cum, cum_read, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(cum))):
             raise ValueError(f"{path} line {k}: cumulative profit mismatch")
@@ -285,8 +290,6 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
 
     comparator_subset = comparator_total = bound_satisfied = None
     if config.bound_check:
-        if aset.n > MAX_EXHAUSTIVE_ACTIONS:
-            raise ConfigError(f"bound_check needs n <= {MAX_EXHAUSTIVE_ACTIONS}, got {aset.n}")
         comp = best_fixed_subset(stream, aset, aset.alpha, aset.delta)
         comparator_subset = comp.subset
         comparator_total = comp.discounted_total

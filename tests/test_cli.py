@@ -60,6 +60,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="distinct"):
             parse_config(good_config(seeds=[1, 1]))
 
+    def test_bound_check_too_wide_reported_with_other_violations(self):
+        env = {"kind": "random_adversarial", "n": 30, "T": 5}
+        with pytest.raises(ConfigError) as err:
+            parse_config(good_config(environment=env, seeds=[1, 1], bound_check=True))
+        msg = str(err.value)
+        assert "bound_check needs n <= 20, got 30" in msg and "distinct" in msg
+        # without the comparator the same environment is fine
+        assert parse_config(good_config(environment=env)).environment.n == 30
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -104,6 +113,25 @@ class TestTraces:
         path = tmp_path / "trace.csv"
         write_trace([], path)
         assert read_trace(path, aset) == []
+
+    @pytest.mark.parametrize("row, fragment", [
+        ("x,0;2,1.5,1.5,0.25,2.0", "'x'"),
+        ("1,0;y,1.5,1.5,0.25,2.0", "'y'"),
+        ("1,0;7,1.5,1.5,0.25,2.0", "index 7 out of range"),
+        ("1,0;2,abc,1.5,0.25,2.0", "'abc'"),
+        ("1,0;2,1.5,1.5,0.25,", "''"),
+    ])
+    def test_malformed_row_reports_line(self, tmp_path, row, fragment):
+        aset, logs = self.logs_for([0.1, 0.2, 0.3])
+        path = tmp_path / "trace.csv"
+        write_trace(logs, path)
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_trace(path, aset)
+        assert str(err.value).startswith(f"{path} line 3: ")
+        assert fragment in str(err.value)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -178,23 +206,46 @@ class TestRunExperiment:
         assert traces[0] == traces[1]
 
     # sha256 of acceptance criterion 10's outputs; these change only with a
-    # deliberate change to the random stream or to a file format
+    # deliberate change to the random stream, to a file format, or to the
+    # rounding of the learner's arithmetic (the trace's grad_norm and eta)
     PINNED_SHA256 = {
         "report.json": "15d2f65bae78887a487caaef5da76d33fb32112788498268c6164daa353fcce3",
         "stream.csv": "dc8edca7d86492ae02d6d88ac850093aaf487f1f4e1e868e395918da41ff3247",
-        "trace_seed0.csv": "dec9334dc890e46177166263b841b4baf60ad3c69990c9febf495c30d276e54f",
-        "trace_seed1.csv": "882a95acbe83ac87089fccb447752d98d27fd9b782601b91aa16fe3bbd85d6a0",
-        "trace_seed2.csv": "692fad073a1e8a9ae8bcdd46de93a8a52989523905eeea6428d6d20ed6979f4d",
-        "trace_seed3.csv": "d2627d38093068beb07be19db9ac77013a9f7ccb41147c4c8afe473569b204c1",
+        "trace_seed0.csv": "0da7dd22dbd3b4ee3b0e89dd0977deb5ee01d9a13c522d23bd5279a5549e45b2",
+        "trace_seed1.csv": "6898b2f013d019eaa91f0ec51ad135e0cffd71d43ac8569a1ebbeb7aad21950c",
+        "trace_seed2.csv": "f58eed96515108526ab7981879e715a8b2b3d6e701fc3ba0e5535d9012bdb8f0",
+        "trace_seed3.csv": "9469ad76d66e5159c64268a9229d87186216f0a3b952e845fed5053688293d48",
+    }
+    # sha256 of the same traces cut to trial,selected,profit,cum_profit, as
+    # first written by the bisection projector: the exact projector moved
+    # only the last digits of grad_norm and eta, never a selection or profit
+    PINNED_SELECTION_SHA256 = {
+        "trace_seed0.csv": "359713ef981fc50fb9db0145d4a03251f3f4a6fe3d1df4a9d1d50bc6e69ff4e1",
+        "trace_seed1.csv": "b205c2020950a19cc97119c40959e870a4869d47ad42535f35a575b1c8dfb950",
+        "trace_seed2.csv": "5f7457a0a7c56d432d4d4e6d5dfc25037c9330073cf95244ec4dc7223718d21c",
+        "trace_seed3.csv": "038c30940948380f9e07e0f713665a927abe24da562e0408b3d721d120fb1434",
     }
 
-    def test_outputs_match_pinned_hashes(self, tmp_path):
-        out = tmp_path / "out"
+    @staticmethod
+    def criterion_10_outputs(out):
         env = {"kind": "random_adversarial", "n": 6, "T": 60, "seed": 9, "shift_segments": 3}
         run_experiment(parse_config(good_config(
             environment=env, seeds=[0, 1, 2, 3], bound_check=True, output_dir=str(out))))
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        return sorted(out.iterdir())
+
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in self.criterion_10_outputs(tmp_path / "out")}
         assert digests == self.PINNED_SHA256
+
+    def test_selections_match_pinned_hashes(self, tmp_path):
+        digests = {}
+        for p in self.criterion_10_outputs(tmp_path / "out"):
+            if p.name.startswith("trace_seed"):
+                cut = "".join(",".join(line.split(",")[:4]) + "\n"
+                              for line in p.read_text(encoding="ascii").splitlines())
+                digests[p.name] = hashlib.sha256(cut.encode("ascii")).hexdigest()
+        assert digests == self.PINNED_SELECTION_SHA256
 
     def test_large_beta_flagged(self):
         spec = EnvironmentSpec(kind="knapsack_median", n=3, T=5, seed=1, beta_max=0.8)
@@ -252,6 +303,15 @@ class TestMain:
         code = main(["--config", cfg, "--out", str(replay_out), "replay", "--stream", str(bad)])
         assert code == 1
         assert not replay_out.exists()
+
+    def test_bound_check_too_wide_exits_1_before_writing(self, tmp_path, capsys):
+        env = {"kind": "random_adversarial", "n": 30, "T": 5}
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[0, 1],
+                                                      bound_check=True))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 1
+        assert "bound_check needs n <= 20, got 30" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_python_dash_m_runs(self, tmp_path):
         cfg = self.write_config(tmp_path, good_config())

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import is_feasible, project_onto_feasible
+from budgetmax import is_feasible, project_onto_feasible, projection_certificate
 from budgetmax.oracles import grid_projection
 from conftest import random_energies
 
@@ -89,3 +89,97 @@ def test_matches_grid_oracle_small():
         # point can beat the solver by at most the grid's own resolution
         assert np.linalg.norm(x - y) <= np.linalg.norm(g - y) + 1e-9
         assert np.linalg.norm(g - y) <= np.linalg.norm(x - y) + n * res
+
+
+def assert_certified(y, z, tol=1e-9):
+    """Project ``y`` and check every KKT residual of the result."""
+    x = project_onto_feasible(y, z)
+    cert = projection_certificate(y, z, x)
+    assert cert.lam >= 0.0
+    assert max(cert.stationarity, cert.complementarity, cert.feasibility) <= tol, cert
+    return x, cert
+
+
+def test_certificate_fuzz_up_to_n_1000():
+    rng = np.random.default_rng(53)
+    bound = 0
+    for k in range(400):
+        n = int(rng.integers(1, 1001))
+        z = random_energies(rng, n, beta_max=1.0)
+        y = rng.uniform(-2.0, 3.0, n) * [0.1, 1.0, 10.0][k % 3]
+        x, cert = assert_certified(y, z)
+        assert float(x @ z) <= 1.0 + 1e-12
+        bound += cert.lam > 0.0
+    assert bound > 300  # the budget binds on most instances, so lam is exercised
+
+
+def test_certificate_rejects_non_projections():
+    z = np.array([0.6, 0.6])
+    y = np.array([1.0, 1.0])
+    # feasible but not nearest: complementarity or stationarity must show it
+    cert = projection_certificate(y, z, [0.5, 0.5])
+    assert max(cert.stationarity, cert.complementarity) > 0.1
+    # the box clamp is nearest to the box alone but breaks the budget
+    assert projection_certificate(y, z, [1.0, 1.0]).feasibility == pytest.approx(0.2)
+    # an optimum recovers the multiplier lam = 5/18 of test_symmetric_active_budget
+    cert = projection_certificate(y, z, [5.0 / 6.0, 5.0 / 6.0])
+    assert cert.lam == pytest.approx(5.0 / 18.0)
+
+
+def test_duplicate_breakpoints():
+    # every coordinate identical: all 2n breakpoints coincide in two values
+    x, _ = assert_certified(np.full(50, 1.5), np.full(50, 0.1))
+    npt.assert_allclose(x, np.full(50, 0.2), atol=1e-12)
+    # the three free coordinates reach 0 together at lam = 0.7, exactly where
+    # the two saturated ones fill the budget: u stays at 1 on a flat piece
+    y = [1.525, 5.0, 0.42, 0.42, 0.63]
+    z = [0.25, 0.75, 0.6, 0.6, 0.9]
+    x, _ = assert_certified(y, z)
+    npt.assert_allclose(x, [1.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_zero_energies_left_to_box_clamp():
+    y = np.array([2.0, -1.0, 0.8, 1.2, 0.9])
+    z = np.array([0.0, 0.0, 0.7, 0.0, 0.8])
+    x, cert = assert_certified(y, z)
+    npt.assert_array_equal(x[z == 0.0], [1.0, 0.0, 1.0])
+    assert cert.lam > 0.0
+
+
+def test_single_unit_energy():
+    x, cert = assert_certified([1.0, 1.0, 1.0], [1.0, 0.3, 0.3])
+    # all free: (1 - lam) + 0.3 * 2 * (1 - 0.3 * lam) = 1
+    lam = 0.6 / 1.18
+    npt.assert_allclose(x, 1.0 - lam * np.array([1.0, 0.3, 0.3]), atol=1e-12)
+    assert cert.lam == pytest.approx(lam)
+    # alone, a unit energy never binds: the box clamp uses at most 1
+    npt.assert_array_equal(project_onto_feasible([7.0, 3.0], [1.0, 0.0]), [1.0, 1.0])
+
+
+def test_input_on_the_budget_is_unchanged():
+    for y, z in (([0.5, 0.5], [1.0, 1.0]), ([2.0, 0.5, -3.0], [0.5, 1.0, 0.4])):
+        x = project_onto_feasible(y, z)
+        npt.assert_array_equal(x, np.clip(y, 0.0, 1.0))
+        assert float(x @ np.asarray(z)) == 1.0
+        assert projection_certificate(y, z, x).lam == 0.0
+
+
+def test_large_magnitudes():
+    # y - lam*z loses digits in proportion to |y|, so residuals scale with it
+    rng = np.random.default_rng(59)
+    for k in range(200):
+        n = int(rng.integers(1, 300))
+        z = random_energies(rng, n, beta_max=1.0)
+        y = rng.uniform(-1.0, 1.0, n) * 10.0 ** (k % 7)
+        x = project_onto_feasible(y, z)
+        cert = projection_certificate(y, z, x)
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(y))))
+        assert cert.stationarity <= tol and cert.feasibility <= tol, cert
+        assert cert.complementarity <= tol * max(1.0, cert.lam), cert
+
+
+def test_single_live_coordinate():
+    # coordinate 1 has y <= 0 and coordinate 2 has z = 0, so only 0 moves
+    x, cert = assert_certified([1.0, -2.0, 4.0], [1.5, 0.5, 0.0])
+    npt.assert_allclose(x, [2.0 / 3.0, 0.0, 1.0], atol=1e-12)
+    assert cert.lam == pytest.approx(2.0 / 9.0)
