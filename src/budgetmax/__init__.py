@@ -9,16 +9,16 @@ control of every selection probability.
 
 from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, Selection,
                    TrialData, derive_constants, discounted_profit, profit,
-                   split_costs)
-from .engine import Drawer, LARGE_ENERGY_THRESHOLD, Trajectory, TrialLog, learn
+                   selection_profits, split_costs)
+from .engine import Drawer, Trajectory, TrialLog, learn
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .projection import (FEASIBILITY_TOL, ProjectionCertificate, is_feasible,
                          project_onto_feasible, projection_certificate)
-from .sampler import (GroupDrawPlan, Partition, ZERO_CLASS,
+from .sampler import (LARGE_ENERGY_THRESHOLD, Partition, RowLayout, ZERO_CLASS,
                       analytic_intersection_lower_bound,
-                      analytic_selection_bounds, build_draw_plans,
-                      build_partition, sample_membership, sample_selection)
+                      analytic_selection_bounds, build_partition, sample_block,
+                      uniform_stream)
 from .surrogate import (WeightState, reward_order, step_size,
                         surrogate_gradient, surrogate_value, update_weights)
 
@@ -26,15 +26,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionSet", "BUDGET_SLACK", "InvalidEnergyError", "Selection", "TrialData",
-    "derive_constants", "discounted_profit", "profit", "split_costs",
+    "derive_constants", "discounted_profit", "profit", "selection_profits", "split_costs",
     "Drawer", "LARGE_ENERGY_THRESHOLD", "Trajectory", "TrialLog", "learn",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
     "check_constraints", "generate", "read_stream", "write_stream",
     "FEASIBILITY_TOL", "ProjectionCertificate", "is_feasible",
     "project_onto_feasible", "projection_certificate",
-    "GroupDrawPlan", "Partition", "ZERO_CLASS",
+    "Partition", "RowLayout", "ZERO_CLASS",
     "analytic_intersection_lower_bound", "analytic_selection_bounds",
-    "build_draw_plans", "build_partition", "sample_membership", "sample_selection",
+    "build_partition", "sample_block", "uniform_stream",
     "WeightState", "reward_order", "step_size", "surrogate_gradient",
     "surrogate_value", "update_weights",
     "__version__",

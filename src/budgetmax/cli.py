@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSet, Selection, TrialData, profit
+from .core import ActionSet, Selection, TrialData, selection_profits
 from .engine import Drawer, TrialLog, learn
-from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError, _fmt,
+from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
@@ -186,18 +186,20 @@ def load_config(path) -> ExperimentConfig:
 
 
 class TraceWriter:
-    """Streams trial logs to a CSV trace, tracking the cumulative profit."""
+    """Streams trial rows to a CSV trace, tracking the cumulative profit."""
+
+    ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\n"
 
     def __init__(self, path):
         self._fh = open(path, "w", encoding="ascii", newline="\n")
         self._fh.write(TRACE_HEADER + "\n")
         self.cum_profit = 0.0
 
-    def write(self, log: TrialLog) -> None:
-        self.cum_profit += log.profit
-        selected = ";".join(str(i) for i in log.selection.indices())
-        self._fh.write(f"{log.trial},{selected},{_fmt(log.profit)},"
-                       f"{_fmt(self.cum_profit)},{_fmt(log.grad_norm)},{_fmt(log.eta)}\n")
+    def write(self, trial: int, indices, profit: float, grad_norm: float, eta: float) -> None:
+        """One row: ``indices`` are the selected actions in ascending order."""
+        self.cum_profit += profit
+        selected = ";".join(map(str, indices))
+        self._fh.write(self.ROW % (trial, selected, profit, self.cum_profit, grad_norm, eta))
 
     def close(self) -> None:
         self._fh.close()
@@ -213,7 +215,7 @@ class TraceWriter:
 def write_trace(logs, path) -> None:
     with TraceWriter(path) as writer:
         for log in logs:
-            writer.write(log)
+            writer.write(log.trial, log.selection.indices(), log.profit, log.grad_norm, log.eta)
 
 
 def read_trace(path, action_set: ActionSet) -> list[TrialLog]:
@@ -267,18 +269,25 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         write_stream(stream, out_dir / "stream.csv")
 
     trajectory = learn(stream.action_set, stream)
+    grad_norm, eta = trajectory.grad_norm.tolist(), trajectory.eta.tolist()
     drawer = Drawer(stream.action_set)
     per_seed = []
     for seed in config.seeds:
         total = 0.0
         with TraceWriter(out_dir / f"trace_seed{seed}.csv") if out_dir else nullcontext() as writer:
-            for t in range(stream.T):
-                selection = drawer.draw(trajectory.weights[t], seed, t + 1)
-                gain = profit(selection, stream.rewards[t], stream.costs[t])
-                total += gain
+            for start, member in drawer.draw_trials(trajectory.weights, seed):
+                stop = start + len(member)
+                rows, cols = np.nonzero(member)
+                gains = selection_profits(rows, cols, stream.rewards[start:stop],
+                                          stream.costs[start:stop]).tolist()
+                for gain in gains:
+                    total += gain
                 if writer:
-                    writer.write(TrialLog(t + 1, selection, gain,
-                                          trajectory.grad_norm[t], trajectory.eta[t]))
+                    ends = np.searchsorted(rows, np.arange(1, len(member))).tolist()
+                    chosen = cols.tolist()
+                    for t, gain, lo, hi in zip(range(start, stop), gains, [0] + ends,
+                                               ends + [len(chosen)]):
+                        writer.write(t + 1, chosen[lo:hi], gain, grad_norm[t], eta[t])
         per_seed.append(total)
 
     per_seed_arr = np.array(per_seed)

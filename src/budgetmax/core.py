@@ -45,11 +45,11 @@ def derive_constants(z) -> tuple[float, float, float, float]:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size == 0:
         raise InvalidEnergyError("energy vector must be a non-empty 1-d array")
-    if not np.all(np.isfinite(z)):
-        raise InvalidEnergyError("energies must be finite")
-    if np.any(z < 0.0) or np.any(z > 1.0):
-        raise InvalidEnergyError("energies must lie in [0, 1]")
     beta = float(np.max(z))
+    if not 0.0 <= float(np.min(z)) <= beta <= 1.0:  # also false for nan and inf
+        if not np.all(np.isfinite(z)):
+            raise InvalidEnergyError("energies must be finite")
+        raise InvalidEnergyError("energies must lie in [0, 1]")
     tau = 1.0 - math.sqrt(beta)
     delta = tau * tau
     alpha = 1.0 - math.exp(-delta)
@@ -145,17 +145,33 @@ class Selection:
         return len(self.actions)
 
 
+def selection_profits(rows, cols, rewards, costs) -> np.ndarray:
+    """Profit of each of ``m`` selections given as ``(row, action)`` pairs.
+
+    ``rewards`` and ``costs`` are ``(m, n)`` blocks of trial vectors (or one
+    trial's vectors as a single row); the pairs come in row-major order, as
+    ``np.nonzero`` yields them from a membership block. A row's profit is
+    its best reward minus its costs summed in ascending action order; a row
+    without pairs earns exactly 0. This is the one profit definition, so a
+    block and a single :class:`Selection` (see :func:`profit`) agree
+    bitwise.
+    """
+    rewards = np.atleast_2d(rewards)
+    costs = np.atleast_2d(costs)
+    best = np.zeros(rewards.shape[0])
+    np.maximum.at(best, rows, rewards[rows, cols])
+    return best - np.bincount(rows, weights=costs[rows, cols], minlength=rewards.shape[0])
+
+
 def profit(selection: Selection, rewards, costs) -> float:
     """Best reward inside the selection minus the sum of its costs.
 
     ``rewards`` and ``costs`` are one trial's vectors, such as a row of a
     stream or the fields of a :class:`TrialData`. The empty selection earns
-    exactly 0.
+    exactly 0. Computed by :func:`selection_profits`.
     """
-    if not selection.actions:
-        return 0.0
-    idx = selection.indices()
-    return float(np.max(rewards[idx]) - np.sum(costs[idx]))
+    idx = np.array(selection.indices(), dtype=int)
+    return float(selection_profits(np.zeros_like(idx), idx, rewards, costs)[0])
 
 
 def discounted_profit(indices, trial: TrialData, alpha: float, delta: float) -> float:

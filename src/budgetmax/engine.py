@@ -4,20 +4,16 @@ The learner gets full-information feedback: the projected gradient step on
 trial ``t`` uses only the weights ``w_t`` and the revealed rewards and
 costs, never the sampled selection. So the weight trajectory is the same
 for every engine seed. :func:`learn` computes it once per stream, and a
-:class:`Drawer` draws each seed's selections from it. Randomness is split
-into per-trial substreams of the seed, so trial ``t`` draws the same
-selection for a given weight vector no matter how other trials consumed
-randomness.
+:class:`Drawer` draws each seed's selections from it, a block of trials at a
+time, from the seed's counter-based uniforms (see :mod:`budgetmax.sampler`).
+Trial ``t`` reads only its own row of uniforms, so it draws the same
+selection for a given weight vector no matter how many other trials were
+drawn, and any trial replays on its own.
 
-When the largest energy reaches 1/2 the standard class partition becomes
-unavailable (its budget argument needs headroom), so the drawer switches to
-a wrapper: heavy actions (``z_i >= 1/2``) are sampled alone via a biased
-coin with heads probability ``sum_heavy(w_i) / 4``, and on tails the light
-actions are sampled through a partition built as if the maximum energy were
-1/2. The wrapper keeps every selection within budget and accepts energies up
-to exactly 1, but it is experimental: no regret guarantee is claimed for it,
-and the weight update is the standard one (driven by the true constants of
-the action set, which degenerate to a zero step size at ``beta == 1``).
+Instances whose largest energy reaches 1/2 are sampled through the
+sampler's experimental wrapper. The weight update is the standard one
+there too (driven by the true constants of the action set, which
+degenerate to a zero step size at ``beta == 1``).
 """
 
 from __future__ import annotations
@@ -27,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionSet, Selection
-from .sampler import build_partition, sample_selection
+from .sampler import RowLayout, sample_block, uniform_stream
 from .surrogate import WeightState, surrogate_gradient, update_weights, step_size
 
-# Energies at or above this trigger the experimental wrapper.
-LARGE_ENERGY_THRESHOLD = 0.5
+# Weights per sampled block of trials: bounds the block's temporaries.
+BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,22 +90,26 @@ class Drawer:
     """Draws selections for one action set; ``beta >= 1/2`` activates the wrapper."""
 
     def __init__(self, action_set: ActionSet):
-        self.action_set = action_set
-        self.large_beta_mode = action_set.beta >= LARGE_ENERGY_THRESHOLD
-        self.heavy = np.flatnonzero(action_set.z >= LARGE_ENERGY_THRESHOLD)
-        self.partition = build_partition(
-            action_set, cap=LARGE_ENERGY_THRESHOLD if self.large_beta_mode else None)
+        self.layout = RowLayout(action_set)
+        self.large_beta_mode = self.layout.wrapper
+        self.partition = self.layout.partition
 
     def draw(self, w, seed: int, t: int) -> Selection:
         """Selection of engine seed ``seed`` on the 1-based trial ``t`` at weights ``w``."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(t,)))
-        if self.large_beta_mode:
-            heavy_w = w[self.heavy]
-            heavy_mass = float(np.sum(heavy_w))
-            # heads: one heavy action alone, picked proportionally to weight
-            if rng.random() < heavy_mass / 4.0:
-                cum = np.cumsum(heavy_w / heavy_mass)
-                cum[-1] = 1.0
-                pick = self.heavy[int(np.searchsorted(cum, rng.random(), side="right"))]
-                return Selection.from_indices([pick], self.action_set.z)
-        return sample_selection(w, self.partition, self.action_set, rng)
+        uniforms = uniform_stream(seed, self.layout.width, t - 1).random((1, self.layout.width))
+        member = sample_block(np.asarray(w, dtype=float)[None], uniforms, self.layout)
+        return Selection.from_indices(np.flatnonzero(member[0]), self.layout.z)
+
+    def draw_trials(self, weights, seed: int):
+        """Yield ``(start, member)`` over consecutive blocks of trials.
+
+        Row ``t`` of ``weights`` holds the weights of the 0-based trial
+        ``t``; ``member`` marks the selections of trials ``start`` to
+        ``start + len(member) - 1``, each equal to :meth:`draw` on its trial.
+        """
+        width = self.layout.width
+        uniforms = uniform_stream(seed, width)
+        rows = max(1, BLOCK_ENTRIES // self.layout.z.size)
+        for start in range(0, len(weights), rows):
+            block = weights[start:start + rows]
+            yield start, sample_block(block, uniforms.random((len(block), width)), self.layout)

@@ -233,18 +233,17 @@ def check_constraints(stream: Stream, spec: EnvironmentSpec) -> None:
         raise ValueError(f"{spec.kind} constraints violated: " + "; ".join(problems))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_stream(stream: Stream, path) -> None:
-    """Write the preamble plus one line per trial (see module docstring)."""
-    lines = [",".join([str(stream.n), str(stream.T)]
-                      + [_fmt(v) for v in stream.action_set.z])]
-    for t in range(stream.T):
-        lines.append(",".join([str(t + 1)]
-                              + [_fmt(v) for v in stream.rewards[t]]
-                              + [_fmt(v) for v in stream.costs[t]]))
+    """Write the preamble plus one line per trial (see module docstring).
+
+    Floats are written with ``%.17g``, which formats exactly as
+    ``format(x, ".17g")`` and round-trips every float64.
+    """
+    n = stream.n
+    lines = [("%d,%d" + ",%.17g" * n) % (n, stream.T, *stream.action_set.z.tolist())]
+    row = "%d" + ",%.17g" * (2 * n)
+    for t, (rewards, costs) in enumerate(zip(stream.rewards.tolist(), stream.costs.tolist()), 1):
+        lines.append(row % (t, *rewards, *costs))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

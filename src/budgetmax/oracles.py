@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK, TrialData
-from .sampler import build_draw_plans, build_partition, sample_membership
+from .sampler import RowLayout, build_partition, sample_block
 from .surrogate import reward_order
 
 MAX_EXHAUSTIVE_ACTIONS = 20
 MAX_GRID_ACTIONS = 4
+# Monte Carlo rows sampled per block: bounds the memory of a large estimate.
+MC_CHUNK = 50_000
 
 
 class CapacityError(ValueError):
@@ -94,8 +96,25 @@ def best_fixed_subset(stream, action_set: ActionSet, alpha: float, delta: float)
     return ComparatorResult(best_subset, best_value, True)
 
 
-def _group_plans(w, action_set: ActionSet):
-    return build_draw_plans(np.asarray(w, dtype=float), build_partition(action_set))
+def _class_draws(w, action_set: ActionSet) -> list:
+    """``(actions, within-class probabilities, full draws, residual mass)`` per class.
+
+    Plain scalar code, apart from the sampler's vectorized block, so a slip
+    in either one shows; only the partition into classes is shared. Classes
+    without weight make no draw and are left out.
+    """
+    w = np.asarray(w, dtype=float)
+    partition = build_partition(action_set)
+    draws = []
+    for actions in partition.groups.values():
+        weights = [float(w[i]) for i in actions]
+        mass = math.fsum(weights)
+        if mass <= 0.0:
+            continue
+        scaled = partition.delta * mass
+        full = math.floor(scaled)
+        draws.append((actions, np.array(weights) / mass, full, scaled - full))
+    return draws
 
 
 def exact_selection_probs(w, action_set: ActionSet) -> np.ndarray:
@@ -105,11 +124,8 @@ def exact_selection_probs(w, action_set: ActionSet) -> np.ndarray:
     with residual mass rho is missed with probability (1-p)^m * (1 - rho*p).
     """
     probs = np.zeros(action_set.n)
-    for plan in _group_plans(w, action_set):
-        if plan.weight_sum <= 0.0:
-            continue
-        miss = (1.0 - plan.probs) ** plan.full_draws * (1.0 - plan.residual_mass * plan.probs)
-        probs[plan.actions] = 1.0 - miss
+    for actions, p, full, residual in _class_draws(w, action_set):
+        probs[actions] = 1.0 - (1.0 - p) ** full * (1.0 - residual * p)
     return probs
 
 
@@ -117,12 +133,10 @@ def exact_intersection_prob(w, action_set: ActionSet, subset) -> float:
     """P(S hits ``subset``), exactly, via the same product form per class."""
     members = set(int(i) for i in subset)
     miss = 1.0
-    for plan in _group_plans(w, action_set):
-        if plan.weight_sum <= 0.0:
-            continue
-        inside = np.array([int(a) in members for a in plan.actions])
-        p = float(np.sum(plan.probs[inside]))
-        miss *= (1.0 - p) ** plan.full_draws * (1.0 - plan.residual_mass * p)
+    for actions, probs, full, residual in _class_draws(w, action_set):
+        inside = np.array([int(a) in members for a in actions])
+        p = float(np.sum(probs[inside]))
+        miss *= (1.0 - p) ** full * (1.0 - residual * p)
     return 1.0 - miss
 
 
@@ -148,37 +162,42 @@ def exact_expected_profit(w, action_set: ActionSet, trial: TrialData) -> float:
     return expected_max - expected_cost
 
 
-def estimate_selection_probs(w, action_set: ActionSet, n_samples: int, seed: int,
-                             chunk: int = 200_000) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo per-action selection frequencies and their standard errors."""
-    partition = build_partition(action_set)
+def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int, chunk: int):
+    """Membership blocks of ``n_samples`` independent draws at ``w``, ``chunk`` rows at a time.
+
+    Each draw is sampled as the learner samples a trial, from uniforms of
+    ``np.random.default_rng(seed)``. A block's uniforms are drawn column by
+    column (a column-major array), so the columns the sampler reads at a
+    shared weight row are contiguous.
+    """
+    layout = RowLayout(action_set)
     rng = np.random.default_rng(seed)
+    w = np.asarray(w, dtype=float)[None]
+    for start in range(0, int(n_samples), chunk):
+        rows = min(chunk, int(n_samples) - start)
+        yield sample_block(w, rng.random((layout.width, rows)).T, layout)
+
+
+def estimate_selection_probs(w, action_set: ActionSet, n_samples: int, seed: int,
+                             chunk: int = MC_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo per-action selection frequencies and their standard errors."""
     counts = np.zeros(action_set.n)
-    remaining = int(n_samples)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        counts += sample_membership(w, partition, action_set, rng, m).sum(axis=0)
-        remaining -= m
+    for member in _membership_blocks(w, action_set, n_samples, seed, chunk):
+        counts += member.sum(axis=0)
     freq = counts / n_samples
     sigma = np.sqrt(freq * (1.0 - freq) / n_samples)
     return freq, sigma
 
 
 def estimate_hit_rates(w, action_set: ActionSet, subsets, n_samples: int, seed: int,
-                       chunk: int = 200_000) -> np.ndarray:
+                       chunk: int = MC_CHUNK) -> np.ndarray:
     """Monte Carlo frequencies with which the selection hits each subset."""
-    partition = build_partition(action_set)
-    rng = np.random.default_rng(seed)
     subset_idx = [np.array(sorted(set(int(i) for i in sub)), dtype=int) for sub in subsets]
     counts = np.zeros(len(subset_idx))
-    remaining = int(n_samples)
-    while remaining > 0:
-        m = min(chunk, remaining)
-        member = sample_membership(w, partition, action_set, rng, m)
+    for member in _membership_blocks(w, action_set, n_samples, seed, chunk):
         for k, idx in enumerate(subset_idx):
             if idx.size:
                 counts[k] += int(member[:, idx].any(axis=1).sum())
-        remaining -= m
     return counts / n_samples
 
 

@@ -15,17 +15,53 @@ delta / tau = sqrt(beta) + (1 - sqrt(beta)) = 1``.
 Per-action marginals are sandwiched as ``1 - exp(-delta * w_i) <= P(i
 selected) <= delta * w_i``, and any fixed subset ``Z`` is hit with
 probability at least ``1 - exp(-delta * sum_{i in Z} w_i)``.
+
+When the largest energy reaches 1/2 the standard partition becomes
+unavailable (its budget argument needs headroom), so the sampler switches to
+a wrapper: heavy actions (``z_i >= 1/2``) are sampled alone via a biased
+coin with heads probability ``sum_heavy(w_i) / 4``, and on tails the light
+actions are sampled through a partition built as if the maximum energy were
+1/2. The wrapper keeps every selection within budget and accepts energies up
+to exactly 1, but it is experimental: no regret guarantee is claimed for it.
+
+Every draw reads one uniform from a fixed-width row, one row per selection.
+The row layout is fixed per action set (:class:`RowLayout`), because
+``w <= 1`` caps ``floor(delta * S_q)`` at ``floor(delta * |G_q|)``. A
+*segment* is the set of actions one draw chooses among; its columns are its
+full-draw columns, then one coin and one pick:
+
+- in wrapper mode the heavy actions come first, as a segment with no
+  full-draw column: column 0 is the heavy coin (heads when below
+  ``S_heavy / 4``), column 1 the heavy pick;
+- then each class in ascending ``q``: ``floor(delta * |G_q|)`` full-draw
+  columns (column ``j`` is used when ``j < floor(delta * S_q)``), the
+  residual coin (the residual draw happens when it is below the residual
+  mass) and the residual pick;
+- zero columns pad the width ``K`` to a multiple of 4.
+
+A draw from a segment with actions ``a_0 < a_1 < ...`` and uniform ``u``
+picks ``a_k`` with ``k = np.searchsorted(cum, u, side="right")``, where
+``cum = np.cumsum(w[a]) / S`` and ``S`` is the last entry of that cumsum.
+On heads the row yields the heavy pick alone.
+
+The uniforms of engine seed ``s`` are ``Generator(Philox(key=s))`` doubles
+(Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3"), read
+row by row: row ``t`` holds stream values ``t*K`` to ``t*K + K - 1``.
+Philox yields four 64-bit words per counter step and each double takes one,
+so ``Philox(key=s).advance(t * K // 4)`` lands exactly on row ``t`` and any
+row can be read on its own (:func:`uniform_stream`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSet, Selection
-from .projection import is_feasible
+from .core import ActionSet, BUDGET_SLACK
+from .projection import FEASIBILITY_TOL
 
 # Class key reserved for zero-energy actions (they never strain the budget).
 ZERO_CLASS = 0
@@ -51,34 +87,6 @@ class Partition:
         return np.sort(np.concatenate([idx for idx in self.groups.values()]))
 
 
-@dataclass(frozen=True)
-class GroupDrawPlan:
-    """Draw counts and within-class distribution for one class.
-
-    ``full_draws`` independent draws from ``probs`` over ``actions``, then a
-    residual draw that picks from the same distribution with probability
-    ``residual_mass`` and otherwise yields nothing.
-    """
-
-    group: int
-    actions: np.ndarray
-    probs: np.ndarray
-    weight_sum: float
-    full_draws: int
-    residual_mass: float
-
-
-def _class_index(z_i: float, beta: float, tau: float) -> int:
-    # q >= 1 such that tau**q * beta < z_i <= tau**(q-1) * beta. The log
-    # estimate can be off by one at class boundaries, so correct directly.
-    q = max(1, int(math.floor(math.log(z_i / beta) / math.log(tau))) + 1)
-    while z_i > tau ** (q - 1) * beta:
-        q -= 1
-    while z_i <= tau ** q * beta:
-        q += 1
-    return q
-
-
 def build_partition(action_set: ActionSet, cap: float | None = None) -> Partition:
     """Group actions by energy class.
 
@@ -101,82 +109,196 @@ def build_partition(action_set: ActionSet, cap: float | None = None) -> Partitio
     tau = 1.0 - math.sqrt(beta)
     delta = tau * tau
 
+    log_tau = math.log(tau) if tau < 1.0 else 0.0  # tau = 1 only when every z_i is 0
     buckets: dict[int, list[int]] = {}
-    for i in covered:
-        zi = float(z[i])
-        q = ZERO_CLASS if zi == 0.0 else _class_index(zi, beta, tau)
-        buckets.setdefault(q, []).append(int(i))
-    groups = {q: np.array(sorted(idx), dtype=int) for q, idx in sorted(buckets.items())}
+    for i, zi in zip(covered.tolist(), z[covered].tolist()):
+        q = ZERO_CLASS
+        if zi > 0.0:
+            # q >= 1 such that tau**q * beta < zi <= tau**(q-1) * beta. The log
+            # estimate can be off by one at class boundaries, so correct it.
+            q = max(1, math.floor(math.log(zi / beta) / log_tau) + 1)
+            while zi > tau ** (q - 1) * beta:
+                q -= 1
+            while zi <= tau ** q * beta:
+                q += 1
+        buckets.setdefault(q, []).append(i)
+    classes = sorted(buckets.items())
+    order = np.array([i for _, idx in classes for i in idx], dtype=int)
+    ends = itertools.accumulate(len(idx) for _, idx in classes)
+    groups = {q: order[end - len(idx):end] for (q, idx), end in zip(classes, ends)}
     return Partition(groups=groups, beta=beta, tau=tau, delta=delta)
 
 
-def build_draw_plans(w, partition: Partition) -> list[GroupDrawPlan]:
-    """Per-class draw plans for a weight vector (0/0 treated as no draws)."""
-    w = np.asarray(w, dtype=float)
-    plans = []
-    for q in sorted(partition.groups):
-        actions = partition.groups[q]
-        weights = w[actions]
-        s_q = float(np.sum(weights))
-        scaled = partition.delta * s_q
-        full = int(math.floor(scaled))
-        residual = scaled - full
-        probs = weights / s_q if s_q > 0.0 else np.zeros_like(weights)
-        plans.append(GroupDrawPlan(q, actions, probs, s_q, full, residual))
-    return plans
+# Energies at or above this trigger the experimental wrapper.
+LARGE_ENERGY_THRESHOLD = 0.5
+# Level of a coin or padding column: above every full-draw count, so never a draw.
+_NEVER = 1 << 62
 
 
-def _cumulative(probs: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0  # guard against cumsum rounding below 1
-    return cum
+class RowLayout:
+    """Where each draw of one selection reads its uniform, for one action set.
 
-
-def sample_selection(w, partition: Partition, action_set: ActionSet, rng) -> Selection:
-    """Draw one selection. ``w`` must lie in the feasible polytope."""
-    w = np.asarray(w, dtype=float)
-    if not is_feasible(w, action_set.z):
-        raise ValueError("weights must lie in the feasible polytope")
-    chosen: list[int] = []
-    for plan in build_draw_plans(w, partition):
-        if plan.weight_sum <= 0.0:
-            continue
-        cum = _cumulative(plan.probs)
-        if plan.full_draws:
-            hits = np.searchsorted(cum, rng.random(plan.full_draws), side="right")
-            chosen.extend(plan.actions[hits])
-        if rng.random() < plan.residual_mass:
-            pick = int(np.searchsorted(cum, rng.random(), side="right"))
-            chosen.append(int(plan.actions[pick]))
-    return Selection.from_indices(chosen, action_set.z)
-
-
-def sample_membership(w, partition: Partition, action_set: ActionSet, rng,
-                      n_samples: int) -> np.ndarray:
-    """Boolean ``(n_samples, n)`` membership matrix of independent selections.
-
-    Each row marks one draw from the same distribution
-    :func:`sample_selection` uses; the batch exists because per-draw Python
-    loops are far too slow for Monte Carlo validation at 1e6 samples.
+    ``width`` is the row width ``K`` (a multiple of 4), ``wrapper`` says
+    whether the heavy-action wrapper is on and ``partition`` holds the
+    classes sampled on tails (all actions when the wrapper is off). The
+    remaining attributes index the columns of a row and the concatenated
+    segments (``order`` lists their actions, segment by segment).
     """
-    w = np.asarray(w, dtype=float)
-    if not is_feasible(w, action_set.z):
+
+    def __init__(self, action_set: ActionSet):
+        self.z = action_set.z
+        self.wrapper = action_set.beta >= LARGE_ENERGY_THRESHOLD
+        cap = LARGE_ENERGY_THRESHOLD if self.wrapper else None
+        self.partition = build_partition(action_set, cap=cap)
+        delta = self.partition.delta
+        segments = [self.partition.groups[q] for q in sorted(self.partition.groups)]
+        scales = [delta] * len(segments)
+        full = [math.floor(delta * len(actions)) for actions in segments]
+        if self.wrapper:
+            segments.insert(0, np.flatnonzero(action_set.z >= LARGE_ENERGY_THRESHOLD))
+            scales.insert(0, 0.25)
+            full.insert(0, 0)
+        # Per action of the concatenated segments: its segment. Per column of
+        # a row: its segment; its level, which must fall below the column's
+        # bound in [floor(scale * S) | residual mass] for the column to be a
+        # draw (j for full-draw column j; for a pick, its coin's uniform, read
+        # from coin_of; never for a coin or padding column).
+        count = len(segments)
+        segment_of, column_segment, level, is_pick = [], [], [], []
+        for s, (actions, f) in enumerate(zip(segments, full)):
+            segment_of += [s] * len(actions)
+            column_segment += [s] * (f + 2)
+            level += [*range(f), _NEVER, 0]
+            is_pick += [0] * (f + 1) + [1]
+        self.width = -(-len(level) // 4) * 4
+        pad = self.width - len(level)
+        self.column_segment, self.level, self.is_pick = np.array(
+            [column_segment + [0] * pad, level + [_NEVER] * pad, is_pick + [0] * pad])
+        self.bound = self.column_segment + count * self.is_pick
+        self.coin_of = np.arange(self.width) - self.is_pick
+        self.coins = [end - 2 for end in itertools.accumulate(f + 2 for f in full)]
+        self.full_columns = full
+        self.order = np.concatenate(segments)
+        self.segment_of = np.array(segment_of)
+        ends = list(itertools.accumulate(len(actions) for actions in segments))
+        self.spans = list(zip([0] + ends[:-1], ends))
+        self.last = np.array([end - 1 for end in ends])
+        self.scale = np.array(scales)
+
+
+def uniform_stream(seed: int, width: int, start: int = 0) -> np.random.Generator:
+    """Engine seed ``seed``'s uniforms, positioned at the start of row ``start``.
+
+    Each ``.random((rows, width))`` call reads the next ``rows`` rows.
+    """
+    if width % 4:
+        raise ValueError(f"row width must be a multiple of 4, got {width}")
+    if start < 0:
+        raise ValueError(f"row index must be non-negative, got {start}")
+    bit_generator = np.random.Philox(key=int(seed))
+    bit_generator.advance(int(start) * width // 4)
+    return np.random.Generator(bit_generator)
+
+
+def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
+    """Boolean ``(m, n)`` membership of the selections drawn from ``m`` rows of uniforms.
+
+    ``weights`` has one row per uniform row, or a single row shared by all
+    of them; every weight row must lie in the feasible polytope. Row ``r``
+    of the result marks the selection drawn at ``weights[r]`` (or the shared
+    row) from ``uniforms[r]`` as the module docstring lays out.
+
+    Each draw finds what ``np.searchsorted`` finds on its own segment's
+    ``cum``: with one weight row shared by many rows (Monte Carlo) a plain
+    search per segment over its columns; with a weight row per row one
+    search over the draws the rows make (see :func:`_draw_per_row`).
+
+    Raises
+    ------
+    ValueError
+        If the shapes disagree, a weight row is infeasible (box and budget at
+        ``FEASIBILITY_TOL``) or a selection's energy exceeds ``1 +
+        BUDGET_SLACK``.
+    """
+    weights = np.asarray(weights, dtype=float)
+    uniforms = np.asarray(uniforms, dtype=float)
+    m, n = uniforms.shape[0], layout.z.size
+    if (weights.ndim != 2 or weights.shape[1] != n or weights.shape[0] not in (1, m)
+            or uniforms.shape != (m, layout.width)):
+        raise ValueError(f"expected weights of shape (1 or {m}, {n}) and uniforms of "
+                         f"shape ({m}, {layout.width}), got {weights.shape} and {uniforms.shape}")
+    tol = FEASIBILITY_TOL
+    if not (weights.min() >= -tol and weights.max() <= 1.0 + tol
+            and (weights @ layout.z).max() <= 1.0 + tol):
         raise ValueError("weights must lie in the feasible polytope")
-    member = np.zeros((n_samples, action_set.n), dtype=bool)
-    rows = np.arange(n_samples)
-    for plan in build_draw_plans(w, partition):
-        if plan.weight_sum <= 0.0:
-            continue
-        cum = _cumulative(plan.probs)
-        if plan.full_draws:
-            hits = np.searchsorted(cum, rng.random((n_samples, plan.full_draws)),
-                                   side="right")
-            member[rows[:, None], plan.actions[hits]] = True
-        if plan.residual_mass > 0.0:
-            take = rng.random(n_samples) < plan.residual_mass
-            hits = np.searchsorted(cum, rng.random(n_samples), side="right")
-            member[rows[take], plan.actions[hits[take]]] = True
+
+    ordered = weights[:, layout.order]
+    cum = np.empty(ordered.shape)
+    for start, stop in layout.spans:
+        np.add.accumulate(ordered[:, start:stop], axis=1, out=cum[:, start:stop])
+    mass = cum[:, layout.last]
+    scaled = np.maximum(mass, 0.0) * layout.scale
+    full = np.floor(scaled)
+    cum /= np.where(mass > 0.0, mass, 1.0)[:, layout.segment_of]
+
+    member = np.zeros((m, n), dtype=bool)
+    if len(weights) < m:
+        _draw_shared(member, uniforms, cum[0], full[0], (scaled - full)[0], layout)
+    else:
+        _draw_per_row(member, uniforms, cum, full, scaled - full, layout)
+    energy = np.einsum("ij,j->i", member, layout.z)
+    if m and energy.max() > 1.0 + BUDGET_SLACK:
+        raise ValueError(f"selection energy {energy.max()!r} exceeds the unit budget")
     return member
+
+
+def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> None:
+    """Mark the draws of every row at one shared weight row, segment by segment."""
+    every = np.arange(len(member))[:, None]
+    heads = None
+    for s, ((start, stop), coin, columns) in enumerate(zip(layout.spans, layout.coins,
+                                                          layout.full_columns)):
+        actions, segment_cum = layout.order[start:stop], cum[start:stop]
+        # w <= 1 + tol can push floor(scale * S) past the segment's columns
+        draws = uniforms[:, coin - columns:coin - columns + min(int(full[s]), columns)]
+        member[every, actions[np.searchsorted(segment_cum, draws, side="right")]] = True
+        fired = np.flatnonzero(uniforms[:, coin] < residual[s])
+        picks = actions[np.searchsorted(segment_cum, uniforms[fired, coin + 1], side="right")]
+        member[fired, picks] = True
+        if layout.wrapper and s == 0:
+            heads = (fired, picks)
+    if heads is not None:  # heads: the heavy pick alone
+        member[heads[0]] = False
+        member[heads] = True
+
+
+def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> None:
+    """Mark the draws each row makes at its own weight row, in one search.
+
+    Segment ``k`` of weight row ``r`` is keyed ``(r * segments + k) + 1j *
+    cum``: complex numbers order lexicographically, which keeps segments
+    apart while comparing the ``cum`` values exactly. Only the draws a row
+    actually makes are looked up.
+    """
+    rows_w, segments = cum.shape[0], layout.scale.size
+    keys = layout.segment_of + 1j * cum
+    if rows_w > 1:
+        keys.real += np.arange(0, segments * rows_w, segments)[:, None]
+    # full-draw column j is a draw when j < floor(scale * S); a pick when its
+    # coin (the column before it) is below the residual mass
+    level = np.where(layout.is_pick, uniforms[:, layout.coin_of], layout.level)
+    valid = level < np.concatenate((full, residual), axis=1)[:, layout.bound]
+    if layout.wrapper:  # heads (heavy pick in column 1): the heavy pick alone
+        valid[valid[:, 1], 2:] = False
+    draws = np.flatnonzero(valid)
+    rows, cols = np.divmod(draws, layout.width)
+    query = layout.column_segment[cols] + 1j * uniforms.ravel()[draws]
+    if rows_w > 1:
+        query.real += rows * segments
+    picks = np.searchsorted(keys.ravel(), query, side="right")
+    if rows_w > 1:
+        picks -= rows * cum.shape[1]
+    member[rows, layout.order[picks]] = True
 
 
 def analytic_selection_bounds(w, i: int, delta: float) -> tuple[float, float]:

@@ -13,10 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from budgetmax import (ActionSet, TrialData, analytic_intersection_lower_bound,
-                       analytic_selection_bounds, build_partition, is_feasible,
-                       project_onto_feasible, sample_selection,
-                       surrogate_gradient, surrogate_value)
+from budgetmax import (ActionSet, RowLayout, TrialData, analytic_intersection_lower_bound,
+                       analytic_selection_bounds, is_feasible, project_onto_feasible,
+                       sample_block, surrogate_gradient, surrogate_value)
 from budgetmax.cli import main, parse_config, run_experiment
 from budgetmax.oracles import (estimate_hit_rates, estimate_selection_probs,
                                exact_intersection_prob, finite_diff_gradient,
@@ -86,13 +85,17 @@ def test_criterion_01_sampler_feasibility(announce):
         z = rng.uniform(0.0, 0.49, n)
         z[rng.random(n) < 0.2] = 0.0
         aset = ActionSet.from_energies(z)
-        part = build_partition(aset)
+        layout = RowLayout(aset)
         w = rng.uniform(0.0, 1.0, n)
         load = float(w @ z)
         if load > 1.0:  # rescale into the budget polytope, stays in the box
             w /= load
-        sel = sample_selection(w, part, aset, rng)
-        if float(np.sum(aset.z[sel.indices()])) > 1.0 + 1e-12:
+        try:  # the sampler also raises on a selection over budget
+            member = sample_block(w[None], rng.random((1, layout.width)), layout)[0]
+        except ValueError:
+            violations += 1
+            continue
+        if float(np.sum(aset.z[member])) > 1.0 + 1e-12:
             violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 30.0

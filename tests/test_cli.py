@@ -209,21 +209,21 @@ class TestRunExperiment:
     # deliberate change to the random stream, to a file format, or to the
     # rounding of the learner's arithmetic (the trace's grad_norm and eta)
     PINNED_SHA256 = {
-        "report.json": "15d2f65bae78887a487caaef5da76d33fb32112788498268c6164daa353fcce3",
+        "report.json": "ecca47580ac4476d63c342e1d2f0abfd38a7ff86bb2b982c9fb11982a3ebcd7c",
         "stream.csv": "dc8edca7d86492ae02d6d88ac850093aaf487f1f4e1e868e395918da41ff3247",
-        "trace_seed0.csv": "0da7dd22dbd3b4ee3b0e89dd0977deb5ee01d9a13c522d23bd5279a5549e45b2",
-        "trace_seed1.csv": "6898b2f013d019eaa91f0ec51ad135e0cffd71d43ac8569a1ebbeb7aad21950c",
-        "trace_seed2.csv": "f58eed96515108526ab7981879e715a8b2b3d6e701fc3ba0e5535d9012bdb8f0",
-        "trace_seed3.csv": "9469ad76d66e5159c64268a9229d87186216f0a3b952e845fed5053688293d48",
+        "trace_seed0.csv": "a2daec1406198b286d83a7b587743ae9d26042a8f40d20e30625c18de4ee8037",
+        "trace_seed1.csv": "8445071edcb8a1eba7e50a2b63ec261c8eee4d5998fe889484e2ec3dce06c3de",
+        "trace_seed2.csv": "4401f3db61d6059f8de41556420b50dfe694d04214073c91eddc23cb8c2418a8",
+        "trace_seed3.csv": "62044ead2ab550cef1df69a340fbc9838cd602e6fa0784baaee0cec4b2fe6a9f",
     }
-    # sha256 of the same traces cut to trial,selected,profit,cum_profit, as
-    # first written by the bisection projector: the exact projector moved
-    # only the last digits of grad_norm and eta, never a selection or profit
+    # sha256 of the same traces cut to trial,selected,profit,cum_profit: they
+    # change with the random stream (now per-seed Philox rows), but not with
+    # the last digits of the learner's grad_norm and eta
     PINNED_SELECTION_SHA256 = {
-        "trace_seed0.csv": "359713ef981fc50fb9db0145d4a03251f3f4a6fe3d1df4a9d1d50bc6e69ff4e1",
-        "trace_seed1.csv": "b205c2020950a19cc97119c40959e870a4869d47ad42535f35a575b1c8dfb950",
-        "trace_seed2.csv": "5f7457a0a7c56d432d4d4e6d5dfc25037c9330073cf95244ec4dc7223718d21c",
-        "trace_seed3.csv": "038c30940948380f9e07e0f713665a927abe24da562e0408b3d721d120fb1434",
+        "trace_seed0.csv": "27a6f68a44c94cf1217fae38575be7e8ae8afe629921f71f56fcfe8f467fbc9d",
+        "trace_seed1.csv": "30169b2d073163baef79c4a79cfc550b2d7caaae4420f0afc3acd737454cecf4",
+        "trace_seed2.csv": "7ab22de5375eb798683609ff433278127a59ed6583f736fa300c671c80c22102",
+        "trace_seed3.csv": "57d206b03b5e1c4a182583e524cf31f82e1025ccfecb9d974bfd4958f39092c9",
     }
 
     @staticmethod

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from budgetmax import (ActionSet, InvalidEnergyError, Selection, TrialData,
-                       derive_constants, discounted_profit, profit, split_costs)
+                       derive_constants, discounted_profit, profit, selection_profits,
+                       split_costs)
 from conftest import random_trial
 
 
@@ -124,6 +125,28 @@ class TestProfit:
         trial = TrialData.from_arrays([2.0], [-3.0])
         sel = Selection.from_indices([0], [0.1])
         assert profit(sel, trial.rewards, trial.costs) == 5.0
+
+
+    def test_block_matches_single_selections(self):
+        # best reward minus the costs added in ascending action order, also on
+        # rows with 8 or more members, where np.sum's pairwise order rounds
+        # differently; profit() of a single selection agrees bitwise
+        rng = np.random.default_rng(41)
+        m, n = 300, 30
+        rewards, costs = rng.uniform(0.0, 2.0, (m, n)), rng.uniform(-1.0, 1.0, (m, n))
+        member = rng.random((m, n)) < rng.uniform(0.0, 0.9, (m, 1))
+        member[::10] = False
+        rows, cols = np.nonzero(member)
+        block = selection_profits(rows, cols, rewards, costs)
+        for r in range(m):
+            idx = np.flatnonzero(member[r])
+            spent = 0.0
+            for i in idx:
+                spent += costs[r, i]
+            expect = float(np.max(rewards[r, idx])) - spent if idx.size else 0.0
+            sel = Selection.from_indices(idx, np.zeros(n))
+            assert block[r] == expect == profit(sel, rewards[r], costs[r])
+        assert (member.sum(axis=1) >= 8).sum() > 100 and (block[::10] == 0.0).all()
 
 
 class TestDiscountedProfit:

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from budgetmax import (ActionSet, Drawer, TrialData, is_feasible, learn, profit,
-                       read_stream, sample_membership, step_size, surrogate_gradient,
+                       read_stream, sample_block, step_size, surrogate_gradient,
                        surrogate_value, update_weights)
 from budgetmax.cli import parse_config, read_trace, run_experiment
 from budgetmax.surrogate import WeightState
@@ -128,8 +128,9 @@ class TestExpectedProfitFloor:
             warmup = [random_trial(rng, n, c_scale=0.3) for _ in range(25)]
             trial = random_trial(rng, n)
             w = learn(aset, warmup + [trial]).weights[-1]
-            member = sample_membership(w, Drawer(aset).partition, aset,
-                                       np.random.default_rng(1000 + case), 100_000)
+            layout = Drawer(aset).layout
+            uniforms = np.random.default_rng(1000 + case).random((100_000, layout.width))
+            member = sample_block(w[None], uniforms, layout)
             best = np.where(member, trial.rewards, -np.inf).max(axis=1)
             best[~member.any(axis=1)] = 0.0
             profits = best - member @ trial.costs

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import StreamFormatError, read_stream, write_stream
+from budgetmax import ActionSet, StreamFormatError, read_stream, write_stream
 from budgetmax.environments import (EnvironmentSpec, Stream, check_constraints,
                                     generate, site_rewards)
 
@@ -100,6 +100,29 @@ class TestStreamFiles:
         npt.assert_array_equal(back.rewards, stream.rewards)
         npt.assert_array_equal(back.costs, stream.costs)
         npt.assert_array_equal(back.action_set.z, stream.action_set.z)
+
+    def test_write_matches_per_value_formatting(self, tmp_path):
+        # every float as format(x, ".17g"), including signed zero, the
+        # smallest subnormal, huge values and ones with no short repr
+        special = [-0.0, 5e-324, 1e308, 0.1, float(np.nextafter(1.0, 2.0)), 0.0, 1.0, 2.5e-310]
+        rng = np.random.default_rng(3)
+        n, T = 4, 6
+        rewards = np.abs(rng.choice(special + list(rng.uniform(0.0, 3.0, 8)), (T, n)))
+        rewards[0, 0] = -0.0
+        costs = rng.choice([-x for x in special] + special, (T, n))
+        z = np.array([0.0, 5e-324, 0.1, float(np.nextafter(0.3, 1.0))])
+        stream = Stream(ActionSet.from_energies(z), rewards, costs)
+        path = tmp_path / "stream.csv"
+        write_stream(stream, path)
+        fmt = lambda values: [format(float(v), ".17g") for v in values]
+        expect = [",".join([str(n), str(T)] + fmt(z))]
+        expect += [",".join([str(t + 1)] + fmt(rewards[t]) + fmt(costs[t])) for t in range(T)]
+        assert path.read_text(encoding="ascii") == "\n".join(expect) + "\n"
+        assert "-0" in path.read_text(encoding="ascii").splitlines()[1].split(",")
+        back = read_stream(path)
+        for got, want in ((back.rewards, rewards), (back.costs, costs), (back.action_set.z, z)):
+            npt.assert_array_equal(got, want)
+            npt.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_preamble_shape(self, tmp_path):
         stream = generate(spec_for("knapsack_01", n=3, T=2))

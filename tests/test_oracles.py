@@ -106,7 +106,7 @@ class TestExactExpectedProfit:
         assert exact_expected_profit([1.0], aset, trial) == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_monte_carlo(self):
-        from budgetmax import build_partition, sample_membership
+        from budgetmax import RowLayout, sample_block
         rng = np.random.default_rng(179)
         for case in range(5):
             n = int(rng.integers(1, 7))
@@ -114,8 +114,9 @@ class TestExactExpectedProfit:
             w = random_feasible_point(rng, aset.z)
             trial = random_trial(rng, n)
             expect = exact_expected_profit(w, aset, trial)
-            member = sample_membership(w, build_partition(aset), aset,
-                                       np.random.default_rng(300 + case), 200_000)
+            layout = RowLayout(aset)
+            uniforms = np.random.default_rng(300 + case).random((200_000, layout.width))
+            member = sample_block(w[None], uniforms, layout)
             best = np.where(member, trial.rewards, -np.inf).max(axis=1)
             best[~member.any(axis=1)] = 0.0
             profits = best - member @ trial.costs

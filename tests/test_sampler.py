@@ -4,12 +4,54 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, ZERO_CLASS, analytic_intersection_lower_bound,
-                       analytic_selection_bounds, build_draw_plans,
-                       build_partition, sample_membership, sample_selection)
+from budgetmax import (ActionSet, Drawer, RowLayout, ZERO_CLASS,
+                       analytic_intersection_lower_bound, analytic_selection_bounds,
+                       build_partition, project_onto_feasible, sample_block,
+                       uniform_stream)
 from budgetmax.oracles import (estimate_selection_probs, exact_intersection_prob,
                                exact_selection_probs)
 from conftest import random_action_set, random_feasible_point
+
+
+def reference_block(weights, uniforms, action_set):
+    """The documented row layout, one row and one np.searchsorted per draw."""
+    wrapper = action_set.beta >= 0.5
+    part = build_partition(action_set, cap=0.5 if wrapper else None)
+    segments = [(part.groups[q], part.delta, math.floor(part.delta * len(part.groups[q])))
+                for q in sorted(part.groups)]
+    if wrapper:
+        segments.insert(0, (np.flatnonzero(action_set.z >= 0.5), 0.25, 0))
+    member = np.zeros((len(uniforms), action_set.n), dtype=bool)
+    for r, u in enumerate(uniforms):
+        w = weights[r] if len(weights) > 1 else weights[0]
+        col = 0
+        for k, (actions, scale, width) in enumerate(segments):
+            raw = np.cumsum(w[actions])
+            draws = []
+            if raw[-1] > 0.0:
+                scaled = raw[-1] * scale
+                full = math.floor(scaled)
+                draws = [u[col + j] for j in range(min(full, width))]
+                if u[col + width] < scaled - full:
+                    draws.append(u[col + width + 1])
+            picks = [actions[np.searchsorted(raw / raw[-1], x, side="right")] for x in draws]
+            member[r, picks] = True
+            if wrapper and k == 0 and picks:  # heads: the heavy pick alone
+                break
+            col += width + 2
+    return member
+
+
+def rows_of(seed, start, count, width):
+    return uniform_stream(seed, width, start).random((count, width))
+
+
+def feasible_rows(rng, z, rows):
+    """Feasible weight rows, some all zero and some with zeroed entries."""
+    w = np.array([project_onto_feasible(rng.uniform(0.0, 1.5, z.size), z) for _ in range(rows)])
+    w[rng.random(rows) < 0.2] = 0.0
+    w[rng.random(w.shape) < 0.1] = 0.0
+    return w
 
 
 class TestPartition:
@@ -70,64 +112,163 @@ class TestPartition:
 
 class TestDrawPlans:
     def test_floor_and_residual(self):
-        # four actions of energy 0.25 with unit weights: delta*S = 1 exactly
+        # four actions of energy 0.25 with unit weights: delta*S = 1 exactly,
+        # so one full draw (column 0) and never a residual draw
         aset = ActionSet.from_energies([0.25] * 4)
-        w = np.ones(4)
-        plans = build_draw_plans(w, build_partition(aset))
-        assert len(plans) == 1
-        plan = plans[0]
-        assert plan.weight_sum == 4.0
-        assert plan.full_draws == 1
-        assert plan.residual_mass == 0.0
-        npt.assert_allclose(plan.probs, 0.25)
+        layout = RowLayout(aset)
+        assert layout.width == 4
+        uniforms = np.random.default_rng(5).random((2000, 4))
+        member = sample_block(np.ones((1, 4)), uniforms, layout)
+        npt.assert_array_equal(member.sum(axis=1), 1)
+        npt.assert_array_equal(np.flatnonzero(member.ravel()) % 4,
+                               np.floor(uniforms[:, 0] * 4).astype(int))
 
     def test_fractional_mass(self):
+        # no full draw; the residual coin (column 0) fires below 0.25 * 0.6
         aset = ActionSet.from_energies([0.25])
-        plan = build_draw_plans(np.array([0.6]), build_partition(aset))[0]
-        assert plan.full_draws == 0
-        assert plan.residual_mass == pytest.approx(0.25 * 0.6)
+        layout = RowLayout(aset)
+        assert layout.width == 4
+        uniforms = np.random.default_rng(6).random((2000, 4))
+        member = sample_block(np.array([[0.6]]), uniforms, layout)
+        npt.assert_array_equal(member[:, 0], uniforms[:, 0] < 0.25 * 0.6)
 
     def test_zero_weight_group_draws_nothing(self):
         aset = ActionSet.from_energies([0.25, 0.0])
-        plans = build_draw_plans(np.zeros(2), build_partition(aset))
-        for plan in plans:
-            assert plan.full_draws == 0 and plan.residual_mass == 0.0
-            npt.assert_array_equal(plan.probs, 0.0)
+        layout = RowLayout(aset)
+        for uniforms in (np.zeros((50, layout.width)),
+                         np.random.default_rng(7).random((50, layout.width))):
+            assert not sample_block(np.zeros((1, 2)), uniforms, layout).any()
+
+    def test_width_counts_full_draws_coins_and_picks(self):
+        rng = np.random.default_rng(8)
+        for beta_max in (0.49, 0.9):
+            for _ in range(50):
+                aset = random_action_set(rng, int(rng.integers(1, 60)), beta_max=beta_max)
+                layout = RowLayout(aset)
+                part = layout.partition
+                used = sum(math.floor(part.delta * len(a)) + 2 for a in part.groups.values())
+                used += 2 * layout.wrapper
+                assert layout.width % 4 == 0 and used <= layout.width < used + 4
+
+
+class TestMatchesSearchsortedReference:
+    @pytest.mark.parametrize("n, rows", [(1, 400), (8, 400), (50, 200), (1000, 30)])
+    def test_weight_block(self, n, rows):
+        rng = np.random.default_rng(1000 + n)
+        aset = random_action_set(rng, n, zero_frac=0.2)
+        assert ZERO_CLASS in build_partition(aset).groups or n == 1
+        weights = feasible_rows(rng, aset.z, rows)
+        uniforms = rng.random((rows, RowLayout(aset).width))
+        npt.assert_array_equal(sample_block(weights, uniforms, RowLayout(aset)),
+                               reference_block(weights, uniforms, aset))
+
+    @pytest.mark.parametrize("n", [1, 8, 50, 1000])
+    def test_shared_weight_row(self, n):
+        rng = np.random.default_rng(2000 + n)
+        aset = random_action_set(rng, n, zero_frac=0.2)
+        w = random_feasible_point(rng, aset.z)[None]
+        uniforms = rng.random((300, RowLayout(aset).width))
+        expect = reference_block(w, uniforms, aset)
+        for block in (uniforms, np.asfortranarray(uniforms)):
+            npt.assert_array_equal(sample_block(w, block, RowLayout(aset)), expect)
+
+    def test_zero_energy_class_only(self):
+        # beta = 0: tau = delta = 1, so every unit of weight mass is a full draw
+        rng = np.random.default_rng(9)
+        aset = ActionSet.from_energies(np.zeros(12))
+        layout = RowLayout(aset)
+        assert layout.width == 16  # twelve full draws, a coin and a pick
+        weights = rng.uniform(0.0, 1.0, (300, 12))
+        weights[::7] = 0.0
+        uniforms = rng.random((300, layout.width))
+        npt.assert_array_equal(sample_block(weights, uniforms, layout),
+                               reference_block(weights, uniforms, aset))
+
+    @pytest.mark.parametrize("n", [2, 8, 50])
+    def test_wrapper_mode(self, n):
+        rng = np.random.default_rng(3000 + n)
+        z = rng.uniform(0.0, 1.0, n)
+        z[rng.random(n) < 0.2] = 0.0
+        z[0] = 0.75
+        aset = ActionSet.from_energies(z)
+        layout = RowLayout(aset)
+        assert layout.wrapper
+        weights = feasible_rows(rng, aset.z, 400)
+        heavy = aset.z >= 0.5
+        weights[::5] = heavy / max(1.0, float(np.sum(aset.z[heavy])))  # heads is likeliest
+        uniforms = rng.random((400, layout.width))
+        member = sample_block(weights, uniforms, layout)
+        npt.assert_array_equal(member, reference_block(weights, uniforms, aset))
+        heads = member[:, aset.z >= 0.5].any(axis=1)
+        assert heads.any() and (member[heads].sum(axis=1) == 1).all()
+
+
+class TestUniformStream:
+    def test_rows_are_philox_doubles(self):
+        block = np.random.Generator(np.random.Philox(key=21)).random((50, 12))
+        npt.assert_array_equal(uniform_stream(21, 12).random((50, 12)), block)
+        for t in (0, 1, 17, 49):
+            npt.assert_array_equal(uniform_stream(21, 12, t).random(12), block[t])
+        stream = uniform_stream(21, 12, 3)
+        npt.assert_array_equal(np.vstack([stream.random((4, 12)), stream.random((9, 12))]),
+                               block[3:16])
+        with pytest.raises(ValueError, match="multiple of 4"):
+            uniform_stream(21, 10)
+        with pytest.raises(ValueError, match="non-negative"):
+            Drawer(ActionSet.from_energies([0.25])).draw(np.ones(1), 21, 0)
+
+    def test_draw_equals_row_of_the_seed_block(self):
+        # 300 trials of 200 actions span four blocks of draw_trials
+        rng = np.random.default_rng(10)
+        for beta_max in (0.49, 0.9):
+            aset = random_action_set(rng, 200, beta_max=beta_max)
+            drawer = Drawer(aset)
+            weights = feasible_rows(rng, aset.z, 300)
+            for seed in (0, 5):
+                blocks = np.vstack([m for _, m in drawer.draw_trials(weights, seed)])
+                uniforms = np.random.Generator(np.random.Philox(key=seed)).random(
+                    (300, drawer.layout.width))
+                npt.assert_array_equal(blocks, sample_block(weights, uniforms, drawer.layout))
+                for t in range(1, 301, 13):
+                    sel = drawer.draw(weights[t - 1], seed, t)
+                    assert sel.indices() == list(np.flatnonzero(blocks[t - 1]))
 
 
 class TestSampling:
     def test_zero_weights_select_nothing(self):
         aset = ActionSet.from_energies([0.25, 0.0, 0.1])
-        part = build_partition(aset)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert len(sample_selection(np.zeros(3), part, aset, rng)) == 0
+        layout = RowLayout(aset)
+        uniforms = rows_of(0, 0, 50, layout.width)
+        assert not sample_block(np.zeros((50, 3)), uniforms, layout).any()
 
     def test_infeasible_weights_rejected(self):
         aset = ActionSet.from_energies([0.5, 0.5])
-        part = build_partition(aset)
-        with pytest.raises(ValueError):
-            sample_selection(np.array([1.5, 1.5]), part, aset, np.random.default_rng(0))
+        layout = RowLayout(aset)
+        uniforms = rows_of(0, 0, 2, layout.width)
+        for w in ([[1.5, 1.5]], [[0.5, 0.5], [np.nan, 0.0]], [[-0.1, 0.0]]):
+            with pytest.raises(ValueError, match="feasible polytope"):
+                sample_block(np.array(w), uniforms[:len(w)], layout)
+        with pytest.raises(ValueError, match="shape"):
+            sample_block(np.zeros((3, 2)), uniforms, layout)
 
     def test_selections_always_within_budget(self):
         rng = np.random.default_rng(59)
         for _ in range(200):
             n = int(rng.integers(1, 51))
             aset = random_action_set(rng, n, beta_max=0.49)
-            part = build_partition(aset)
+            layout = RowLayout(aset)
             w = random_feasible_point(rng, aset.z)
-            member = sample_membership(w, part, aset, rng, 100)
+            member = sample_block(w[None], rng.random((100, layout.width)), layout)
             assert float((member @ aset.z).max()) <= 1.0 + 1e-12
 
     def test_same_seed_reproduces_selections(self):
         aset = ActionSet.from_energies([0.3, 0.1, 0.0, 0.05])
-        part = build_partition(aset)
-        w = np.array([0.9, 0.5, 0.7, 0.2])
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(1234)
-            runs.append([sample_selection(w, part, aset, rng).actions for _ in range(40)])
-        assert runs[0] == runs[1]
+        layout = RowLayout(aset)
+        w = np.array([[0.9, 0.5, 0.7, 0.2]])
+        runs = [sample_block(w, rows_of(seed, 0, 40, layout.width), layout)
+                for seed in (1234, 1234, 1235)]
+        npt.assert_array_equal(runs[0], runs[1])
+        assert not np.array_equal(runs[0], runs[2])
 
     def test_single_action_marginal(self):
         # n=1, z=0.25, w=1: P(select) = delta * w = 0.25 exactly
@@ -136,21 +277,19 @@ class TestSampling:
         assert abs(freq[0] - 0.25) <= 4.0 * sigma[0]
 
     def test_batch_and_single_draw_paths_agree(self):
+        # one draw per trial replays the seed's block bitwise, and the
+        # block's frequencies match the exact marginals
         aset = ActionSet.from_energies([0.4, 0.4, 0.1, 0.0, 0.03, 0.25])
-        part = build_partition(aset)
+        drawer = Drawer(aset)
         w = random_feasible_point(np.random.default_rng(3), aset.z)
         exact = exact_selection_probs(w, aset)
         n_draws = 100_000
-        rng = np.random.default_rng(67)
-        counts = np.zeros(6)
-        for _ in range(n_draws):
-            for i in sample_selection(w, part, aset, rng).actions:
-                counts[i] += 1
-        single = counts / n_draws
+        batch = sample_block(w[None], rows_of(67, 0, n_draws, drawer.layout.width),
+                             drawer.layout)
+        for t in range(1, 2001):
+            assert drawer.draw(w, 67, t).indices() == list(np.flatnonzero(batch[t - 1]))
         sigma = np.sqrt(exact * (1.0 - exact) / n_draws)
-        assert np.all(np.abs(single - exact) <= 5.0 * np.maximum(sigma, 1e-9))
-        batch = sample_membership(w, part, aset, np.random.default_rng(71), n_draws).mean(axis=0)
-        assert np.all(np.abs(batch - exact) <= 5.0 * np.maximum(sigma, 1e-9))
+        assert np.all(np.abs(batch.mean(axis=0) - exact) <= 5.0 * np.maximum(sigma, 1e-9))
 
 
 class TestAnalyticBounds:
