@@ -7,10 +7,9 @@ The randomized sampler turns weights into subsets while keeping analytic
 control of every selection probability.
 """
 
-from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, Selection,
-                   TrialData, derive_constants, discounted_profit, profit,
-                   selection_profits, split_costs)
-from .engine import Drawer, Trajectory, TrialLog, learn
+from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, derive_constants,
+                   discounted_profit, profit, selection_profits)
+from .engine import Drawer, Trajectory, learn
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .projection import (FEASIBILITY_TOL, ProjectionCertificate, is_feasible,
@@ -25,9 +24,9 @@ from .surrogate import (WeightState, reward_order, step_size,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionSet", "BUDGET_SLACK", "InvalidEnergyError", "Selection", "TrialData",
-    "derive_constants", "discounted_profit", "profit", "selection_profits", "split_costs",
-    "Drawer", "LARGE_ENERGY_THRESHOLD", "Trajectory", "TrialLog", "learn",
+    "ActionSet", "BUDGET_SLACK", "InvalidEnergyError",
+    "derive_constants", "discounted_profit", "profit", "selection_profits",
+    "Drawer", "LARGE_ENERGY_THRESHOLD", "Trajectory", "learn",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
     "check_constraints", "generate", "read_stream", "write_stream",
     "FEASIBILITY_TOL", "ProjectionCertificate", "is_feasible",

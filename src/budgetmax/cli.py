@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSet, Selection, TrialData, selection_profits
-from .engine import Drawer, TrialLog, learn
+from .core import ActionSet, BUDGET_SLACK, selection_profits
+from .engine import Drawer, learn
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
@@ -212,18 +212,18 @@ class TraceWriter:
         return False
 
 
-def write_trace(logs, path) -> None:
-    with TraceWriter(path) as writer:
-        for log in logs:
-            writer.write(log.trial, log.selection.indices(), log.profit, log.grad_norm, log.eta)
+def read_trace(path, action_set: ActionSet) -> list[tuple]:
+    """Parse a trace CSV into ``(trial, indices, profit, grad_norm, eta)`` rows.
 
-
-def read_trace(path, action_set: ActionSet) -> list[TrialLog]:
-    """Parse a trace CSV back into logs (cum_profit is checked, not stored)."""
+    The rows are the arguments of :meth:`TraceWriter.write`. Trials must run
+    1, 2, 3, ...; each row's indices must be strictly ascending, in range and
+    within the unit budget; the cumulative profit is checked, not stored.
+    """
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError(f"{path}: missing trace header")
-    logs = []
+    z = action_set.z
+    rows = []
     cum = 0.0
     for k, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -232,15 +232,24 @@ def read_trace(path, action_set: ActionSet) -> list[TrialLog]:
         try:
             trial = int(fields[0])
             indices = [int(i) for i in fields[1].split(";")] if fields[1] else []
-            selection = Selection.from_indices(indices, action_set.z)
             prof, cum_read, grad_norm, eta = (float(f) for f in fields[2:])
         except ValueError as exc:
             raise ValueError(f"{path} line {k}: {exc}") from None
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise ValueError(f"{path} line {k}: indices must be strictly ascending, got {fields[1]}")
+        bad = [i for i in indices if not 0 <= i < z.size]
+        if bad:
+            raise ValueError(f"{path} line {k}: index {bad[0]} out of range for {z.size} actions")
+        energy = float(np.sum(z[indices])) if indices else 0.0
+        if energy > 1.0 + BUDGET_SLACK:
+            raise ValueError(f"{path} line {k}: selection energy {energy!r} exceeds the unit budget")
+        if trial != k - 1:
+            raise ValueError(f"{path} line {k}: expected trial {k - 1}, got {trial}")
         cum += prof
         if not math.isclose(cum, cum_read, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(cum))):
             raise ValueError(f"{path} line {k}: cumulative profit mismatch")
-        logs.append(TrialLog(trial, selection, prof, grad_norm, eta))
-    return logs
+        rows.append((trial, indices, prof, grad_norm, eta))
+    return rows
 
 
 def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> RunReport:
@@ -255,11 +264,10 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     env = config.environment
     if stream is None:
         stream = generate(env)
-    else:
-        if (stream.n, stream.T) != (env.n, env.T):
-            raise ConfigError(
-                f"stream shape (n={stream.n}, T={stream.T}) does not match "
-                f"config (n={env.n}, T={env.T})")
+    elif (stream.n, stream.T) != (env.n, env.T):
+        raise ConfigError(
+            f"stream shape (n={stream.n}, T={stream.T}) does not match "
+            f"config (n={env.n}, T={env.T})")
     check_constraints(stream, env)
 
     out_dir = None
@@ -268,7 +276,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         out_dir.mkdir(parents=True, exist_ok=True)
         write_stream(stream, out_dir / "stream.csv")
 
-    trajectory = learn(stream.action_set, stream)
+    trajectory = learn(stream)
     grad_norm, eta = trajectory.grad_norm.tolist(), trajectory.eta.tolist()
     drawer = Drawer(stream.action_set)
     per_seed = []
@@ -357,10 +365,9 @@ def _gradcheck(instances: int, seed: int, out) -> int:
         delta = [0.01, 0.25, 1.0][k % 3]
         rewards = np.round(rng.uniform(0.0, 2.0, n), 3)
         costs = np.round(rng.uniform(-1.0, 1.0, n), 3)
-        trial = TrialData.from_arrays(rewards, costs)
         w = rng.uniform(0.0, 1.5, n)
-        g = surrogate_gradient(w, trial, delta)
-        fd = finite_diff_gradient(lambda v: surrogate_value(v, trial, delta), w, 1e-5)
+        g = surrogate_gradient(w, rewards, costs, delta)
+        fd = finite_diff_gradient(lambda v: surrogate_value(v, rewards, costs, delta), w, 1e-5)
         scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
         worst = max(worst, float(np.max(np.abs(g - fd) / scale)))
     ok = worst <= 1e-6
@@ -405,13 +412,9 @@ def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            report = run_experiment(_require_config(args))
-            print("\n".join(report.summary_lines()), file=out)
-            if report.bound_satisfied is False:
-                return EXIT_INVALID
-        elif args.command == "replay":
-            report = replay(args.stream, _require_config(args))
+        if args.command in ("run", "replay"):
+            config = _require_config(args)
+            report = run_experiment(config) if args.command == "run" else replay(args.stream, config)
             print("\n".join(report.summary_lines()), file=out)
             if report.bound_satisfied is False:
                 return EXIT_INVALID

@@ -2,13 +2,15 @@
 
 The learner gets full-information feedback: the projected gradient step on
 trial ``t`` uses only the weights ``w_t`` and the revealed rewards and
-costs, never the sampled selection. So the weight trajectory is the same
-for every engine seed. :func:`learn` computes it once per stream, and a
-:class:`Drawer` draws each seed's selections from it, a block of trials at a
-time, from the seed's counter-based uniforms (see :mod:`budgetmax.sampler`).
-Trial ``t`` reads only its own row of uniforms, so it draws the same
-selection for a given weight vector no matter how many other trials were
-drawn, and any trial replays on its own.
+costs (row ``t`` of the stream's matrices), never the sampled selection. So
+the weight trajectory is the same for every engine seed. :func:`learn`
+computes it once per stream, and a :class:`Drawer` draws each seed's
+selections from it, a block of trials at a time, from the seed's
+counter-based uniforms (see :mod:`budgetmax.sampler`). Trial ``t`` reads
+only its own row of uniforms, so it draws the same selection for a given
+weight vector no matter how many other trials were drawn, and any trial
+replays on its own. A selection is an array of action indices in
+ascending order.
 
 Instances whose largest energy reaches 1/2 are sampled through the
 sampler's experimental wrapper. The weight update is the standard one
@@ -22,23 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSet, Selection
+from .core import ActionSet
+from .environments import Stream
 from .sampler import RowLayout, sample_block, uniform_stream
 from .surrogate import WeightState, surrogate_gradient, update_weights, step_size
 
 # Weights per sampled block of trials: bounds the block's temporaries.
 BLOCK_ENTRIES = 1 << 14
-
-
-@dataclass(frozen=True)
-class TrialLog:
-    """Outcome of one trial: what was picked, what it earned, how we stepped."""
-
-    trial: int
-    selection: Selection
-    profit: float
-    grad_norm: float
-    eta: float
 
 
 @dataclass(frozen=True)
@@ -56,27 +48,22 @@ class Trajectory:
     eta: np.ndarray
 
 
-def learn(action_set: ActionSet, trials) -> Trajectory:
-    """One projected-gradient pass over a sized iterable of TrialData.
+def learn(stream: Stream) -> Trajectory:
+    """One projected-gradient pass over the trials of a stream.
 
-    Trials are consumed one at a time, so a lazily built sequence (such as
-    a :class:`~budgetmax.environments.Stream`) never holds them all at once.
-
-    Raises
-    ------
-    ValueError
-        If a trial's vectors do not have one entry per action.
+    Trial ``t`` is row ``t`` of ``stream.rewards`` and ``stream.costs``. The
+    stream checked its matrices when it was built, so no trial is checked
+    again here.
     """
-    T, n = len(trials), action_set.n
+    action_set = stream.action_set
+    T, n = stream.T, action_set.n
     weights = np.empty((T, n))
     grad_norm = np.empty(T)
     eta = np.empty(T)
     state = WeightState.initial(n)
-    for t, trial in enumerate(trials):
-        if trial.n != n:
-            raise ValueError(f"trial {t + 1} vectors have length {trial.n}, expected {n}")
+    for t, (rewards, costs) in enumerate(zip(stream.rewards, stream.costs)):
         weights[t] = state.w
-        g = surrogate_gradient(state.w, trial, action_set.delta)
+        g = surrogate_gradient(state.w, rewards, costs, action_set.delta)
         following = update_weights(state, g, action_set.z)
         grad_norm[t] = np.linalg.norm(g)
         eta[t] = step_size(following.eta_prime, state.trial_index)
@@ -92,13 +79,12 @@ class Drawer:
     def __init__(self, action_set: ActionSet):
         self.layout = RowLayout(action_set)
         self.large_beta_mode = self.layout.wrapper
-        self.partition = self.layout.partition
 
-    def draw(self, w, seed: int, t: int) -> Selection:
-        """Selection of engine seed ``seed`` on the 1-based trial ``t`` at weights ``w``."""
+    def draw(self, w, seed: int, t: int) -> np.ndarray:
+        """Indices engine seed ``seed`` selects on the 1-based trial ``t`` at ``w``."""
         uniforms = uniform_stream(seed, self.layout.width, t - 1).random((1, self.layout.width))
         member = sample_block(np.asarray(w, dtype=float)[None], uniforms, self.layout)
-        return Selection.from_indices(np.flatnonzero(member[0]), self.layout.z)
+        return np.flatnonzero(member[0])
 
     def draw_trials(self, weights, seed: int):
         """Yield ``(start, member)`` over consecutive blocks of trials.

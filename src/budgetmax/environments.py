@@ -11,6 +11,10 @@ Four families:
   optional piecewise-constant shift schedule that changes which action is
   favored from segment to segment.
 
+A :class:`Stream` holds the ``(T, n)`` reward and cost matrices; trial ``t``
+is row ``t - 1`` of both. A stream checks its matrices once, when it is
+built, with whole-array operations, and an error names the first bad trial.
+
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
 significant digits so a write/read round trip is bit-exact.
@@ -18,18 +22,24 @@ significant digits so a write/read round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSet, TrialData
+from .core import ActionSet
 
 KINDS = ("facility_location", "knapsack_median", "knapsack_01", "random_adversarial")
 
 
 class StreamFormatError(ValueError):
     """Malformed stream file; messages carry the 1-based line number."""
+
+
+def _finite(value) -> bool:
+    """A real number other than a bool, nan or an infinity (JSON allows both)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -51,40 +61,70 @@ class EnvironmentSpec:
         problems = []
         if self.kind not in KINDS:
             problems.append(f"unknown kind {self.kind!r} (expected one of {KINDS})")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):  # bool is an int subclass
             problems.append(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.T, int) and self.T >= 1):
+        if not (type(self.T) is int and self.T >= 1):
             problems.append(f"T must be a positive integer, got {self.T!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.r_max >= 0.0:
-            problems.append(f"r_max must be >= 0, got {self.r_max!r}")
-        for name, rng_pair in (("cost_range", self.cost_range), ("value_range", self.value_range)):
-            pair = tuple(rng_pair) if isinstance(rng_pair, (tuple, list)) else None
-            if pair is None or len(pair) != 2 or not 0.0 <= pair[0] <= pair[1]:
-                problems.append(f"{name} must be a pair with 0 <= lo <= hi, got {rng_pair!r}")
-        if not 0.0 < self.beta_max <= 1.0:
-            problems.append(f"beta_max must lie in (0, 1], got {self.beta_max!r}")
-        if not self.c_max >= 0.0:
-            problems.append(f"c_max must be >= 0, got {self.c_max!r}")
-        if not (isinstance(self.shift_segments, int) and self.shift_segments >= 0):
+        if not (_finite(self.r_max) and self.r_max >= 0.0):
+            problems.append(f"r_max must be a finite number >= 0, got {self.r_max!r}")
+        for name, pair in (("cost_range", self.cost_range), ("value_range", self.value_range)):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(_finite, pair)) and 0.0 <= pair[0] <= pair[1]):
+                problems.append(f"{name} must be a pair of finite numbers with 0 <= lo <= hi, "
+                                f"got {pair!r}")
+        if not (_finite(self.beta_max) and 0.0 < self.beta_max <= 1.0):
+            problems.append(f"beta_max must be a number in (0, 1], got {self.beta_max!r}")
+        if not (_finite(self.c_max) and self.c_max >= 0.0):
+            problems.append(f"c_max must be a finite number >= 0, got {self.c_max!r}")
+        if not (type(self.shift_segments) is int and self.shift_segments >= 0):
             problems.append(f"shift_segments must be a non-negative integer, got {self.shift_segments!r}")
-        elif isinstance(self.n, int) and self.shift_segments > max(self.n, 0):
+        elif type(self.n) is int and self.shift_segments > max(self.n, 0):
             problems.append(f"shift_segments ({self.shift_segments}) cannot exceed n ({self.n})")
         if problems:
             raise ValueError("invalid environment spec: " + "; ".join(problems))
+
+
+def _first_bad_trial(rewards, costs, n: int) -> tuple[int, str] | None:
+    """``(t, reason)`` for the first 1-based trial whose row is bad, else None.
+
+    A good row holds ``n`` finite rewards and costs, the rewards non-negative.
+    A good stream costs four whole-array reductions; only a bad one builds
+    boolean ``(T, n)`` masks to find its first bad row.
+    """
+    if rewards.shape[1] != n:
+        return 1, f"{rewards.shape[1]} rewards and costs, expected {n}"
+    if rewards.size == 0 or (rewards.min() >= 0.0 and rewards.max() < np.inf
+                             and -np.inf < costs.min() and costs.max() < np.inf):
+        return None  # nan fails every comparison above
+    finite = np.isfinite(rewards)
+    finite &= np.isfinite(costs)
+    row_finite = finite.all(axis=1)
+    t = int(np.argmax(~row_finite | (rewards < 0.0).any(axis=1)))
+    return t + 1, "negative reward" if row_finite[t] else "rewards and costs must be finite"
 
 
 @dataclass(frozen=True)
 class Stream:
     """A full instance: fixed energies plus (T, n) reward and cost matrices.
 
-    A stream is also a sized iterable of its T trials.
+    Building a stream checks its matrices once (a ``ValueError`` names the
+    first bad trial, see :func:`_first_bad_trial`), so every consumer takes
+    row ``t`` of ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
     """
 
     action_set: ActionSet
     rewards: np.ndarray
     costs: np.ndarray
+
+    def __post_init__(self):
+        if self.rewards.ndim != 2 or self.rewards.shape != self.costs.shape:
+            raise ValueError(f"rewards and costs must be (T, n) matrices of one shape, "
+                             f"got {self.rewards.shape} and {self.costs.shape}")
+        bad = _first_bad_trial(self.rewards, self.costs, self.action_set.n)
+        if bad is not None:
+            raise ValueError("trial %d: %s" % bad)
 
     @property
     def T(self) -> int:
@@ -101,19 +141,8 @@ class Stream:
 
     @property
     def c_hat(self) -> float:
-        """Largest absolute cost in the stream."""
-        return float(np.max(np.abs(self.costs))) if self.costs.size else 0.0
-
-    def trial(self, t: int) -> TrialData:
-        return TrialData.from_arrays(self.rewards[t], self.costs[t])
-
-    def __len__(self) -> int:
-        return self.T
-
-    def __iter__(self):
-        """Yield the trials in order, building each TrialData when reached."""
-        for t in range(self.T):
-            yield self.trial(t)
+        """Largest absolute cost in the stream, found without a (T, n) temporary."""
+        return float(max(0.0, self.costs.max(), -self.costs.min())) if self.costs.size else 0.0
 
 
 def site_rewards(sites: np.ndarray, users: np.ndarray, r_max: float) -> np.ndarray:
@@ -136,9 +165,7 @@ def gen_facility_location(spec: EnvironmentSpec) -> Stream:
     rewards = _geometry(rng, spec.n, spec.T, spec.r_max)
     lo, hi = spec.cost_range
     costs = rng.uniform(lo, hi, size=(spec.T, spec.n))
-    stream = Stream(ActionSet.from_energies(np.zeros(spec.n)), rewards, costs)
-    check_constraints(stream, spec)
-    return stream
+    return Stream(ActionSet.from_energies(np.zeros(spec.n)), rewards, costs)
 
 
 def gen_knapsack_median(spec: EnvironmentSpec) -> Stream:
@@ -146,9 +173,7 @@ def gen_knapsack_median(spec: EnvironmentSpec) -> Stream:
     z = spec.beta_max * (1.0 - rng.random(spec.n))  # strictly positive
     rewards = _geometry(rng, spec.n, spec.T, spec.r_max)
     costs = np.zeros((spec.T, spec.n))
-    stream = Stream(ActionSet.from_energies(z), rewards, costs)
-    check_constraints(stream, spec)
-    return stream
+    return Stream(ActionSet.from_energies(z), rewards, costs)
 
 
 def gen_knapsack_01(spec: EnvironmentSpec) -> Stream:
@@ -156,10 +181,7 @@ def gen_knapsack_01(spec: EnvironmentSpec) -> Stream:
     z = spec.beta_max * (1.0 - rng.random(spec.n))
     vlo, vhi = spec.value_range
     values = rng.uniform(vlo, vhi, size=(spec.T, spec.n))
-    stream = Stream(ActionSet.from_energies(z),
-                    np.zeros((spec.T, spec.n)), -values)
-    check_constraints(stream, spec)
-    return stream
+    return Stream(ActionSet.from_energies(z), np.zeros((spec.T, spec.n)), -values)
 
 
 def gen_random_adversarial(spec: EnvironmentSpec) -> Stream:
@@ -175,9 +197,7 @@ def gen_random_adversarial(spec: EnvironmentSpec) -> Stream:
         rewards[np.arange(spec.T), favored[segment]] = boost
     else:
         rewards = rng.uniform(0.0, spec.r_max, size=(spec.T, spec.n))
-    stream = Stream(ActionSet.from_energies(z), rewards, costs)
-    check_constraints(stream, spec)
-    return stream
+    return Stream(ActionSet.from_energies(z), rewards, costs)
 
 
 _GENERATORS = {
@@ -195,14 +215,12 @@ def generate(spec: EnvironmentSpec) -> Stream:
 
 
 def check_constraints(stream: Stream, spec: EnvironmentSpec) -> None:
-    """Re-assert the constraint pattern the kind promises, on every trial."""
+    """Assert the constraint pattern the kind promises, on every trial."""
     z = stream.action_set.z
     R, C = stream.rewards, stream.costs
     problems = []
     if R.shape != (spec.T, spec.n) or C.shape != (spec.T, spec.n):
         problems.append(f"stream shape {R.shape}/{C.shape} does not match spec ({spec.T}, {spec.n})")
-    if np.any(R < 0.0):
-        problems.append("negative rewards present")
     if spec.kind == "facility_location":
         if np.any(z != 0.0):
             problems.append("energies must all be zero")
@@ -255,7 +273,7 @@ def _parse_floats(fields, lineno, what):
 
 
 def read_stream(path) -> Stream:
-    """Parse a stream file, validating structure line by line."""
+    """Parse a stream file, validating structure line by line and values as arrays."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines:
@@ -292,10 +310,6 @@ def read_stream(path) -> Stream:
         row = _parse_floats(fields[1:], lineno, "reward/cost")
         rewards[t] = row[:n]
         costs[t] = row[n:]
-        if not (np.all(np.isfinite(rewards[t])) and np.all(np.isfinite(costs[t]))):
-            raise StreamFormatError(f"line {lineno}: rewards and costs must be finite")
-        if np.any(rewards[t] < 0.0):
-            raise StreamFormatError(f"line {lineno}: negative reward")
     extra = [k for k in range(T + 1, len(lines)) if lines[k].strip()]
     if extra:
         raise StreamFormatError(f"line {extra[0] + 1}: trailing data after trial {T}")
@@ -303,4 +317,9 @@ def read_stream(path) -> Stream:
         action_set = ActionSet.from_energies(z)
     except ValueError as exc:
         raise StreamFormatError(f"line 1: {exc}") from None
-    return Stream(action_set, rewards, costs)
+    try:
+        return Stream(action_set, rewards, costs)
+    except ValueError:
+        # the stream's own check failed; find the same row again to name its line
+        t, reason = _first_bad_trial(rewards, costs, n)
+        raise StreamFormatError(f"line {t + 1}: {reason}") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSet, BUDGET_SLACK, TrialData
+from .core import ActionSet, BUDGET_SLACK
 from .sampler import RowLayout, build_partition, sample_block
 from .surrogate import reward_order
 
@@ -140,16 +140,17 @@ def exact_intersection_prob(w, action_set: ActionSet, subset) -> float:
     return 1.0 - miss
 
 
-def exact_expected_profit(w, action_set: ActionSet, trial: TrialData) -> float:
-    """Exact E[profit] of the sampler's selection at weights ``w``.
+def exact_expected_profit(w, action_set: ActionSet, rewards, costs) -> float:
+    """Exact E[profit] of the sampler's selection at weights ``w`` on one trial.
 
     E[max reward] telescopes over the descending-reward prefixes: the max is
     at least r_{s_j} exactly when the selection hits the top-j prefix. Costs
     enter through the exact per-action marginals.
     """
     w = np.asarray(w, dtype=float)
-    order = reward_order(trial.rewards)
-    r_sorted = trial.rewards[order]
+    rewards = np.asarray(rewards, dtype=float)
+    order = reward_order(rewards)
+    r_sorted = rewards[order]
     drops = r_sorted - np.append(r_sorted[1:], 0.0)
     expected_max = 0.0
     for j in range(action_set.n):
@@ -158,7 +159,7 @@ def exact_expected_profit(w, action_set: ActionSet, trial: TrialData) -> float:
         hit = exact_intersection_prob(w, action_set, order[:j + 1])
         expected_max += drops[j] * hit
     marginals = exact_selection_probs(w, action_set)
-    expected_cost = float(trial.costs @ marginals)
+    expected_cost = float(np.asarray(costs, dtype=float) @ marginals)
     return expected_max - expected_cost
 
 

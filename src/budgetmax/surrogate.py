@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TrialData
 from .projection import project_onto_feasible
 
 
@@ -41,33 +40,36 @@ def reward_order(rewards) -> np.ndarray:
     return np.argsort(-np.asarray(rewards, dtype=float), kind="stable")
 
 
-def _sorted_pieces(w, trial: TrialData, delta: float):
-    order = reward_order(trial.rewards)
-    r_sorted = trial.rewards[order]
+def _sorted_pieces(w, rewards, delta: float):
+    rewards = np.asarray(rewards, dtype=float)
+    order = reward_order(rewards)
+    r_sorted = rewards[order]
     prefix = np.cumsum(w[order])
     eps = np.exp(-delta * prefix)
     drops = r_sorted - np.append(r_sorted[1:], 0.0)  # zero sentinel
     return order, eps, drops
 
 
-def surrogate_value(w, trial: TrialData, delta: float) -> float:
+def surrogate_value(w, rewards, costs, delta: float) -> float:
     """Value of the convex objective whose negative bounds expected profit."""
     w = np.asarray(w, dtype=float)
-    _, eps, drops = _sorted_pieces(w, trial, delta)
-    linear = delta * float(trial.costs_pos @ w)
-    convex = float(trial.costs_neg @ (1.0 - np.exp(-delta * w)))
+    c = np.asarray(costs, dtype=float)
+    _, eps, drops = _sorted_pieces(w, rewards, delta)
+    linear = delta * float(np.maximum(c, 0.0) @ w)
+    convex = float(np.minimum(c, 0.0) @ (1.0 - np.exp(-delta * w)))
     reward = float(drops @ (1.0 - eps))
     return linear + convex - reward
 
 
-def surrogate_gradient(w, trial: TrialData, delta: float) -> np.ndarray:
+def surrogate_gradient(w, rewards, costs, delta: float) -> np.ndarray:
     """Closed-form gradient of :func:`surrogate_value` at ``w``."""
     w = np.asarray(w, dtype=float)
-    order, eps, drops = _sorted_pieces(w, trial, delta)
+    order, eps, drops = _sorted_pieces(w, rewards, delta)
     # lambda_j is a suffix sum over drops * eps in sorted order
     lam = np.cumsum((drops * eps)[::-1])[::-1]
-    g_sorted = delta * (trial.costs_pos[order]
-                        + trial.costs_neg[order] * np.exp(-delta * w[order])
+    c = np.asarray(costs, dtype=float)[order]
+    g_sorted = delta * (np.maximum(c, 0.0)
+                        + np.minimum(c, 0.0) * np.exp(-delta * w[order])
                         - lam)
     g = np.empty_like(w)
     g[order] = g_sorted

@@ -6,7 +6,7 @@ helpers here build the instances most tests need.
 
 import numpy as np
 
-from budgetmax import ActionSet, TrialData, project_onto_feasible
+from budgetmax import ActionSet, Stream, project_onto_feasible
 
 
 def random_energies(rng, n, beta_max=0.49, zero_frac=0.3):
@@ -26,10 +26,16 @@ def random_feasible_point(rng, z, scale=1.5):
 
 
 def random_trial(rng, n, r_scale=2.0, c_scale=1.0, tie_frac=0.0):
-    """Random trial; with tie_frac > 0 some rewards are exact duplicates."""
+    """Random ``(rewards, costs)`` row pair; with tie_frac > 0 some rewards are exact duplicates."""
     rewards = rng.uniform(0.0, r_scale, n)
     if tie_frac > 0.0 and n >= 2:
         dup = rng.random(n) < tie_frac
         rewards[dup] = rewards[int(rng.integers(n))]
     costs = rng.uniform(-c_scale, c_scale, n)
-    return TrialData.from_arrays(rewards, costs)
+    return rewards, costs
+
+
+def stream_of(action_set, trials):
+    """A stream whose rows are the given ``(rewards, costs)`` pairs."""
+    rewards, costs = zip(*trials)
+    return Stream(action_set, np.array(rewards, dtype=float), np.array(costs, dtype=float))

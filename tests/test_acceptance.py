@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from budgetmax import (ActionSet, RowLayout, TrialData, analytic_intersection_lower_bound,
+from budgetmax import (ActionSet, RowLayout, analytic_intersection_lower_bound,
                        analytic_selection_bounds, is_feasible, project_onto_feasible,
                        sample_block, surrogate_gradient, surrogate_value)
 from budgetmax.cli import main, parse_config, run_experiment
@@ -56,7 +56,7 @@ def fixed_sandwich_instances():
 
 
 def random_gradient_instances():
-    """200 frozen (trial, w, delta) triples with n <= 8 for criteria 4 and 5."""
+    """200 frozen ((rewards, costs), w, delta) triples with n <= 8 for criteria 4 and 5."""
     rng = np.random.default_rng(424242)
     out = []
     for k in range(200):
@@ -68,9 +68,8 @@ def random_gradient_instances():
         costs = rng.uniform(-1.0, 1.0, n)
         if k % 11 == 0:
             costs = np.abs(costs)
-        trial = TrialData.from_arrays(rewards, costs)
         w = rng.uniform(0.0, 1.5, n)
-        out.append((trial, w, delta))
+        out.append(((rewards, costs), w, delta))
     return out
 
 
@@ -158,8 +157,8 @@ def test_criterion_04_gradient_matches_finite_differences(announce):
     # (h = 1e-5), per-coordinate error <= 1e-6 relative to max(1, |g|, |fd|)
     worst = 0.0
     for trial, w, delta in random_gradient_instances():
-        g = surrogate_gradient(w, trial, delta)
-        fd = finite_diff_gradient(lambda v: surrogate_value(v, trial, delta), w, 1e-5)
+        g = surrogate_gradient(w, *trial, delta)
+        fd = finite_diff_gradient(lambda v: surrogate_value(v, *trial, delta), w, 1e-5)
         scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
         worst = max(worst, float(np.max(np.abs(g - fd) / scale)))
     ok = worst <= 1e-6
@@ -173,11 +172,11 @@ def test_criterion_05_gradient_norm_bound(announce):
     # on every instance of criterion 4
     ok = True
     worst = -math.inf
-    for trial, w, delta in random_gradient_instances():
-        g = surrogate_gradient(w, trial, delta)
-        r_hat = float(np.max(trial.rewards))
-        c_hat = float(np.max(np.abs(trial.costs)))
-        bound = trial.n * delta ** 2 * (r_hat + c_hat) ** 2
+    for (rewards, costs), w, delta in random_gradient_instances():
+        g = surrogate_gradient(w, rewards, costs, delta)
+        r_hat = float(np.max(rewards))
+        c_hat = float(np.max(np.abs(costs)))
+        bound = rewards.size * delta ** 2 * (r_hat + c_hat) ** 2
         sq = float(g @ g)
         worst = max(worst, sq - bound)
         if sq > bound:
@@ -194,11 +193,11 @@ def test_criterion_06_surrogate_convexity(announce):
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         delta = float(rng.uniform(0.005, 1.0))
-        trial = TrialData.from_arrays(rng.uniform(0.0, 2.0, n), rng.uniform(-1.0, 1.0, n))
+        trial = rng.uniform(0.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
         a = rng.uniform(0.0, 2.0, n)
         b = rng.uniform(0.0, 2.0, n)
-        mid = surrogate_value((a + b) / 2.0, trial, delta)
-        if mid > (surrogate_value(a, trial, delta) + surrogate_value(b, trial, delta)) / 2.0 + 1e-9:
+        mid = surrogate_value((a + b) / 2.0, *trial, delta)
+        if mid > (surrogate_value(a, *trial, delta) + surrogate_value(b, *trial, delta)) / 2.0 + 1e-9:
             failures += 1
     ok = failures == 0
     announce(6, "surrogate midpoint convexity, 1000 checks", ok, f"failures={failures}")
@@ -218,8 +217,8 @@ def test_criterion_07_expected_profit_floor(announce):
         aset = ActionSet.from_energies(z)
         w = (np.zeros(n) if k % 25 == 0
              else project_onto_feasible(rng.uniform(0.0, 1.4, n), aset.z))
-        trial = TrialData.from_arrays(rng.uniform(0.0, 2.0, n), rng.uniform(-1.0, 1.0, n))
-        gap = exact_expected_profit(w, aset, trial) + surrogate_value(w, trial, aset.delta)
+        trial = rng.uniform(0.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+        gap = exact_expected_profit(w, aset, *trial) + surrogate_value(w, *trial, aset.delta)
         worst = min(worst, gap)
         if gap < -1e-10:
             failures += 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,12 +11,11 @@ import numpy.testing as npt
 import pytest
 
 import budgetmax
-from budgetmax import ActionSet, Selection, TrialData
-from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER,
+from budgetmax import ActionSet, Stream
+from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TraceWriter,
                            load_config, main, parse_config, read_trace,
-                           replay, run_experiment, write_trace)
-from budgetmax.engine import TrialLog
-from budgetmax.environments import EnvironmentSpec
+                           replay, run_experiment)
+from budgetmax.environments import EnvironmentSpec, generate
 
 
 def good_config(**overrides):
@@ -82,19 +82,18 @@ class TestConfigParsing:
 
 
 class TestTraces:
-    def logs_for(self, z):
-        aset = ActionSet.from_energies(z)
-        sel = Selection.from_indices([0, 2], aset.z)
-        return aset, [
-            TrialLog(1, sel, 1.5, 0.25, 2.0),
-            TrialLog(2, Selection.empty(), 0.0, 0.0, 2.0),
-            TrialLog(3, Selection.from_indices([1], aset.z), -0.25, 0.125, 1.0),
-        ]
+    # (trial, indices, profit, grad_norm, eta), as TraceWriter.write takes them
+    ROWS = [(1, [0, 2], 1.5, 0.25, 2.0), (2, [], 0.0, 0.0, 2.0), (3, [1], -0.25, 0.125, 1.0)]
+
+    @staticmethod
+    def write(rows, path):
+        with TraceWriter(path) as writer:
+            for row in rows:
+                writer.write(*row)
 
     def test_header_and_rows(self, tmp_path):
-        aset, logs = self.logs_for([0.1, 0.2, 0.3])
         path = tmp_path / "trace.csv"
-        write_trace(logs, path)
+        self.write(self.ROWS, path)
         lines = path.read_text().splitlines()
         assert lines[0] == TRACE_HEADER
         assert lines[1] == "1,0;2,1.5,1.5,0.25,2"
@@ -102,17 +101,14 @@ class TestTraces:
         assert len(lines) == 4
 
     def test_round_trip(self, tmp_path):
-        aset, logs = self.logs_for([0.1, 0.2, 0.3])
         path = tmp_path / "trace.csv"
-        write_trace(logs, path)
-        back = read_trace(path, aset)
-        assert back == logs
+        self.write(self.ROWS, path)
+        assert read_trace(path, ActionSet.from_energies([0.1, 0.2, 0.3])) == self.ROWS
 
     def test_empty_trace(self, tmp_path):
-        aset, _ = self.logs_for([0.1, 0.2, 0.3])
         path = tmp_path / "trace.csv"
-        write_trace([], path)
-        assert read_trace(path, aset) == []
+        self.write([], path)
+        assert read_trace(path, ActionSet.from_energies([0.1, 0.2, 0.3])) == []
 
     @pytest.mark.parametrize("row, fragment", [
         ("x,0;2,1.5,1.5,0.25,2.0", "'x'"),
@@ -120,18 +116,29 @@ class TestTraces:
         ("1,0;7,1.5,1.5,0.25,2.0", "index 7 out of range"),
         ("1,0;2,abc,1.5,0.25,2.0", "'abc'"),
         ("1,0;2,1.5,1.5,0.25,", "''"),
+        ("2,2;0;0,0,1.5,0,2", "indices must be strictly ascending, got 2;0;0"),
+        ("2,1;1,0,1.5,0,2", "indices must be strictly ascending, got 1;1"),
+        ("5,,0,1.5,0,2", "expected trial 2, got 5"),
+        ("1,,0,1.5,0,2", "expected trial 2, got 1"),
     ])
     def test_malformed_row_reports_line(self, tmp_path, row, fragment):
-        aset, logs = self.logs_for([0.1, 0.2, 0.3])
         path = tmp_path / "trace.csv"
-        write_trace(logs, path)
+        self.write(self.ROWS, path)
         lines = path.read_text().splitlines()
         lines[2] = row
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
-            read_trace(path, aset)
+            read_trace(path, ActionSet.from_energies([0.1, 0.2, 0.3]))
         assert str(err.value).startswith(f"{path} line 3: ")
         assert fragment in str(err.value)
+
+    def test_over_budget_row_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        self.write([(1, [0, 1], 0.0, 0.0, 0.0)], path)
+        with pytest.raises(ValueError) as err:
+            read_trace(path, ActionSet.from_energies([0.6, 0.6]))
+        assert str(err.value).startswith(f"{path} line 2: selection energy 1.2")
+        assert "exceeds the unit budget" in str(err.value)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -196,6 +203,38 @@ class TestRunExperiment:
         bad = parse_config(good_config(environment={"kind": "knapsack_01", "n": 5, "T": 20}))
         with pytest.raises(ConfigError, match="does not match"):
             replay(out / "stream.csv", bad)
+
+    def test_bad_stream_writes_no_file(self, tmp_path):
+        # a stream off its kind's pattern, or of the wrong size, is refused
+        # before the output directory is made
+        stream = generate(EnvironmentSpec(**good_config()["environment"]))
+        out = tmp_path / "out"
+        config = parse_config(good_config(output_dir=str(out)))
+        off_pattern = Stream(stream.action_set, stream.rewards + 0.5, stream.costs)
+        with pytest.raises(ValueError, match="rewards must all be zero"):
+            run_experiment(config, stream=off_pattern)
+        short = Stream(stream.action_set, stream.rewards[:5], stream.costs[:5])
+        with pytest.raises(ConfigError, match="does not match"):
+            run_experiment(config, stream=short)
+        assert not out.exists()
+
+    def test_each_run_checks_the_pattern_once(self, tmp_path, monkeypatch):
+        import budgetmax.cli as cli
+        import budgetmax.environments as environments
+        calls = []
+
+        def counted(stream, spec):
+            calls.append(spec.kind)
+            return check_constraints(stream, spec)
+
+        check_constraints = environments.check_constraints
+        monkeypatch.setattr(cli, "check_constraints", counted)
+        monkeypatch.setattr(environments, "check_constraints", counted)
+        out = tmp_path / "out"
+        run_experiment(parse_config(good_config(output_dir=str(out))))
+        assert calls == ["knapsack_01"]
+        replay(out / "stream.csv", parse_config(good_config()))
+        assert calls == ["knapsack_01"] * 2
 
     def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
         traces = []
@@ -311,6 +350,24 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "run"]) == 1
         assert "bound_check needs n <= 20, got 30" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", True), ("T", True), ("seed", False), ("shift_segments", True),
+        ("r_max", True), ("beta_max", True), ("c_max", True),
+        ("r_max", math.inf), ("beta_max", math.nan), ("c_max", math.inf), ("c_max", -math.inf),
+        ("cost_range", [0.0, math.inf]), ("value_range", [math.nan, 1.0]),
+        ("value_range", [0.0, True]),
+    ])
+    def test_bool_or_non_finite_field_exits_1_before_writing(self, tmp_path, capsys, field, value):
+        # JSON's Infinity and NaN parse to floats, and true is an int to Python
+        env = {"kind": "random_adversarial", "n": 4, "T": 20, field: value}
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[1, 1]))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert f"{field} must be" in err and "seeds must be distinct" in err
         assert not out.exists()
 
     def test_python_dash_m_runs(self, tmp_path):

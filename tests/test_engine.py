@@ -4,12 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, Drawer, TrialData, is_feasible, learn, profit,
-                       read_stream, sample_block, step_size, surrogate_gradient,
-                       surrogate_value, update_weights)
+from budgetmax import (ActionSet, Drawer, is_feasible, learn, profit, read_stream,
+                       sample_block, step_size, surrogate_gradient, surrogate_value,
+                       update_weights)
 from budgetmax.cli import parse_config, read_trace, run_experiment
 from budgetmax.surrogate import WeightState
-from conftest import random_action_set, random_trial
+from conftest import random_action_set, random_trial, stream_of
 
 
 def draw_all(drawer, trajectory, seed):
@@ -19,7 +19,7 @@ def draw_all(drawer, trajectory, seed):
 class TestProtocol:
     def test_initial_state(self):
         aset = ActionSet.from_energies([0.3, 0.0])
-        traj = learn(aset, [TrialData.from_arrays([1.0, 0.0], [0.0, 0.5])])
+        traj = learn(stream_of(aset, [([1.0, 0.0], [0.0, 0.5])]))
         npt.assert_array_equal(traj.weights, [[0.0, 0.0]])
         # the first step is taken at trial index 1: eta = eta' / sqrt(2 * 1)
         assert traj.eta[0] == math.sqrt(2) / traj.grad_norm[0] / math.sqrt(2.0)
@@ -35,12 +35,6 @@ class TestProtocol:
             drawer = Drawer(ActionSet.from_energies(z))
             assert len(drawer.draw(np.zeros(2), seed=5, t=1)) == 0
 
-    def test_dimension_mismatch_rejected(self):
-        aset = ActionSet.from_energies([0.3, 0.1])
-        good = TrialData.from_arrays([1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="trial 2"):
-            learn(aset, [good, TrialData.from_arrays([1.0], [0.0])])
-
     def test_logged_profit_matches_core_formula(self, tmp_path):
         out = tmp_path / "out"
         config = parse_config({
@@ -49,19 +43,20 @@ class TestProtocol:
         })
         run_experiment(config)
         stream = read_stream(out / "stream.csv")
-        traj = learn(stream.action_set, stream)
-        logs = read_trace(out / "trace_seed9.csv", stream.action_set)
-        assert len(logs) == 50
-        for t, (log, sel) in enumerate(zip(logs, draw_all(Drawer(stream.action_set), traj, 9))):
-            assert log.selection == sel
-            assert log.profit == profit(sel, stream.rewards[t], stream.costs[t])
-            assert log.grad_norm == traj.grad_norm[t] and log.eta == traj.eta[t]
+        traj = learn(stream)
+        rows = read_trace(out / "trace_seed9.csv", stream.action_set)
+        assert len(rows) == 50
+        for t, (row, sel) in enumerate(zip(rows, draw_all(Drawer(stream.action_set), traj, 9))):
+            trial, indices, gain, grad_norm, eta = row
+            assert trial == t + 1 and indices == sel.tolist()
+            assert gain == profit(sel, stream.rewards[t], stream.costs[t])
+            assert grad_norm == traj.grad_norm[t] and eta == traj.eta[t]
 
     def test_null_trials_leave_weights_untouched(self):
         aset = ActionSet.from_energies([0.2, 0.1])
-        null = TrialData.from_arrays([0.0, 0.0], [0.0, 0.0])
-        real = TrialData.from_arrays([1.0, 0.0], [0.0, 0.5])
-        traj = learn(aset, [null] * 5 + [real])
+        null = ([0.0, 0.0], [0.0, 0.0])
+        real = ([1.0, 0.0], [0.0, 0.5])
+        traj = learn(stream_of(aset, [null] * 5 + [real]))
         npt.assert_array_equal(traj.weights, np.zeros((6, 2)))
         npt.assert_array_equal(traj.eta[:5], 0.0)
         npt.assert_array_equal(traj.grad_norm[:5], 0.0)
@@ -72,38 +67,39 @@ class TestProtocol:
             assert state.eta_prime is None and step_size(state.eta_prime, k) == 0.0
         npt.assert_array_equal(state.w, [0.0, 0.0])
         # a real trial afterwards finally sets the learning rate
-        g = surrogate_gradient(state.w, real, aset.delta)
+        g = surrogate_gradient(state.w, *real, aset.delta)
         assert update_weights(state, g, aset.z).eta_prime is not None
         assert traj.eta[5] > 0.0
 
     def test_same_seed_bitwise_identical_runs(self):
         rng = np.random.default_rng(131)
         aset = random_action_set(rng, 5)
-        trials = [random_trial(rng, 5) for _ in range(40)]
-        traj_a, traj_b = learn(aset, trials), learn(aset, trials)
+        stream = stream_of(aset, [random_trial(rng, 5) for _ in range(40)])
+        traj_a, traj_b = learn(stream), learn(stream)
         for field in ("weights", "grad_norm", "eta"):
             assert np.array_equal(getattr(traj_a, field), getattr(traj_b, field))
         drawer = Drawer(aset)
-        assert draw_all(drawer, traj_a, 77) == draw_all(drawer, traj_b, 77)
+        npt.assert_equal(draw_all(drawer, traj_a, 77), draw_all(drawer, traj_b, 77))
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(137)
         aset = random_action_set(rng, 5, zero_frac=0.0)
-        traj = learn(aset, [random_trial(rng, 5, c_scale=0.2) for _ in range(30)])
+        traj = learn(stream_of(aset, [random_trial(rng, 5, c_scale=0.2) for _ in range(30)]))
         drawer = Drawer(aset)
-        assert draw_all(drawer, traj, 1) != draw_all(drawer, traj, 2)
+        assert ([sel.tolist() for sel in draw_all(drawer, traj, 1)]
+                != [sel.tolist() for sel in draw_all(drawer, traj, 2)])
 
     def test_eta_prime_non_increasing(self):
         # learn matches a step-by-step update_weights loop, whose eta' only shrinks
         rng = np.random.default_rng(139)
         aset = random_action_set(rng, 7)
         trials = [random_trial(rng, 7) for _ in range(60)]
-        traj = learn(aset, trials)
+        traj = learn(stream_of(aset, trials))
         state = WeightState.initial(7)
         etas = []
         for t, trial in enumerate(trials):
             npt.assert_array_equal(traj.weights[t], state.w)
-            state = update_weights(state, surrogate_gradient(state.w, trial, aset.delta), aset.z)
+            state = update_weights(state, surrogate_gradient(state.w, *trial, aset.delta), aset.z)
             if state.eta_prime is not None:
                 etas.append(state.eta_prime)
         assert all(b <= a for a, b in zip(etas, etas[1:]))
@@ -113,7 +109,7 @@ class TestProtocol:
         for _ in range(5):
             n = int(rng.integers(1, 10))
             aset = random_action_set(rng, n, beta_max=0.9)
-            traj = learn(aset, [random_trial(rng, n) for _ in range(40)])
+            traj = learn(stream_of(aset, [random_trial(rng, n) for _ in range(40)]))
             assert all(is_feasible(w, aset.z) for w in traj.weights)
 
 
@@ -126,17 +122,17 @@ class TestExpectedProfitFloor:
             aset = random_action_set(rng, n)
             # drive the weights somewhere non-trivial first
             warmup = [random_trial(rng, n, c_scale=0.3) for _ in range(25)]
-            trial = random_trial(rng, n)
-            w = learn(aset, warmup + [trial]).weights[-1]
+            rewards, costs = random_trial(rng, n)
+            w = learn(stream_of(aset, warmup + [(rewards, costs)])).weights[-1]
             layout = Drawer(aset).layout
             uniforms = np.random.default_rng(1000 + case).random((100_000, layout.width))
             member = sample_block(w[None], uniforms, layout)
-            best = np.where(member, trial.rewards, -np.inf).max(axis=1)
+            best = np.where(member, rewards, -np.inf).max(axis=1)
             best[~member.any(axis=1)] = 0.0
-            profits = best - member @ trial.costs
+            profits = best - member @ costs
             mean = float(profits.mean())
             se = float(profits.std(ddof=1) / math.sqrt(len(profits)))
-            floor = -surrogate_value(w, trial, aset.delta)
+            floor = -surrogate_value(w, rewards, costs, aset.delta)
             assert mean >= floor - 4.0 * se
 
 
@@ -145,7 +141,7 @@ class TestLargeEnergyMode:
         # negative costs on heavy actions pull their weights up fast
         costs = np.zeros(n)
         costs[heavy_idx] = -1.0
-        return TrialData.from_arrays(np.zeros(n), costs)
+        return np.zeros(n), costs
 
     def test_selections_stay_feasible_with_heavy_actions(self):
         rng = np.random.default_rng(157)
@@ -156,21 +152,21 @@ class TestLargeEnergyMode:
             aset = ActionSet.from_energies(z)
             drawer = Drawer(aset)
             assert drawer.large_beta_mode
-            traj = learn(aset, [random_trial(rng, n) for _ in range(80)])
-            assert all(sel.total_energy <= 1.0 + 1e-12 for sel in draw_all(drawer, traj, seed))
+            traj = learn(stream_of(aset, [random_trial(rng, n) for _ in range(80)]))
+            assert all(aset.z[sel].sum() <= 1.0 + 1e-12 for sel in draw_all(drawer, traj, seed))
 
     def test_heads_picks_single_heavy_action(self):
         # all actions heavy: the capped partition is empty, so any non-empty
         # selection must come from the coin branch and be a singleton
         aset = ActionSet.from_energies([0.75, 0.6, 0.55])
         drawer = Drawer(aset)
-        assert len(drawer.partition.groups) == 0
-        traj = learn(aset, [self.heavy_driver_trial(3, [0, 1, 2])] * 400)
+        assert len(drawer.layout.partition.groups) == 0
+        traj = learn(stream_of(aset, [self.heavy_driver_trial(3, [0, 1, 2])] * 400))
         picks = []
         for sel in draw_all(drawer, traj, 11):
-            if sel.actions:
-                assert len(sel.actions) == 1
-                picks.extend(sel.actions)
+            if sel.size:
+                assert sel.size == 1
+                picks.extend(sel.tolist())
         assert set(picks) == {0, 1, 2}  # every heavy action shows up
 
     def test_heads_frequency_matches_quarter_mass(self):
@@ -179,7 +175,7 @@ class TestLargeEnergyMode:
         z = np.array([0.5, 0.5])
         aset = ActionSet.from_energies(z)
         drawer = Drawer(aset)
-        assert len(drawer.partition.groups) == 0
+        assert len(drawer.layout.partition.groups) == 0
         w = np.array([1.0, 1.0])
         trials = 40_000
         hits = sum(len(drawer.draw(w, 13, t)) > 0 for t in range(1, trials + 1))
@@ -200,6 +196,6 @@ class TestLargeEnergyMode:
         aset = ActionSet.from_energies([1.0, 0.2])
         assert aset.delta == 0.0
         rng = np.random.default_rng(163)
-        traj = learn(aset, [random_trial(rng, 2) for _ in range(30)])
-        assert all(sel.total_energy <= 1.0 + 1e-12 for sel in draw_all(Drawer(aset), traj, 17))
+        traj = learn(stream_of(aset, [random_trial(rng, 2) for _ in range(30)]))
+        assert all(aset.z[sel].sum() <= 1.0 + 1e-12 for sel in draw_all(Drawer(aset), traj, 17))
         npt.assert_array_equal(traj.weights, np.zeros((30, 2)))

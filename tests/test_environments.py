@@ -29,6 +29,21 @@ class TestSpecValidation:
     def test_valid_spec_passes(self):
         spec_for("knapsack_01").validate()
 
+    def test_bools_and_non_finite_numbers_rejected_together(self):
+        inf, nan = float("inf"), float("nan")
+        spec = spec_for("random_adversarial", n=True, T=False, seed=True, shift_segments=True,
+                        r_max=inf, beta_max=True, c_max=-inf,
+                        cost_range=(0.0, inf), value_range=(nan, 1.0))
+        with pytest.raises(ValueError) as err:
+            spec.validate()
+        msg = str(err.value)
+        for field in ("n", "T", "seed", "shift_segments", "r_max", "beta_max", "c_max",
+                      "cost_range", "value_range"):
+            assert f"; {field} must be" in msg or f": {field} must be" in msg
+        for field in ("r_max", "c_max"):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                spec_for("random_adversarial", **{field: True}).validate()
+
 
 class TestGenerators:
     def test_facility_location_pattern(self):
@@ -89,6 +104,65 @@ class TestGenerators:
         stream = generate(spec_for("random_adversarial"))
         assert stream.r_hat == float(stream.rewards.max())
         assert stream.c_hat == float(np.abs(stream.costs).max())
+
+
+class TestStreamChecks:
+    """A Stream checks its matrices once, when built, and names the first bad trial."""
+
+    def make(self, rewards, costs, z=(0.25, 0.1)):
+        return Stream(ActionSet.from_energies(list(z)), rewards, costs)
+
+    @pytest.mark.parametrize("where", ["rewards", "costs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_trial(self, where, value):
+        rewards, costs = np.ones((5, 2)), np.zeros((5, 2))
+        (rewards if where == "rewards" else costs)[2, 1] = value
+        with pytest.raises(ValueError, match="^trial 3: rewards and costs must be finite$"):
+            self.make(rewards, costs)
+
+    def test_negative_reward_names_trial(self):
+        rewards = np.ones((4, 2))
+        rewards[1, 0] = -0.1
+        with pytest.raises(ValueError, match="^trial 2: negative reward$"):
+            self.make(rewards, np.zeros((4, 2)))
+
+    def test_first_bad_row_is_named(self):
+        rewards, costs = np.ones((6, 2)), np.zeros((6, 2))
+        rewards[4, 1] = -1.0
+        costs[3, 0] = np.nan
+        rewards[5, 0] = np.inf
+        with pytest.raises(ValueError, match="^trial 4: rewards and costs must be finite$"):
+            self.make(rewards, costs)
+
+    def test_width_mismatch_names_trial(self):
+        with pytest.raises(ValueError, match="^trial 1: 3 rewards and costs, expected 2$"):
+            self.make(np.ones((4, 3)), np.zeros((4, 3)))
+
+    def test_rewards_costs_shape_mismatch_rejected(self):
+        for rewards, costs in ((np.ones((4, 2)), np.zeros((3, 2))),
+                               (np.ones(2), np.zeros(2)),
+                               (np.ones((1, 4, 2)), np.zeros((1, 4, 2)))):
+            with pytest.raises(ValueError, match="matrices of one shape"):
+                self.make(rewards, costs)
+
+    def test_good_streams_pass_unchanged(self):
+        # -0.0 is a non-negative reward; float64 input is kept, not copied
+        rewards = np.array([[-0.0, 2.0], [0.0, 0.5]])
+        costs = np.array([[-3.0, 1e308], [0.0, -0.0]])
+        stream = self.make(rewards, costs)
+        assert stream.rewards is rewards and stream.costs is costs
+        empty = self.make(np.zeros((0, 2)), np.zeros((0, 2)))
+        assert empty.T == 0 and empty.r_hat == 0.0 and empty.c_hat == 0.0
+
+    def test_c_hat_matches_absolute_maximum(self):
+        rng = np.random.default_rng(17)
+        for lo, hi in ((-3.0, 1.0), (-1.0, 3.0), (0.0, 0.0), (-2.0, -1.0)):
+            costs = rng.uniform(lo, hi, (7, 2))
+            stream = self.make(np.zeros((7, 2)), costs)
+            assert stream.c_hat == float(np.max(np.abs(costs)))
+        all_negative_zero = self.make(np.zeros((2, 2)), np.full((2, 2), -0.0))
+        assert all_negative_zero.c_hat == 0.0
+        assert not np.signbit(all_negative_zero.c_hat)
 
 
 class TestStreamFiles:

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, Stream, TrialData, discounted_profit,
-                       is_feasible, surrogate_value)
+from budgetmax import (ActionSet, Stream, discounted_profit, is_feasible,
+                       surrogate_value)
 from budgetmax.oracles import (CapacityError, best_fixed_subset,
                                estimate_hit_rates, estimate_selection_probs,
                                exact_expected_profit, exact_intersection_prob,
@@ -21,8 +21,8 @@ def naive_best_subset(stream, aset, alpha, delta):
         for sub in itertools.combinations(range(aset.n), size):
             if float(np.sum(aset.z[list(sub)])) > 1.0 + 1e-12:
                 continue
-            total = sum(discounted_profit(sub, stream.trial(t), alpha, delta)
-                        for t in range(stream.T))
+            total = sum(discounted_profit(sub, r, c, alpha, delta)
+                        for r, c in zip(stream.rewards, stream.costs))
             if total > best_value or (total == best_value and sub < best_subset):
                 best_value, best_subset = total, sub
     return best_value, best_subset
@@ -65,8 +65,8 @@ class TestBestFixedSubset:
             naive_value, naive_sub = naive_best_subset(stream, aset, alpha, delta)
             assert res.discounted_total == pytest.approx(naive_value, abs=1e-9)
             # the returned subset must be optimal up to float-sum noise
-            got = sum(discounted_profit(res.subset, stream.trial(t), alpha, delta)
-                      for t in range(T))
+            got = sum(discounted_profit(res.subset, r, c, alpha, delta)
+                      for r, c in zip(rewards, costs))
             assert got >= naive_value - 1e-9
 
     def test_exact_ties_break_lexicographically(self):
@@ -88,22 +88,20 @@ class TestBestFixedSubset:
             for sub in itertools.combinations(range(10), size):
                 if float(np.sum(aset.z[list(sub)])) > 1.0 + 1e-12:
                     continue
-                total = sum(discounted_profit(sub, stream.trial(t), aset.alpha, aset.delta)
-                            for t in range(4))
+                total = sum(discounted_profit(sub, r, c, aset.alpha, aset.delta)
+                            for r, c in zip(stream.rewards, stream.costs))
                 assert res.discounted_total >= total - 1e-9
 
 
 class TestExactExpectedProfit:
     def test_zero_weights(self):
         aset = ActionSet.from_energies([0.25, 0.1])
-        trial = TrialData.from_arrays([1.0, 2.0], [0.3, -0.4])
-        assert exact_expected_profit(np.zeros(2), aset, trial) == 0.0
+        assert exact_expected_profit(np.zeros(2), aset, [1.0, 2.0], [0.3, -0.4]) == 0.0
 
     def test_single_action_closed_form(self):
         # p = delta * w = 0.25; E = p*(r - c) = 0.25 * 3 = 0.75
         aset = ActionSet.from_energies([0.25])
-        trial = TrialData.from_arrays([4.0], [1.0])
-        assert exact_expected_profit([1.0], aset, trial) == pytest.approx(0.75, abs=1e-15)
+        assert exact_expected_profit([1.0], aset, [4.0], [1.0]) == pytest.approx(0.75, abs=1e-15)
 
     def test_matches_monte_carlo(self):
         from budgetmax import RowLayout, sample_block
@@ -112,14 +110,14 @@ class TestExactExpectedProfit:
             n = int(rng.integers(1, 7))
             aset = random_action_set(rng, n)
             w = random_feasible_point(rng, aset.z)
-            trial = random_trial(rng, n)
-            expect = exact_expected_profit(w, aset, trial)
+            rewards, costs = random_trial(rng, n)
+            expect = exact_expected_profit(w, aset, rewards, costs)
             layout = RowLayout(aset)
             uniforms = np.random.default_rng(300 + case).random((200_000, layout.width))
             member = sample_block(w[None], uniforms, layout)
-            best = np.where(member, trial.rewards, -np.inf).max(axis=1)
+            best = np.where(member, rewards, -np.inf).max(axis=1)
             best[~member.any(axis=1)] = 0.0
-            profits = best - member @ trial.costs
+            profits = best - member @ costs
             se = float(profits.std(ddof=1) / np.sqrt(len(profits)))
             assert abs(float(profits.mean()) - expect) <= 4.0 * max(se, 1e-9)
 
@@ -130,8 +128,8 @@ class TestExactExpectedProfit:
             aset = random_action_set(rng, n)
             w = random_feasible_point(rng, aset.z)
             trial = random_trial(rng, n)
-            assert exact_expected_profit(w, aset, trial) >= \
-                -surrogate_value(w, trial, aset.delta) - 1e-10
+            assert exact_expected_profit(w, aset, *trial) >= \
+                -surrogate_value(w, *trial, aset.delta) - 1e-10
 
 
 class TestEstimators:

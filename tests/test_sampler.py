@@ -230,8 +230,8 @@ class TestUniformStream:
                     (300, drawer.layout.width))
                 npt.assert_array_equal(blocks, sample_block(weights, uniforms, drawer.layout))
                 for t in range(1, 301, 13):
-                    sel = drawer.draw(weights[t - 1], seed, t)
-                    assert sel.indices() == list(np.flatnonzero(blocks[t - 1]))
+                    npt.assert_array_equal(drawer.draw(weights[t - 1], seed, t),
+                                           np.flatnonzero(blocks[t - 1]))
 
 
 class TestSampling:
@@ -287,7 +287,7 @@ class TestSampling:
         batch = sample_block(w[None], rows_of(67, 0, n_draws, drawer.layout.width),
                              drawer.layout)
         for t in range(1, 2001):
-            assert drawer.draw(w, 67, t).indices() == list(np.flatnonzero(batch[t - 1]))
+            assert drawer.draw(w, 67, t).tolist() == np.flatnonzero(batch[t - 1]).tolist()
         sigma = np.sqrt(exact * (1.0 - exact) / n_draws)
         assert np.all(np.abs(batch.mean(axis=0) - exact) <= 5.0 * np.maximum(sigma, 1e-9))
 

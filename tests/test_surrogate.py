@@ -4,9 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, TrialData, WeightState, is_feasible,
-                       reward_order, step_size, surrogate_gradient,
-                       surrogate_value, update_weights)
+from budgetmax import (WeightState, is_feasible, reward_order, step_size,
+                       surrogate_gradient, surrogate_value, update_weights)
 from budgetmax.oracles import exact_expected_profit, finite_diff_gradient
 from conftest import (random_action_set, random_feasible_point, random_trial)
 
@@ -25,12 +24,11 @@ class TestSurrogateValue:
         for _ in range(100):
             n = int(rng.integers(1, 10))
             trial = random_trial(rng, n)
-            assert surrogate_value(np.zeros(n), trial, float(rng.uniform(0.01, 1))) == 0.0
+            assert surrogate_value(np.zeros(n), *trial, float(rng.uniform(0.01, 1))) == 0.0
 
     def test_single_action_example(self):
-        trial = TrialData.from_arrays([2.0], [0.0])
         expected = -2.0 * (1.0 - math.exp(-1.0))
-        assert surrogate_value([1.0], trial, 1.0) == pytest.approx(expected, abs=1e-15)
+        assert surrogate_value([1.0], [2.0], [0.0], 1.0) == pytest.approx(expected, abs=1e-15)
 
     def test_negative_value_bounds_expected_profit(self):
         rng = np.random.default_rng(89)
@@ -39,8 +37,8 @@ class TestSurrogateValue:
             aset = random_action_set(rng, n)
             w = random_feasible_point(rng, aset.z)
             trial = random_trial(rng, n)
-            exact = exact_expected_profit(w, aset, trial)
-            assert exact >= -surrogate_value(w, trial, aset.delta) - 1e-10
+            exact = exact_expected_profit(w, aset, *trial)
+            assert exact >= -surrogate_value(w, *trial, aset.delta) - 1e-10
 
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(97)
@@ -50,20 +48,18 @@ class TestSurrogateValue:
             trial = random_trial(rng, n)
             a = rng.uniform(0.0, 2.0, n)
             b = rng.uniform(0.0, 2.0, n)
-            mid = surrogate_value((a + b) / 2.0, trial, delta)
-            assert mid <= (surrogate_value(a, trial, delta)
-                           + surrogate_value(b, trial, delta)) / 2.0 + 1e-9
+            mid = surrogate_value((a + b) / 2.0, *trial, delta)
+            assert mid <= (surrogate_value(a, *trial, delta)
+                           + surrogate_value(b, *trial, delta)) / 2.0 + 1e-9
 
 
 class TestSurrogateGradient:
     def test_positive_cost_only(self):
-        trial = TrialData.from_arrays([0.0], [0.7])
-        npt.assert_allclose(surrogate_gradient([0.3], trial, 0.25), [0.25 * 0.7])
+        npt.assert_allclose(surrogate_gradient([0.3], [0.0], [0.7], 0.25), [0.25 * 0.7])
 
     def test_reward_pull_at_origin(self):
-        trial = TrialData.from_arrays([1.0], [0.0])
         for delta in (0.01, 0.3, 1.0):
-            npt.assert_allclose(surrogate_gradient([0.0], trial, delta), [-delta])
+            npt.assert_allclose(surrogate_gradient([0.0], [1.0], [0.0], delta), [-delta])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(103)
@@ -72,8 +68,8 @@ class TestSurrogateGradient:
             delta = (0.01, 0.25, 1.0)[k % 3]
             trial = random_trial(rng, n, tie_frac=0.2 if k % 5 == 0 else 0.0)
             w = rng.uniform(0.0, 1.5, n)
-            g = surrogate_gradient(w, trial, delta)
-            fd = finite_diff_gradient(lambda v: surrogate_value(v, trial, delta), w, 1e-5)
+            g = surrogate_gradient(w, *trial, delta)
+            fd = finite_diff_gradient(lambda v: surrogate_value(v, *trial, delta), w, 1e-5)
             scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
             assert float(np.max(np.abs(g - fd) / scale)) <= 1e-6
 
@@ -82,11 +78,11 @@ class TestSurrogateGradient:
         for _ in range(300):
             n = int(rng.integers(1, 9))
             delta = float(rng.uniform(0.01, 1.0))
-            trial = random_trial(rng, n)
+            rewards, costs = random_trial(rng, n)
             w = rng.uniform(0.0, 1.5, n)
-            g = surrogate_gradient(w, trial, delta)
-            r_hat = float(np.max(trial.rewards))
-            c_hat = float(np.max(np.abs(trial.costs)))
+            g = surrogate_gradient(w, rewards, costs, delta)
+            r_hat = float(np.max(rewards))
+            c_hat = float(np.max(np.abs(costs)))
             assert float(g @ g) <= n * delta ** 2 * (r_hat + c_hat) ** 2 + 1e-12
 
     def test_tie_order_invariance(self):
@@ -95,19 +91,16 @@ class TestSurrogateGradient:
         rng = np.random.default_rng(109)
         for _ in range(100):
             n = int(rng.integers(2, 9))
-            trial = random_trial(rng, n)
+            rewards, costs = random_trial(rng, n)
             i, j = rng.choice(n, size=2, replace=False)
-            rewards = trial.rewards.copy()
             rewards[j] = rewards[i]
-            costs = trial.costs.copy()
             w = rng.uniform(0.0, 1.5, n)
             delta = float(rng.uniform(0.01, 1.0))
-            g = surrogate_gradient(w, TrialData.from_arrays(rewards, costs), delta)
+            g = surrogate_gradient(w, rewards, costs, delta)
 
             perm = np.arange(n)
             perm[[i, j]] = perm[[j, i]]
-            g_swapped = surrogate_gradient(
-                w[perm], TrialData.from_arrays(rewards[perm], costs[perm]), delta)
+            g_swapped = surrogate_gradient(w[perm], rewards[perm], costs[perm], delta)
             npt.assert_allclose(g_swapped[perm], g, rtol=0.0, atol=1e-12)
 
 
@@ -151,8 +144,7 @@ class TestUpdateWeights:
             state = WeightState.initial(n)
             prev_eta = math.inf
             for _ in range(30):
-                trial = random_trial(rng, n)
-                g = surrogate_gradient(state.w, trial, aset.delta)
+                g = surrogate_gradient(state.w, *random_trial(rng, n), aset.delta)
                 state = update_weights(state, g, aset.z)
                 assert is_feasible(state.w, aset.z)
                 if state.eta_prime is not None:
