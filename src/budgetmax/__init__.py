@@ -9,32 +9,29 @@ control of every selection probability.
 
 from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, derive_constants,
                    discounted_profit, profit, selection_profits)
-from .engine import Drawer, Trajectory, learn
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .projection import (FEASIBILITY_TOL, ProjectionCertificate, is_feasible,
                          project_onto_feasible, projection_certificate)
-from .sampler import (LARGE_ENERGY_THRESHOLD, Partition, RowLayout, ZERO_CLASS,
+from .sampler import (Drawer, LARGE_ENERGY_THRESHOLD, Partition, RowLayout, ZERO_CLASS,
                       analytic_intersection_lower_bound,
                       analytic_selection_bounds, build_partition, sample_block,
                       uniform_stream)
-from .surrogate import (WeightState, reward_order, step_size,
-                        surrogate_gradient, surrogate_value, update_weights)
+from .surrogate import (Trajectory, learn, reward_order, surrogate_gradient,
+                        surrogate_value)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActionSet", "BUDGET_SLACK", "InvalidEnergyError",
     "derive_constants", "discounted_profit", "profit", "selection_profits",
-    "Drawer", "LARGE_ENERGY_THRESHOLD", "Trajectory", "learn",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
     "check_constraints", "generate", "read_stream", "write_stream",
     "FEASIBILITY_TOL", "ProjectionCertificate", "is_feasible",
     "project_onto_feasible", "projection_certificate",
-    "Partition", "RowLayout", "ZERO_CLASS",
+    "Drawer", "LARGE_ENERGY_THRESHOLD", "Partition", "RowLayout", "ZERO_CLASS",
     "analytic_intersection_lower_bound", "analytic_selection_bounds",
     "build_partition", "sample_block", "uniform_stream",
-    "WeightState", "reward_order", "step_size", "surrogate_gradient",
-    "surrogate_value", "update_weights",
+    "Trajectory", "learn", "reward_order", "surrogate_gradient", "surrogate_value",
     "__version__",
 ]

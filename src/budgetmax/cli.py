@@ -31,15 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK, selection_profits
-from .engine import Drawer, learn
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
 from .projection import project_onto_feasible
-from .sampler import analytic_selection_bounds
-from .surrogate import surrogate_gradient, surrogate_value
+from .sampler import Drawer, analytic_selection_bounds
+from .surrogate import learn, surrogate_gradient, surrogate_value
 
 CONFIG_VERSION = 1
 TRACE_HEADER = "trial,selected,profit,cum_profit,grad_norm,eta"
@@ -318,7 +317,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         r_hat=stream.r_hat, c_hat=stream.c_hat, alpha=aset.alpha, delta=aset.delta,
         bound_slack=slack, comparator_subset=comparator_subset,
         comparator_total=comparator_total, bound_satisfied=bound_satisfied,
-        large_beta_mode=drawer.large_beta_mode,
+        large_beta_mode=drawer.layout.wrapper,
     )
     if out_dir:
         (out_dir / "report.json").write_text(

@@ -37,6 +37,11 @@ class StreamFormatError(ValueError):
     """Malformed stream file; messages carry the 1-based line number."""
 
 
+# Largest c_max whose cost range 2 * c_max is finite: above it
+# rng.uniform(-c_max, c_max) raises OverflowError.
+C_MAX_LIMIT = float(np.finfo(float).max) / 2
+
+
 def _finite(value) -> bool:
     """A real number other than a bool, nan or an infinity (JSON allows both)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -76,8 +81,8 @@ class EnvironmentSpec:
                                 f"got {pair!r}")
         if not (_finite(self.beta_max) and 0.0 < self.beta_max <= 1.0):
             problems.append(f"beta_max must be a number in (0, 1], got {self.beta_max!r}")
-        if not (_finite(self.c_max) and self.c_max >= 0.0):
-            problems.append(f"c_max must be a finite number >= 0, got {self.c_max!r}")
+        if not (_finite(self.c_max) and 0.0 <= self.c_max <= C_MAX_LIMIT):
+            problems.append(f"c_max must be a number in [0, {C_MAX_LIMIT!r}], got {self.c_max!r}")
         if not (type(self.shift_segments) is int and self.shift_segments >= 0):
             problems.append(f"shift_segments must be a non-negative integer, got {self.shift_segments!r}")
         elif type(self.n) is int and self.shift_segments > max(self.n, 0):

@@ -49,7 +49,12 @@ The uniforms of engine seed ``s`` are ``Generator(Philox(key=s))`` doubles
 row by row: row ``t`` holds stream values ``t*K`` to ``t*K + K - 1``.
 Philox yields four 64-bit words per counter step and each double takes one,
 so ``Philox(key=s).advance(t * K // 4)`` lands exactly on row ``t`` and any
-row can be read on its own (:func:`uniform_stream`).
+row can be read on its own (:func:`uniform_stream`). A :class:`Drawer` draws
+an engine seed's selections from a weight trajectory, a block of trials at a
+time; trial ``t`` reads only its own row of uniforms, so it draws the same
+selection at a given weight vector no matter how many other trials were
+drawn, and any trial replays on its own. A selection is an array of action
+indices in ascending order.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSet, BUDGET_SLACK
+from .core import ActionSet, BLOCK_ENTRIES, BUDGET_SLACK
 from .projection import FEASIBILITY_TOL
 
 # Class key reserved for zero-energy actions (they never strain the budget).
@@ -198,6 +203,33 @@ def uniform_stream(seed: int, width: int, start: int = 0) -> np.random.Generator
     bit_generator = np.random.Philox(key=int(seed))
     bit_generator.advance(int(start) * width // 4)
     return np.random.Generator(bit_generator)
+
+
+class Drawer:
+    """Draws engine seeds' selections for one action set (wrapper mode when ``beta >= 1/2``)."""
+
+    def __init__(self, action_set: ActionSet):
+        self.layout = RowLayout(action_set)
+
+    def draw(self, w, seed: int, t: int) -> np.ndarray:
+        """Indices engine seed ``seed`` selects on the 1-based trial ``t`` at ``w``."""
+        uniforms = uniform_stream(seed, self.layout.width, t - 1).random((1, self.layout.width))
+        member = sample_block(np.asarray(w, dtype=float)[None], uniforms, self.layout)
+        return np.flatnonzero(member[0])
+
+    def draw_trials(self, weights, seed: int):
+        """Yield ``(start, member)`` over consecutive blocks of trials.
+
+        Row ``t`` of ``weights`` holds the weights of the 0-based trial
+        ``t``; ``member`` marks the selections of trials ``start`` to
+        ``start + len(member) - 1``, each equal to :meth:`draw` on its trial.
+        """
+        width = self.layout.width
+        uniforms = uniform_stream(seed, width)
+        rows = max(1, BLOCK_ENTRIES // self.layout.z.size)
+        for start in range(0, len(weights), rows):
+            block = weights[start:start + rows]
+            yield start, sample_block(block, uniforms.random((len(block), width)), self.layout)
 
 
 def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Convex per-trial surrogate, its analytic gradient, and the weight update.
+"""Convex per-trial surrogate, its analytic gradient, and the learner.
 
 For one trial, sort actions by descending reward (ties keep ascending index
 order) and write ``eps_j = exp(-delta * sum_{k<=j} w_{s_k})`` for the sorted
@@ -20,9 +20,20 @@ sampler toward profitable subsets. The gradient has the closed form
                        - lambda_j),
     lambda_j = sum_{k >= j} (r_{s_k} - r_{s_{k+1}}) * eps_k.
 
-Weights follow projected gradient descent with the adaptive step
-``eta_t = eta'_t / sqrt(2 t)`` where ``eta'_t = min(eta'_{t-1}, sqrt(n) /
-|g_t|)`` starts at infinity and only shrinks.
+The learner is projected online gradient descent on ``F`` (Zinkevich 2003)
+with the adaptive step ``eta_t = eta'_t / sqrt(2 t)``, where ``eta'_t =
+min(eta'_{t-1}, sqrt(n) / |g_t|)`` starts at infinity and only shrinks; no
+step is taken while it is infinite. The feedback is full-information: the
+step on trial ``t`` uses only the weights ``w_t`` and the revealed rewards
+and costs (row ``t`` of the stream's matrices), never the sampled
+selection. So the weight trajectory is the same for every engine seed:
+:func:`learn` computes it once per stream, and each seed draws its
+selections from it (:class:`budgetmax.sampler.Drawer`). A trial's reward
+order, drops and sorted cost parts do not depend on ``w``, so :func:`learn`
+finds them for a whole block of trials at once. Instances that the sampler
+draws through its wrapper (largest energy at least 1/2) learn the same way,
+with the action set's own constants; at ``beta == 1``, ``delta == 0`` makes
+every gradient zero, so no step is ever taken.
 """
 
 from __future__ import annotations
@@ -32,94 +43,114 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import BLOCK_ENTRIES
+from .environments import Stream
 from .projection import project_onto_feasible
 
 
 def reward_order(rewards) -> np.ndarray:
-    """Indices sorted by descending reward; ties keep ascending index order."""
-    return np.argsort(-np.asarray(rewards, dtype=float), kind="stable")
+    """Indices sorted by descending reward along the last axis; ties keep ascending index order."""
+    return np.argsort(-np.asarray(rewards, dtype=float), axis=-1, kind="stable")
 
 
-def _sorted_pieces(w, rewards, delta: float):
+def _trial_pieces(rewards, costs):
+    """``(order, drops, c_pos, c_neg)``: the parts of a trial that do not depend on ``w``.
+
+    ``rewards`` and ``costs`` are one trial's vectors or ``(rows, n)``
+    blocks of them, and each result has their shape. ``order`` is the
+    reward order, ``drops`` the sorted rewards minus their successors (zero
+    sentinel after the last), and ``c_pos``/``c_neg`` the positive and
+    negative parts of the costs, in reward order.
+    """
     rewards = np.asarray(rewards, dtype=float)
     order = reward_order(rewards)
-    r_sorted = rewards[order]
-    prefix = np.cumsum(w[order])
-    eps = np.exp(-delta * prefix)
-    drops = r_sorted - np.append(r_sorted[1:], 0.0)  # zero sentinel
-    return order, eps, drops
+    r_sorted = np.take_along_axis(rewards, order, axis=-1)
+    after = np.zeros_like(r_sorted)
+    after[..., :-1] = r_sorted[..., 1:]
+    c = np.take_along_axis(np.asarray(costs, dtype=float), order, axis=-1)
+    return order, r_sorted - after, np.maximum(c, 0.0), np.minimum(c, 0.0)
+
+
+def _gradient(w, order, drops, c_pos, c_neg, delta: float) -> np.ndarray:
+    """The closed-form gradient at ``w`` from one trial's :func:`_trial_pieces`."""
+    w_sorted = w[order]
+    eps = np.exp(-delta * np.cumsum(w_sorted))
+    # lambda_j is a suffix sum over drops * eps in sorted order
+    lam = np.cumsum((drops * eps)[::-1])[::-1]
+    g = np.empty_like(w)
+    g[order] = delta * (c_pos + c_neg * np.exp(-delta * w_sorted) - lam)
+    return g
 
 
 def surrogate_value(w, rewards, costs, delta: float) -> float:
     """Value of the convex objective whose negative bounds expected profit."""
-    w = np.asarray(w, dtype=float)
-    c = np.asarray(costs, dtype=float)
-    _, eps, drops = _sorted_pieces(w, rewards, delta)
-    linear = delta * float(np.maximum(c, 0.0) @ w)
-    convex = float(np.minimum(c, 0.0) @ (1.0 - np.exp(-delta * w)))
+    order, drops, c_pos, c_neg = _trial_pieces(rewards, costs)
+    w_sorted = np.asarray(w, dtype=float)[order]
+    eps = np.exp(-delta * np.cumsum(w_sorted))
+    linear = delta * float(c_pos @ w_sorted)
+    convex = float(c_neg @ (1.0 - np.exp(-delta * w_sorted)))
     reward = float(drops @ (1.0 - eps))
     return linear + convex - reward
 
 
 def surrogate_gradient(w, rewards, costs, delta: float) -> np.ndarray:
     """Closed-form gradient of :func:`surrogate_value` at ``w``."""
-    w = np.asarray(w, dtype=float)
-    order, eps, drops = _sorted_pieces(w, rewards, delta)
-    # lambda_j is a suffix sum over drops * eps in sorted order
-    lam = np.cumsum((drops * eps)[::-1])[::-1]
-    c = np.asarray(costs, dtype=float)[order]
-    g_sorted = delta * (np.maximum(c, 0.0)
-                        + np.minimum(c, 0.0) * np.exp(-delta * w[order])
-                        - lam)
-    g = np.empty_like(w)
-    g[order] = g_sorted
-    return g
+    return _gradient(np.asarray(w, dtype=float), *_trial_pieces(rewards, costs), delta)
 
 
 @dataclass(frozen=True)
-class WeightState:
-    """Weights at the start of trial ``trial_index`` plus step-size memory.
+class Trajectory:
+    """The weights each trial draws from, and the step taken after it.
 
-    ``eta_prime`` is the running minimum of ``sqrt(n) / |g|`` over the
-    gradients seen so far; ``None`` encodes its infinite initial value
-    (no non-zero gradient observed yet).
+    Row ``t`` of the ``(T, n)`` array ``weights`` holds the weights used on
+    the 0-based trial ``t``; ``grad_norm[t]`` is the norm of that trial's
+    surrogate gradient and ``eta[t]`` the step size taken on it (0 while no
+    non-zero gradient has been seen).
     """
 
-    w: np.ndarray
-    eta_prime: float | None
-    trial_index: int
-
-    @classmethod
-    def initial(cls, n: int) -> "WeightState":
-        w = np.zeros(n)
-        w.setflags(write=False)
-        return cls(w=w, eta_prime=None, trial_index=1)
+    weights: np.ndarray
+    grad_norm: np.ndarray
+    eta: np.ndarray
 
 
-def step_size(eta_prime: float | None, trial_index: int) -> float:
-    """Step actually taken on the given trial; 0 while eta_prime is unset."""
-    if eta_prime is None:
-        return 0.0
-    return eta_prime / math.sqrt(2.0 * trial_index)
+def learn(stream: Stream) -> Trajectory:
+    """One projected-gradient pass over the trials of a stream.
 
+    Trial ``t`` is row ``t`` of ``stream.rewards`` and ``stream.costs``. The
+    stream checked its matrices when it was built, so no trial is checked
+    again here.
 
-def update_weights(state: WeightState, g, z) -> WeightState:
-    """One projected gradient step; returns the state for the next trial."""
-    g = np.asarray(g, dtype=float)
-    gnorm = float(np.linalg.norm(g))
-    n = state.w.size
-    if gnorm > 0.0:
-        bound = math.sqrt(n) / gnorm
-        if math.isfinite(bound):  # subnormal |g| behaves like zero
-            eta_prime = bound if state.eta_prime is None else min(state.eta_prime, bound)
-        else:
-            eta_prime = state.eta_prime
-    else:
-        eta_prime = state.eta_prime
-    if eta_prime is None:
-        # No usable gradient yet: weights stay put.
-        return WeightState(state.w, None, state.trial_index + 1)
-    eta = step_size(eta_prime, state.trial_index)
-    w_next = project_onto_feasible(state.w - eta * g, z)
-    w_next.setflags(write=False)
-    return WeightState(w_next, eta_prime, state.trial_index + 1)
+    Raises
+    ------
+    ValueError
+        If a trial's gradient norm is not finite, which finite but huge
+        rewards or costs can cause; the message names the 1-based trial.
+    """
+    action_set = stream.action_set
+    T, n, delta = stream.T, action_set.n, action_set.delta
+    weights = np.empty((T, n))
+    grad_norm = np.empty(T)
+    eta = np.zeros(T)
+    w = np.zeros(n)
+    eta_prime = math.inf
+    rows = max(1, BLOCK_ENTRIES // n)
+    # an overflowing |g| is raised below, naming its trial
+    with np.errstate(over="ignore"):
+        for start in range(0, T, rows):
+            block = _trial_pieces(stream.rewards[start:start + rows],
+                                  stream.costs[start:start + rows])
+            for t, pieces in enumerate(zip(*block), start=start):
+                weights[t] = w
+                g = _gradient(w, *pieces, delta)
+                grad_norm[t] = norm = float(np.linalg.norm(g))
+                if not math.isfinite(norm):
+                    raise ValueError(f"trial {t + 1}: the surrogate gradient norm is not finite "
+                                     f"({norm}); rewards or costs are too large")
+                if norm > 0.0:
+                    eta_prime = min(eta_prime, math.sqrt(n) / norm)
+                if eta_prime < math.inf:
+                    eta[t] = step = eta_prime / math.sqrt(2.0 * (t + 1))
+                    w = project_onto_feasible(w - step * g, action_set.z)
+    for array in (weights, grad_norm, eta):
+        array.setflags(write=False)
+    return Trajectory(weights, grad_norm, eta)

@@ -352,12 +352,24 @@ class TestMain:
         assert "bound_check needs n <= 20, got 30" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gradient_norm_overflow_exits_1_naming_the_trial(self, tmp_path, capsys):
+        # every reward and cost is finite, but |g| overflows on the first trial
+        env = {"kind": "random_adversarial", "n": 4, "T": 20, "r_max": 1e308}
+        cfg = self.write_config(tmp_path, good_config(environment=env))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial 1: ") and "not finite" in err
+        assert err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["stream.csv"]  # no trace, no report
+
     @pytest.mark.parametrize("field, value", [
         ("n", True), ("T", True), ("seed", False), ("shift_segments", True),
         ("r_max", True), ("beta_max", True), ("c_max", True),
         ("r_max", math.inf), ("beta_max", math.nan), ("c_max", math.inf), ("c_max", -math.inf),
         ("cost_range", [0.0, math.inf]), ("value_range", [math.nan, 1.0]),
         ("value_range", [0.0, True]),
+        ("c_max", 1e308),  # finite, but rng.uniform(-c_max, c_max) overflows
     ])
     def test_bool_or_non_finite_field_exits_1_before_writing(self, tmp_path, capsys, field, value):
         # JSON's Infinity and NaN parse to floats, and true is an int to Python

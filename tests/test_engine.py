@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from budgetmax import (ActionSet, Drawer, is_feasible, learn, profit, read_stream,
-                       sample_block, step_size, surrogate_gradient, surrogate_value,
-                       update_weights)
+                       sample_block, surrogate_value)
 from budgetmax.cli import parse_config, read_trace, run_experiment
-from budgetmax.surrogate import WeightState
 from conftest import random_action_set, random_trial, stream_of
 
 
@@ -23,12 +20,12 @@ class TestProtocol:
         npt.assert_array_equal(traj.weights, [[0.0, 0.0]])
         # the first step is taken at trial index 1: eta = eta' / sqrt(2 * 1)
         assert traj.eta[0] == math.sqrt(2) / traj.grad_norm[0] / math.sqrt(2.0)
-        assert not Drawer(aset).large_beta_mode
+        assert not Drawer(aset).layout.wrapper
 
     def test_large_mode_flag(self):
-        assert Drawer(ActionSet.from_energies([0.75, 0.1])).large_beta_mode
-        assert Drawer(ActionSet.from_energies([0.5])).large_beta_mode
-        assert not Drawer(ActionSet.from_energies([0.49])).large_beta_mode
+        assert Drawer(ActionSet.from_energies([0.75, 0.1])).layout.wrapper
+        assert Drawer(ActionSet.from_energies([0.5])).layout.wrapper
+        assert not Drawer(ActionSet.from_energies([0.49])).layout.wrapper
 
     def test_zero_weights_select_nothing(self):
         for z in ([0.3, 0.1], [0.9, 0.2], [0.0, 0.0]):
@@ -60,16 +57,8 @@ class TestProtocol:
         npt.assert_array_equal(traj.weights, np.zeros((6, 2)))
         npt.assert_array_equal(traj.eta[:5], 0.0)
         npt.assert_array_equal(traj.grad_norm[:5], 0.0)
-        # a zero gradient leaves eta' unset, so no step is taken
-        state = WeightState.initial(2)
-        for k in range(1, 6):
-            state = update_weights(state, np.zeros(2), aset.z)
-            assert state.eta_prime is None and step_size(state.eta_prime, k) == 0.0
-        npt.assert_array_equal(state.w, [0.0, 0.0])
         # a real trial afterwards finally sets the learning rate
-        g = surrogate_gradient(state.w, *real, aset.delta)
-        assert update_weights(state, g, aset.z).eta_prime is not None
-        assert traj.eta[5] > 0.0
+        assert traj.grad_norm[5] > 0.0 and traj.eta[5] > 0.0
 
     def test_same_seed_bitwise_identical_runs(self):
         rng = np.random.default_rng(131)
@@ -90,19 +79,12 @@ class TestProtocol:
                 != [sel.tolist() for sel in draw_all(drawer, traj, 2)])
 
     def test_eta_prime_non_increasing(self):
-        # learn matches a step-by-step update_weights loop, whose eta' only shrinks
+        # each step is eta'_t / sqrt(2 t), with eta'_t the running minimum of sqrt(n) / |g|
         rng = np.random.default_rng(139)
         aset = random_action_set(rng, 7)
-        trials = [random_trial(rng, 7) for _ in range(60)]
-        traj = learn(stream_of(aset, trials))
-        state = WeightState.initial(7)
-        etas = []
-        for t, trial in enumerate(trials):
-            npt.assert_array_equal(traj.weights[t], state.w)
-            state = update_weights(state, surrogate_gradient(state.w, *trial, aset.delta), aset.z)
-            if state.eta_prime is not None:
-                etas.append(state.eta_prime)
-        assert all(b <= a for a, b in zip(etas, etas[1:]))
+        traj = learn(stream_of(aset, [random_trial(rng, 7) for _ in range(60)]))
+        eta_prime = np.minimum.accumulate(math.sqrt(7) / traj.grad_norm)
+        npt.assert_array_equal(traj.eta, eta_prime / np.sqrt(2.0 * np.arange(1, 61)))
 
     def test_weights_always_feasible(self):
         rng = np.random.default_rng(149)
@@ -151,7 +133,7 @@ class TestLargeEnergyMode:
             z[int(rng.integers(n))] = float(rng.uniform(0.5, 1.0))  # ensure a heavy one
             aset = ActionSet.from_energies(z)
             drawer = Drawer(aset)
-            assert drawer.large_beta_mode
+            assert drawer.layout.wrapper
             traj = learn(stream_of(aset, [random_trial(rng, n) for _ in range(80)]))
             assert all(aset.z[sel].sum() <= 1.0 + 1e-12 for sel in draw_all(drawer, traj, seed))
 
@@ -176,20 +158,13 @@ class TestLargeEnergyMode:
         aset = ActionSet.from_energies(z)
         drawer = Drawer(aset)
         assert len(drawer.layout.partition.groups) == 0
-        w = np.array([1.0, 1.0])
         trials = 40_000
-        hits = sum(len(drawer.draw(w, 13, t)) > 0 for t in range(1, trials + 1))
+        block = np.broadcast_to([1.0, 1.0], (trials, 2))
+        hits = sum(int(member.any(axis=1).sum()) for _, member in drawer.draw_trials(block, 13))
         freq = hits / trials
         expect = (1.0 + 1.0) / 4.0
         sigma = math.sqrt(expect * (1.0 - expect) / trials)
         assert abs(freq - expect) <= 4.0 * sigma
-        # a zero gradient freezes w and eta' while the trial index advances
-        state = WeightState(w, eta_prime=1.0, trial_index=1)
-        for t in range(1, 50):
-            state = update_weights(state, np.zeros(2), aset.z)
-            npt.assert_array_equal(state.w, w)
-            assert state.eta_prime == 1.0 and state.trial_index == t + 1
-            assert step_size(state.eta_prime, t) == pytest.approx(1.0 / math.sqrt(2.0 * t))
 
     def test_beta_one_runs_without_learning(self):
         # delta = 0 at beta = 1: no step ever happens, selections stay valid

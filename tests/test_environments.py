@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from budgetmax import ActionSet, StreamFormatError, read_stream, write_stream
-from budgetmax.environments import (EnvironmentSpec, Stream, check_constraints,
+from budgetmax.environments import (C_MAX_LIMIT, EnvironmentSpec, Stream, check_constraints,
                                     generate, site_rewards)
 
 
@@ -43,6 +45,16 @@ class TestSpecValidation:
         for field in ("r_max", "c_max"):
             with pytest.raises(ValueError, match=f"{field} must be"):
                 spec_for("random_adversarial", **{field: True}).validate()
+
+    def test_c_max_limit_is_where_uniform_overflows(self):
+        spec = spec_for("random_adversarial", c_max=C_MAX_LIMIT)
+        spec.validate()
+        generate(spec)
+        above = math.nextafter(C_MAX_LIMIT, math.inf)
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(-above, above)
+        with pytest.raises(ValueError, match="c_max must be"):
+            spec_for("random_adversarial", c_max=above).validate()
 
 
 class TestGenerators:

@@ -4,10 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (WeightState, is_feasible, reward_order, step_size,
-                       surrogate_gradient, surrogate_value, update_weights)
+from budgetmax import (ActionSet, is_feasible, learn, project_onto_feasible, reward_order,
+                       surrogate_gradient, surrogate_value)
+from budgetmax.core import BLOCK_ENTRIES
 from budgetmax.oracles import exact_expected_profit, finite_diff_gradient
-from conftest import (random_action_set, random_feasible_point, random_trial)
+from conftest import (random_action_set, random_feasible_point, random_trial, stream_of)
 
 
 class TestRewardOrder:
@@ -104,49 +105,96 @@ class TestSurrogateGradient:
             npt.assert_allclose(g_swapped[perm], g, rtol=0.0, atol=1e-12)
 
 
+def reference_learn(stream):
+    """``(weights, grad_norm, eta)`` of one projected-gradient step per trial.
+
+    Each step takes :func:`surrogate_gradient` of one row and projects with
+    :func:`project_onto_feasible`; ``eta' = min(eta', sqrt(n) / |g|)`` starts
+    at infinity, and no step is taken while it is infinite.
+    """
+    aset = stream.action_set
+    w, eta_prime = np.zeros(aset.n), math.inf
+    weights, grad_norm, eta = [], [], []
+    for t, (rewards, costs) in enumerate(zip(stream.rewards, stream.costs), start=1):
+        weights.append(w)
+        g = surrogate_gradient(w, rewards, costs, aset.delta)
+        grad_norm.append(float(np.linalg.norm(g)))
+        if grad_norm[-1] > 0.0:
+            eta_prime = min(eta_prime, math.sqrt(aset.n) / grad_norm[-1])
+        eta.append(eta_prime / math.sqrt(2.0 * t) if eta_prime < math.inf else 0.0)
+        if eta_prime < math.inf:
+            w = project_onto_feasible(w - eta[-1] * g, aset.z)
+    return np.array(weights), np.array(grad_norm), np.array(eta)
+
+
 class TestUpdateWeights:
+    """The projected-gradient weight update and its step rule, as :func:`learn` runs them."""
+
     def test_first_step_example(self):
-        state = WeightState.initial(1)
-        nxt = update_weights(state, np.array([0.5]), np.array([0.0]))
-        assert nxt.eta_prime == pytest.approx(2.0)
-        assert step_size(nxt.eta_prime, state.trial_index) == pytest.approx(math.sqrt(2.0))
-        npt.assert_array_equal(nxt.w, [0.0])  # y = -0.7071 clamps back to 0
-        assert nxt.trial_index == 2
+        # z = 0 gives delta = 1, so at w = 0 the gradient is costs - rewards = 0.5
+        aset = ActionSet.from_energies([0.0])
+        traj = learn(stream_of(aset, [([0.0], [0.5])] * 2))
+        assert traj.grad_norm[0] == 0.5
+        # eta' = sqrt(1) / 0.5 = 2, eta = eta' / sqrt(2 * 1)
+        assert traj.eta[0] == pytest.approx(math.sqrt(2.0))
+        npt.assert_array_equal(traj.weights[1], [0.0])  # y = -0.7071 clamps back to 0
 
     def test_zero_gradient_before_any_step_is_skipped(self):
-        state = WeightState.initial(3)
-        nxt = update_weights(state, np.zeros(3), np.zeros(3))
-        assert nxt.eta_prime is None
-        npt.assert_array_equal(nxt.w, np.zeros(3))
-        assert nxt.trial_index == 2
-        assert step_size(nxt.eta_prime, 1) == 0.0
+        # zero and subnormal gradients leave eta' infinite: no step
+        aset = ActionSet.from_energies([0.0])
+        null, tiny, real = ([0.0], [0.0]), ([0.0], [-5e-324]), ([0.0], [-1.0])
+        assert surrogate_gradient([0.0], *tiny, aset.delta)[0] == -5e-324
+        traj = learn(stream_of(aset, [null, tiny, null, tiny, real, null]))
+        npt.assert_array_equal(traj.grad_norm[:5], [0.0, 0.0, 0.0, 0.0, 1.0])  # |g|^2 underflows
+        npt.assert_array_equal(traj.eta[:4], 0.0)
+        npt.assert_array_equal(traj.weights[:5], 0.0)
+        # the first usable gradient sets eta' = 1 on trial 5
+        assert traj.eta[4] == 1.0 / math.sqrt(10.0)
+        assert traj.weights[5, 0] > 0.0
 
     def test_zero_gradient_after_a_step_keeps_weights(self):
-        state = WeightState(np.array([0.4]), eta_prime=1.5, trial_index=4)
-        nxt = update_weights(state, np.zeros(1), np.array([0.3]))
-        npt.assert_array_equal(nxt.w, [0.4])
-        assert nxt.eta_prime == 1.5
+        # negative costs drive w to the corner [1, 1], where <w, z> = 1 binds
+        aset = ActionSet.from_energies([0.5, 0.5])
+        drive, null = ([0.0, 0.0], [-1.0, -1.0]), ([0.0, 0.0], [0.0, 0.0])
+        traj = learn(stream_of(aset, [drive] * 3 + [null] * 50))
+        npt.assert_array_equal(traj.weights[3:], np.ones((50, 2)))
+        # eta' stays put while the trial index advances
+        eta_prime = traj.eta[3] * math.sqrt(8.0)
+        t = np.arange(4, 54)
+        npt.assert_allclose(traj.eta[3:], eta_prime / np.sqrt(2.0 * t), rtol=1e-15)
 
     def test_learning_rate_running_min(self):
-        # n=1 gradient norms (1, 2, 0.5) give eta_prime (1, 0.5, 0.5)
-        state = WeightState.initial(1)
-        seen = []
-        for gnorm in (1.0, 2.0, 0.5):
-            state = update_weights(state, np.array([gnorm]), np.array([0.2]))
-            seen.append(state.eta_prime)
-        assert seen == [1.0, 0.5, 0.5]
+        # z = 0, zero rewards: gradient = costs at w = 0, and w stays clamped at 0
+        aset = ActionSet.from_energies([0.0])
+        traj = learn(stream_of(aset, [([0.0], [c]) for c in (1.0, 2.0, 0.5)]))
+        npt.assert_array_equal(traj.grad_norm, [1.0, 2.0, 0.5])
+        npt.assert_array_equal(traj.weights, np.zeros((3, 1)))
+        # eta' = (1, 0.5, 0.5)
+        npt.assert_array_equal(traj.eta, [1.0 / math.sqrt(2.0), 0.5 / math.sqrt(4.0),
+                                          0.5 / math.sqrt(6.0)])
 
     def test_weights_stay_feasible_and_eta_monotone(self):
         rng = np.random.default_rng(113)
         for _ in range(50):
             n = int(rng.integers(1, 12))
             aset = random_action_set(rng, n)
-            state = WeightState.initial(n)
-            prev_eta = math.inf
-            for _ in range(30):
-                g = surrogate_gradient(state.w, *random_trial(rng, n), aset.delta)
-                state = update_weights(state, g, aset.z)
-                assert is_feasible(state.w, aset.z)
-                if state.eta_prime is not None:
-                    assert state.eta_prime <= prev_eta
-                    prev_eta = state.eta_prime
+            traj = learn(stream_of(aset, [random_trial(rng, n) for _ in range(30)]))
+            assert all(is_feasible(w, aset.z) for w in traj.weights)
+            eta_prime = traj.eta * np.sqrt(2.0 * np.arange(1, 31))
+            stepped = eta_prime[traj.eta > 0.0]
+            assert np.all(stepped[1:] <= stepped[:-1] * (1.0 + 1e-15))
+
+    @pytest.mark.parametrize("n, T", [(1, 70), (8, 2100), (100, 400), (1000, 40)])
+    def test_learn_matches_per_trial_reference_bitwise(self, n, T):
+        # tied rewards, null trials first (eta' unset), and T past one block of rows
+        assert T > BLOCK_ENTRIES // n or n == 1
+        rng = np.random.default_rng(n)
+        aset = random_action_set(rng, n)
+        null = (np.zeros(n), np.zeros(n))
+        trials = [null] * 3 + [random_trial(rng, n, tie_frac=0.5) for _ in range(T - 3)]
+        stream = stream_of(aset, trials)
+        traj = learn(stream)
+        weights, grad_norm, eta = reference_learn(stream)
+        assert np.array_equal(traj.weights, weights)
+        assert np.array_equal(traj.grad_norm, grad_norm)
+        assert np.array_equal(traj.eta, eta)
