@@ -13,10 +13,9 @@ from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .projection import (FEASIBILITY_TOL, ProjectionCertificate, is_feasible,
                          project_onto_feasible, projection_certificate)
-from .sampler import (Drawer, LARGE_ENERGY_THRESHOLD, Partition, RowLayout, ZERO_CLASS,
-                      analytic_intersection_lower_bound,
-                      analytic_selection_bounds, build_partition, sample_block,
-                      uniform_stream)
+from .sampler import (LARGE_ENERGY_THRESHOLD, RowLayout, ZERO_CLASS,
+                      analytic_intersection_lower_bound, analytic_selection_bounds,
+                      draw_trials, sample_block, uniform_stream)
 from .surrogate import (Trajectory, learn, reward_order, surrogate_gradient,
                         surrogate_value)
 
@@ -29,9 +28,9 @@ __all__ = [
     "check_constraints", "generate", "read_stream", "write_stream",
     "FEASIBILITY_TOL", "ProjectionCertificate", "is_feasible",
     "project_onto_feasible", "projection_certificate",
-    "Drawer", "LARGE_ENERGY_THRESHOLD", "Partition", "RowLayout", "ZERO_CLASS",
+    "LARGE_ENERGY_THRESHOLD", "RowLayout", "ZERO_CLASS",
     "analytic_intersection_lower_bound", "analytic_selection_bounds",
-    "build_partition", "sample_block", "uniform_stream",
+    "draw_trials", "sample_block", "uniform_stream",
     "Trajectory", "learn", "reward_order", "surrogate_gradient", "surrogate_value",
     "__version__",
 ]

@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
 from .projection import project_onto_feasible
-from .sampler import Drawer, analytic_selection_bounds
+from .sampler import RowLayout, analytic_selection_bounds, draw_trials
 from .surrogate import learn, surrogate_gradient, surrogate_value
 
 CONFIG_VERSION = 1
@@ -81,14 +82,6 @@ class RunReport:
     bound_satisfied: bool | None
     large_beta_mode: bool
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["seeds"] = list(self.seeds)
-        d["per_seed_profit"] = list(self.per_seed_profit)
-        d["comparator_subset"] = (None if self.comparator_subset is None
-                                  else list(self.comparator_subset))
-        return d
-
     def summary_lines(self) -> list[str]:
         lines = [
             f"environment: {self.kind} (n={self.n}, T={self.T})",
@@ -130,8 +123,7 @@ def parse_config(data) -> ExperimentConfig:
     if not isinstance(env, dict):
         problems.append(f"environment must be an object, got {_type_name(env)}")
     else:
-        allowed_env = {"kind", "n", "T", "seed", "r_max", "cost_range", "beta_max",
-                       "value_range", "c_max", "shift_segments"}
+        allowed_env = {field.name for field in fields(EnvironmentSpec)}
         for key in sorted(set(env) - allowed_env):
             problems.append(f"unknown environment key {key!r}")
         kwargs = {k: v for k, v in env.items() if k in allowed_env}
@@ -270,19 +262,28 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     check_constraints(stream, env)
 
     out_dir = None
-    if config.output_dir is not None:
+    if config.output_dir is None:
+        trajectory = learn(stream)
+    else:
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_stream(stream, out_dir / "stream.csv")
-
-    trajectory = learn(stream)
+        # written before learn, which keeps the peak RSS down, but under a
+        # name no finished run leaves until learn has accepted the stream
+        pending = out_dir / "stream.csv.tmp"
+        try:
+            write_stream(stream, pending)
+            trajectory = learn(stream)
+        except BaseException:
+            pending.unlink(missing_ok=True)
+            raise
+        os.replace(pending, out_dir / "stream.csv")
     grad_norm, eta = trajectory.grad_norm.tolist(), trajectory.eta.tolist()
-    drawer = Drawer(stream.action_set)
+    layout = RowLayout(stream.action_set)
     per_seed = []
     for seed in config.seeds:
         total = 0.0
         with TraceWriter(out_dir / f"trace_seed{seed}.csv") if out_dir else nullcontext() as writer:
-            for start, member in drawer.draw_trials(trajectory.weights, seed):
+            for start, member in draw_trials(trajectory.weights, seed, layout):
                 stop = start + len(member)
                 rows, cols = np.nonzero(member)
                 gains = selection_profits(rows, cols, stream.rewards[start:stop],
@@ -317,17 +318,12 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         r_hat=stream.r_hat, c_hat=stream.c_hat, alpha=aset.alpha, delta=aset.delta,
         bound_slack=slack, comparator_subset=comparator_subset,
         comparator_total=comparator_total, bound_satisfied=bound_satisfied,
-        large_beta_mode=drawer.layout.wrapper,
+        large_beta_mode=layout.wrapper,
     )
     if out_dir:
         (out_dir / "report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            json.dumps(vars(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return report
-
-
-def replay(stream_path, config: ExperimentConfig) -> RunReport:
-    """Re-run an experiment against a previously written stream file."""
-    return run_experiment(config, stream=read_stream(stream_path))
 
 
 def _probcheck(n: int, n_samples: int, seed: int, out) -> int:
@@ -413,7 +409,8 @@ def main(argv=None, out=None) -> int:
     try:
         if args.command in ("run", "replay"):
             config = _require_config(args)
-            report = run_experiment(config) if args.command == "run" else replay(args.stream, config)
+            stream = read_stream(args.stream) if args.command == "replay" else None
+            report = run_experiment(config, stream)
             print("\n".join(report.summary_lines()), file=out)
             if report.bound_satisfied is False:
                 return EXIT_INVALID

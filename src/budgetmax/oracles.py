@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK
-from .sampler import RowLayout, build_partition, sample_block
+from .sampler import LARGE_ENERGY_THRESHOLD, RowLayout, sample_block
 from .surrogate import reward_order
 
 MAX_EXHAUSTIVE_ACTIONS = 20
@@ -96,25 +96,44 @@ def best_fixed_subset(stream, action_set: ActionSet, alpha: float, delta: float)
     return ComparatorResult(best_subset, best_value, True)
 
 
-def _class_draws(w, action_set: ActionSet) -> list:
+def _class_draws(w, layout: RowLayout) -> list:
     """``(actions, within-class probabilities, full draws, residual mass)`` per class.
 
     Plain scalar code, apart from the sampler's vectorized block, so a slip
-    in either one shows; only the partition into classes is shared. Classes
+    in either one shows; only the classes of ``layout`` are shared. Classes
     without weight make no draw and are left out.
     """
+    if layout.wrapper:
+        raise ValueError(f"exact oracles describe the standard sampler, not the large-energy "
+                         f"wrapper used when an energy is at least {LARGE_ENERGY_THRESHOLD}")
     w = np.asarray(w, dtype=float)
-    partition = build_partition(action_set)
     draws = []
-    for actions in partition.groups.values():
+    for actions in layout.classes.values():
         weights = [float(w[i]) for i in actions]
         mass = math.fsum(weights)
         if mass <= 0.0:
             continue
-        scaled = partition.delta * mass
+        scaled = layout.delta * mass
         full = math.floor(scaled)
         draws.append((actions, np.array(weights) / mass, full, scaled - full))
     return draws
+
+
+def _selection_probs(draws, n: int) -> np.ndarray:
+    probs = np.zeros(n)
+    for actions, p, full, residual in draws:
+        probs[actions] = 1.0 - (1.0 - p) ** full * (1.0 - residual * p)
+    return probs
+
+
+def _hit_prob(draws, subset) -> float:
+    members = set(int(i) for i in subset)
+    miss = 1.0
+    for actions, probs, full, residual in draws:
+        inside = np.array([int(a) in members for a in actions])
+        p = float(np.sum(probs[inside]))
+        miss *= (1.0 - p) ** full * (1.0 - residual * p)
+    return 1.0 - miss
 
 
 def exact_selection_probs(w, action_set: ActionSet) -> np.ndarray:
@@ -122,22 +141,17 @@ def exact_selection_probs(w, action_set: ActionSet) -> np.ndarray:
 
     An action with within-class probability p in a class making m full draws
     with residual mass rho is missed with probability (1-p)^m * (1 - rho*p).
+    Raises ``ValueError`` for an action set sampled through the wrapper.
     """
-    probs = np.zeros(action_set.n)
-    for actions, p, full, residual in _class_draws(w, action_set):
-        probs[actions] = 1.0 - (1.0 - p) ** full * (1.0 - residual * p)
-    return probs
+    return _selection_probs(_class_draws(w, RowLayout(action_set)), action_set.n)
 
 
 def exact_intersection_prob(w, action_set: ActionSet, subset) -> float:
-    """P(S hits ``subset``), exactly, via the same product form per class."""
-    members = set(int(i) for i in subset)
-    miss = 1.0
-    for actions, probs, full, residual in _class_draws(w, action_set):
-        inside = np.array([int(a) in members for a in actions])
-        p = float(np.sum(probs[inside]))
-        miss *= (1.0 - p) ** full * (1.0 - residual * p)
-    return 1.0 - miss
+    """P(S hits ``subset``), exactly, via the same product form per class.
+
+    Raises ``ValueError`` for an action set sampled through the wrapper.
+    """
+    return _hit_prob(_class_draws(w, RowLayout(action_set)), subset)
 
 
 def exact_expected_profit(w, action_set: ActionSet, rewards, costs) -> float:
@@ -145,9 +159,10 @@ def exact_expected_profit(w, action_set: ActionSet, rewards, costs) -> float:
 
     E[max reward] telescopes over the descending-reward prefixes: the max is
     at least r_{s_j} exactly when the selection hits the top-j prefix. Costs
-    enter through the exact per-action marginals.
+    enter through the exact per-action marginals. Raises ``ValueError`` for
+    an action set sampled through the wrapper.
     """
-    w = np.asarray(w, dtype=float)
+    draws = _class_draws(w, RowLayout(action_set))
     rewards = np.asarray(rewards, dtype=float)
     order = reward_order(rewards)
     r_sorted = rewards[order]
@@ -156,15 +171,14 @@ def exact_expected_profit(w, action_set: ActionSet, rewards, costs) -> float:
     for j in range(action_set.n):
         if drops[j] == 0.0:
             continue
-        hit = exact_intersection_prob(w, action_set, order[:j + 1])
-        expected_max += drops[j] * hit
-    marginals = exact_selection_probs(w, action_set)
+        expected_max += drops[j] * _hit_prob(draws, order[:j + 1])
+    marginals = _selection_probs(draws, action_set.n)
     expected_cost = float(np.asarray(costs, dtype=float) @ marginals)
     return expected_max - expected_cost
 
 
-def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int, chunk: int):
-    """Membership blocks of ``n_samples`` independent draws at ``w``, ``chunk`` rows at a time.
+def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
+    """Membership blocks of ``n_samples`` independent draws at ``w``, ``MC_CHUNK`` rows at a time.
 
     Each draw is sampled as the learner samples a trial, from uniforms of
     ``np.random.default_rng(seed)``. A block's uniforms are drawn column by
@@ -174,28 +188,28 @@ def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int, chun
     layout = RowLayout(action_set)
     rng = np.random.default_rng(seed)
     w = np.asarray(w, dtype=float)[None]
-    for start in range(0, int(n_samples), chunk):
-        rows = min(chunk, int(n_samples) - start)
+    for start in range(0, int(n_samples), MC_CHUNK):
+        rows = min(MC_CHUNK, int(n_samples) - start)
         yield sample_block(w, rng.random((layout.width, rows)).T, layout)
 
 
-def estimate_selection_probs(w, action_set: ActionSet, n_samples: int, seed: int,
-                             chunk: int = MC_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,
+                             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo per-action selection frequencies and their standard errors."""
     counts = np.zeros(action_set.n)
-    for member in _membership_blocks(w, action_set, n_samples, seed, chunk):
+    for member in _membership_blocks(w, action_set, n_samples, seed):
         counts += member.sum(axis=0)
     freq = counts / n_samples
     sigma = np.sqrt(freq * (1.0 - freq) / n_samples)
     return freq, sigma
 
 
-def estimate_hit_rates(w, action_set: ActionSet, subsets, n_samples: int, seed: int,
-                       chunk: int = MC_CHUNK) -> np.ndarray:
+def estimate_hit_rates(w, action_set: ActionSet, subsets, n_samples: int,
+                       seed: int) -> np.ndarray:
     """Monte Carlo frequencies with which the selection hits each subset."""
     subset_idx = [np.array(sorted(set(int(i) for i in sub)), dtype=int) for sub in subsets]
     counts = np.zeros(len(subset_idx))
-    for member in _membership_blocks(w, action_set, n_samples, seed, chunk):
+    for member in _membership_blocks(w, action_set, n_samples, seed):
         for k, idx in enumerate(subset_idx):
             if idx.size:
                 counts[k] += int(member[:, idx].any(axis=1).sum())

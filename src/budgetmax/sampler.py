@@ -49,7 +49,7 @@ The uniforms of engine seed ``s`` are ``Generator(Philox(key=s))`` doubles
 row by row: row ``t`` holds stream values ``t*K`` to ``t*K + K - 1``.
 Philox yields four 64-bit words per counter step and each double takes one,
 so ``Philox(key=s).advance(t * K // 4)`` lands exactly on row ``t`` and any
-row can be read on its own (:func:`uniform_stream`). A :class:`Drawer` draws
+row can be read on its own (:func:`uniform_stream`). :func:`draw_trials` draws
 an engine seed's selections from a weight trajectory, a block of trials at a
 time; trial ``t`` reads only its own row of uniforms, so it draws the same
 selection at a given weight vector no matter how many other trials were
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,70 +69,6 @@ from .projection import FEASIBILITY_TOL
 
 # Class key reserved for zero-energy actions (they never strain the budget).
 ZERO_CLASS = 0
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Energy classes, keyed by class index, plus the thresholds used.
-
-    ``groups`` maps ``q`` to an ascending array of action indices. ``beta``
-    is the threshold base (the max energy, or an explicit cap), ``tau`` and
-    ``delta`` are derived from it. Actions above a cap are simply absent.
-    """
-
-    groups: dict
-    beta: float
-    tau: float
-    delta: float
-
-    def covered_actions(self) -> np.ndarray:
-        if not self.groups:
-            return np.empty(0, dtype=int)
-        return np.sort(np.concatenate([idx for idx in self.groups.values()]))
-
-
-def build_partition(action_set: ActionSet, cap: float | None = None) -> Partition:
-    """Group actions by energy class.
-
-    With ``cap=None`` every action is covered and thresholds come from
-    ``action_set.beta``, which must be below 1. With an explicit cap the
-    thresholds come from the cap and only actions with ``z_i < cap`` are
-    covered; the caller is responsible for the rest.
-    """
-    z = action_set.z
-    if cap is None:
-        beta = action_set.beta
-        if beta >= 1.0:
-            raise ValueError("standard partition requires max energy < 1")
-        covered = np.arange(z.size)
-    else:
-        beta = float(cap)
-        if not 0.0 < beta < 1.0:
-            raise ValueError("cap must lie in (0, 1)")
-        covered = np.flatnonzero(z < beta)
-    tau = 1.0 - math.sqrt(beta)
-    delta = tau * tau
-
-    log_tau = math.log(tau) if tau < 1.0 else 0.0  # tau = 1 only when every z_i is 0
-    buckets: dict[int, list[int]] = {}
-    for i, zi in zip(covered.tolist(), z[covered].tolist()):
-        q = ZERO_CLASS
-        if zi > 0.0:
-            # q >= 1 such that tau**q * beta < zi <= tau**(q-1) * beta. The log
-            # estimate can be off by one at class boundaries, so correct it.
-            q = max(1, math.floor(math.log(zi / beta) / log_tau) + 1)
-            while zi > tau ** (q - 1) * beta:
-                q -= 1
-            while zi <= tau ** q * beta:
-                q += 1
-        buckets.setdefault(q, []).append(i)
-    classes = sorted(buckets.items())
-    order = np.array([i for _, idx in classes for i in idx], dtype=int)
-    ends = itertools.accumulate(len(idx) for _, idx in classes)
-    groups = {q: order[end - len(idx):end] for (q, idx), end in zip(classes, ends)}
-    return Partition(groups=groups, beta=beta, tau=tau, delta=delta)
-
-
 # Energies at or above this trigger the experimental wrapper.
 LARGE_ENERGY_THRESHOLD = 0.5
 # Level of a coin or padding column: above every full-draw count, so never a draw.
@@ -141,26 +76,46 @@ _NEVER = 1 << 62
 
 
 class RowLayout:
-    """Where each draw of one selection reads its uniform, for one action set.
+    """How the selections of one action set are drawn, column by column.
 
-    ``width`` is the row width ``K`` (a multiple of 4), ``wrapper`` says
-    whether the heavy-action wrapper is on and ``partition`` holds the
-    classes sampled on tails (all actions when the wrapper is off). The
-    remaining attributes index the columns of a row and the concatenated
-    segments (``order`` lists their actions, segment by segment).
+    ``wrapper`` says whether the heavy-action wrapper is on. ``classes``
+    maps each class index ``q``, in ascending order, to the ascending
+    indices of its light actions (``z_i < 1/2``: every action when the
+    wrapper is off), and ``delta`` scales their draws. The classes are cut
+    at ``beta``, the largest energy, or 1/2 in wrapper mode, and ``delta =
+    (1 - sqrt(beta))**2``. ``width`` is the row width ``K`` (a multiple of
+    4). The remaining attributes index the columns of a row and the
+    concatenated segments (``order`` lists their actions, segment by
+    segment).
     """
 
     def __init__(self, action_set: ActionSet):
-        self.z = action_set.z
+        z = self.z = action_set.z
         self.wrapper = action_set.beta >= LARGE_ENERGY_THRESHOLD
-        cap = LARGE_ENERGY_THRESHOLD if self.wrapper else None
-        self.partition = build_partition(action_set, cap=cap)
-        delta = self.partition.delta
-        segments = [self.partition.groups[q] for q in sorted(self.partition.groups)]
+        beta = LARGE_ENERGY_THRESHOLD if self.wrapper else action_set.beta
+        tau = 1.0 - math.sqrt(beta)
+        delta = self.delta = tau * tau
+        log_tau = math.log(tau) if tau < 1.0 else 0.0  # tau = 1 only when every z_i is 0
+        buckets: dict[int, list[int]] = {}
+        light = np.flatnonzero(z < LARGE_ENERGY_THRESHOLD)
+        for i, zi in zip(light.tolist(), z[light].tolist()):
+            q = ZERO_CLASS
+            if zi > 0.0:
+                # q >= 1 such that tau**q * beta < zi <= tau**(q-1) * beta. The log
+                # estimate can be off by one at class boundaries, so correct it.
+                q = max(1, math.floor(math.log(zi / beta) / log_tau) + 1)
+                while zi > tau ** (q - 1) * beta:
+                    q -= 1
+                while zi <= tau ** q * beta:
+                    q += 1
+            buckets.setdefault(q, []).append(i)
+        self.classes = {q: np.array(idx) for q, idx in sorted(buckets.items())}
+
+        segments = list(self.classes.values())
         scales = [delta] * len(segments)
         full = [math.floor(delta * len(actions)) for actions in segments]
         if self.wrapper:
-            segments.insert(0, np.flatnonzero(action_set.z >= LARGE_ENERGY_THRESHOLD))
+            segments.insert(0, np.flatnonzero(z >= LARGE_ENERGY_THRESHOLD))
             scales.insert(0, 0.25)
             full.insert(0, 0)
         # Per action of the concatenated segments: its segment. Per column of
@@ -205,31 +160,21 @@ def uniform_stream(seed: int, width: int, start: int = 0) -> np.random.Generator
     return np.random.Generator(bit_generator)
 
 
-class Drawer:
-    """Draws engine seeds' selections for one action set (wrapper mode when ``beta >= 1/2``)."""
+def draw_trials(weights, seed: int, layout: RowLayout):
+    """Yield engine seed ``seed``'s ``(start, member)`` over consecutive blocks of trials.
 
-    def __init__(self, action_set: ActionSet):
-        self.layout = RowLayout(action_set)
-
-    def draw(self, w, seed: int, t: int) -> np.ndarray:
-        """Indices engine seed ``seed`` selects on the 1-based trial ``t`` at ``w``."""
-        uniforms = uniform_stream(seed, self.layout.width, t - 1).random((1, self.layout.width))
-        member = sample_block(np.asarray(w, dtype=float)[None], uniforms, self.layout)
-        return np.flatnonzero(member[0])
-
-    def draw_trials(self, weights, seed: int):
-        """Yield ``(start, member)`` over consecutive blocks of trials.
-
-        Row ``t`` of ``weights`` holds the weights of the 0-based trial
-        ``t``; ``member`` marks the selections of trials ``start`` to
-        ``start + len(member) - 1``, each equal to :meth:`draw` on its trial.
-        """
-        width = self.layout.width
-        uniforms = uniform_stream(seed, width)
-        rows = max(1, BLOCK_ENTRIES // self.layout.z.size)
-        for start in range(0, len(weights), rows):
-            block = weights[start:start + rows]
-            yield start, sample_block(block, uniforms.random((len(block), width)), self.layout)
+    Row ``t`` of ``weights`` holds the weights of the 0-based trial ``t``;
+    ``member`` marks the selections of trials ``start`` to ``start +
+    len(member) - 1``. Trial ``t`` reads row ``t`` of the seed's uniforms,
+    so each selection equals :func:`sample_block` at ``weights[t]`` on
+    ``uniform_stream(seed, layout.width, t)``'s first row.
+    """
+    width = layout.width
+    uniforms = uniform_stream(seed, width)
+    rows = max(1, BLOCK_ENTRIES // layout.z.size)
+    for start in range(0, len(weights), rows):
+        block = weights[start:start + rows]
+        yield start, sample_block(block, uniforms.random((len(block), width)), layout)
 
 
 def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:

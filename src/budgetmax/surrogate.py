@@ -28,7 +28,7 @@ step on trial ``t`` uses only the weights ``w_t`` and the revealed rewards
 and costs (row ``t`` of the stream's matrices), never the sampled
 selection. So the weight trajectory is the same for every engine seed:
 :func:`learn` computes it once per stream, and each seed draws its
-selections from it (:class:`budgetmax.sampler.Drawer`). A trial's reward
+selections from it (:func:`budgetmax.sampler.draw_trials`). A trial's reward
 order, drops and sorted cost parts do not depend on ``w``, so :func:`learn`
 finds them for a whole block of trials at once. Instances that the sampler
 draws through its wrapper (largest energy at least 1/2) learn the same way,

@@ -6,7 +6,7 @@ helpers here build the instances most tests need.
 
 import numpy as np
 
-from budgetmax import ActionSet, Stream, project_onto_feasible
+from budgetmax import ActionSet, Stream, project_onto_feasible, sample_block, uniform_stream
 
 
 def random_energies(rng, n, beta_max=0.49, zero_frac=0.3):
@@ -39,3 +39,12 @@ def stream_of(action_set, trials):
     """A stream whose rows are the given ``(rewards, costs)`` pairs."""
     rewards, costs = zip(*trials)
     return Stream(action_set, np.array(rewards, dtype=float), np.array(costs, dtype=float))
+
+
+def draw_one(w, seed, t, layout):
+    """Indices engine seed ``seed`` selects on the 1-based trial ``t`` at ``w``.
+
+    Only that trial's row of uniforms is read, as a replay of one trial does.
+    """
+    uniforms = uniform_stream(seed, layout.width, t - 1).random((1, layout.width))
+    return np.flatnonzero(sample_block(np.asarray(w, dtype=float)[None], uniforms, layout)[0])

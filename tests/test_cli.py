@@ -13,9 +13,8 @@ import pytest
 import budgetmax
 from budgetmax import ActionSet, Stream
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TraceWriter,
-                           load_config, main, parse_config, read_trace,
-                           replay, run_experiment)
-from budgetmax.environments import EnvironmentSpec, generate
+                           load_config, main, parse_config, read_trace, run_experiment)
+from budgetmax.environments import EnvironmentSpec, generate, read_stream
 
 
 def good_config(**overrides):
@@ -194,7 +193,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         config = parse_config(good_config(output_dir=str(out)))
         first = run_experiment(config)
-        again = replay(out / "stream.csv", parse_config(good_config()))
+        again = run_experiment(parse_config(good_config()), read_stream(out / "stream.csv"))
         assert again == first
 
     def test_replay_shape_mismatch_rejected(self, tmp_path):
@@ -202,7 +201,7 @@ class TestRunExperiment:
         run_experiment(parse_config(good_config(output_dir=str(out))))
         bad = parse_config(good_config(environment={"kind": "knapsack_01", "n": 5, "T": 20}))
         with pytest.raises(ConfigError, match="does not match"):
-            replay(out / "stream.csv", bad)
+            run_experiment(bad, read_stream(out / "stream.csv"))
 
     def test_bad_stream_writes_no_file(self, tmp_path):
         # a stream off its kind's pattern, or of the wrong size, is refused
@@ -233,7 +232,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         run_experiment(parse_config(good_config(output_dir=str(out))))
         assert calls == ["knapsack_01"]
-        replay(out / "stream.csv", parse_config(good_config()))
+        run_experiment(parse_config(good_config()), read_stream(out / "stream.csv"))
         assert calls == ["knapsack_01"] * 2
 
     def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
@@ -361,7 +360,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: trial 1: ") and "not finite" in err
         assert err.count("\n") == 1
-        assert [p.name for p in out.iterdir()] == ["stream.csv"]  # no trace, no report
+        assert list(out.iterdir()) == []  # no stream, no trace, no report
+
+    def test_failed_stream_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import budgetmax.cli as cli
+
+        def half_written(stream, path):
+            Path(path).write_text("4,20\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_stream", half_written)
+        cfg = self.write_config(tmp_path, good_config())
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("field, value", [
         ("n", True), ("T", True), ("seed", False), ("shift_segments", True),

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 
-from budgetmax import (ActionSet, Drawer, is_feasible, learn, profit, read_stream,
-                       sample_block, surrogate_value)
+from budgetmax import (ActionSet, RowLayout, draw_trials, is_feasible, learn, profit,
+                       read_stream, sample_block, surrogate_value)
 from budgetmax.cli import parse_config, read_trace, run_experiment
-from conftest import random_action_set, random_trial, stream_of
+from conftest import draw_one, random_action_set, random_trial, stream_of
 
 
-def draw_all(drawer, trajectory, seed):
-    return [drawer.draw(w, seed, t) for t, w in enumerate(trajectory.weights, start=1)]
+def draw_all(layout, trajectory, seed):
+    return [draw_one(w, seed, t, layout) for t, w in enumerate(trajectory.weights, start=1)]
 
 
 class TestProtocol:
@@ -20,17 +20,17 @@ class TestProtocol:
         npt.assert_array_equal(traj.weights, [[0.0, 0.0]])
         # the first step is taken at trial index 1: eta = eta' / sqrt(2 * 1)
         assert traj.eta[0] == math.sqrt(2) / traj.grad_norm[0] / math.sqrt(2.0)
-        assert not Drawer(aset).layout.wrapper
+        assert not RowLayout(aset).wrapper
 
     def test_large_mode_flag(self):
-        assert Drawer(ActionSet.from_energies([0.75, 0.1])).layout.wrapper
-        assert Drawer(ActionSet.from_energies([0.5])).layout.wrapper
-        assert not Drawer(ActionSet.from_energies([0.49])).layout.wrapper
+        assert RowLayout(ActionSet.from_energies([0.75, 0.1])).wrapper
+        assert RowLayout(ActionSet.from_energies([0.5])).wrapper
+        assert not RowLayout(ActionSet.from_energies([0.49])).wrapper
 
     def test_zero_weights_select_nothing(self):
         for z in ([0.3, 0.1], [0.9, 0.2], [0.0, 0.0]):
-            drawer = Drawer(ActionSet.from_energies(z))
-            assert len(drawer.draw(np.zeros(2), seed=5, t=1)) == 0
+            layout = RowLayout(ActionSet.from_energies(z))
+            assert len(draw_one(np.zeros(2), 5, 1, layout)) == 0
 
     def test_logged_profit_matches_core_formula(self, tmp_path):
         out = tmp_path / "out"
@@ -43,7 +43,7 @@ class TestProtocol:
         traj = learn(stream)
         rows = read_trace(out / "trace_seed9.csv", stream.action_set)
         assert len(rows) == 50
-        for t, (row, sel) in enumerate(zip(rows, draw_all(Drawer(stream.action_set), traj, 9))):
+        for t, (row, sel) in enumerate(zip(rows, draw_all(RowLayout(stream.action_set), traj, 9))):
             trial, indices, gain, grad_norm, eta = row
             assert trial == t + 1 and indices == sel.tolist()
             assert gain == profit(sel, stream.rewards[t], stream.costs[t])
@@ -67,16 +67,16 @@ class TestProtocol:
         traj_a, traj_b = learn(stream), learn(stream)
         for field in ("weights", "grad_norm", "eta"):
             assert np.array_equal(getattr(traj_a, field), getattr(traj_b, field))
-        drawer = Drawer(aset)
-        npt.assert_equal(draw_all(drawer, traj_a, 77), draw_all(drawer, traj_b, 77))
+        layout = RowLayout(aset)
+        npt.assert_equal(draw_all(layout, traj_a, 77), draw_all(layout, traj_b, 77))
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(137)
         aset = random_action_set(rng, 5, zero_frac=0.0)
         traj = learn(stream_of(aset, [random_trial(rng, 5, c_scale=0.2) for _ in range(30)]))
-        drawer = Drawer(aset)
-        assert ([sel.tolist() for sel in draw_all(drawer, traj, 1)]
-                != [sel.tolist() for sel in draw_all(drawer, traj, 2)])
+        layout = RowLayout(aset)
+        assert ([sel.tolist() for sel in draw_all(layout, traj, 1)]
+                != [sel.tolist() for sel in draw_all(layout, traj, 2)])
 
     def test_eta_prime_non_increasing(self):
         # each step is eta'_t / sqrt(2 t), with eta'_t the running minimum of sqrt(n) / |g|
@@ -106,7 +106,7 @@ class TestExpectedProfitFloor:
             warmup = [random_trial(rng, n, c_scale=0.3) for _ in range(25)]
             rewards, costs = random_trial(rng, n)
             w = learn(stream_of(aset, warmup + [(rewards, costs)])).weights[-1]
-            layout = Drawer(aset).layout
+            layout = RowLayout(aset)
             uniforms = np.random.default_rng(1000 + case).random((100_000, layout.width))
             member = sample_block(w[None], uniforms, layout)
             best = np.where(member, rewards, -np.inf).max(axis=1)
@@ -132,20 +132,20 @@ class TestLargeEnergyMode:
             z = rng.uniform(0.0, 1.0, n)
             z[int(rng.integers(n))] = float(rng.uniform(0.5, 1.0))  # ensure a heavy one
             aset = ActionSet.from_energies(z)
-            drawer = Drawer(aset)
-            assert drawer.layout.wrapper
+            layout = RowLayout(aset)
+            assert layout.wrapper
             traj = learn(stream_of(aset, [random_trial(rng, n) for _ in range(80)]))
-            assert all(aset.z[sel].sum() <= 1.0 + 1e-12 for sel in draw_all(drawer, traj, seed))
+            assert all(aset.z[sel].sum() <= 1.0 + 1e-12 for sel in draw_all(layout, traj, seed))
 
     def test_heads_picks_single_heavy_action(self):
         # all actions heavy: the capped partition is empty, so any non-empty
         # selection must come from the coin branch and be a singleton
         aset = ActionSet.from_energies([0.75, 0.6, 0.55])
-        drawer = Drawer(aset)
-        assert len(drawer.layout.partition.groups) == 0
+        layout = RowLayout(aset)
+        assert len(layout.classes) == 0
         traj = learn(stream_of(aset, [self.heavy_driver_trial(3, [0, 1, 2])] * 400))
         picks = []
-        for sel in draw_all(drawer, traj, 11):
+        for sel in draw_all(layout, traj, 11):
             if sel.size:
                 assert sel.size == 1
                 picks.extend(sel.tolist())
@@ -156,11 +156,11 @@ class TestLargeEnergyMode:
         # heavy the whole weight mass is 2, heads prob 1/2
         z = np.array([0.5, 0.5])
         aset = ActionSet.from_energies(z)
-        drawer = Drawer(aset)
-        assert len(drawer.layout.partition.groups) == 0
+        layout = RowLayout(aset)
+        assert len(layout.classes) == 0
         trials = 40_000
         block = np.broadcast_to([1.0, 1.0], (trials, 2))
-        hits = sum(int(member.any(axis=1).sum()) for _, member in drawer.draw_trials(block, 13))
+        hits = sum(int(member.any(axis=1).sum()) for _, member in draw_trials(block, 13, layout))
         freq = hits / trials
         expect = (1.0 + 1.0) / 4.0
         sigma = math.sqrt(expect * (1.0 - expect) / trials)
@@ -172,5 +172,5 @@ class TestLargeEnergyMode:
         assert aset.delta == 0.0
         rng = np.random.default_rng(163)
         traj = learn(stream_of(aset, [random_trial(rng, 2) for _ in range(30)]))
-        assert all(aset.z[sel].sum() <= 1.0 + 1e-12 for sel in draw_all(Drawer(aset), traj, 17))
+        assert all(aset.z[sel].sum() <= 1.0 + 1e-12 for sel in draw_all(RowLayout(aset), traj, 17))
         npt.assert_array_equal(traj.weights, np.zeros((30, 2)))

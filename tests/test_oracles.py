@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from budgetmax import (ActionSet, Stream, discounted_profit, is_feasible,
-                       surrogate_value)
+                       project_onto_feasible, surrogate_value)
 from budgetmax.oracles import (CapacityError, best_fixed_subset,
                                estimate_hit_rates, estimate_selection_probs,
                                exact_expected_profit, exact_intersection_prob,
@@ -120,6 +120,18 @@ class TestExactExpectedProfit:
             profits = best - member @ costs
             se = float(profits.std(ddof=1) / np.sqrt(len(profits)))
             assert abs(float(profits.mean()) - expect) <= 4.0 * max(se, 1e-9)
+
+    def test_wrapper_action_sets_rejected(self):
+        # max energy 0.6 >= 1/2: the sampler draws through the wrapper, where
+        # action 0's marginal is about 0.19, not the product form's 0.039
+        aset = ActionSet.from_energies([0.6, 0.3, 0.2, 0.1, 0.05])
+        w = project_onto_feasible(np.array([0.9, 0.8, 0.9, 1.0, 1.0]), aset.z)
+        rewards, costs = np.arange(5.0), np.zeros(5)
+        for oracle in (lambda: exact_selection_probs(w, aset),
+                       lambda: exact_intersection_prob(w, aset, [0, 2]),
+                       lambda: exact_expected_profit(w, aset, rewards, costs)):
+            with pytest.raises(ValueError, match="large-energy wrapper"):
+                oracle()
 
     def test_dominates_negative_surrogate(self):
         rng = np.random.default_rng(181)

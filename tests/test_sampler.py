@@ -4,21 +4,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, Drawer, RowLayout, ZERO_CLASS,
+from budgetmax import (ActionSet, RowLayout, ZERO_CLASS,
                        analytic_intersection_lower_bound, analytic_selection_bounds,
-                       build_partition, project_onto_feasible, sample_block,
-                       uniform_stream)
-from budgetmax.oracles import (estimate_selection_probs, exact_intersection_prob,
-                               exact_selection_probs)
-from conftest import random_action_set, random_feasible_point
+                       draw_trials, project_onto_feasible, sample_block, uniform_stream)
+from budgetmax.oracles import (estimate_selection_probs, exact_expected_profit,
+                               exact_intersection_prob, exact_selection_probs)
+from conftest import draw_one, random_action_set, random_feasible_point
 
 
 def reference_block(weights, uniforms, action_set):
     """The documented row layout, one row and one np.searchsorted per draw."""
     wrapper = action_set.beta >= 0.5
-    part = build_partition(action_set, cap=0.5 if wrapper else None)
-    segments = [(part.groups[q], part.delta, math.floor(part.delta * len(part.groups[q])))
-                for q in sorted(part.groups)]
+    layout = RowLayout(action_set)
+    classes, delta = layout.classes, layout.delta
+    segments = [(classes[q], delta, math.floor(delta * len(classes[q]))) for q in sorted(classes)]
     if wrapper:
         segments.insert(0, (np.flatnonzero(action_set.z >= 0.5), 0.25, 0))
     member = np.zeros((len(uniforms), action_set.n), dtype=bool)
@@ -58,56 +57,70 @@ class TestPartition:
     def test_three_action_example(self):
         # tau = 0.5: class 1 covers (0.125, 0.25], class 3 covers (0.03125, 0.0625]
         aset = ActionSet.from_energies([0.25, 0.20, 0.05])
-        part = build_partition(aset)
-        assert set(part.groups) == {1, 3}
-        npt.assert_array_equal(part.groups[1], [0, 1])
-        npt.assert_array_equal(part.groups[3], [2])
+        classes = RowLayout(aset).classes
+        assert set(classes) == {1, 3}
+        npt.assert_array_equal(classes[1], [0, 1])
+        npt.assert_array_equal(classes[3], [2])
 
     def test_zero_class(self):
         aset = ActionSet.from_energies([0.0, 0.25, 0.0])
-        part = build_partition(aset)
-        npt.assert_array_equal(part.groups[ZERO_CLASS], [0, 2])
-        npt.assert_array_equal(part.groups[1], [1])
+        classes = RowLayout(aset).classes
+        npt.assert_array_equal(classes[ZERO_CLASS], [0, 2])
+        npt.assert_array_equal(classes[1], [1])
 
     def test_all_zero(self):
-        part = build_partition(ActionSet.from_energies([0.0, 0.0]))
-        assert set(part.groups) == {ZERO_CLASS}
-        assert part.delta == 1.0
+        layout = RowLayout(ActionSet.from_energies([0.0, 0.0]))
+        assert set(layout.classes) == {ZERO_CLASS}
+        assert layout.delta == 1.0
 
     def test_boundary_energy_lands_in_upper_class(self):
         # z = tau^1 * beta exactly (0.125 for beta=0.25) belongs to class 2:
         # the class-q interval is open below, closed above
         aset = ActionSet.from_energies([0.25, 0.125])
-        part = build_partition(aset)
-        npt.assert_array_equal(part.groups[1], [0])
-        npt.assert_array_equal(part.groups[2], [1])
+        classes = RowLayout(aset).classes
+        npt.assert_array_equal(classes[1], [0])
+        npt.assert_array_equal(classes[2], [1])
 
     def test_max_energy_at_or_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            build_partition(ActionSet.from_energies([1.0, 0.2]))
+        # beta = 1 is sampled through the wrapper, which the exact oracles do not describe
+        aset = ActionSet.from_energies([1.0, 0.2])
+        w = np.array([0.5, 1.0])
+        assert RowLayout(aset).wrapper
+        for oracle in (lambda: exact_selection_probs(w, aset),
+                       lambda: exact_intersection_prob(w, aset, [0]),
+                       lambda: exact_expected_profit(w, aset, [1.0, 2.0], [0.0, 0.0])):
+            with pytest.raises(ValueError, match="large-energy wrapper"):
+                oracle()
 
     def test_cap_excludes_heavy_actions(self):
         aset = ActionSet.from_energies([0.8, 0.3, 0.0, 0.5])
-        part = build_partition(aset, cap=0.5)
-        covered = part.covered_actions()
+        layout = RowLayout(aset)
+        covered = np.sort(np.concatenate(list(layout.classes.values())))
         npt.assert_array_equal(covered, [1, 2])
-        assert part.beta == 0.5
-        assert part.delta == (1.0 - math.sqrt(0.5)) ** 2
+        assert layout.wrapper
+        assert layout.delta == (1.0 - math.sqrt(0.5)) ** 2
 
     def test_partition_covers_each_action_once_with_valid_thresholds(self):
         rng = np.random.default_rng(53)
         for _ in range(300):
             n = int(rng.integers(1, 51))
             aset = random_action_set(rng, n, beta_max=0.999, zero_frac=0.2)
-            part = build_partition(aset)
-            npt.assert_array_equal(part.covered_actions(), np.arange(n))
-            for q, idx in part.groups.items():
+            layout = RowLayout(aset)
+            # in wrapper mode the classes hold the light actions, cut at 1/2
+            heavy = np.flatnonzero(aset.z >= 0.5)
+            assert layout.wrapper == (heavy.size > 0)
+            beta = 0.5 if layout.wrapper else aset.beta
+            tau = 1.0 - math.sqrt(beta)
+            assert layout.delta == tau * tau
+            covered = np.concatenate([heavy, *layout.classes.values()])
+            npt.assert_array_equal(np.sort(covered), np.arange(n))
+            for q, idx in layout.classes.items():
                 for i in idx:
                     if q == ZERO_CLASS:
                         assert aset.z[i] == 0.0
                     else:
-                        assert part.tau ** q * part.beta < aset.z[i]
-                        assert aset.z[i] <= part.tau ** (q - 1) * part.beta
+                        assert tau ** q * beta < aset.z[i]
+                        assert aset.z[i] <= tau ** (q - 1) * beta
 
 
 class TestDrawPlans:
@@ -145,8 +158,7 @@ class TestDrawPlans:
             for _ in range(50):
                 aset = random_action_set(rng, int(rng.integers(1, 60)), beta_max=beta_max)
                 layout = RowLayout(aset)
-                part = layout.partition
-                used = sum(math.floor(part.delta * len(a)) + 2 for a in part.groups.values())
+                used = sum(math.floor(layout.delta * len(a)) + 2 for a in layout.classes.values())
                 used += 2 * layout.wrapper
                 assert layout.width % 4 == 0 and used <= layout.width < used + 4
 
@@ -156,7 +168,7 @@ class TestMatchesSearchsortedReference:
     def test_weight_block(self, n, rows):
         rng = np.random.default_rng(1000 + n)
         aset = random_action_set(rng, n, zero_frac=0.2)
-        assert ZERO_CLASS in build_partition(aset).groups or n == 1
+        assert ZERO_CLASS in RowLayout(aset).classes or n == 1
         weights = feasible_rows(rng, aset.z, rows)
         uniforms = rng.random((rows, RowLayout(aset).width))
         npt.assert_array_equal(sample_block(weights, uniforms, RowLayout(aset)),
@@ -215,22 +227,22 @@ class TestUniformStream:
         with pytest.raises(ValueError, match="multiple of 4"):
             uniform_stream(21, 10)
         with pytest.raises(ValueError, match="non-negative"):
-            Drawer(ActionSet.from_energies([0.25])).draw(np.ones(1), 21, 0)
+            draw_one(np.ones(1), 21, 0, RowLayout(ActionSet.from_energies([0.25])))
 
     def test_draw_equals_row_of_the_seed_block(self):
         # 300 trials of 200 actions span four blocks of draw_trials
         rng = np.random.default_rng(10)
         for beta_max in (0.49, 0.9):
             aset = random_action_set(rng, 200, beta_max=beta_max)
-            drawer = Drawer(aset)
+            layout = RowLayout(aset)
             weights = feasible_rows(rng, aset.z, 300)
             for seed in (0, 5):
-                blocks = np.vstack([m for _, m in drawer.draw_trials(weights, seed)])
+                blocks = np.vstack([m for _, m in draw_trials(weights, seed, layout)])
                 uniforms = np.random.Generator(np.random.Philox(key=seed)).random(
-                    (300, drawer.layout.width))
-                npt.assert_array_equal(blocks, sample_block(weights, uniforms, drawer.layout))
+                    (300, layout.width))
+                npt.assert_array_equal(blocks, sample_block(weights, uniforms, layout))
                 for t in range(1, 301, 13):
-                    npt.assert_array_equal(drawer.draw(weights[t - 1], seed, t),
+                    npt.assert_array_equal(draw_one(weights[t - 1], seed, t, layout),
                                            np.flatnonzero(blocks[t - 1]))
 
 
@@ -280,14 +292,13 @@ class TestSampling:
         # one draw per trial replays the seed's block bitwise, and the
         # block's frequencies match the exact marginals
         aset = ActionSet.from_energies([0.4, 0.4, 0.1, 0.0, 0.03, 0.25])
-        drawer = Drawer(aset)
+        layout = RowLayout(aset)
         w = random_feasible_point(np.random.default_rng(3), aset.z)
         exact = exact_selection_probs(w, aset)
         n_draws = 100_000
-        batch = sample_block(w[None], rows_of(67, 0, n_draws, drawer.layout.width),
-                             drawer.layout)
+        batch = sample_block(w[None], rows_of(67, 0, n_draws, layout.width), layout)
         for t in range(1, 2001):
-            assert drawer.draw(w, 67, t).tolist() == np.flatnonzero(batch[t - 1]).tolist()
+            assert draw_one(w, 67, t, layout).tolist() == np.flatnonzero(batch[t - 1]).tolist()
         sigma = np.sqrt(exact * (1.0 - exact) / n_draws)
         assert np.all(np.abs(batch.mean(axis=0) - exact) <= 5.0 * np.maximum(sigma, 1e-9))
 
