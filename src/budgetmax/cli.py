@@ -12,7 +12,8 @@ Config files are JSON with an explicit version::
 
 Unknown keys anywhere are errors, and validation reports every violation at
 once. A run writes one CSV trace per engine seed plus the generated stream
-(so it can be replayed) and a JSON report. Trace rows are
+(so it can be replayed) and a JSON report. A replay writes back the stream
+file's bytes as it read them, not a ``%.17g`` re-rendering. Trace rows are
 ``trial,selected,profit,cum_profit,grad_norm,eta`` with the selected actions
 as ascending semicolon-joined 0-based indices and floats at 17 significant
 digits, which makes repeated runs byte-identical.
@@ -32,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK, selection_profits
-from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
-                           check_constraints, generate, read_stream, write_stream)
+from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_constraints,
+                           generate, read_stream, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -248,7 +249,9 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
 
     The stream is generated from the config's environment unless one is
     passed in (replay); either way it is revalidated against the kind's
-    constraint pattern before the learner sees it. The weight trajectory
+    constraint pattern before the learner sees it. A stream read from a file
+    is saved as its ``source`` bytes, a generated one with ``write_stream``.
+    The weight trajectory
     does not depend on the engine seed, so each seed only draws its
     selections from it.
     """
@@ -271,7 +274,10 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         # name no finished run leaves until learn has accepted the stream
         pending = out_dir / "stream.csv.tmp"
         try:
-            write_stream(stream, pending)
+            if stream.source is None:
+                write_stream(stream, pending)
+            else:
+                pending.write_bytes(stream.source)  # a replay saves the bytes it parsed
             trajectory = learn(stream)
         except BaseException:
             pending.unlink(missing_ok=True)

@@ -17,18 +17,21 @@ built, with whole-array operations, and an error names the first bad trial.
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
-significant digits so a write/read round trip is bit-exact.
+significant digits so a write/read round trip is bit-exact. ``read_stream``
+reads a file once, as bytes, parses its trial lines in blocks and keeps the
+bytes as the stream's ``source``: a replay saves them as they were read, not
+re-rendered with ``%.17g``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSet
+from .core import ActionSet, BLOCK_ENTRIES
 
 KINDS = ("facility_location", "knapsack_median", "knapsack_01", "random_adversarial")
 
@@ -117,11 +120,14 @@ class Stream:
     Building a stream checks its matrices once (a ``ValueError`` names the
     first bad trial, see :func:`_first_bad_trial`), so every consumer takes
     row ``t`` of ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
+    A stream read from a file keeps that file's bytes as ``source``, so a
+    run saves it as it was read; a generated stream has none.
     """
 
     action_set: ActionSet
     rewards: np.ndarray
     costs: np.ndarray
+    source: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rewards.ndim != 2 or self.rewards.shape != self.costs.shape:
@@ -277,13 +283,69 @@ def _parse_floats(fields, lineno, what):
         raise StreamFormatError(f"line {lineno}: bad {what}: {exc}") from None
 
 
+def _lines(data: bytes):
+    """Yield the lines of ASCII ``data`` as ``data.decode().splitlines()`` would.
+
+    Each ``\\n``-terminated piece is decoded and split on its own (a line
+    can also end at ``\\r``, ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``, and
+    ``\\r\\n`` stays one line end), so the file is held once, as bytes.
+    """
+    start, size = 0, len(data)
+    while start < size:
+        stop = data.find(b"\n", start) + 1 or size
+        yield from data[start:stop].decode("ascii").splitlines()
+        start = stop
+
+
+def _trial_values(line: str, t: int, n: int) -> list:
+    """The ``2n`` value fields of trial ``t``'s line, once its structure is checked."""
+    lineno = t + 1
+    if not line.strip():
+        raise StreamFormatError(f"line {lineno}: expected trial {t}, found end of file")
+    fields = line.split(",")
+    if len(fields) != 1 + 2 * n:
+        raise StreamFormatError(
+            f"line {lineno}: expected {1 + 2 * n} fields (t, {n} rewards, {n} costs), got {len(fields)}")
+    try:
+        tag = int(fields[0])
+    except ValueError:
+        raise StreamFormatError(f"line {lineno}: trial index must be an integer, got {fields[0]!r}") from None
+    if tag != t:
+        raise StreamFormatError(f"line {lineno}: expected trial {t}, got {tag}")
+    del fields[0]
+    return fields
+
+
+def _parse_block(values: list, first_lineno: int, width: int) -> np.ndarray:
+    """``values``, ``width`` fields per line from line ``first_lineno`` on, as floats.
+
+    The cast calls ``float`` on each field, as :func:`_parse_floats` does;
+    only a block that fails is walked line by line, to name its first bad line.
+    """
+    try:
+        return np.array(values, dtype=float)
+    except ValueError:
+        for k in range(0, len(values), width):
+            _parse_floats(values[k:k + width], first_lineno + k // width, "reward/cost")
+        raise
+
+
 def read_stream(path) -> Stream:
-    """Parse a stream file, validating structure line by line and values as arrays."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines:
+    """Parse a stream file, validating structure line by line and values as arrays.
+
+    The file is read once, as bytes, and the returned stream keeps them as
+    its ``source``. Trial lines are parsed in blocks of ``BLOCK_ENTRIES // (2n)``,
+    each block's values cast to floats at once. An error names the first bad
+    line, whether the fault is in its structure or in a value.
+    """
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        data.decode("ascii")  # raises the UnicodeDecodeError that names the byte
+    lines = _lines(data)
+    first = next(lines, None)
+    if first is None:
         raise StreamFormatError("line 1: empty stream file")
-    head = lines[0].split(",")
+    head = first.split(",")
     if len(head) < 2:
         raise StreamFormatError("line 1: preamble needs at least n and T")
     try:
@@ -296,34 +358,31 @@ def read_stream(path) -> Stream:
         raise StreamFormatError(f"line 1: expected {2 + n} fields (n, T, {n} energies), got {len(head)}")
     z = np.array(_parse_floats(head[2:], 1, "energy"))
 
-    rewards = np.zeros((T, n))
-    costs = np.zeros((T, n))
-    for t in range(T):
-        lineno = t + 2
-        if t + 1 >= len(lines) or not lines[t + 1].strip():
-            raise StreamFormatError(f"line {lineno}: expected trial {t + 1}, found end of file")
-        fields = lines[t + 1].split(",")
-        if len(fields) != 1 + 2 * n:
-            raise StreamFormatError(
-                f"line {lineno}: expected {1 + 2 * n} fields (t, {n} rewards, {n} costs), got {len(fields)}")
+    rewards = np.empty((T, n))
+    costs = np.empty((T, n))
+    width = 2 * n
+    rows = max(1, BLOCK_ENTRIES // width)
+    for start in range(0, T, rows):
+        stop = min(T, start + rows)
+        values = []
         try:
-            tag = int(fields[0])
-        except ValueError:
-            raise StreamFormatError(f"line {lineno}: trial index must be an integer, got {fields[0]!r}") from None
-        if tag != t + 1:
-            raise StreamFormatError(f"line {lineno}: expected trial {t + 1}, got {tag}")
-        row = _parse_floats(fields[1:], lineno, "reward/cost")
-        rewards[t] = row[:n]
-        costs[t] = row[n:]
-    extra = [k for k in range(T + 1, len(lines)) if lines[k].strip()]
-    if extra:
-        raise StreamFormatError(f"line {extra[0] + 1}: trailing data after trial {T}")
+            for t in range(start + 1, stop + 1):
+                values += _trial_values(next(lines, ""), t, n)
+        except StreamFormatError:
+            _parse_block(values, start + 2, width)  # a bad value on an earlier line wins
+            raise
+        block = _parse_block(values, start + 2, width).reshape(stop - start, width)
+        rewards[start:stop] = block[:, :n]
+        costs[start:stop] = block[:, n:]
+    for lineno, line in enumerate(lines, T + 2):
+        if line.strip():
+            raise StreamFormatError(f"line {lineno}: trailing data after trial {T}")
     try:
         action_set = ActionSet.from_energies(z)
     except ValueError as exc:
         raise StreamFormatError(f"line 1: {exc}") from None
     try:
-        return Stream(action_set, rewards, costs)
+        return Stream(action_set, rewards, costs, source=data)
     except ValueError:
         # the stream's own check failed; find the same row again to name its line
         t, reason = _first_bad_trial(rewards, costs, n)

@@ -7,14 +7,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 import budgetmax
 from budgetmax import ActionSet, Stream
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TraceWriter,
                            load_config, main, parse_config, read_trace, run_experiment)
-from budgetmax.environments import EnvironmentSpec, generate, read_stream
+from budgetmax.environments import EnvironmentSpec, generate, read_stream, write_stream
 
 
 def good_config(**overrides):
@@ -373,6 +372,51 @@ class TestMain:
         cfg = self.write_config(tmp_path, good_config())
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_replay_writes_back_the_bytes_it_read(self, tmp_path):
+        # short reprs, CRLF line ends and a trailing blank line: write_stream
+        # would keep none of them, and the traces and report must not care
+        env = {"kind": "knapsack_01", "n": 2, "T": 3}
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[0, 1]))
+        data = b"2,3,0.1,0.25\r\n1,0,0,-0.5,-0.1\r\n2,0,0,-1,-0.25\r\n3,0,0,-0.3,-0.7\r\n\r\n"
+        hand = tmp_path / "hand.csv"
+        hand.write_bytes(data)
+        copy = tmp_path / "copy.csv"
+        write_stream(read_stream(hand), copy)
+        assert copy.read_bytes() != data
+        for stream, out in ((hand, "hand"), (copy, "copy")):
+            argv = ["--config", cfg, "--out", str(tmp_path / out), "replay", "--stream", str(stream)]
+            assert main(argv) == 0
+        assert (tmp_path / "hand" / "stream.csv").read_bytes() == data
+        assert (tmp_path / "copy" / "stream.csv").read_bytes() == copy.read_bytes()
+        names = sorted(p.name for p in (tmp_path / "hand").iterdir())
+        assert names == ["report.json", "stream.csv", "trace_seed0.csv", "trace_seed1.csv"]
+        for name in ("report.json", "trace_seed0.csv", "trace_seed1.csv"):
+            assert (tmp_path / "hand" / name).read_bytes() == (tmp_path / "copy" / name).read_bytes()
+
+    def test_replay_into_the_input_directory_keeps_every_file(self, tmp_path):
+        cfg = self.write_config(tmp_path, good_config())
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["--config", cfg, "--out", str(out), "replay",
+                     "--stream", str(out / "stream.csv")]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_replay_write_leaves_no_file(self, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path, good_config())
+        recorded = tmp_path / "run" / "stream.csv"
+        assert main(["--config", cfg, "--out", str(recorded.parent), "run"]) == 0
+
+        def half_written(path, data):
+            with open(path, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", half_written)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(recorded)]) == 2
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("field, value", [

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from budgetmax import ActionSet, StreamFormatError, read_stream, write_stream
+from budgetmax.core import BLOCK_ENTRIES
 from budgetmax.environments import (C_MAX_LIMIT, EnvironmentSpec, Stream, check_constraints,
                                     generate, site_rewards)
 
@@ -279,3 +280,67 @@ class TestStreamFiles:
         path.write_text("")
         with pytest.raises(StreamFormatError, match="line 1"):
             read_stream(path)
+
+    def test_earlier_bad_value_beats_later_structural_fault(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1,5,0.25\n1,0.5,0.0\n2,0.5,oops\n3,0.5,0.1\n4,0.5\n5,0.5,0.1\n")
+        with pytest.raises(StreamFormatError, match="line 3: bad reward/cost"):
+            read_stream(path)
+
+    def test_bad_value_in_a_later_block_names_its_line(self, tmp_path):
+        n = 100
+        rows = BLOCK_ENTRIES // (2 * n)  # trial lines per parse block
+        stream = generate(spec_for("facility_location", n=n, T=2 * rows + 3))
+        path = tmp_path / "s.csv"
+        write_stream(stream, path)
+        lines = path.read_text().splitlines()
+        for t in (rows + 5, rows + 9):  # two bad trials in the second block
+            fields = lines[t].split(",")
+            fields[n + 3] = "1.0.0"
+            lines[t] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StreamFormatError, match=f"^line {rows + 6}: bad reward/cost: "
+                                                    "could not convert string to float: '1.0.0'$"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("text", ["1_000", "0x10", "1e500", "nan", " 0.5\t", "1__0", "+.5",
+                                      "5.", "-0", "1e-400", "Infinity", "", "0.1 0.2"])
+    def test_values_parse_as_python_float(self, tmp_path, text):
+        # a value is accepted or rejected as float() accepts or rejects it
+        path = tmp_path / "s.csv"
+        path.write_text(f"1,2,0.25\n1,0.5,{text}\n2,0.5,0.1\n")
+        try:
+            value = float(text)
+        except ValueError as exc:
+            with pytest.raises(StreamFormatError, match=f"^line 2: bad reward/cost: {exc}$"):
+                read_stream(path)
+            return
+        if not math.isfinite(value):
+            with pytest.raises(StreamFormatError, match="^line 2: rewards and costs must be finite$"):
+                read_stream(path)
+            return
+        got = read_stream(path).costs[0, 0]
+        assert got == value and np.signbit(got) == np.signbit(value)
+
+    def test_lines_end_as_splitlines_ends_them(self, tmp_path):
+        # \r\n is one line end; \r, \v, \f and \x1c-\x1e end a line too
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1,4,0.25\r\n1,0.5,0.1\r2,0.5,0.2\x0b3,0.5,0.3\x1e4,0.5,0.4\r\n\x0c\n")
+        npt.assert_array_equal(read_stream(path).costs[:, 0], [0.1, 0.2, 0.3, 0.4])
+        path.write_bytes(b"1,1,0.25\r\r\n1,0.5,0.1\n")
+        with pytest.raises(StreamFormatError, match="line 2: expected trial 1, found end of file"):
+            read_stream(path)
+
+    def test_non_ascii_byte_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes("1,1,0.25\n1,0.5,0.1é\n".encode("utf-8"))
+        with pytest.raises(UnicodeDecodeError, match="byte 0xc3 in position 18"):
+            read_stream(path)
+
+    def test_read_stream_keeps_the_bytes_it_parsed(self, tmp_path):
+        path = tmp_path / "s.csv"
+        data = b"2,2,0.25,0.5\r\n1,0.5,0.1,-0.5,0\r\n2,1,0,0,-1e-3\r\n\r\n"
+        path.write_bytes(data)
+        stream = read_stream(path)
+        assert stream.source == data
+        assert generate(spec_for("knapsack_01", n=2, T=2)).source is None
