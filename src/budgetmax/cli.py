@@ -12,7 +12,8 @@ Config files are JSON with an explicit version::
 
 Unknown keys anywhere are errors, and validation reports every violation at
 once. A run writes one CSV trace per engine seed plus the generated stream
-(so it can be replayed) and a JSON report. A replay writes back the stream
+(so it can be replayed) and a JSON report, each under a temporary name
+until the run has succeeded. A replay writes back the stream
 file's bytes as it read them, not a ``%.17g`` re-rendering. Trace rows are
 ``trial,selected,profit,cum_profit,grad_norm,eta`` with the selected actions
 as ascending semicolon-joined 0-based indices and floats at 17 significant
@@ -26,8 +27,8 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .surrogate import learn, surrogate_gradient, surrogate_value
 
 CONFIG_VERSION = 1
 TRACE_HEADER = "trial,selected,profit,cum_profit,grad_norm,eta"
+TRACE_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\n"
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -177,39 +179,12 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
-class TraceWriter:
-    """Streams trial rows to a CSV trace, tracking the cumulative profit."""
-
-    ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\n"
-
-    def __init__(self, path):
-        self._fh = open(path, "w", encoding="ascii", newline="\n")
-        self._fh.write(TRACE_HEADER + "\n")
-        self.cum_profit = 0.0
-
-    def write(self, trial: int, indices, profit: float, grad_norm: float, eta: float) -> None:
-        """One row: ``indices`` are the selected actions in ascending order."""
-        self.cum_profit += profit
-        selected = ";".join(map(str, indices))
-        self._fh.write(self.ROW % (trial, selected, profit, self.cum_profit, grad_norm, eta))
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
 def read_trace(path, action_set: ActionSet) -> list[tuple]:
     """Parse a trace CSV into ``(trial, indices, profit, grad_norm, eta)`` rows.
 
-    The rows are the arguments of :meth:`TraceWriter.write`. Trials must run
-    1, 2, 3, ...; each row's indices must be strictly ascending, in range and
-    within the unit budget; the cumulative profit is checked, not stored.
+    The rows are the fields of ``TRACE_ROW`` without the cumulative profit,
+    which is checked, not stored. Trials must run 1, 2, 3, ...; each row's
+    indices must be strictly ascending, in range and within the unit budget.
     """
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != TRACE_HEADER:
@@ -249,11 +224,16 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
 
     The stream is generated from the config's environment unless one is
     passed in (replay); either way it is revalidated against the kind's
-    constraint pattern before the learner sees it. A stream read from a file
-    is saved as its ``source`` bytes, a generated one with ``write_stream``.
-    The weight trajectory
+    constraint pattern before the learner sees it. The weight trajectory
     does not depend on the engine seed, so each seed only draws its
     selections from it.
+
+    With an ``output_dir``, every file is written under ``<name>.tmp``:
+    ``stream.csv`` before learning (a stream read from a file as its
+    ``source`` bytes, a generated one with ``write_stream``), then one
+    ``trace_seed<k>.csv`` per seed and ``report.json``. Any exception
+    unlinks them all; otherwise they are renamed in that order, so a
+    ``report.json`` marks a complete run.
     """
     env = config.environment
     if stream is None:
@@ -264,71 +244,83 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
             f"config (n={env.n}, T={env.T})")
     check_constraints(stream, env)
 
-    out_dir = None
-    if config.output_dir is None:
-        trajectory = learn(stream)
-    else:
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # written before learn, which keeps the peak RSS down, but under a
-        # name no finished run leaves until learn has accepted the stream
-        pending = out_dir / "stream.csv.tmp"
-        try:
+    out_dir = None if config.output_dir is None else Path(config.output_dir)
+    temps = []  # every output file under its temporary name, in rename order
+
+    def create(name):
+        temps.append(out_dir / f"{name}.tmp")
+        return temps[-1]
+
+    try:
+        if out_dir:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            # saved before learn, which keeps the peak RSS down
             if stream.source is None:
-                write_stream(stream, pending)
+                write_stream(stream, create("stream.csv"))
             else:
-                pending.write_bytes(stream.source)  # a replay saves the bytes it parsed
-            trajectory = learn(stream)
-        except BaseException:
-            pending.unlink(missing_ok=True)
-            raise
-        os.replace(pending, out_dir / "stream.csv")
-    grad_norm, eta = trajectory.grad_norm.tolist(), trajectory.eta.tolist()
-    layout = RowLayout(stream.action_set)
-    per_seed = []
-    for seed in config.seeds:
-        total = 0.0
-        with TraceWriter(out_dir / f"trace_seed{seed}.csv") if out_dir else nullcontext() as writer:
-            for start, member in draw_trials(trajectory.weights, seed, layout):
-                stop = start + len(member)
-                rows, cols = np.nonzero(member)
-                gains = selection_profits(rows, cols, stream.rewards[start:stop],
-                                          stream.costs[start:stop]).tolist()
-                for gain in gains:
-                    total += gain
-                if writer:
-                    ends = np.searchsorted(rows, np.arange(1, len(member))).tolist()
-                    chosen = cols.tolist()
-                    for t, gain, lo, hi in zip(range(start, stop), gains, [0] + ends,
-                                               ends + [len(chosen)]):
-                        writer.write(t + 1, chosen[lo:hi], gain, grad_norm[t], eta[t])
-        per_seed.append(total)
+                create("stream.csv").write_bytes(stream.source)  # a replay saves the bytes it parsed
+        trajectory = learn(stream)
+        grad_norm, eta = trajectory.grad_norm.tolist(), trajectory.eta.tolist()
+        layout = RowLayout(stream.action_set)
+        per_seed = []
+        for seed in config.seeds:
+            cum = 0.0
+            trace = out_dir and open(create(f"trace_seed{seed}.csv"), "w",
+                                     encoding="ascii", newline="\n")
+            try:
+                if trace:
+                    trace.write(TRACE_HEADER + "\n")
+                for start, member in draw_trials(trajectory.weights, seed, layout):
+                    stop = start + len(member)
+                    rows, cols = np.nonzero(member)
+                    gains = selection_profits(rows, cols, stream.rewards[start:stop],
+                                              stream.costs[start:stop]).tolist()
+                    cums = list(accumulate(gains, initial=cum))
+                    cum = cums[-1]
+                    if trace:
+                        ends = np.searchsorted(rows, np.arange(1, len(member))).tolist()
+                        chosen = cols.tolist()
+                        trace.write("".join(
+                            TRACE_ROW % (t + 1, ";".join(map(str, chosen[lo:hi])), gain, total,
+                                         grad_norm[t], eta[t])
+                            for t, gain, total, lo, hi in zip(range(start, stop), gains, cums[1:],
+                                                              [0] + ends, ends + [len(chosen)])))
+            finally:
+                if trace:
+                    trace.close()
+            per_seed.append(cum)
 
-    per_seed_arr = np.array(per_seed)
-    mean = float(per_seed_arr.mean())
-    stderr = (float(per_seed_arr.std(ddof=1) / math.sqrt(len(per_seed)))
-              if len(per_seed) > 1 else 0.0)
-    aset = stream.action_set
-    slack = aset.n * math.sqrt(2.0 * stream.T) * aset.delta * (stream.r_hat + stream.c_hat)
+        per_seed_arr = np.array(per_seed)
+        mean = float(per_seed_arr.mean())
+        stderr = (float(per_seed_arr.std(ddof=1) / math.sqrt(len(per_seed)))
+                  if len(per_seed) > 1 else 0.0)
+        aset = stream.action_set
+        slack = aset.n * math.sqrt(2.0 * stream.T) * aset.delta * (stream.r_hat + stream.c_hat)
 
-    comparator_subset = comparator_total = bound_satisfied = None
-    if config.bound_check:
-        comp = best_fixed_subset(stream, aset, aset.alpha, aset.delta)
-        comparator_subset = comp.subset
-        comparator_total = comp.discounted_total
-        bound_satisfied = mean >= comparator_total - slack - 3.0 * stderr
+        comparator_subset = comparator_total = bound_satisfied = None
+        if config.bound_check:
+            comp = best_fixed_subset(stream, aset, aset.alpha, aset.delta)
+            comparator_subset = comp.subset
+            comparator_total = comp.discounted_total
+            bound_satisfied = mean >= comparator_total - slack - 3.0 * stderr
 
-    report = RunReport(
-        kind=env.kind, n=stream.n, T=stream.T, seeds=config.seeds,
-        per_seed_profit=tuple(per_seed), mean_profit=mean, profit_stderr=stderr,
-        r_hat=stream.r_hat, c_hat=stream.c_hat, alpha=aset.alpha, delta=aset.delta,
-        bound_slack=slack, comparator_subset=comparator_subset,
-        comparator_total=comparator_total, bound_satisfied=bound_satisfied,
-        large_beta_mode=layout.wrapper,
-    )
-    if out_dir:
-        (out_dir / "report.json").write_text(
-            json.dumps(vars(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        report = RunReport(
+            kind=env.kind, n=stream.n, T=stream.T, seeds=config.seeds,
+            per_seed_profit=tuple(per_seed), mean_profit=mean, profit_stderr=stderr,
+            r_hat=stream.r_hat, c_hat=stream.c_hat, alpha=aset.alpha, delta=aset.delta,
+            bound_slack=slack, comparator_subset=comparator_subset,
+            comparator_total=comparator_total, bound_satisfied=bound_satisfied,
+            large_beta_mode=layout.wrapper,
+        )
+        if out_dir:
+            create("report.json").write_text(
+                json.dumps(vars(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        for path in temps:
+            os.replace(path, path.with_suffix(""))
+    except BaseException:
+        for path in temps:
+            path.unlink(missing_ok=True)
+        raise
     return report
 
 
@@ -404,8 +396,7 @@ def _require_config(args) -> ExperimentConfig:
         raise ConfigError(f"{args.command} requires --config")
     config = load_config(args.config)
     if args.out is not None:
-        config = ExperimentConfig(environment=config.environment, seeds=config.seeds,
-                                  output_dir=args.out, bound_check=config.bound_check)
+        config = replace(config, output_dir=args.out)
     return config
 
 

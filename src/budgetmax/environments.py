@@ -336,11 +336,14 @@ def read_stream(path) -> Stream:
     The file is read once, as bytes, and the returned stream keeps them as
     its ``source``. Trial lines are parsed in blocks of ``BLOCK_ENTRIES // (2n)``,
     each block's values cast to floats at once. An error names the first bad
-    line, whether the fault is in its structure or in a value.
+    line, whether the fault is in its structure or in a value; a non-ASCII
+    byte is reported, with its line, before any other fault.
     """
     data = Path(path).read_bytes()
     if not data.isascii():
-        data.decode("ascii")  # raises the UnicodeDecodeError that names the byte
+        at = data.decode("ascii", "replace").index("\ufffd")
+        lineno = len((data[:at] + b".").decode("ascii").splitlines())  # lines as _lines ends them
+        raise StreamFormatError(f"line {lineno}: non-ASCII byte 0x{data[at]:02x}")
     lines = _lines(data)
     first = next(lines, None)
     if first is None:

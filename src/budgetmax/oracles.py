@@ -33,7 +33,6 @@ class ComparatorResult:
 
     subset: tuple
     discounted_total: float
-    feasible: bool
 
 
 def best_fixed_subset(stream, action_set: ActionSet, alpha: float, delta: float) -> ComparatorResult:
@@ -93,7 +92,7 @@ def best_fixed_subset(stream, action_set: ActionSet, alpha: float, delta: float)
 
     consider(0.0, [])
     dfs(0, np.zeros(T), 0.0, 0.0, [])
-    return ComparatorResult(best_subset, best_value, True)
+    return ComparatorResult(best_subset, best_value)
 
 
 def _class_draws(w, layout: RowLayout) -> list:

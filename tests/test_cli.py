@@ -11,7 +11,7 @@ import pytest
 
 import budgetmax
 from budgetmax import ActionSet, Stream
-from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TraceWriter,
+from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TRACE_ROW,
                            load_config, main, parse_config, read_trace, run_experiment)
 from budgetmax.environments import EnvironmentSpec, generate, read_stream, write_stream
 
@@ -80,14 +80,16 @@ class TestConfigParsing:
 
 
 class TestTraces:
-    # (trial, indices, profit, grad_norm, eta), as TraceWriter.write takes them
+    # (trial, indices, profit, grad_norm, eta), as read_trace returns them
     ROWS = [(1, [0, 2], 1.5, 0.25, 2.0), (2, [], 0.0, 0.0, 2.0), (3, [1], -0.25, 0.125, 1.0)]
 
     @staticmethod
     def write(rows, path):
-        with TraceWriter(path) as writer:
-            for row in rows:
-                writer.write(*row)
+        text, cum = TRACE_HEADER + "\n", 0.0
+        for trial, indices, profit, grad_norm, eta in rows:
+            cum += profit
+            text += TRACE_ROW % (trial, ";".join(map(str, indices)), profit, cum, grad_norm, eta)
+        Path(path).write_bytes(text.encode("ascii"))
 
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -418,6 +420,58 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(recorded)]) == 2
         assert list(out.iterdir()) == []
+
+    def test_failed_trace_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import budgetmax.cli as cli
+        out = tmp_path / "out"
+        real = cli.draw_trials
+
+        def fails_after_one_block(*args):
+            blocks = real(*args)
+            yield next(blocks)
+            assert (out / "trace_seed0.csv.tmp").exists()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "draw_trials", fails_after_one_block)
+        cfg = self.write_config(tmp_path, good_config())
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_failed_report_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real = Path.write_text
+
+        def half_written(path, data, *args, **kwargs):
+            if path.name != "report.json.tmp":
+                return real(path, data, *args, **kwargs)
+            real(path, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_written)
+        cfg = self.write_config(tmp_path, good_config())
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_run_and_replay_leave_no_temporary_file(self, tmp_path):
+        cfg = self.write_config(tmp_path, good_config())
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        assert main(["--config", cfg, "--out", str(run), "run"]) == 0
+        assert main(["--config", cfg, "--out", str(replay), "replay",
+                     "--stream", str(run / "stream.csv")]) == 0
+        for out in (run, replay):
+            names = sorted(p.name for p in out.iterdir())
+            assert names == ["report.json", "stream.csv", "trace_seed0.csv",
+                             "trace_seed1.csv", "trace_seed2.csv"]
+
+    def test_report_profit_is_the_trace_total(self, tmp_path):
+        env = {"kind": "random_adversarial", "n": 6, "T": 60, "seed": 9}
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[4, 0, 7]))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for seed, profit in zip(report["seeds"], report["per_seed_profit"]):
+            last = (out / f"trace_seed{seed}.csv").read_text().splitlines()[-1]
+            assert float(last.split(",")[3]).hex() == profit.hex()
 
     @pytest.mark.parametrize("field, value", [
         ("n", True), ("T", True), ("seed", False), ("shift_segments", True),

@@ -334,7 +334,7 @@ class TestStreamFiles:
     def test_non_ascii_byte_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_bytes("1,1,0.25\n1,0.5,0.1é\n".encode("utf-8"))
-        with pytest.raises(UnicodeDecodeError, match="byte 0xc3 in position 18"):
+        with pytest.raises(StreamFormatError, match="^line 2: non-ASCII byte 0xc3$"):
             read_stream(path)
 
     def test_read_stream_keeps_the_bytes_it_parsed(self, tmp_path):
