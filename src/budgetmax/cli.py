@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK, selection_profits
 from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_constraints,
-                           generate, read_stream, write_stream)
+                           generate, non_ascii_byte, read_stream, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -151,6 +151,8 @@ def parse_config(data) -> ExperimentConfig:
         seeds = []
     if len(set(seeds)) != len(seeds):
         problems.append("seeds must be distinct")
+    if any(s >= 2**128 for s in seeds):  # Philox keys are 128-bit
+        problems.append(f"seeds must be below 2**128, got {max(seeds)}")
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -186,7 +188,11 @@ def read_trace(path, action_set: ActionSet) -> list[tuple]:
     which is checked, not stored. Trials must run 1, 2, 3, ...; each row's
     indices must be strictly ascending, in range and within the unit budget.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    data = Path(path).read_bytes()
+    bad = non_ascii_byte(data)
+    if bad is not None:
+        raise ValueError(f"{path} line {bad[0]}: non-ASCII byte 0x{bad[1]:02x}")
+    lines = data.decode("ascii").splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError(f"{path}: missing trace header")
     z = action_set.z

@@ -18,9 +18,9 @@ built, with whole-array operations, and an error names the first bad trial.
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
 significant digits so a write/read round trip is bit-exact. ``read_stream``
-reads a file once, as bytes, parses its trial lines in blocks and keeps the
-bytes as the stream's ``source``: a replay saves them as they were read, not
-re-rendered with ``%.17g``.
+reads a file once, as bytes, parses it one trial line at a time and keeps
+the bytes as the stream's ``source``: a replay saves them as they were
+read, not re-rendered with ``%.17g``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSet, BLOCK_ENTRIES
+from .core import ActionSet
 
 KINDS = ("facility_location", "knapsack_median", "knapsack_01", "random_adversarial")
 
@@ -297,6 +297,14 @@ def _lines(data: bytes):
         start = stop
 
 
+def non_ascii_byte(data: bytes) -> tuple[int, int] | None:
+    """``(line, byte)`` of the first non-ASCII byte, lines counted as ``splitlines`` ends them."""
+    if data.isascii():
+        return None
+    at = data.decode("ascii", "replace").index("\ufffd")
+    return len((data[:at] + b".").decode("ascii").splitlines()), data[at]
+
+
 def _trial_values(line: str, t: int, n: int) -> list:
     """The ``2n`` value fields of trial ``t``'s line, once its structure is checked."""
     lineno = t + 1
@@ -316,34 +324,20 @@ def _trial_values(line: str, t: int, n: int) -> list:
     return fields
 
 
-def _parse_block(values: list, first_lineno: int, width: int) -> np.ndarray:
-    """``values``, ``width`` fields per line from line ``first_lineno`` on, as floats.
-
-    The cast calls ``float`` on each field, as :func:`_parse_floats` does;
-    only a block that fails is walked line by line, to name its first bad line.
-    """
-    try:
-        return np.array(values, dtype=float)
-    except ValueError:
-        for k in range(0, len(values), width):
-            _parse_floats(values[k:k + width], first_lineno + k // width, "reward/cost")
-        raise
-
-
 def read_stream(path) -> Stream:
-    """Parse a stream file, validating structure line by line and values as arrays.
+    """Parse a stream file one trial line at a time.
 
     The file is read once, as bytes, and the returned stream keeps them as
-    its ``source``. Trial lines are parsed in blocks of ``BLOCK_ENTRIES // (2n)``,
-    each block's values cast to floats at once. An error names the first bad
-    line, whether the fault is in its structure or in a value; a non-ASCII
-    byte is reported, with its line, before any other fault.
+    its ``source``. Each trial line's structure is checked, then its ``2n``
+    values are cast to floats at once, before the next line is read, so an
+    error names the first bad line, whether the fault is in its structure or
+    in a value; a non-ASCII byte is reported, with its line, before any
+    other fault.
     """
     data = Path(path).read_bytes()
-    if not data.isascii():
-        at = data.decode("ascii", "replace").index("\ufffd")
-        lineno = len((data[:at] + b".").decode("ascii").splitlines())  # lines as _lines ends them
-        raise StreamFormatError(f"line {lineno}: non-ASCII byte 0x{data[at]:02x}")
+    bad = non_ascii_byte(data)
+    if bad is not None:
+        raise StreamFormatError("line %d: non-ASCII byte 0x%02x" % bad)
     lines = _lines(data)
     first = next(lines, None)
     if first is None:
@@ -363,20 +357,15 @@ def read_stream(path) -> Stream:
 
     rewards = np.empty((T, n))
     costs = np.empty((T, n))
-    width = 2 * n
-    rows = max(1, BLOCK_ENTRIES // width)
-    for start in range(0, T, rows):
-        stop = min(T, start + rows)
-        values = []
+    for t in range(1, T + 1):
+        fields = _trial_values(next(lines, ""), t, n)
         try:
-            for t in range(start + 1, stop + 1):
-                values += _trial_values(next(lines, ""), t, n)
-        except StreamFormatError:
-            _parse_block(values, start + 2, width)  # a bad value on an earlier line wins
+            row = np.array(fields, dtype=float)
+        except ValueError:
+            _parse_floats(fields, t + 1, "reward/cost")  # names the bad field
             raise
-        block = _parse_block(values, start + 2, width).reshape(stop - start, width)
-        rewards[start:stop] = block[:, :n]
-        costs[start:stop] = block[:, n:]
+        rewards[t - 1] = row[:n]
+        costs[t - 1] = row[n:]
     for lineno, line in enumerate(lines, T + 2):
         if line.strip():
             raise StreamFormatError(f"line {lineno}: trailing data after trial {T}")

@@ -277,19 +277,21 @@ def grid_projection(y, z, resolution: float) -> np.ndarray:
     mid_energy = mid @ z[1:-1]
     mid_dist2 = ((mid - y[1:-1]) ** 2).sum(axis=1)
 
+    # x0 is searched in chunks of rows against every mid point; the first
+    # minimum of a chunk replaces the incumbent only if strictly smaller, so
+    # ties resolve to the earliest x0, then the earliest mid point
+    chunk = max(1, 2**16 // len(mid))
     best_d2 = np.inf
     best_x = None
-    for x0 in values:
+    for start in range(0, values.size, chunk):
+        x0 = values[start:start + chunk, None]
         left = 1.0 - x0 * z[0] - mid_energy
-        feasible = left >= -1e-12
-        if not feasible.any():
-            continue
         x_last = best_last(np.maximum(left, 0.0))
         d2 = (x0 - y[0]) ** 2 + mid_dist2 + (x_last - y[-1]) ** 2
-        d2 = np.where(feasible, d2, np.inf)
-        j = int(np.argmin(d2))
-        if d2[j] < best_d2:
-            best_d2 = float(d2[j])
-            best_x = np.concatenate([[x0], mid[j], [x_last[j]]])
+        d2 = np.where(left >= -1e-12, d2, np.inf)
+        i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
+        if d2[i, j] < best_d2:
+            best_d2 = float(d2[i, j])
+            best_x = np.concatenate([x0[i], mid[j], [x_last[i, j]]])
     assert best_x is not None  # x = 0 is always feasible
     return best_x

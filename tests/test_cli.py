@@ -67,6 +67,14 @@ class TestConfigParsing:
         # without the comparator the same environment is fine
         assert parse_config(good_config(environment=env)).environment.n == 30
 
+    def test_seed_beyond_a_philox_key_reported_with_other_violations(self):
+        # Philox keys are 128-bit, so 2**128 - 1 is the largest seed
+        assert run_experiment(parse_config(good_config(seeds=[2**128 - 1]))).T == 20
+        with pytest.raises(ConfigError) as err:
+            parse_config(good_config(version=2, seeds=[0, 2**128]))
+        msg = str(err.value)
+        assert f"seeds must be below 2**128, got {2**128}" in msg and "version must be 1" in msg
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -139,6 +147,14 @@ class TestTraces:
             read_trace(path, ActionSet.from_energies([0.6, 0.6]))
         assert str(err.value).startswith(f"{path} line 2: selection energy 1.2")
         assert "exceeds the unit budget" in str(err.value)
+
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        # lines are counted as splitlines ends them: \r\n is one end, \r is one too
+        path = tmp_path / "trace.csv"
+        path.write_bytes(f"{TRACE_HEADER}\r\n1,,0,0,0,1\r2,,0,0,0,1é\n".encode("utf-8"))
+        with pytest.raises(ValueError) as err:
+            read_trace(path, ActionSet.from_energies([0.1]))
+        assert str(err.value) == f"{path} line 3: non-ASCII byte 0xc3"
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -350,6 +366,13 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "run"]) == 1
         assert "bound_check needs n <= 20, got 30" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_beyond_a_philox_key_exits_1_before_writing(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, good_config(seeds=[0, 2**128]))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: seeds must be below 2**128, got {2**128}\n"
         assert not out.exists()
 
     def test_gradient_norm_overflow_exits_1_naming_the_trial(self, tmp_path, capsys):

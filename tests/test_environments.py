@@ -287,6 +287,19 @@ class TestStreamFiles:
         with pytest.raises(StreamFormatError, match="line 3: bad reward/cost"):
             read_stream(path)
 
+    def test_field_count_beats_a_bad_value_on_the_same_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1,3,0.25\n1,0.5,0.0\n2,oops,0.1,7\n3,0.5,0.1\n")
+        with pytest.raises(StreamFormatError,
+                           match=r"^line 3: expected 3 fields \(t, 1 rewards, 1 costs\), got 4$"):
+            read_stream(path)
+
+    def test_wrong_trial_tag_beats_a_later_bad_value(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1,4,0.25\n1,0.5,0.0\n7,0.5,0.1\n3,oops,0.1\n4,0.5,0.1\n")
+        with pytest.raises(StreamFormatError, match="^line 3: expected trial 2, got 7$"):
+            read_stream(path)
+
     def test_bad_value_in_a_later_block_names_its_line(self, tmp_path):
         n = 100
         rows = BLOCK_ENTRIES // (2 * n)  # trial lines per parse block
