@@ -355,8 +355,12 @@ def read_stream(path) -> Stream:
         raise StreamFormatError(f"line 1: expected {2 + n} fields (n, T, {n} energies), got {len(head)}")
     z = np.array(_parse_floats(head[2:], 1, "energy"))
 
-    rewards = np.empty((T, n))
-    costs = np.empty((T, n))
+    # A trial line that parses holds 2n + 1 non-empty fields and 2n commas and
+    # follows a line end, so the file's size bounds the rows: a preamble T
+    # beyond the file fails at its first missing line, not here.
+    rows = min(T, len(data) // (4 * n + 2))
+    rewards = np.empty((rows, n))
+    costs = np.empty((rows, n))
     for t in range(1, T + 1):
         fields = _trial_values(next(lines, ""), t, n)
         try:

@@ -5,36 +5,51 @@ energy vector ``z``. By the KKT conditions the projection of ``y`` is
 ``clamp(y - lam * z, 0, 1)`` for a multiplier ``lam >= 0`` that is zero when
 the plain box clamp already meets the budget and otherwise makes the budget
 exactly active. This is the continuous quadratic knapsack problem, and
-``lam`` is found exactly by a breakpoint search (Brucker 1984; Kiwiel 2008,
-"Breakpoint searching algorithms for the continuous quadratic knapsack
-problem"):
+``lam`` is found exactly by a safeguarded semismooth Newton iteration on it
+(Cominetti, Mascarenhas & Silva 2014, "A Newton's method for the continuous
+quadratic knapsack problem"):
 
 * the budget usage ``u(lam) = <clamp(y - lam * z, 0, 1), z>`` is continuous,
   non-increasing and piecewise linear in ``lam``;
 * only coordinates with ``z_i > 0`` and ``y_i > 0`` move as ``lam`` grows
-  from 0. Each leaves 1 at ``(y_i - 1) / z_i``, where the slope of ``u``
-  drops by ``z_i**2``, and reaches 0 at ``y_i / z_i``, where it regains it;
-* sorting the breakpoints above 0 and accumulating slope times gap from
-  ``u(0)`` gives the usage at every breakpoint, so the first breakpoint
-  where it falls to 1 closes the piece that holds ``lam``;
-* on that piece ``u`` is linear, and ``lam`` solves one linear equation in
-  the piece's free and saturated coordinates. Solving it from those
-  coordinates, not from the accumulated sums, keeps the rounding of the
-  walk out of the answer.
+  from 0. Each leaves 1 at ``(y_i - 1) / z_i`` and reaches 0 at
+  ``y_i / z_i``; these breakpoints cut ``[0, max y_i / z_i]`` into pieces
+  ``(left, right]``;
+* at an iterate ``lam`` the coordinates still at 1 and the free ones (left
+  1, not yet at 0) give the linear ``u`` of ``lam``'s piece. The iteration
+  solves it for ``u = 1`` from those coordinates, so the rounding of earlier
+  iterates stays out of the answer, and stops when the solution lands in the
+  piece that produced it;
+* otherwise the piece says on which side of it the root lies, which shrinks
+  a bracket that starts as ``(0, max y_i / z_i]``, and the next iterate is
+  the solution if it lies in the bracket, else the bracket's midpoint. A
+  flat piece (no free coordinate) only moves the bracket. Each iterate
+  leaves its piece out of the bracket, so the iteration ends.
 
-The cost is one sort of the moving coordinates' breakpoints, O(m log m).
+The root taken is the smallest ``lam`` with ``u(lam) <= 1``, on the piece
+that ends at or after it. Where rounding makes two adjacent pieces both
+claim a root at their common breakpoint, the left one is asked first, so
+the answer does not depend on where the iteration started. Started from
+the previous multiplier, as :func:`budgetmax.surrogate.learn` does, it
+usually needs one or two iterates, each a few vector operations.
 ``projection_certificate`` checks a claimed projection against the KKT
 conditions without calling the solver.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 # Default tolerance for feasibility checks on projector output.
 FEASIBILITY_TOL = 1e-9
+# A solution this close to its piece's left end, relative to itself, is
+# confirmed by the piece to the left before it is taken.
+_NEAR_LEFT = 2.0 ** -30
+# The smallest positive float: a start at 0 begins on the first piece.
+_FIRST = 5e-324
 
 
 def is_feasible(x, z, tol: float = FEASIBILITY_TOL) -> bool:
@@ -54,43 +69,73 @@ def project_onto_feasible(y, z) -> np.ndarray:
         raise ValueError("y and z must be 1-d vectors of equal length")
     if not np.all(np.isfinite(y)):
         raise ValueError("projection input must be finite")
+    return _project_from(y, z, 0.0)[0]
 
-    x = np.clip(y, 0.0, 1.0)
-    used = float(x @ z)
-    if used <= 1.0:
-        return x
+
+def _clamp(v: np.ndarray) -> np.ndarray:
+    """``np.clip(v, 0.0, 1.0)`` bit for bit (signed zeros too), without its wrapper."""
+    return np.minimum(np.maximum(0.0, v), 1.0)
+
+
+def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray, float]:
+    """``(x, lam)``: the projection of ``y`` and its multiplier, searched from ``lam0``.
+
+    ``y`` and ``z`` are float vectors of equal length, ``y`` finite; nothing
+    is checked. ``lam`` is 0.0 when the box clamp already meets the budget.
+    The answer does not depend on ``lam0``, only the work does.
+    """
+    x = _clamp(y)
+    if float(x @ z) <= 1.0:
+        return x, 0.0
 
     # The box clamp overshoots, so the budget is active at the optimum.
     live = (z > 0.0) & (y > 0.0)
     yl = y[live]
     zl = z[live]
-    sq = zl * zl
-    leaves_top = (yl - 1.0) / zl
-    hits_zero = yl / zl
-    later = leaves_top > 0.0
-    slope = -float(sq[~later].sum())  # du/dlam just above 0
-    points = np.concatenate((leaves_top[later], hits_zero))
-    order = np.argsort(points)
-    points = points[order]
-    slopes = slope + np.cumsum(np.concatenate((-sq[later], sq))[order])  # just above each point
-    before = np.concatenate(([slope], slopes[:-1]))
-    usage = used + np.cumsum(before * np.diff(points, prepend=0.0))
-    # u is 0 at the last point, where every live coordinate has reached 0
-    k = int(np.argmax(usage <= 1.0))
-    left = points[k - 1] if k else 0.0
-    right = points[k]
-
-    # On [left, right]: <y_F - lam z_F, z_F> + sum of z over coordinates at 1 = 1.
-    free = (leaves_top <= left) & (hits_zero >= right)
-    zf = zl[free]
-    curvature = float(zf @ zf)
-    if curvature == 0.0:
-        # A piece with no free coordinate is flat at u = 1, so any lam on it
-        # is exact; only rounding in the walk can pick such a piece.
-        lam = left
-    else:
-        lam = (float(zf @ yl[free]) + float(zl[leaves_top >= right].sum()) - 1.0) / curvature
-    return np.clip(y - lam * z, 0.0, 1.0)
+    m = len(zl)
+    points = np.concatenate(((yl - 1.0) / zl, yl / zl))  # where each leaves 1, then reaches 0
+    lo, hi = 0.0, float(np.maximum.reduce(points[m:]))  # the root lies in (lo, hi]
+    hi_lam, hi_left = 0.0, math.inf  # the answer, once the piece (hi_left, hi] is known to hold it
+    lam = min(max(lam0, _FIRST), hi)
+    while True:
+        past = points >= lam  # breakpoints at or after lam
+        at_one, moving = past[:m], past[m:]
+        free = moving > at_one
+        zf = zl[free]
+        curvature = float(zf @ zf)
+        # on lam's piece (left, right]: u = level - lam * curvature
+        level = float(zf @ yl[free]) + float(np.add.reduce(zl[at_one]))
+        left = float(np.maximum.reduce(points[~past], initial=0.0))
+        right = float(np.minimum.reduce(points[past]))
+        if curvature > 0.0:
+            new = (level - 1.0) / curvature
+            beyond, before = new > right, new <= left
+        else:  # a flat piece: u = level all along it
+            new = math.nan
+            beyond = level > 1.0
+            before = not beyond
+        if beyond:
+            lo = right
+        elif before:
+            hi, hi_left = left, math.inf
+        elif left <= lo or new - left > _NEAR_LEFT * new:
+            lam = new
+            break
+        else:
+            # On its piece, but a rounding away from the left end: the root is
+            # here only if the piece to the left puts it past that end.
+            hi, hi_lam, hi_left = right, new, left
+            lam = left
+            continue
+        if lo >= hi_left:
+            lam = hi_lam
+            break
+        if lo >= hi:  # adjacent pieces disagree by a rounding: the root is their breakpoint
+            lam = hi
+            break
+        mid = 0.5 * (lo + hi)
+        lam = new if lo < new <= hi else (mid if mid > lo else hi)
+    return _clamp(y - lam * z), lam
 
 
 class ProjectionCertificate(NamedTuple):

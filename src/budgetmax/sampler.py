@@ -95,19 +95,25 @@ class RowLayout:
         beta = LARGE_ENERGY_THRESHOLD if self.wrapper else action_set.beta
         tau = 1.0 - math.sqrt(beta)
         delta = self.delta = tau * tau
-        log_tau = math.log(tau) if tau < 1.0 else 0.0  # tau = 1 only when every z_i is 0
+        # Below beta of about 3.1e-33, sqrt(beta) vanishes next to 1 and tau
+        # rounds to 1.0, so the classes never narrow: every positive energy
+        # goes to class 1. Its at most delta * n + 1 = n + 1 draws of energy
+        # at most beta still fit the budget.
+        log_tau = math.log(tau) if tau < 1.0 else 0.0
         buckets: dict[int, list[int]] = {}
         light = np.flatnonzero(z < LARGE_ENERGY_THRESHOLD)
         for i, zi in zip(light.tolist(), z[light].tolist()):
             q = ZERO_CLASS
             if zi > 0.0:
-                # q >= 1 such that tau**q * beta < zi <= tau**(q-1) * beta. The log
-                # estimate can be off by one at class boundaries, so correct it.
-                q = max(1, math.floor(math.log(zi / beta) / log_tau) + 1)
-                while zi > tau ** (q - 1) * beta:
-                    q -= 1
-                while zi <= tau ** q * beta:
-                    q += 1
+                q = 1
+                if tau < 1.0:
+                    # q >= 1 such that tau**q * beta < zi <= tau**(q-1) * beta. The
+                    # log estimate can be off by one at class boundaries, so correct it.
+                    q = max(1, math.floor(math.log(zi / beta) / log_tau) + 1)
+                    while zi > tau ** (q - 1) * beta:
+                        q -= 1
+                    while zi <= tau ** q * beta:
+                        q += 1
             buckets.setdefault(q, []).append(i)
         self.classes = {q: np.array(idx) for q, idx in sorted(buckets.items())}
 

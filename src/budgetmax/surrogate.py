@@ -30,7 +30,11 @@ selection. So the weight trajectory is the same for every engine seed:
 :func:`learn` computes it once per stream, and each seed draws its
 selections from it (:func:`budgetmax.sampler.draw_trials`). A trial's reward
 order, drops and sorted cost parts do not depend on ``w``, so :func:`learn`
-finds them for a whole block of trials at once. Instances that the sampler
+finds them for a whole block of trials at once. Consecutive projections
+have close inputs, so :func:`learn` starts each one's Newton iteration at
+the previous step's multiplier (:mod:`budgetmax.projection`), which
+changes the work but not the bits of the answer, and records the
+multiplier in :attr:`Trajectory.lam`. Instances that the sampler
 draws through its wrapper (largest energy at least 1/2) learn the same way,
 with the action set's own constants; at ``beta == 1``, ``delta == 0`` makes
 every gradient zero, so no step is ever taken.
@@ -45,7 +49,7 @@ import numpy as np
 
 from .core import BLOCK_ENTRIES
 from .environments import Stream
-from .projection import project_onto_feasible
+from .projection import _project_from
 
 
 def reward_order(rewards) -> np.ndarray:
@@ -74,9 +78,9 @@ def _trial_pieces(rewards, costs):
 def _gradient(w, order, drops, c_pos, c_neg, delta: float) -> np.ndarray:
     """The closed-form gradient at ``w`` from one trial's :func:`_trial_pieces`."""
     w_sorted = w[order]
-    eps = np.exp(-delta * np.cumsum(w_sorted))
+    eps = np.exp(-delta * np.add.accumulate(w_sorted))
     # lambda_j is a suffix sum over drops * eps in sorted order
-    lam = np.cumsum((drops * eps)[::-1])[::-1]
+    lam = np.add.accumulate((drops * eps)[::-1])[::-1]
     g = np.empty_like(w)
     g[order] = delta * (c_pos + c_neg * np.exp(-delta * w_sorted) - lam)
     return g
@@ -105,12 +109,16 @@ class Trajectory:
     Row ``t`` of the ``(T, n)`` array ``weights`` holds the weights used on
     the 0-based trial ``t``; ``grad_norm[t]`` is the norm of that trial's
     surrogate gradient and ``eta[t]`` the step size taken on it (0 while no
-    non-zero gradient has been seen).
+    non-zero gradient has been seen). ``lam[t]`` is the multiplier of the
+    budget in the projection that ends that step: 0.0 when the box clamp
+    already meets the budget or no step is taken, positive exactly when the
+    budget binds.
     """
 
     weights: np.ndarray
     grad_norm: np.ndarray
     eta: np.ndarray
+    lam: np.ndarray
 
 
 def learn(stream: Stream) -> Trajectory:
@@ -127,22 +135,25 @@ def learn(stream: Stream) -> Trajectory:
         rewards or costs can cause; the message names the 1-based trial.
     """
     action_set = stream.action_set
-    T, n, delta = stream.T, action_set.n, action_set.delta
+    T, n, delta, z = stream.T, action_set.n, action_set.delta, action_set.z
     weights = np.empty((T, n))
     grad_norm = np.empty(T)
     eta = np.zeros(T)
+    lam = np.zeros(T)
     w = np.zeros(n)
     eta_prime = math.inf
+    multiplier = 0.0
     rows = max(1, BLOCK_ENTRIES // n)
     # an overflowing |g| is raised below, naming its trial
     with np.errstate(over="ignore"):
         for start in range(0, T, rows):
-            block = _trial_pieces(stream.rewards[start:start + rows],
-                                  stream.costs[start:start + rows])
-            for t, pieces in enumerate(zip(*block), start=start):
+            order, drops, c_pos, c_neg = _trial_pieces(stream.rewards[start:start + rows],
+                                                       stream.costs[start:start + rows])
+            for i, t in enumerate(range(start, start + len(order))):
                 weights[t] = w
-                g = _gradient(w, *pieces, delta)
-                grad_norm[t] = norm = float(np.linalg.norm(g))
+                g = _gradient(w, order[i], drops[i], c_pos[i], c_neg[i], delta)
+                # the bits of np.linalg.norm on a vector, without its wrapper
+                grad_norm[t] = norm = math.sqrt(float(g @ g))
                 if not math.isfinite(norm):
                     raise ValueError(f"trial {t + 1}: the surrogate gradient norm is not finite "
                                      f"({norm}); rewards or costs are too large")
@@ -150,7 +161,9 @@ def learn(stream: Stream) -> Trajectory:
                     eta_prime = min(eta_prime, math.sqrt(n) / norm)
                 if eta_prime < math.inf:
                     eta[t] = step = eta_prime / math.sqrt(2.0 * (t + 1))
-                    w = project_onto_feasible(w - step * g, action_set.z)
-    for array in (weights, grad_norm, eta):
+                    # finite by construction, so unchecked; warm-started from the last multiplier
+                    w, multiplier = _project_from(w - step * g, z, multiplier)
+                    lam[t] = multiplier
+    for array in (weights, grad_norm, eta, lam):
         array.setflags(write=False)
-    return Trajectory(weights, grad_norm, eta)
+    return Trajectory(weights, grad_norm, eta, lam)

@@ -346,6 +346,35 @@ class TestMain:
         bad.write_text("4,20,0.1,0.1,0.1,0.1\n1,oops\n")
         assert main(["--config", cfg, "replay", "--stream", str(bad)]) == 1
 
+    def test_preamble_trials_beyond_the_file_exit_1_naming_the_line(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, good_config())
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1," + "9" * 400 + ",0.25\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: line 2: expected trial 1, found end of file\n"
+        assert not out.exists()
+
+    def test_tiny_energies_run_and_replay(self, tmp_path):
+        # beta_max 1e-40 rounds tau to 1.0: every positive energy shares one class
+        env = {"kind": "random_adversarial", "n": 3, "T": 5, "seed": 1, "beta_max": 1e-40}
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[0, 1],
+                                                      bound_check=True))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+        names = ["report.json", "stream.csv", "trace_seed0.csv", "trace_seed1.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        report = json.loads((out / "report.json").read_text())
+        assert report["delta"] == 1.0 and report["bound_satisfied"] is True
+        # a replayed stream whose energies are all 1e-300
+        stream = Stream(ActionSet.from_energies([1e-300] * 3), np.full((5, 3), 0.5),
+                        np.full((5, 3), -0.1))
+        write_stream(stream, tmp_path / "tiny.csv")
+        replay = tmp_path / "replay"
+        assert main(["--config", cfg, "--out", str(replay), "replay", "--stream",
+                     str(tmp_path / "tiny.csv")]) == 0
+        assert sorted(p.name for p in replay.iterdir()) == names
+
     def test_non_finite_stream_exits_1_before_writing(self, tmp_path):
         env = {"kind": "facility_location", "n": 3, "T": 5, "seed": 2}
         cfg = self.write_config(tmp_path, good_config(environment=env))

@@ -179,6 +179,21 @@ class TestStreamChecks:
 
 
 class TestStreamFiles:
+    def test_preamble_trials_beyond_the_file_name_the_first_missing_line(self, tmp_path):
+        # T is sized by the file's lines, so a T no array can hold still fails at its line
+        path = tmp_path / "stream.csv"
+        path.write_text("1," + "9" * 400 + ",0.25\n")
+        with pytest.raises(StreamFormatError, match=r"^line 2: expected trial 1, found end of file$"):
+            read_stream(path)
+        path.write_text("1," + "9" * 400 + ",0.25\r\n1,0.5,0.1\r\n")
+        with pytest.raises(StreamFormatError, match=r"^line 3: expected trial 2, found end of file$"):
+            read_stream(path)
+        path.write_text("1,3,0.25\n1,0.5,0.1\x1c2,0.5,0.1\v3,0.5,0.1")
+        npt.assert_array_equal(read_stream(path).rewards, [[0.5]] * 3)
+        # the shortest lines that parse fill the bound exactly
+        path.write_text("1,2,0\n1,1,1\n2,1,1")
+        npt.assert_array_equal(read_stream(path).costs, [[1.0], [1.0]])
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         stream = generate(spec_for("random_adversarial", n=5, T=25, shift_segments=2))
         path = tmp_path / "stream.csv"

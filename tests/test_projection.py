@@ -4,6 +4,7 @@ import pytest
 
 from budgetmax import is_feasible, project_onto_feasible, projection_certificate
 from budgetmax.oracles import grid_projection
+from budgetmax.projection import _clamp, _project_from
 from conftest import random_energies
 
 
@@ -183,3 +184,100 @@ def test_single_live_coordinate():
     x, cert = assert_certified([1.0, -2.0, 4.0], [1.5, 0.5, 0.0])
     npt.assert_allclose(x, [2.0 / 3.0, 0.0, 1.0], atol=1e-12)
     assert cert.lam == pytest.approx(2.0 / 9.0)
+
+
+def breakpoints(y, z):
+    """The distinct positive values of lam where a live coordinate leaves 1 or reaches 0."""
+    live = (z > 0.0) & (y > 0.0)
+    points = np.concatenate(((y[live] - 1.0) / z[live], y[live] / z[live]))
+    return np.unique(points[points > 0.0])
+
+
+def assert_same_from_every_start(y, z, inside=()):
+    """Project from lam0 = 0, the answer, its adjacent breakpoints, 10x the answer and
+    lam_max (plus ``inside``); every start must give the same bits."""
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    x, lam = _project_from(y, z, 0.0)
+    assert x.tobytes() == project_onto_feasible(y, z).tobytes()
+    points = breakpoints(y, z)
+    k = int(np.searchsorted(points, lam))
+    adjacent = [float(points[j]) for j in (k - 1, k, k + 1) if 0 <= j < len(points)]
+    lam_max = float(points[-1]) if len(points) else 0.0
+    for lam0 in (lam, *adjacent, 10.0 * lam, lam_max, *inside):
+        again, lam_again = _project_from(y, z, lam0)
+        assert again.tobytes() == x.tobytes(), lam0
+        assert lam_again == lam, lam0
+    return x, lam
+
+
+def test_warm_starts_give_the_same_bits():
+    rng = np.random.default_rng(61)
+    for k in range(300):
+        n = int(rng.integers(1, 1001)) if k % 10 == 0 else int(rng.integers(1, 30))
+        z = random_energies(rng, n, beta_max=1.0)
+        y = rng.uniform(-2.0, 3.0, n) * [0.1, 1.0, 10.0][k % 3]
+        x, lam = assert_same_from_every_start(y, z)
+        cert = projection_certificate(y, z, x)
+        assert max(cert.stationarity, cert.complementarity, cert.feasibility) <= 1e-9, cert
+
+
+def test_warm_starts_on_grid_points():
+    # y and z on grid points put roots on breakpoints and make flat pieces
+    rng = np.random.default_rng(67)
+    for k in range(3000):
+        n = int(rng.integers(1, 9))
+        res = (1.0 / 3.0, 0.1, 0.25, 0.05, 0.125)[k % 5]
+        z = np.minimum(rng.integers(0, round(1.0 / res) + 1, n) * res, 1.0)
+        y = rng.integers(-3, round(3.0 / res), n) * res
+        x, _ = assert_same_from_every_start(y, z)
+        cert = projection_certificate(y, z, x)
+        assert max(cert.stationarity, cert.complementarity, cert.feasibility) <= 1e-9, cert
+
+
+def test_root_on_a_breakpoint():
+    # coordinate 1 reaches 0 at lam = 0.5 just as coordinate 0 leaves 1
+    x, lam = assert_same_from_every_start([1.5, 0.5], [1.0, 1.0])
+    npt.assert_array_equal(x, [1.0, 0.0])
+    assert lam == 0.5
+
+
+def test_flat_piece_on_grid_points():
+    # u = 1.125 - 0.25 lam reaches 1 at lam = 0.5, where coordinate 1 hits 0;
+    # u then stays at 1 (coordinate 0 alone fills the budget) until lam = 1.
+    # The root taken is the smallest, whichever piece the search starts on.
+    x, lam = assert_same_from_every_start([2.0, 0.25], [1.0, 0.5], inside=(0.75, 1.0))
+    npt.assert_array_equal(x, [1.0, 0.0])
+    assert lam == 0.5
+    x, _ = assert_same_from_every_start([1.525, 5.0, 0.42, 0.42, 0.63],
+                                        [0.25, 0.75, 0.6, 0.6, 0.9], inside=(1.0, 2.0))
+    npt.assert_allclose(x, [1.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_duplicate_breakpoints_from_every_start():
+    x, lam = assert_same_from_every_start(np.full(50, 1.5), np.full(50, 0.1))
+    npt.assert_allclose(x, np.full(50, 0.2), atol=1e-12)
+    assert lam == pytest.approx(13.0)
+    # two groups whose breakpoints coincide pairwise
+    y = np.array([1.2, 1.2, 2.4, 2.4, 0.6, 0.6])
+    z = np.array([0.2, 0.2, 0.4, 0.4, 0.1, 0.1])
+    x, _ = assert_same_from_every_start(y, z)
+    assert_certified(y, z)
+
+
+def test_clamp_keeps_the_bits_of_np_clip():
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0), -1e300, 1e300, 0.5])
+    assert _clamp(edge).tobytes() == np.clip(edge, 0.0, 1.0).tobytes()
+
+
+def test_warm_start_against_grid_oracle():
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        z = random_energies(rng, n, beta_max=1.0)
+        y = rng.uniform(-0.5, 2.0, n)
+        _, lam = _project_from(y, z, 0.0)
+        x, _ = _project_from(y, z, 10.0 * lam + 1.0)
+        g = grid_projection(y, z, 1e-3)
+        assert np.linalg.norm(x - y) <= np.linalg.norm(g - y) + 1e-9
+        assert np.linalg.norm(g - y) <= np.linalg.norm(x - y) + n * 1e-3

@@ -81,6 +81,24 @@ class TestPartition:
         npt.assert_array_equal(classes[1], [0])
         npt.assert_array_equal(classes[2], [1])
 
+    def test_tiny_energies_share_one_class(self):
+        # below beta of about 3.1e-33, tau = 1 - sqrt(beta) rounds to 1.0, so
+        # every positive energy goes to class 1, drawn delta * S + 1 <= n + 1 times
+        aset = ActionSet.from_energies([1e-40, 0.0, 3e-41, 1e-300, 1e-40])
+        assert aset.tau == 1.0 and aset.delta == 1.0
+        layout = RowLayout(aset)
+        assert set(layout.classes) == {ZERO_CLASS, 1}
+        npt.assert_array_equal(layout.classes[1], [0, 2, 3, 4])
+        w = np.array([1.0, 1.0, 0.4, 0.7, 0.9])
+        member = sample_block(w[None], rows_of(5, 0, 2000, layout.width), layout)
+        assert float((member @ aset.z).max()) <= (aset.n + 1) * aset.beta
+        exact = exact_selection_probs(w, aset)
+        for i in range(aset.n):
+            lower, upper = analytic_selection_bounds(w, i, aset.delta)
+            assert lower - 1e-12 <= exact[i] <= upper + 1e-12
+        sigma = np.sqrt(exact * (1.0 - exact) / 2000)
+        assert np.all(np.abs(member.mean(axis=0) - exact) <= 5.0 * np.maximum(sigma, 1e-9))
+
     def test_max_energy_at_or_above_one_rejected(self):
         # beta = 1 is sampled through the wrapper, which the exact oracles do not describe
         aset = ActionSet.from_energies([1.0, 0.2])

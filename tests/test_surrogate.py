@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, is_feasible, learn, project_onto_feasible, reward_order,
+from budgetmax import (KINDS, ActionSet, EnvironmentSpec, generate, is_feasible, learn,
+                       project_onto_feasible, projection_certificate, reward_order,
                        surrogate_gradient, surrogate_value)
 from budgetmax.core import BLOCK_ENTRIES
 from budgetmax.oracles import exact_expected_profit, finite_diff_gradient
@@ -198,3 +199,46 @@ class TestUpdateWeights:
         assert np.array_equal(traj.weights, weights)
         assert np.array_equal(traj.grad_norm, grad_norm)
         assert np.array_equal(traj.eta, eta)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_learn_matches_per_trial_reference_on_every_kind(self, kind):
+        stream = generate(EnvironmentSpec(kind=kind, n=8, T=60, seed=4))
+        traj = learn(stream)
+        weights, grad_norm, eta = reference_learn(stream)
+        assert np.array_equal(traj.weights, weights)
+        assert np.array_equal(traj.grad_norm, grad_norm)
+        assert np.array_equal(traj.eta, eta)
+
+
+class TestMultiplier:
+    """``Trajectory.lam``: the KKT multiplier of the budget in each step's projection."""
+
+    @pytest.mark.parametrize("kind, n, T", [(kind, 8, 200) for kind in KINDS]
+                             + [("random_adversarial", 100, 60)])
+    def test_multiplier_is_the_certificates_and_positive_exactly_when_binding(self, kind, n, T):
+        stream = generate(EnvironmentSpec(kind=kind, n=n, T=T, seed=6))
+        aset = stream.action_set
+        traj = learn(stream)
+        binding = 0
+        for t in range(T - 1):
+            if traj.eta[t] == 0.0:
+                assert traj.lam[t] == 0.0
+                continue
+            g = surrogate_gradient(traj.weights[t], stream.rewards[t], stream.costs[t], aset.delta)
+            y = traj.weights[t] - traj.eta[t] * g
+            binds = float(np.clip(y, 0.0, 1.0) @ aset.z) > 1.0
+            assert (traj.lam[t] > 0.0) == binds, t
+            cert = projection_certificate(y, aset.z, traj.weights[t + 1])
+            assert traj.lam[t] == pytest.approx(cert.lam, rel=1e-9, abs=0.0), t
+            binding += binds
+        if kind == "facility_location":
+            assert binding == 0 and not traj.lam.any()  # zero energies never bind
+        else:
+            assert binding > 0
+
+    def test_no_step_leaves_it_zero(self):
+        aset = ActionSet.from_energies([0.5, 0.5])
+        null = ([0.0, 0.0], [0.0, 0.0])
+        traj = learn(stream_of(aset, [null] * 3 + [([0.0, 0.0], [-1.0, -1.0])] * 4))
+        npt.assert_array_equal(traj.lam[:3], 0.0)
+        assert traj.lam.flags.writeable is False
