@@ -8,7 +8,7 @@ control of every selection probability.
 """
 
 from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, derive_constants,
-                   discounted_profit, profit, selection_profits)
+                   selection_profits)
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
 from .projection import (FEASIBILITY_TOL, ProjectionCertificate, is_feasible,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionSet", "BUDGET_SLACK", "InvalidEnergyError",
-    "derive_constants", "discounted_profit", "profit", "selection_profits",
+    "derive_constants", "selection_profits",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
     "check_constraints", "generate", "read_stream", "write_stream",
     "FEASIBILITY_TOL", "ProjectionCertificate", "is_feasible",

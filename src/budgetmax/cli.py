@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSet, BUDGET_SLACK, selection_profits
+from .core import ActionSet, selection_profits
 from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_constraints,
-                           generate, non_ascii_byte, read_stream, write_stream)
+                           generate, read_stream, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -50,6 +50,9 @@ TRACE_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\n"
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RUNTIME = 2
+
+# The count flags of each spot check; each must be at least 1.
+COUNT_FLAGS = {"probcheck": ("actions", "samples"), "gradcheck": ("instances",)}
 
 
 class ConfigError(ValueError):
@@ -181,50 +184,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
-def read_trace(path, action_set: ActionSet) -> list[tuple]:
-    """Parse a trace CSV into ``(trial, indices, profit, grad_norm, eta)`` rows.
-
-    The rows are the fields of ``TRACE_ROW`` without the cumulative profit,
-    which is checked, not stored. Trials must run 1, 2, 3, ...; each row's
-    indices must be strictly ascending, in range and within the unit budget.
-    """
-    data = Path(path).read_bytes()
-    bad = non_ascii_byte(data)
-    if bad is not None:
-        raise ValueError(f"{path} line {bad[0]}: non-ASCII byte 0x{bad[1]:02x}")
-    lines = data.decode("ascii").splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}: missing trace header")
-    z = action_set.z
-    rows = []
-    cum = 0.0
-    for k, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise ValueError(f"{path} line {k}: expected 6 fields, got {len(fields)}")
-        try:
-            trial = int(fields[0])
-            indices = [int(i) for i in fields[1].split(";")] if fields[1] else []
-            prof, cum_read, grad_norm, eta = (float(f) for f in fields[2:])
-        except ValueError as exc:
-            raise ValueError(f"{path} line {k}: {exc}") from None
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError(f"{path} line {k}: indices must be strictly ascending, got {fields[1]}")
-        bad = [i for i in indices if not 0 <= i < z.size]
-        if bad:
-            raise ValueError(f"{path} line {k}: index {bad[0]} out of range for {z.size} actions")
-        energy = float(np.sum(z[indices])) if indices else 0.0
-        if energy > 1.0 + BUDGET_SLACK:
-            raise ValueError(f"{path} line {k}: selection energy {energy!r} exceeds the unit budget")
-        if trial != k - 1:
-            raise ValueError(f"{path} line {k}: expected trial {k - 1}, got {trial}")
-        cum += prof
-        if not math.isclose(cum, cum_read, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(cum))):
-            raise ValueError(f"{path} line {k}: cumulative profit mismatch")
-        rows.append((trial, indices, prof, grad_norm, eta))
-    return rows
-
-
 def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> RunReport:
     """Learn the weights once over one stream, draw every engine seed, summarize.
 
@@ -305,7 +264,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
 
         comparator_subset = comparator_total = bound_satisfied = None
         if config.bound_check:
-            comp = best_fixed_subset(stream, aset, aset.alpha, aset.delta)
+            comp = best_fixed_subset(stream, aset.alpha, aset.delta)
             comparator_subset = comp.subset
             comparator_total = comp.discounted_total
             bound_satisfied = mean >= comparator_total - slack - 3.0 * stderr
@@ -410,6 +369,9 @@ def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     args = build_parser().parse_args(argv)
     try:
+        for flag in COUNT_FLAGS.get(args.command, ()):
+            if getattr(args, flag) < 1:
+                raise ValueError(f"--{flag} must be a positive integer, got {getattr(args, flag)}")
         if args.command in ("run", "replay"):
             config = _require_config(args)
             stream = read_stream(args.stream) if args.command == "replay" else None

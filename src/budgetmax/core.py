@@ -81,43 +81,12 @@ class ActionSet:
 def selection_profits(rows, cols, rewards, costs) -> np.ndarray:
     """Profit of each of ``m`` selections given as ``(row, action)`` pairs.
 
-    ``rewards`` and ``costs`` are ``(m, n)`` blocks of trial vectors (or one
-    trial's vectors as a single row); the pairs come in row-major order, as
-    ``np.nonzero`` yields them from a membership block. A row's profit is
-    its best reward minus its costs summed in ascending action order; a row
-    without pairs earns exactly 0. This is the one profit definition, so a
-    block and a single selection (see :func:`profit`) agree bitwise.
+    ``rewards`` and ``costs`` are ``(m, n)`` blocks of trial vectors; the
+    pairs come in row-major order, as ``np.nonzero`` yields them from a
+    membership block. A row's profit is its best reward minus its costs
+    summed in ascending action order; a row without pairs earns exactly 0.
+    This is the one profit definition.
     """
-    rewards = np.atleast_2d(rewards)
-    costs = np.atleast_2d(costs)
     best = np.zeros(rewards.shape[0])
     np.maximum.at(best, rows, rewards[rows, cols])
     return best - np.bincount(rows, weights=costs[rows, cols], minlength=rewards.shape[0])
-
-
-def profit(indices, rewards, costs) -> float:
-    """Best reward inside the selection minus the sum of its costs.
-
-    ``indices`` are the selected actions in ascending order; ``rewards`` and
-    ``costs`` are one trial's vectors, such as a row of a stream. The empty
-    selection earns exactly 0. Computed by :func:`selection_profits`.
-    """
-    idx = np.asarray(indices, dtype=int)
-    return float(selection_profits(np.zeros_like(idx), idx, rewards, costs)[0])
-
-
-def discounted_profit(indices, rewards, costs, alpha: float, delta: float) -> float:
-    """Discounted profit of an index set for one trial's vectors.
-
-    The best reward and the negative costs are scaled by ``alpha``, the
-    non-negative costs by ``delta``. With ``alpha == delta == 1`` this equals
-    :func:`profit`.
-    """
-    idx = sorted({int(i) for i in indices})
-    if not idx:
-        return 0.0
-    best = float(np.max(np.asarray(rewards, dtype=float)[idx]))
-    c = np.asarray(costs, dtype=float)[idx]
-    neg = float(np.sum(np.minimum(c, 0.0)))
-    pos = float(np.sum(np.maximum(c, 0.0)))
-    return alpha * best - alpha * neg - delta * pos

@@ -297,14 +297,6 @@ def _lines(data: bytes):
         start = stop
 
 
-def non_ascii_byte(data: bytes) -> tuple[int, int] | None:
-    """``(line, byte)`` of the first non-ASCII byte, lines counted as ``splitlines`` ends them."""
-    if data.isascii():
-        return None
-    at = data.decode("ascii", "replace").index("\ufffd")
-    return len((data[:at] + b".").decode("ascii").splitlines()), data[at]
-
-
 def _trial_values(line: str, t: int, n: int) -> list:
     """The ``2n`` value fields of trial ``t``'s line, once its structure is checked."""
     lineno = t + 1
@@ -335,9 +327,10 @@ def read_stream(path) -> Stream:
     other fault.
     """
     data = Path(path).read_bytes()
-    bad = non_ascii_byte(data)
-    if bad is not None:
-        raise StreamFormatError("line %d: non-ASCII byte 0x%02x" % bad)
+    if not data.isascii():  # lines counted as splitlines ends them
+        at = data.decode("ascii", "replace").index("\ufffd")
+        line = len((data[:at] + b".").decode("ascii").splitlines())
+        raise StreamFormatError("line %d: non-ASCII byte 0x%02x" % (line, data[at]))
     lines = _lines(data)
     first = next(lines, None)
     if first is None:

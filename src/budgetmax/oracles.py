@@ -1,9 +1,18 @@
 """Brute-force and closed-form references used for validation.
 
-Everything here trades speed for independence: these routines avoid the
-production code paths (no surrogate, no gradient identity, no sampler
-shortcuts) so they can catch bugs in them. Sizes are capped to keep the
-exhaustive searches honest.
+Each group keeps as far from the production code as its purpose allows:
+
+- the comparator, :func:`best_fixed_subset`, and :func:`discounted_profit`,
+  the scalar form of its objective, use only ``ActionSet`` and ``BUDGET_SLACK``;
+- the exact oracles take their classes from ``RowLayout`` (and
+  :func:`exact_expected_profit` its reward order from ``surrogate.reward_order``)
+  but compute the independent-draw product form in plain scalar code;
+- the Monte Carlo estimators draw through ``sampler.sample_block`` itself, so
+  they test the sampler against the exact oracles, not apart from them;
+- :func:`finite_diff_gradient` and :func:`grid_projection` share no code with
+  the surrogate or the projection they check.
+
+Sizes are capped to keep the exhaustive searches honest.
 """
 
 from __future__ import annotations
@@ -35,8 +44,25 @@ class ComparatorResult:
     discounted_total: float
 
 
-def best_fixed_subset(stream, action_set: ActionSet, alpha: float, delta: float) -> ComparatorResult:
-    """Exact maximizer of the summed discounted profit over feasible subsets.
+def discounted_profit(indices, rewards, costs, alpha: float, delta: float) -> float:
+    """Discounted profit of an index set for one trial's vectors; the comparator's objective.
+
+    The best reward and the negative costs are scaled by ``alpha``, the
+    non-negative costs by ``delta``; the empty set earns 0. With ``alpha ==
+    delta == 1`` this is the profit of :func:`core.selection_profits`.
+    """
+    idx = sorted({int(i) for i in indices})
+    if not idx:
+        return 0.0
+    best = float(np.max(np.asarray(rewards, dtype=float)[idx]))
+    c = np.asarray(costs, dtype=float)[idx]
+    neg = float(np.sum(np.minimum(c, 0.0)))
+    pos = float(np.sum(np.maximum(c, 0.0)))
+    return alpha * best - alpha * neg - delta * pos
+
+
+def best_fixed_subset(stream, alpha: float, delta: float) -> ComparatorResult:
+    """Exact maximizer of the summed discounted profit over ``stream``'s feasible subsets.
 
     Depth-first branch and bound over actions in descending-energy order.
     The upper bound adds every remaining action's non-negative additive part
@@ -44,7 +70,7 @@ def best_fixed_subset(stream, action_set: ActionSet, alpha: float, delta: float)
     the incumbent) never discards an optimum. Ties in value resolve to the
     lexicographically smallest ascending index tuple; the empty set scores 0.
     """
-    n = action_set.n
+    n = stream.n
     if n > MAX_EXHAUSTIVE_ACTIONS:
         raise CapacityError(f"comparator limited to {MAX_EXHAUSTIVE_ACTIONS} actions, got {n}")
     R = stream.rewards
@@ -54,7 +80,7 @@ def best_fixed_subset(stream, action_set: ActionSet, alpha: float, delta: float)
     neg = np.minimum(C, 0.0)
     # additive (reward-independent) contribution of including action i
     additive = -(alpha * neg.sum(axis=0) + delta * pos.sum(axis=0))
-    z = action_set.z
+    z = stream.action_set.z
     order = np.argsort(-z, kind="stable")
 
     # suffix_max[k, t]: best reward at trial t among actions order[k:]

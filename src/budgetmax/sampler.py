@@ -224,11 +224,14 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     full = np.floor(scaled)
     cum /= np.where(mass > 0.0, mass, 1.0)[:, layout.segment_of]
 
+    residual = scaled - full
     member = np.zeros((m, n), dtype=bool)
     if len(weights) < m:
-        _draw_shared(member, uniforms, cum[0], full[0], (scaled - full)[0], layout)
+        _draw_shared(member, uniforms, cum[0], full[0], residual[0], layout)
     else:
-        _draw_per_row(member, uniforms, cum, full, scaled - full, layout)
+        _draw_per_row(member, uniforms, cum, full, residual, layout)
+    if layout.wrapper:  # heads (the heavy coin, column 0): the heavy pick alone
+        member[uniforms[:, 0] < residual[:, 0]] &= layout.z >= LARGE_ENERGY_THRESHOLD
     energy = np.einsum("ij,j->i", member, layout.z)
     if m and energy.max() > 1.0 + BUDGET_SLACK:
         raise ValueError(f"selection energy {energy.max()!r} exceeds the unit budget")
@@ -238,7 +241,6 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
 def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> None:
     """Mark the draws of every row at one shared weight row, segment by segment."""
     every = np.arange(len(member))[:, None]
-    heads = None
     for s, ((start, stop), coin, columns) in enumerate(zip(layout.spans, layout.coins,
                                                           layout.full_columns)):
         actions, segment_cum = layout.order[start:stop], cum[start:stop]
@@ -248,11 +250,6 @@ def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> No
         fired = np.flatnonzero(uniforms[:, coin] < residual[s])
         picks = actions[np.searchsorted(segment_cum, uniforms[fired, coin + 1], side="right")]
         member[fired, picks] = True
-        if layout.wrapper and s == 0:
-            heads = (fired, picks)
-    if heads is not None:  # heads: the heavy pick alone
-        member[heads[0]] = False
-        member[heads] = True
 
 
 def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> None:
@@ -271,8 +268,6 @@ def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> N
     # coin (the column before it) is below the residual mass
     level = np.where(layout.is_pick, uniforms[:, layout.coin_of], layout.level)
     valid = level < np.concatenate((full, residual), axis=1)[:, layout.bound]
-    if layout.wrapper:  # heads (heavy pick in column 1): the heavy pick alone
-        valid[valid[:, 1], 2:] = False
     draws = np.flatnonzero(valid)
     rows, cols = np.divmod(draws, layout.width)
     query = layout.column_segment[cols] + 1j * uniforms.ravel()[draws]

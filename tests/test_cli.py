@@ -12,7 +12,7 @@ import pytest
 import budgetmax
 from budgetmax import ActionSet, Stream
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TRACE_ROW,
-                           load_config, main, parse_config, read_trace, run_experiment)
+                           load_config, main, parse_config, run_experiment)
 from budgetmax.environments import EnvironmentSpec, generate, read_stream, write_stream
 
 
@@ -88,7 +88,7 @@ class TestConfigParsing:
 
 
 class TestTraces:
-    # (trial, indices, profit, grad_norm, eta), as read_trace returns them
+    # (trial, indices, profit, grad_norm, eta): the fields of TRACE_ROW without cum_profit
     ROWS = [(1, [0, 2], 1.5, 0.25, 2.0), (2, [], 0.0, 0.0, 2.0), (3, [1], -0.25, 0.125, 1.0)]
 
     @staticmethod
@@ -107,60 +107,6 @@ class TestTraces:
         assert lines[1] == "1,0;2,1.5,1.5,0.25,2"
         assert lines[2].startswith("2,,0,1.5,")
         assert len(lines) == 4
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        self.write(self.ROWS, path)
-        assert read_trace(path, ActionSet.from_energies([0.1, 0.2, 0.3])) == self.ROWS
-
-    def test_empty_trace(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        self.write([], path)
-        assert read_trace(path, ActionSet.from_energies([0.1, 0.2, 0.3])) == []
-
-    @pytest.mark.parametrize("row, fragment", [
-        ("x,0;2,1.5,1.5,0.25,2.0", "'x'"),
-        ("1,0;y,1.5,1.5,0.25,2.0", "'y'"),
-        ("1,0;7,1.5,1.5,0.25,2.0", "index 7 out of range"),
-        ("1,0;2,abc,1.5,0.25,2.0", "'abc'"),
-        ("1,0;2,1.5,1.5,0.25,", "''"),
-        ("2,2;0;0,0,1.5,0,2", "indices must be strictly ascending, got 2;0;0"),
-        ("2,1;1,0,1.5,0,2", "indices must be strictly ascending, got 1;1"),
-        ("5,,0,1.5,0,2", "expected trial 2, got 5"),
-        ("1,,0,1.5,0,2", "expected trial 2, got 1"),
-    ])
-    def test_malformed_row_reports_line(self, tmp_path, row, fragment):
-        path = tmp_path / "trace.csv"
-        self.write(self.ROWS, path)
-        lines = path.read_text().splitlines()
-        lines[2] = row
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as err:
-            read_trace(path, ActionSet.from_energies([0.1, 0.2, 0.3]))
-        assert str(err.value).startswith(f"{path} line 3: ")
-        assert fragment in str(err.value)
-
-    def test_over_budget_row_rejected(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        self.write([(1, [0, 1], 0.0, 0.0, 0.0)], path)
-        with pytest.raises(ValueError) as err:
-            read_trace(path, ActionSet.from_energies([0.6, 0.6]))
-        assert str(err.value).startswith(f"{path} line 2: selection energy 1.2")
-        assert "exceeds the unit budget" in str(err.value)
-
-    def test_non_ascii_byte_reports_line(self, tmp_path):
-        # lines are counted as splitlines ends them: \r\n is one end, \r is one too
-        path = tmp_path / "trace.csv"
-        path.write_bytes(f"{TRACE_HEADER}\r\n1,,0,0,0,1\r2,,0,0,0,1é\n".encode("utf-8"))
-        with pytest.raises(ValueError) as err:
-            read_trace(path, ActionSet.from_energies([0.1]))
-        assert str(err.value) == f"{path} line 3: non-ASCII byte 0xc3"
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("1,0,1.0,1.0,0.5,1.0\n")
-        with pytest.raises(ValueError, match="header"):
-            read_trace(path, ActionSet.from_energies([0.1]))
 
 
 class TestRunExperiment:
@@ -569,3 +515,22 @@ class TestMain:
     def test_gradcheck_smoke(self, capsys):
         assert main(["--seed", "5", "gradcheck", "--instances", "12"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["gradcheck", "--instances", "0"], "--instances", 0),
+        (["gradcheck", "--instances", "-3"], "--instances", -3),
+        (["probcheck", "--samples", "0"], "--samples", 0),
+        (["probcheck", "--actions", "-2"], "--actions", -2),
+        (["probcheck", "--actions", "0", "--samples", "20000"], "--actions", 0),
+    ])
+    def test_count_below_one_exits_1_before_any_work(self, capsys, argv, flag, value):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be a positive integer, got {value}\n"
+
+    def test_count_of_one_runs(self, capsys):
+        assert main(["gradcheck", "--instances", "1"]) == 0
+        assert main(["probcheck", "--actions", "1", "--samples", "20000"]) == 0
+        out = capsys.readouterr().out
+        assert "gradcheck: 1 instances" in out and "probcheck: n=1, samples=20000" in out

@@ -4,9 +4,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, InvalidEnergyError, derive_constants,
-                       discounted_profit, profit, selection_profits)
+from budgetmax import ActionSet, InvalidEnergyError, derive_constants, selection_profits
+from budgetmax.oracles import discounted_profit
 from conftest import random_trial
+
+
+def profit_of(indices, rewards, costs):
+    """Profit of one selection of one trial, through the block routine."""
+    idx = np.asarray(indices, dtype=int)
+    return float(selection_profits(np.zeros_like(idx), idx, np.array([rewards], dtype=float),
+                                   np.array([costs], dtype=float))[0])
 
 
 class TestDeriveConstants:
@@ -57,19 +64,19 @@ class TestActionSet:
 
 class TestProfit:
     def test_example(self):
-        assert profit([0, 1], [5.0, 7.0], [1.0, 2.0]) == 4.0
+        assert profit_of([0, 1], [5.0, 7.0], [1.0, 2.0]) == 4.0
 
     def test_empty_selection_is_zero(self):
-        assert profit([], [5.0], [-1.0]) == 0.0
-        assert profit(np.array([], dtype=int), [5.0], [-1.0]) == 0.0
+        assert profit_of([], [5.0], [-1.0]) == 0.0
+        assert profit_of(np.array([], dtype=int), [5.0], [-1.0]) == 0.0
 
     def test_negative_cost_adds(self):
-        assert profit([0], [2.0], [-3.0]) == 5.0
+        assert profit_of([0], [2.0], [-3.0]) == 5.0
 
     def test_block_matches_single_selections(self):
         # best reward minus the costs added in ascending action order, also on
         # rows with 8 or more members, where np.sum's pairwise order rounds
-        # differently; profit() of a single selection agrees bitwise
+        # differently; a single selection on its own agrees bitwise
         rng = np.random.default_rng(41)
         m, n = 300, 30
         rewards, costs = rng.uniform(0.0, 2.0, (m, n)), rng.uniform(-1.0, 1.0, (m, n))
@@ -83,7 +90,7 @@ class TestProfit:
             for i in idx:
                 spent += costs[r, i]
             expect = float(np.max(rewards[r, idx])) - spent if idx.size else 0.0
-            assert block[r] == expect == profit(idx, rewards[r], costs[r])
+            assert block[r] == expect == profit_of(idx, rewards[r], costs[r])
         assert (member.sum(axis=1) >= 8).sum() > 100 and (block[::10] == 0.0).all()
 
 
@@ -105,4 +112,4 @@ class TestDiscountedProfit:
             size = int(rng.integers(0, n + 1))
             idx = np.sort(rng.choice(n, size=size, replace=False))
             assert discounted_profit(idx, rewards, costs, 1.0, 1.0) == pytest.approx(
-                profit(idx, rewards, costs), abs=1e-12)
+                profit_of(idx, rewards, costs), abs=1e-12)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 
-from budgetmax import (ActionSet, RowLayout, draw_trials, is_feasible, learn, profit,
-                       read_stream, sample_block, surrogate_value)
-from budgetmax.cli import parse_config, read_trace, run_experiment
+from budgetmax import (ActionSet, RowLayout, draw_trials, is_feasible, learn, read_stream,
+                       sample_block, selection_profits, surrogate_value)
+from budgetmax.cli import TRACE_HEADER, TRACE_ROW, parse_config, run_experiment
 from conftest import draw_one, random_action_set, random_trial, stream_of
 
 
@@ -41,13 +41,18 @@ class TestProtocol:
         run_experiment(config)
         stream = read_stream(out / "stream.csv")
         traj = learn(stream)
-        rows = read_trace(out / "trace_seed9.csv", stream.action_set)
-        assert len(rows) == 50
-        for t, (row, sel) in enumerate(zip(rows, draw_all(RowLayout(stream.action_set), traj, 9))):
-            trial, indices, gain, grad_norm, eta = row
-            assert trial == t + 1 and indices == sel.tolist()
-            assert gain == profit(sel, stream.rewards[t], stream.costs[t])
-            assert grad_norm == traj.grad_norm[t] and eta == traj.eta[t]
+        # each trial replayed on its own, its profit from the one profit definition
+        selections = draw_all(RowLayout(stream.action_set), traj, 9)
+        member = np.zeros((stream.T, stream.n), dtype=bool)
+        for t, sel in enumerate(selections):
+            member[t, sel] = True
+        gains = selection_profits(*np.nonzero(member), stream.rewards, stream.costs)
+        text, cum = TRACE_HEADER + "\n", 0.0
+        for t, (sel, gain) in enumerate(zip(selections, gains.tolist())):
+            cum += gain
+            text += TRACE_ROW % (t + 1, ";".join(map(str, sel.tolist())), gain, cum,
+                                 traj.grad_norm[t], traj.eta[t])
+        assert (out / "trace_seed9.csv").read_bytes() == text.encode("ascii")
 
     def test_null_trials_leave_weights_untouched(self):
         aset = ActionSet.from_energies([0.2, 0.1])

@@ -4,9 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, Stream, discounted_profit, is_feasible,
-                       project_onto_feasible, surrogate_value)
-from budgetmax.oracles import (CapacityError, best_fixed_subset,
+from budgetmax import ActionSet, Stream, is_feasible, project_onto_feasible, surrogate_value
+from budgetmax.oracles import (CapacityError, best_fixed_subset, discounted_profit,
                                estimate_hit_rates, estimate_selection_probs,
                                exact_expected_profit, exact_intersection_prob,
                                exact_selection_probs, finite_diff_gradient,
@@ -33,14 +32,14 @@ class TestBestFixedSubset:
         # rewards all zero; the two cheapest-to-hold actions that fit win
         aset = ActionSet.from_energies([0.6, 0.6, 0.3])
         stream = Stream(aset, np.zeros((1, 3)), np.array([[-3.0, -2.0, -1.0]]))
-        res = best_fixed_subset(stream, aset, alpha=0.5, delta=0.25)
+        res = best_fixed_subset(stream, alpha=0.5, delta=0.25)
         assert res.subset == (0, 2)
         assert res.discounted_total == pytest.approx(0.5 * 4.0)
 
     def test_all_zero_stream_prefers_empty_set(self):
         aset = ActionSet.from_energies([0.2, 0.1])
         stream = Stream(aset, np.zeros((3, 2)), np.zeros((3, 2)))
-        res = best_fixed_subset(stream, aset, 0.5, 0.5)
+        res = best_fixed_subset(stream, 0.5, 0.5)
         assert res.subset == ()
         assert res.discounted_total == 0.0
 
@@ -48,7 +47,7 @@ class TestBestFixedSubset:
         aset = ActionSet.from_energies([0.01] * 21)
         stream = Stream(aset, np.zeros((1, 21)), np.zeros((1, 21)))
         with pytest.raises(CapacityError):
-            best_fixed_subset(stream, aset, 1.0, 1.0)
+            best_fixed_subset(stream, 1.0, 1.0)
 
     def test_matches_naive_enumeration(self):
         rng = np.random.default_rng(167)
@@ -61,7 +60,7 @@ class TestBestFixedSubset:
             stream = Stream(aset, rewards, costs)
             alpha = float(rng.uniform(0.1, 1.0))
             delta = float(rng.uniform(0.1, 1.0))
-            res = best_fixed_subset(stream, aset, alpha, delta)
+            res = best_fixed_subset(stream, alpha, delta)
             naive_value, naive_sub = naive_best_subset(stream, aset, alpha, delta)
             assert res.discounted_total == pytest.approx(naive_value, abs=1e-9)
             # the returned subset must be optimal up to float-sum noise
@@ -75,7 +74,7 @@ class TestBestFixedSubset:
         aset = ActionSet.from_energies([0.4, 0.3, 0.3])
         rewards = np.array([[0.0, 2.0, 2.0]])
         costs = np.array([[0.5, 0.0, 0.0]])
-        res = best_fixed_subset(Stream(aset, rewards, costs), aset, 1.0, 1.0)
+        res = best_fixed_subset(Stream(aset, rewards, costs), 1.0, 1.0)
         assert res.discounted_total == 2.0
         assert res.subset == (1,)  # {1}, {2}, {1,2} tie; lexicographic min wins
 
@@ -83,7 +82,7 @@ class TestBestFixedSubset:
         rng = np.random.default_rng(173)
         aset = random_action_set(rng, 10, beta_max=0.4)
         stream = Stream(aset, rng.uniform(0, 2, (4, 10)), rng.uniform(-1, 1, (4, 10)))
-        res = best_fixed_subset(stream, aset, aset.alpha, aset.delta)
+        res = best_fixed_subset(stream, aset.alpha, aset.delta)
         for size in range(11):
             for sub in itertools.combinations(range(10), size):
                 if float(np.sum(aset.z[list(sub)])) > 1.0 + 1e-12:

@@ -196,11 +196,22 @@ class TestMatchesSearchsortedReference:
     def test_shared_weight_row(self, n):
         rng = np.random.default_rng(2000 + n)
         aset = random_action_set(rng, n, zero_frac=0.2)
-        w = random_feasible_point(rng, aset.z)[None]
-        uniforms = rng.random((300, RowLayout(aset).width))
-        expect = reference_block(w, uniforms, aset)
-        for block in (uniforms, np.asfortranarray(uniforms)):
-            npt.assert_array_equal(sample_block(w, block, RowLayout(aset)), expect)
+        w = random_feasible_point(rng, aset.z)
+        # the wrapper: action 0 made heavy and given 2/3 beside the halved rest,
+        # so heads (probability 1/6) shows
+        z = aset.z.copy()
+        z[0] = 0.75
+        heavy_w = 0.5 * w
+        heavy_w[0] = 2.0 / 3.0
+        for action_set, weights in ((aset, w), (ActionSet.from_energies(z), heavy_w)):
+            layout = RowLayout(action_set)
+            uniforms = rng.random((300, layout.width))
+            expect = reference_block(weights[None], uniforms, action_set)
+            for block in (uniforms, np.asfortranarray(uniforms)):
+                npt.assert_array_equal(sample_block(weights[None], block, layout), expect)
+        assert layout.wrapper
+        heads = expect[:, 0]
+        assert heads.any() and (expect[heads].sum(axis=1) == 1).all()
 
     def test_zero_energy_class_only(self):
         # beta = 0: tau = delta = 1, so every unit of weight mass is a full draw
