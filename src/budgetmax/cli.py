@@ -372,6 +372,8 @@ def main(argv=None, out=None) -> int:
         for flag in COUNT_FLAGS.get(args.command, ()):
             if getattr(args, flag) < 1:
                 raise ValueError(f"--{flag} must be a positive integer, got {getattr(args, flag)}")
+        if args.command in COUNT_FLAGS and args.seed < 0:  # the spot checks draw from --seed
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command in ("run", "replay"):
             config = _require_config(args)
             stream = read_stream(args.stream) if args.command == "replay" else None

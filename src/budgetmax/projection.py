@@ -14,7 +14,8 @@ quadratic knapsack problem"):
 * only coordinates with ``z_i > 0`` and ``y_i > 0`` move as ``lam`` grows
   from 0. Each leaves 1 at ``(y_i - 1) / z_i`` and reaches 0 at
   ``y_i / z_i``; these breakpoints cut ``[0, max y_i / z_i]`` into pieces
-  ``(left, right]``;
+  ``(left, right]``. They are sorted once per call, and each iterate reads
+  its piece's ends with one binary search;
 * at an iterate ``lam`` the coordinates still at 1 and the free ones (left
   1, not yet at 0) give the linear ``u`` of ``lam``'s piece. The iteration
   solves it for ``u = 1`` from those coordinates, so the rounding of earlier
@@ -94,6 +95,8 @@ def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray
     zl = z[live]
     m = len(zl)
     points = np.concatenate(((yl - 1.0) / zl, yl / zl))  # where each leaves 1, then reaches 0
+    ordered = points.copy()  # each iterate reads its piece's ends from this one sort
+    ordered.sort()
     lo, hi = 0.0, float(np.maximum.reduce(points[m:]))  # the root lies in (lo, hi]
     hi_lam, hi_left = 0.0, math.inf  # the answer, once the piece (hi_left, hi] is known to hold it
     lam = min(max(lam0, _FIRST), hi)
@@ -105,8 +108,9 @@ def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray
         curvature = float(zf @ zf)
         # on lam's piece (left, right]: u = level - lam * curvature
         level = float(zf @ yl[free]) + float(np.add.reduce(zl[at_one]))
-        left = float(np.maximum.reduce(points[~past], initial=0.0))
-        right = float(np.minimum.reduce(points[past]))
+        k = ordered.searchsorted(lam)  # ordered[k - 1] < lam <= ordered[k]
+        left = max(ordered.item(k - 1), 0.0) if k else 0.0
+        right = ordered.item(k)
         if curvature > 0.0:
             new = (level - 1.0) / curvature
             beyond, before = new > right, new <= left

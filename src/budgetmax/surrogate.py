@@ -30,7 +30,10 @@ selection. So the weight trajectory is the same for every engine seed:
 :func:`learn` computes it once per stream, and each seed draws its
 selections from it (:func:`budgetmax.sampler.draw_trials`). A trial's reward
 order, drops and sorted cost parts do not depend on ``w``, so :func:`learn`
-finds them for a whole block of trials at once. Consecutive projections
+finds them for a whole block of trials at once. The reward order comes from
+numpy's default (unstable, SIMD) sort; only the rows whose sorted rewards
+hold an equal neighbour are sorted again stably, so ties keep ascending
+index order and every bit matches one stable sort. Consecutive projections
 have close inputs, so :func:`learn` starts each one's Newton iteration at
 the previous step's multiplier (:mod:`budgetmax.projection`), which
 changes the work but not the bits of the answer, and records the
@@ -52,9 +55,34 @@ from .environments import Stream
 from .projection import _project_from
 
 
+def _take_rows(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(values, order, axis=-1)`` by flat indices, which numpy gathers faster."""
+    *rows, n = values.shape
+    starts = np.arange(0, math.prod(rows) * n, n).reshape(*rows, 1) if n else 0
+    return np.take(values, order + starts)
+
+
+def _sorted_rewards(rewards) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, r_sorted)``: :func:`reward_order` and the rewards taken in it.
+
+    The unstable default sort (SIMD on most hosts) orders every row; a row
+    whose sorted rewards do not strictly fall holds a tie (0.0 and -0.0
+    count as one, and so does any NaN), and only those rows are sorted
+    again with ``kind="stable"``, so ties keep ascending index order.
+    """
+    rewards = np.atleast_1d(np.asarray(rewards, dtype=float))  # a scalar orders as one action
+    order = np.argsort(-rewards, axis=-1)
+    r_sorted = _take_rows(rewards, order)
+    tied = ~np.logical_and.reduce(r_sorted[..., :-1] > r_sorted[..., 1:], axis=-1)
+    if tied.any():  # a 1-d vector gives a 0-d mask, which indexes it as one row
+        order[tied] = np.argsort(-rewards[tied], axis=-1, kind="stable")
+        r_sorted[tied] = _take_rows(rewards[tied], order[tied])
+    return order, r_sorted
+
+
 def reward_order(rewards) -> np.ndarray:
     """Indices sorted by descending reward along the last axis; ties keep ascending index order."""
-    return np.argsort(-np.asarray(rewards, dtype=float), axis=-1, kind="stable")
+    return _sorted_rewards(rewards)[0]
 
 
 def _trial_pieces(rewards, costs):
@@ -66,12 +94,10 @@ def _trial_pieces(rewards, costs):
     sentinel after the last), and ``c_pos``/``c_neg`` the positive and
     negative parts of the costs, in reward order.
     """
-    rewards = np.asarray(rewards, dtype=float)
-    order = reward_order(rewards)
-    r_sorted = np.take_along_axis(rewards, order, axis=-1)
+    order, r_sorted = _sorted_rewards(rewards)
     after = np.zeros_like(r_sorted)
     after[..., :-1] = r_sorted[..., 1:]
-    c = np.take_along_axis(np.asarray(costs, dtype=float), order, axis=-1)
+    c = _take_rows(np.asarray(costs, dtype=float), order)
     return order, r_sorted - after, np.maximum(c, 0.0), np.minimum(c, 0.0)
 
 

@@ -529,6 +529,13 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be a positive integer, got {value}\n"
 
+    @pytest.mark.parametrize("command", [["gradcheck"], ["probcheck", "--samples", "20000"]])
+    def test_negative_seed_exits_1_before_any_work(self, capsys, command):
+        assert main(["--seed", "-1", *command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
     def test_count_of_one_runs(self, capsys):
         assert main(["gradcheck", "--instances", "1"]) == 0
         assert main(["probcheck", "--actions", "1", "--samples", "20000"]) == 0

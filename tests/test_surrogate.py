@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from budgetmax import (KINDS, ActionSet, EnvironmentSpec, generate, is_feasible, learn,
                        project_onto_feasible, projection_certificate, reward_order,
                        surrogate_gradient, surrogate_value)
+import budgetmax.surrogate as surrogate_module
 from budgetmax.core import BLOCK_ENTRIES
 from budgetmax.oracles import exact_expected_profit, finite_diff_gradient
+from budgetmax.surrogate import _trial_pieces
 from conftest import (random_action_set, random_feasible_point, random_trial, stream_of)
 
 
@@ -18,6 +21,81 @@ class TestRewardOrder:
 
     def test_all_equal_keeps_index_order(self):
         npt.assert_array_equal(reward_order([2.0, 2.0, 2.0]), [0, 1, 2])
+
+    def test_signed_zeros_tie(self):
+        npt.assert_array_equal(reward_order([0.0, -0.0, 1.0, -0.0, 0.0]), [2, 0, 1, 3, 4])
+
+
+def stable_pieces(rewards, costs):
+    """:func:`_trial_pieces` from one stable sort of every row, as a reference."""
+    order = np.argsort(-rewards, axis=-1, kind="stable")
+    r_sorted = np.take_along_axis(rewards, order, axis=-1)
+    after = np.zeros_like(r_sorted)
+    after[..., :-1] = r_sorted[..., 1:]
+    c = np.take_along_axis(costs, order, axis=-1)
+    return order, r_sorted - after, np.maximum(c, 0.0), np.minimum(c, 0.0)
+
+
+def tie_block(rng, rows, n):
+    """A ``(rows, n)`` reward block whose rows mix every kind of tie with none."""
+    block = rng.uniform(-2.0, 2.0, (rows, n))
+    for row in block:
+        pattern = int(rng.integers(6))
+        if pattern == 1:  # forced duplicates from a small pool
+            row[:] = rng.choice(rng.uniform(-1.0, 1.0, 3), n)
+        elif pattern == 2:  # every reward equal
+            row[:] = row[0]
+        elif pattern == 3:  # zeros of both signs among other values
+            row[rng.random(n) < 0.5] = 0.0
+            row[rng.random(n) < 0.5] = -0.0
+        elif pattern == 4:  # one duplicate pair
+            row[int(rng.integers(n))] = row[int(rng.integers(n))]
+        elif pattern == 5:  # infinities of either sign, or NaNs, which sort last in index order
+            row[rng.random(n) < 0.3] = rng.choice([np.inf, -np.inf, np.nan])
+    return block
+
+
+class TestTieRepair:
+    """The unstable sort with its tie repair gives the stable order on every input."""
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 2), (1, 9), (5, 1), (16, 2), (16, 7),
+                                         (16, 100), (3, 1000)])
+    def test_reward_order_is_the_stable_order(self, rows, n):
+        rng = np.random.default_rng(rows * 10_000 + n)
+        for _ in range(40):
+            block = tie_block(rng, rows, n)
+            stable = np.argsort(-block, axis=-1, kind="stable")
+            npt.assert_array_equal(reward_order(block), stable)
+            for row, expected in zip(block, stable):
+                npt.assert_array_equal(reward_order(row), expected)
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (16, 7), (16, 100), (3, 1000)])
+    def test_trial_pieces_keep_their_bits(self, rows, n):
+        rng = np.random.default_rng(rows * 10_000 + n + 1)
+        for _ in range(40):
+            rewards = tie_block(rng, rows, n)
+            costs = rng.uniform(-1.0, 1.0, (rows, n))
+            costs[rng.random((rows, n)) < 0.2] = -0.0
+            with np.errstate(invalid="ignore"):  # inf - inf in the drops
+                pieces = _trial_pieces(rewards, costs)
+                expected = stable_pieces(rewards, costs)
+                rows_alone = [_trial_pieces(r, c) for r, c in zip(rewards, costs)]
+            for got, want in zip(pieces, expected):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for i, one in enumerate(rows_alone):
+                for got, want in zip(one, expected):
+                    assert got.tobytes() == want[i].tobytes()
+
+    def test_learn_keeps_its_bits_where_ties_move_the_gradient(self, monkeypatch):
+        # ties between non-zero rewards: their order sets the prefix sums' bits
+        rng = np.random.default_rng(131)
+        aset = random_action_set(rng, 50)
+        stream = stream_of(aset, [random_trial(rng, 50, tie_frac=0.5) for _ in range(300)])
+        traj = learn(stream)
+        monkeypatch.setattr(surrogate_module, "_trial_pieces", stable_pieces)
+        reference = learn(stream)
+        for got, want in zip(vars(traj).values(), vars(reference).values()):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSurrogateValue:
@@ -208,6 +286,33 @@ class TestUpdateWeights:
         assert np.array_equal(traj.weights, weights)
         assert np.array_equal(traj.grad_norm, grad_norm)
         assert np.array_equal(traj.eta, eta)
+
+
+class TestPinnedTrajectory:
+    """SHA-256 of ``learn``'s arrays on two wide streams; these change only with the learner's bits."""
+
+    PINNED = {
+        # a wide stream where the budget binds on every step
+        ("random_adversarial", 1000, 100, 0):
+            "8abcba25a710cbde53c79075cf261d63cd3f060a3293b6e8b637f263ad172b7c",
+        # a tie-heavy stream: about 28 % of its rows hold tied rewards (all ties at 0,
+        # where their order leaves the bits alone; TestTieRepair covers the rest)
+        ("facility_location", 100, 1500, 3):
+            "e445646bb4eefe9b3c9b59002cc1d498efa9dfec73efb12e42205e7b1689d19d",
+    }
+
+    @pytest.mark.parametrize("kind, n, T, seed", list(PINNED))
+    def test_trajectory_bytes(self, kind, n, T, seed):
+        stream = generate(EnvironmentSpec(kind=kind, n=n, T=T, seed=seed))
+        if kind == "facility_location":
+            r_sorted = np.sort(stream.rewards, axis=1)
+            tied = float(np.mean((r_sorted[:, 1:] == r_sorted[:, :-1]).any(axis=1)))
+            assert 0.2 < tied < 0.4
+        traj = learn(stream)
+        digest = hashlib.sha256()
+        for array in (traj.weights, traj.grad_norm, traj.eta, traj.lam):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.PINNED[(kind, n, T, seed)]
 
 
 class TestMultiplier:
