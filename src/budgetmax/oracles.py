@@ -8,7 +8,9 @@ Each group keeps as far from the production code as its purpose allows:
   :func:`exact_expected_profit` its reward order from ``surrogate.reward_order``)
   but compute the independent-draw product form in plain scalar code;
 - the Monte Carlo estimators draw through ``sampler.sample_block`` itself, so
-  they test the sampler against the exact oracles, not apart from them;
+  they test the sampler against the exact oracles, not apart from them; they
+  refill one reused uniforms buffer per block of ``MC_CHUNK`` draws and count
+  on the block's contiguous (column-major) action columns;
 - :func:`finite_diff_gradient` and :func:`grid_projection` share no code with
   the surrogate or the projection they check.
 
@@ -202,28 +204,51 @@ def exact_expected_profit(w, action_set: ActionSet, rewards, costs) -> float:
     return expected_max - expected_cost
 
 
+def _sample_count(n_samples) -> int:
+    """``n_samples`` as an ``int``; a ``ValueError`` unless it is an integer of at least 1."""
+    if (isinstance(n_samples, (bool, np.bool_)) or not isinstance(n_samples, (int, np.integer))
+            or n_samples < 1):
+        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+    return int(n_samples)
+
+
 def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
     """Membership blocks of ``n_samples`` independent draws at ``w``, ``MC_CHUNK`` rows at a time.
 
     Each draw is sampled as the learner samples a trial, from uniforms of
     ``np.random.default_rng(seed)``. A block's uniforms are drawn column by
-    column (a column-major array), so the columns the sampler reads at a
-    shared weight row are contiguous.
+    column, as ``rng.random((width, rows)).T``, so the columns the sampler
+    reads at a shared weight row are contiguous. Full blocks refill one
+    reused ``(width, MC_CHUNK)`` buffer, which draws the same values in the
+    same order; a short last block gets its own array. Each block is a
+    column-major ``(rows, n)`` array, so an action's memberships are
+    contiguous.
     """
     layout = RowLayout(action_set)
     rng = np.random.default_rng(seed)
     w = np.asarray(w, dtype=float)[None]
-    for start in range(0, int(n_samples), MC_CHUNK):
-        rows = min(MC_CHUNK, int(n_samples) - start)
-        yield sample_block(w, rng.random((layout.width, rows)).T, layout)
+    buffer = np.empty((layout.width, min(MC_CHUNK, n_samples)))
+    for start in range(0, n_samples, MC_CHUNK):
+        rows = min(MC_CHUNK, n_samples - start)
+        if rows == buffer.shape[1]:
+            uniforms = rng.random(out=buffer)
+        else:
+            uniforms = rng.random((layout.width, rows))
+        yield sample_block(w, uniforms.T, layout)
 
 
 def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,
                              seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo per-action selection frequencies and their standard errors."""
+    """Monte Carlo per-action selection frequencies and their standard errors.
+
+    Each action's selections are counted on its contiguous column of a
+    block. Raises ``ValueError`` unless ``n_samples`` is an integer of at
+    least 1.
+    """
+    n_samples = _sample_count(n_samples)
     counts = np.zeros(action_set.n)
     for member in _membership_blocks(w, action_set, n_samples, seed):
-        counts += member.sum(axis=0)
+        counts += [np.count_nonzero(column) for column in member.T]
     freq = counts / n_samples
     sigma = np.sqrt(freq * (1.0 - freq) / n_samples)
     return freq, sigma
@@ -231,13 +256,17 @@ def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,
 
 def estimate_hit_rates(w, action_set: ActionSet, subsets, n_samples: int,
                        seed: int) -> np.ndarray:
-    """Monte Carlo frequencies with which the selection hits each subset."""
+    """Monte Carlo frequencies with which the selection hits each subset.
+
+    Raises ``ValueError`` unless ``n_samples`` is an integer of at least 1.
+    """
+    n_samples = _sample_count(n_samples)
     subset_idx = [np.array(sorted(set(int(i) for i in sub)), dtype=int) for sub in subsets]
     counts = np.zeros(len(subset_idx))
     for member in _membership_blocks(w, action_set, n_samples, seed):
         for k, idx in enumerate(subset_idx):
             if idx.size:
-                counts[k] += int(member[:, idx].any(axis=1).sum())
+                counts[k] += np.count_nonzero(member[:, idx].any(axis=1))
     return counts / n_samples
 
 

@@ -194,7 +194,10 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     Each draw finds what ``np.searchsorted`` finds on its own segment's
     ``cum``: with one weight row shared by many rows (Monte Carlo) a plain
     search per segment over its columns; with a weight row per row one
-    search over the draws the rows make (see :func:`_draw_per_row`).
+    search over the draws the rows make (see :func:`_draw_per_row`). A
+    shared weight row yields a column-major (Fortran-ordered) result, so
+    each action's memberships are contiguous; a weight row per row yields
+    a row-major one. The values do not depend on the order.
 
     Raises
     ------
@@ -225,10 +228,12 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     cum /= np.where(mass > 0.0, mass, 1.0)[:, layout.segment_of]
 
     residual = scaled - full
-    member = np.zeros((m, n), dtype=bool)
     if len(weights) < m:
+        # column-major, like the uniform columns each segment's draws read
+        member = np.zeros((m, n), dtype=bool, order="F")
         _draw_shared(member, uniforms, cum[0], full[0], residual[0], layout)
     else:
+        member = np.zeros((m, n), dtype=bool)
         _draw_per_row(member, uniforms, cum, full, residual, layout)
     if layout.wrapper:  # heads (the heavy coin, column 0): the heavy pick alone
         member[uniforms[:, 0] < residual[:, 0]] &= layout.z >= LARGE_ENERGY_THRESHOLD

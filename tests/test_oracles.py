@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import ActionSet, Stream, is_feasible, project_onto_feasible, surrogate_value
-from budgetmax.oracles import (CapacityError, best_fixed_subset, discounted_profit,
+from budgetmax import (ActionSet, RowLayout, Stream, is_feasible, project_onto_feasible,
+                       sample_block, surrogate_value)
+from budgetmax.oracles import (MC_CHUNK, CapacityError, best_fixed_subset, discounted_profit,
                                estimate_hit_rates, estimate_selection_probs,
                                exact_expected_profit, exact_intersection_prob,
                                exact_selection_probs, finite_diff_gradient,
@@ -143,7 +144,54 @@ class TestExactExpectedProfit:
                 -surrogate_value(w, *trial, aset.delta) - 1e-10
 
 
+def reference_estimates(w, action_set, subsets, n_samples, seed):
+    """Both estimators as a plain loop over the documented uniforms, block by block."""
+    layout = RowLayout(action_set)
+    rng = np.random.default_rng(seed)
+    counts, hits = np.zeros(action_set.n), np.zeros(len(subsets))
+    for start in range(0, n_samples, MC_CHUNK):
+        rows = min(MC_CHUNK, n_samples - start)
+        member = sample_block(w[None], rng.random((layout.width, rows)).T, layout)
+        counts += member.sum(axis=0)
+        for k, sub in enumerate(subsets):
+            if sub:
+                hits[k] += member[:, sorted(set(sub))].any(axis=1).sum()
+    freq = counts / n_samples
+    return freq, np.sqrt(freq * (1.0 - freq) / n_samples), hits / n_samples
+
+
 class TestEstimators:
+    @pytest.mark.parametrize("wrapper", [False, True])
+    @pytest.mark.parametrize("n", [1, 40, 300])
+    def test_bit_identical_to_reference_loop(self, n, wrapper):
+        # two full blocks (the reused buffer) and a short last one of 7 rows
+        rng = np.random.default_rng(400 + n)
+        z = random_action_set(rng, n).z.copy()
+        if wrapper:
+            z[0] = 0.75
+        aset = ActionSet.from_energies(z)
+        assert RowLayout(aset).wrapper == wrapper
+        w = random_feasible_point(rng, aset.z)
+        subsets = [[], [0], sorted(set(rng.choice(n, size=min(n, 5)).tolist())), list(range(n))]
+        n_samples = 2 * MC_CHUNK + 7
+        freq, sigma, hits = reference_estimates(w, aset, subsets, n_samples, seed=n)
+        got_freq, got_sigma = estimate_selection_probs(w, aset, n_samples, seed=n)
+        assert got_freq.tobytes() == freq.tobytes()
+        assert got_sigma.tobytes() == sigma.tobytes()
+        # a numpy integer count is accepted like a Python int
+        got_hits = estimate_hit_rates(w, aset, subsets, np.int64(n_samples), seed=n)
+        assert got_hits.tobytes() == hits.tobytes()
+        assert hits[0] == 0.0 and 0.0 < hits[-1]
+
+    @pytest.mark.parametrize("n_samples", [0, -5, 2.5, True, np.float64(3.0)])
+    def test_sample_count_must_be_a_positive_integer(self, n_samples):
+        aset = ActionSet.from_energies([0.25, 0.1])
+        w = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_selection_probs(w, aset, n_samples, seed=1)
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_hit_rates(w, aset, [[0]], n_samples, seed=1)
+
     def test_zero_weights_zero_frequency(self):
         aset = ActionSet.from_energies([0.25, 0.0])
         freq, sigma = estimate_selection_probs(np.zeros(2), aset, 1000, seed=1)

@@ -213,6 +213,18 @@ class TestMatchesSearchsortedReference:
         heads = expect[:, 0]
         assert heads.any() and (expect[heads].sum(axis=1) == 1).all()
 
+    @pytest.mark.parametrize("n", [1, 40, 300])
+    def test_shared_row_result_is_column_major(self, n):
+        # the Monte Carlo estimators' uniforms, column by column, at one shared row
+        rng = np.random.default_rng(4000 + n)
+        aset = random_action_set(rng, n, zero_frac=0.2)
+        w = random_feasible_point(rng, aset.z)
+        layout = RowLayout(aset)
+        uniforms = rng.random((layout.width, 500)).T
+        member = sample_block(w[None], uniforms, layout)
+        assert member.flags.f_contiguous
+        npt.assert_array_equal(member, reference_block(w[None], uniforms, aset))
+
     def test_zero_energy_class_only(self):
         # beta = 0: tau = delta = 1, so every unit of weight mass is a full draw
         rng = np.random.default_rng(9)
