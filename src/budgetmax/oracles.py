@@ -8,7 +8,8 @@ Each group keeps as far from the production code as its purpose allows:
   :func:`exact_expected_profit` its reward order from ``surrogate.reward_order``)
   but compute the independent-draw product form in plain scalar code;
 - the Monte Carlo estimators draw through ``sampler.sample_block`` itself, so
-  they test the sampler against the exact oracles, not apart from them; they
+  they test the sampler against the exact oracles, not apart from them (at
+  their shared weight row it picks through a guide table per segment); they
   refill one reused uniforms buffer per block of ``MC_CHUNK`` draws and count
   on the block's contiguous (column-major) action columns;
 - :func:`finite_diff_gradient` and :func:`grid_projection` share no code with
@@ -153,6 +154,16 @@ def _selection_probs(draws, n: int) -> np.ndarray:
     return probs
 
 
+def _subset_indices(subset, n: int) -> list:
+    """The distinct indices of ``subset``, ascending; a ``ValueError`` names one outside ``[0, n)``."""
+    indices = set()
+    for i in subset:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+            raise ValueError(f"subset index must be an integer in [0, {n}), got {i!r}")
+        indices.add(int(i))
+    return sorted(indices)
+
+
 def _hit_prob(draws, subset) -> float:
     members = set(int(i) for i in subset)
     miss = 1.0
@@ -176,8 +187,10 @@ def exact_selection_probs(w, action_set: ActionSet) -> np.ndarray:
 def exact_intersection_prob(w, action_set: ActionSet, subset) -> float:
     """P(S hits ``subset``), exactly, via the same product form per class.
 
-    Raises ``ValueError`` for an action set sampled through the wrapper.
+    Raises ``ValueError`` for an action set sampled through the wrapper, or
+    for a subset index that is not an integer in ``[0, n)``.
     """
+    subset = _subset_indices(subset, action_set.n)
     return _hit_prob(_class_draws(w, RowLayout(action_set)), subset)
 
 
@@ -258,10 +271,11 @@ def estimate_hit_rates(w, action_set: ActionSet, subsets, n_samples: int,
                        seed: int) -> np.ndarray:
     """Monte Carlo frequencies with which the selection hits each subset.
 
-    Raises ``ValueError`` unless ``n_samples`` is an integer of at least 1.
+    Raises ``ValueError`` unless ``n_samples`` is an integer of at least 1
+    and every subset index is an integer in ``[0, n)``, before any draw.
     """
     n_samples = _sample_count(n_samples)
-    subset_idx = [np.array(sorted(set(int(i) for i in sub)), dtype=int) for sub in subsets]
+    subset_idx = [np.array(_subset_indices(sub, action_set.n), dtype=int) for sub in subsets]
     counts = np.zeros(len(subset_idx))
     for member in _membership_blocks(w, action_set, n_samples, seed):
         for k, idx in enumerate(subset_idx):

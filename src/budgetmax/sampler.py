@@ -40,9 +40,13 @@ full-draw columns, then one coin and one pick:
 - zero columns pad the width ``K`` to a multiple of 4.
 
 A draw from a segment with actions ``a_0 < a_1 < ...`` and uniform ``u``
-picks ``a_k`` with ``k = np.searchsorted(cum, u, side="right")``, where
-``cum = np.cumsum(w[a]) / S`` and ``S`` is the last entry of that cumsum.
-On heads the row yields the heavy pick alone.
+in ``[0, 1)`` picks ``a_k`` with ``k = np.searchsorted(cum, u,
+side="right")``, where ``cum = np.cumsum(w[a]) / S`` and ``S`` is the last
+entry of that cumsum. On heads the row yields the heavy pick alone. At one
+weight row shared by many rows (Monte Carlo) each segment's ``k`` comes
+from a guide table built once per block, which inverts ``cum`` exactly
+(Chen & Asau 1974); a weight row per row makes one search over all the
+draws of its rows.
 
 The uniforms of engine seed ``s`` are ``Generator(Philox(key=s))`` doubles
 (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3"), read
@@ -192,18 +196,21 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     row) from ``uniforms[r]`` as the module docstring lays out.
 
     Each draw finds what ``np.searchsorted`` finds on its own segment's
-    ``cum``: with one weight row shared by many rows (Monte Carlo) a plain
-    search per segment over its columns; with a weight row per row one
-    search over the draws the rows make (see :func:`_draw_per_row`). A
-    shared weight row yields a column-major (Fortran-ordered) result, so
-    each action's memberships are contiguous; a weight row per row yields
-    a row-major one. The values do not depend on the order.
+    ``cum``: with one weight row shared by many rows (Monte Carlo) through
+    a guide table per segment (see :func:`_guide_inverse`); with a weight
+    row per row one search over the draws the rows make (see
+    :func:`_draw_per_row`). Uniforms must lie in ``[0, 1)``; at a shared
+    weight row every uniform a draw inverts is checked. A shared weight
+    row yields a column-major (Fortran-ordered) result, so each action's
+    memberships are contiguous; a weight row per row yields a row-major
+    one. The values do not depend on the order.
 
     Raises
     ------
     ValueError
         If the shapes disagree, a weight row is infeasible (box and budget at
-        ``FEASIBILITY_TOL``) or a selection's energy exceeds ``1 +
+        ``FEASIBILITY_TOL``), a shared weight row's draw inverts a uniform
+        outside ``[0, 1)`` or NaN, or a selection's energy exceeds ``1 +
         BUDGET_SLACK``.
     """
     weights = np.asarray(weights, dtype=float)
@@ -244,17 +251,75 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
 
 
 def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> None:
-    """Mark the draws of every row at one shared weight row, segment by segment."""
-    every = np.arange(len(member))[:, None]
+    """Mark the draws of every row at one shared weight row, segment by segment.
+
+    ``member`` is column-major, so action ``a`` of row ``r`` is entry ``a *
+    rows + r`` of its flat view, and each column's picks are marked through
+    one flat index.
+    """
+    rows = len(member)
+    flat = member.reshape(-1, order="F")
     for s, ((start, stop), coin, columns) in enumerate(zip(layout.spans, layout.coins,
                                                           layout.full_columns)):
-        actions, segment_cum = layout.order[start:stop], cum[start:stop]
         # w <= 1 + tol can push floor(scale * S) past the segment's columns
-        draws = uniforms[:, coin - columns:coin - columns + min(int(full[s]), columns)]
-        member[every, actions[np.searchsorted(segment_cum, draws, side="right")]] = True
+        first, draws = coin - columns, min(int(full[s]), columns)
+        if not (draws or residual[s] > 0.0):
+            continue  # no weight mass: no full draw, and no coin falls below 0
+        invert = _guide_inverse(cum[start:stop], layout.order[start:stop] * rows)
+        every = np.arange(rows) if draws else None
+        for column in range(first, first + draws):
+            picks = invert(uniforms[:, column])
+            picks += every
+            flat[picks] = True
         fired = np.flatnonzero(uniforms[:, coin] < residual[s])
-        picks = actions[np.searchsorted(segment_cum, uniforms[fired, coin + 1], side="right")]
-        member[fired, picks] = True
+        picks = invert(uniforms[:, coin + 1].take(fired))
+        picks += fired
+        flat[picks] = True
+
+
+def _guide_inverse(cum, targets):
+    """``u -> targets[np.searchsorted(cum, u, side="right")]`` for uniforms ``u`` in ``[0, 1)``.
+
+    ``cum`` is a segment's cumulative mass over its total, ending at 1. The
+    inverse is a guide table (Chen & Asau 1974, "On generating random
+    variates from an empirical distribution"). Runs of equal ``cum`` values
+    (zero-weight actions) are collapsed into ``values``. Cell ``c`` of the
+    table covers ``[c / cells, (c + 1) / cells)`` with ``cells = 2**p`` at
+    least four per value, and ``start[c]`` counts the values at or below
+    ``c / cells``. A uniform in cell ``c`` lies at or above those and below
+    the values past the cell, so a branch-free binary search over the few
+    values strictly inside the cell finishes the count. ``u * cells`` is
+    exact and the rest are comparisons, so the count is searchsorted's bit
+    for bit. A uniform outside ``[0, 1)`` or NaN raises a ``ValueError``.
+    """
+    # a weight within tolerance below 0 can make cum dip; search its running maximum
+    cum = np.maximum.accumulate(cum)
+    run_end = np.append(cum[1:] != cum[:-1], True)
+    values = cum[run_end]
+    targets = targets[np.append(True, run_end[:-1])]  # each run's first action
+    cells = 1 << (4 * values.size - 1).bit_length()
+    scaled = values * cells
+    cell = np.floor(scaled)
+    inner = cell != scaled
+    # a value counts from the cell at its ceiling on
+    start = np.bincount((cell + inner).astype(np.intp), minlength=cells).cumsum()
+    inside = int(np.bincount(cell[inner].astype(np.intp)).max(initial=0))
+    steps = [1 << k for k in reversed(range(inside.bit_length()))]
+    # ahead[k][j] is values[j + steps[k] - 1], and +inf (above every uniform) past the end
+    padded = np.append(values, np.full(steps[0] if steps else 0, np.inf))
+    ahead = [padded[step - 1:] for step in steps]
+
+    def invert(u):
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+            bad = u[~((u >= 0.0) & (u < 1.0))][0]
+            raise ValueError(f"uniforms must lie in [0, 1), got {float(bad)!r}")
+        j = start.take((u * cells).astype(np.intp))
+        for step, values_ahead in zip(steps, ahead):
+            below = values_ahead.take(j) <= u
+            j += step * below if step > 1 else below
+        return targets.take(j)
+
+    return invert
 
 
 def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> None:

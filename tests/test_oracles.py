@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +7,7 @@ import pytest
 
 from budgetmax import (ActionSet, RowLayout, Stream, is_feasible, project_onto_feasible,
                        sample_block, surrogate_value)
+from budgetmax import oracles
 from budgetmax.oracles import (MC_CHUNK, CapacityError, best_fixed_subset, discounted_profit,
                                estimate_hit_rates, estimate_selection_probs,
                                exact_expected_profit, exact_intersection_prob,
@@ -191,6 +193,23 @@ class TestEstimators:
             estimate_selection_probs(w, aset, n_samples, seed=1)
         with pytest.raises(ValueError, match="n_samples"):
             estimate_hit_rates(w, aset, [[0]], n_samples, seed=1)
+
+    @pytest.mark.parametrize("bad", [-1, 6, 1.5, np.int64(-1)])
+    def test_subset_index_outside_the_actions_rejected(self, bad, monkeypatch):
+        # before, -1 wrapped to action 5 in the Monte Carlo oracle and hit nothing in the exact one
+        rng = np.random.default_rng(0)
+        aset = random_action_set(rng, 6)
+        w = random_feasible_point(rng, aset.z)
+
+        def no_draw(*args):
+            raise AssertionError("drew before checking the subsets")
+
+        monkeypatch.setattr(oracles, "_membership_blocks", no_draw)
+        message = rf"subset index must be an integer in \[0, 6\), got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            estimate_hit_rates(w, aset, [[0, 1], [2, bad]], 2000, seed=1)
+        with pytest.raises(ValueError, match=message):
+            exact_intersection_prob(w, aset, [bad])
 
     def test_zero_weights_zero_frequency(self):
         aset = ActionSet.from_energies([0.25, 0.0])

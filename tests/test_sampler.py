@@ -9,6 +9,8 @@ from budgetmax import (ActionSet, RowLayout, ZERO_CLASS,
                        draw_trials, project_onto_feasible, sample_block, uniform_stream)
 from budgetmax.oracles import (estimate_selection_probs, exact_expected_profit,
                                exact_intersection_prob, exact_selection_probs)
+from budgetmax import sampler
+from budgetmax.sampler import _guide_inverse
 from conftest import draw_one, random_action_set, random_feasible_point
 
 
@@ -256,6 +258,97 @@ class TestMatchesSearchsortedReference:
         assert heads.any() and (member[heads].sum(axis=1) == 1).all()
 
 
+def fuzzed_cum(rng, size):
+    """A segment's cum as the sampler computes it, from weights that are
+    often zero (leading zeros included) or spread down to 1e-300."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        w = rng.random(size)
+    elif kind == 1:  # clustered: most of the mass in a few actions
+        w = 10.0 ** rng.uniform(-300.0, 0.0, size)
+    elif kind == 2:  # a few distinct weights, so cum has regular steps
+        w = rng.integers(1, 4, size).astype(float)
+    else:
+        w = 10.0 ** -rng.integers(0, 20, size).astype(float)
+    w[rng.random(size) < rng.uniform(0.0, 0.6)] = 0.0
+    if rng.random() < 0.3:
+        w[:int(rng.integers(1, size + 1))] = 0.0
+    if not w.any():
+        w[int(rng.integers(size))] = rng.random() + 0.1
+    cum = np.add.accumulate(w)
+    return cum / cum[-1]
+
+
+def probes(rng, cum):
+    """Uniforms on and beside every cum value, on table cell edges, and at random."""
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                        [0.0, -0.0, below_one], rng.random(64)])
+    for p in rng.integers(0, 14, 4):
+        edges = rng.integers(0, 2**p, 16) / 2.0**p
+        u = np.concatenate([u, edges, np.nextafter(edges, 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideInverse:
+    """The shared-row search against ``np.searchsorted(cum, u, side="right")``."""
+
+    def test_fuzzed_segments(self):
+        rng = np.random.default_rng(5150)
+        sizes = np.concatenate([[1, 1, 2, 701], rng.integers(1, 60, 3000)])
+        for size in sizes:
+            cum = fuzzed_cum(rng, int(size))
+            u = probes(rng, cum)
+            expect = np.searchsorted(cum, u, side="right")
+            npt.assert_array_equal(_guide_inverse(cum, np.arange(size))(u), expect)
+
+    def test_every_cell_edge(self):
+        # each multiple of 2**-13 and its neighbour, on a 700-action segment too
+        rng = np.random.default_rng(5151)
+        grid = np.arange(2**13) / 2**13
+        u = np.concatenate([grid, np.nextafter(grid, 1.0)])
+        for size in (1, 3, 40, 700):
+            for _ in range(5):
+                cum = fuzzed_cum(rng, size)
+                npt.assert_array_equal(_guide_inverse(cum, np.arange(size))(u),
+                                       np.searchsorted(cum, u, side="right"))
+
+    def test_targets_and_ties(self):
+        # zero weights first and between: the pick is the next weighted action
+        cum = np.array([0.0, 0.0, 0.25, 0.25, 0.25, 1.0, 1.0])
+        targets = np.array([10, 11, 12, 13, 14, 15, 16])
+        u = np.array([0.0, 0.1, 0.25, np.nextafter(0.25, 0.0), 0.9])
+        npt.assert_array_equal(_guide_inverse(cum, targets)(u), [12, 12, 15, 12, 15])
+
+    def test_dip_searches_the_running_maximum(self):
+        # a weight within tolerance below 0 makes cum dip; the pick is the
+        # first action whose running maximum exceeds u
+        cum = np.array([0.5, 0.5 - 1e-10, 0.8, 1.0])
+        u = np.array([0.0, 0.5 - 2e-10, 0.5 - 1e-10, 0.5, 0.7, 0.9])
+        npt.assert_array_equal(_guide_inverse(cum, np.arange(4))(u), [0, 0, 0, 2, 2, 3])
+
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, 1.5, np.nan, np.inf, -np.inf])
+    def test_uniform_outside_unit_interval_rejected(self, bad):
+        invert = _guide_inverse(np.array([0.5, 1.0]), np.arange(2))
+        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+            invert(np.array([0.25, bad, 0.75]))
+
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, np.nan])
+    def test_sample_block_rejects_a_uniform_a_draw_reads(self, bad):
+        # four zero-energy actions at weight 1: four full draws in every row
+        aset = ActionSet.from_energies(np.zeros(4))
+        layout = RowLayout(aset)
+        uniforms = rows_of(3, 0, 20, layout.width)
+        uniforms[7, 2] = bad
+        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+            sample_block(np.ones((1, 4)), uniforms, layout)
+        uniforms[7, 2] = -0.0  # compares equal to 0.0, so it is drawn like it
+        zero = uniforms.copy()
+        zero[7, 2] = 0.0
+        npt.assert_array_equal(sample_block(np.ones((1, 4)), uniforms, layout),
+                               sample_block(np.ones((1, 4)), zero, layout))
+
+
 class TestUniformStream:
     def test_rows_are_philox_doubles(self):
         block = np.random.Generator(np.random.Philox(key=21)).random((50, 12))
@@ -342,6 +435,19 @@ class TestSampling:
             assert draw_one(w, 67, t, layout).tolist() == np.flatnonzero(batch[t - 1]).tolist()
         sigma = np.sqrt(exact * (1.0 - exact) / n_draws)
         assert np.all(np.abs(batch.mean(axis=0) - exact) <= 5.0 * np.maximum(sigma, 1e-9))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_energy_check_reads_the_returned_membership(self, shared, monkeypatch):
+        # a draw routine that marks every action of a set whose energies sum to 1.2
+        def mark_all(member, *args):
+            member[:] = True
+
+        monkeypatch.setattr(sampler, "_draw_shared", mark_all)
+        monkeypatch.setattr(sampler, "_draw_per_row", mark_all)
+        layout = RowLayout(ActionSet.from_energies([0.4, 0.4, 0.4]))
+        weights = np.full((1 if shared else 6, 3), 0.5)
+        with pytest.raises(ValueError, match="selection energy .* exceeds the unit budget"):
+            sample_block(weights, rows_of(0, 0, 6, layout.width), layout)
 
 
 class TestAnalyticBounds:
