@@ -7,30 +7,23 @@ The randomized sampler turns weights into subsets while keeping analytic
 control of every selection probability.
 """
 
-from .core import (ActionSet, BUDGET_SLACK, InvalidEnergyError, derive_constants,
-                   selection_profits)
+from .core import ActionSet, BUDGET_SLACK, InvalidEnergyError, selection_profits
 from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
                            check_constraints, generate, read_stream, write_stream)
-from .projection import (FEASIBILITY_TOL, ProjectionCertificate, is_feasible,
-                         project_onto_feasible, projection_certificate)
-from .sampler import (LARGE_ENERGY_THRESHOLD, RowLayout, ZERO_CLASS,
-                      analytic_intersection_lower_bound, analytic_selection_bounds,
-                      draw_trials, sample_block, uniform_stream)
-from .surrogate import (Trajectory, learn, reward_order, surrogate_gradient,
-                        surrogate_value)
+from .projection import FEASIBILITY_TOL, is_feasible, project_onto_feasible
+from .sampler import (LARGE_ENERGY_THRESHOLD, RowLayout, ZERO_CLASS, draw_trials, sample_block,
+                      uniform_stream)
+from .surrogate import Trajectory, learn, surrogate_gradient, surrogate_value
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionSet", "BUDGET_SLACK", "InvalidEnergyError",
-    "derive_constants", "selection_profits",
+    "ActionSet", "BUDGET_SLACK", "InvalidEnergyError", "selection_profits",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
     "check_constraints", "generate", "read_stream", "write_stream",
-    "FEASIBILITY_TOL", "ProjectionCertificate", "is_feasible",
-    "project_onto_feasible", "projection_certificate",
+    "FEASIBILITY_TOL", "is_feasible", "project_onto_feasible",
     "LARGE_ENERGY_THRESHOLD", "RowLayout", "ZERO_CLASS",
-    "analytic_intersection_lower_bound", "analytic_selection_bounds",
     "draw_trials", "sample_block", "uniform_stream",
-    "Trajectory", "learn", "reward_order", "surrogate_gradient", "surrogate_value",
+    "Trajectory", "learn", "surrogate_gradient", "surrogate_value",
     "__version__",
 ]

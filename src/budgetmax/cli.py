@@ -36,11 +36,11 @@ import numpy as np
 from .core import ActionSet, selection_profits
 from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_constraints,
                            generate, read_stream, write_stream)
-from .oracles import (MAX_EXHAUSTIVE_ACTIONS, best_fixed_subset,
+from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
 from .projection import project_onto_feasible
-from .sampler import RowLayout, analytic_selection_bounds, draw_trials
+from .sampler import RowLayout, draw_trials
 from .surrogate import learn, surrogate_gradient, surrogate_value
 
 CONFIG_VERSION = 1

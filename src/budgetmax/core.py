@@ -9,7 +9,8 @@ costs; the empty selection earns zero.
 
 There is no per-trial type: a trial is a row of the stream's ``(T, n)``
 reward and cost matrices, and a selection is an array of action indices in
-ascending order.
+ascending order. :meth:`ActionSet.from_energies` is the one energy check,
+and it derives the constants the sampler and the comparator read.
 """
 
 from __future__ import annotations
@@ -30,48 +31,41 @@ class InvalidEnergyError(ValueError):
     """Energy vector has an entry outside [0, 1] (or is empty / non-finite)."""
 
 
-def derive_constants(z) -> tuple[float, float, float, float]:
-    """Return ``(beta, tau, delta, alpha)`` for an energy vector.
-
-    ``beta`` is the largest energy, ``tau = 1 - sqrt(beta)``,
-    ``delta = tau ** 2`` and ``alpha = 1 - exp(-delta)``. All four drive the
-    sampler's class thresholds and the discounting of costs and rewards.
-
-    Raises
-    ------
-    InvalidEnergyError
-        If ``z`` is empty, non-finite, or has entries outside [0, 1].
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise InvalidEnergyError("energy vector must be a non-empty 1-d array")
-    beta = float(np.max(z))
-    if not 0.0 <= float(np.min(z)) <= beta <= 1.0:  # also false for nan and inf
-        if not np.all(np.isfinite(z)):
-            raise InvalidEnergyError("energies must be finite")
-        raise InvalidEnergyError("energies must lie in [0, 1]")
-    tau = 1.0 - math.sqrt(beta)
-    delta = tau * tau
-    alpha = 1.0 - math.exp(-delta)
-    return beta, tau, delta, alpha
-
-
 @dataclass(frozen=True)
 class ActionSet:
-    """Fixed action energies plus the constants derived from their maximum."""
+    """Fixed action energies plus the constants derived from their maximum.
+
+    ``beta`` is the largest energy, ``delta = (1 - sqrt(beta)) ** 2`` and
+    ``alpha = 1 - exp(-delta)``. They drive the sampler's draw counts and
+    the discounting of costs and rewards.
+    """
 
     z: np.ndarray
     beta: float
-    tau: float
     delta: float
     alpha: float
 
     @classmethod
     def from_energies(cls, z) -> "ActionSet":
-        beta, tau, delta, alpha = derive_constants(z)
+        """The action set of a copy of ``z``, with its derived constants.
+
+        Raises
+        ------
+        InvalidEnergyError
+            If ``z`` is empty, non-finite, or has entries outside [0, 1].
+        """
         z = np.array(z, dtype=float, copy=True)
+        if z.ndim != 1 or z.size == 0:
+            raise InvalidEnergyError("energy vector must be a non-empty 1-d array")
+        beta = float(np.max(z))
+        if not 0.0 <= float(np.min(z)) <= beta <= 1.0:  # also false for nan and inf
+            if not np.all(np.isfinite(z)):
+                raise InvalidEnergyError("energies must be finite")
+            raise InvalidEnergyError("energies must lie in [0, 1]")
+        tau = 1.0 - math.sqrt(beta)
+        delta = tau * tau
         z.setflags(write=False)
-        return cls(z=z, beta=beta, tau=tau, delta=delta, alpha=alpha)
+        return cls(z=z, beta=beta, delta=delta, alpha=1.0 - math.exp(-delta))
 
     @property
     def n(self) -> int:

@@ -4,9 +4,14 @@ Each group keeps as far from the production code as its purpose allows:
 
 - the comparator, :func:`best_fixed_subset`, and :func:`discounted_profit`,
   the scalar form of its objective, use only ``ActionSet`` and ``BUDGET_SLACK``;
-- the exact oracles take their classes from ``RowLayout`` (and
-  :func:`exact_expected_profit` its reward order from ``surrogate.reward_order``)
-  but compute the independent-draw product form in plain scalar code;
+- the closed-form bounds, :func:`analytic_selection_bounds` and
+  :func:`analytic_intersection_lower_bound`, and the KKT certificate,
+  :func:`projection_certificate`, are formulas in plain numpy that share no
+  code with the sampler or the projection they check;
+- the exact oracles take their classes from ``RowLayout`` but compute the
+  independent-draw product form in plain scalar code, and
+  :func:`exact_expected_profit` takes its reward order from its own stable
+  sort;
 - the Monte Carlo estimators draw through ``sampler.sample_block`` itself, so
   they test the sampler against the exact oracles, not apart from them (at
   their shared weight row it picks through a guide table per segment); they
@@ -22,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK
 from .sampler import LARGE_ENERGY_THRESHOLD, RowLayout, sample_block
-from .surrogate import reward_order
 
 MAX_EXHAUSTIVE_ACTIONS = 20
 MAX_GRID_ACTIONS = 4
@@ -174,6 +179,28 @@ def _hit_prob(draws, subset) -> float:
     return 1.0 - miss
 
 
+def analytic_selection_bounds(w, i, delta: float) -> tuple[float, float]:
+    """Sandwich on the marginal: ``1 - exp(-delta*w_i) <= P(i in S) <= delta*w_i``.
+
+    Raises ``ValueError`` unless ``i`` is an integer in ``[0, n)``.
+    """
+    w = np.asarray(w, dtype=float)
+    (i,) = _subset_indices([i], w.size)
+    wi = float(w[i])
+    return 1.0 - math.exp(-delta * wi), delta * wi
+
+
+def analytic_intersection_lower_bound(w, subset, delta: float) -> float:
+    """Lower bound ``1 - exp(-delta * sum_{i in subset} w_i)`` on P(S hits ``subset``).
+
+    Raises ``ValueError`` unless every subset index is an integer in ``[0, n)``.
+    """
+    w = np.asarray(w, dtype=float)
+    idx = _subset_indices(subset, w.size)
+    mass = float(np.sum(w[idx])) if idx else 0.0
+    return 1.0 - math.exp(-delta * mass)
+
+
 def exact_selection_probs(w, action_set: ActionSet) -> np.ndarray:
     """P(i in S) for every action, from the independent-draw product form.
 
@@ -204,7 +231,7 @@ def exact_expected_profit(w, action_set: ActionSet, rewards, costs) -> float:
     """
     draws = _class_draws(w, RowLayout(action_set))
     rewards = np.asarray(rewards, dtype=float)
-    order = reward_order(rewards)
+    order = np.argsort(-rewards, kind="stable")
     r_sorted = rewards[order]
     drops = r_sorted - np.append(r_sorted[1:], 0.0)
     expected_max = 0.0
@@ -304,6 +331,49 @@ def finite_diff_gradient(func, w, h: float) -> np.ndarray:
         else:
             g[i] = (func(up) - func(w)) / h
     return g
+
+
+class ProjectionCertificate(NamedTuple):
+    """KKT multiplier recovered from a claimed projection, and its residuals."""
+
+    lam: float
+    stationarity: float
+    complementarity: float
+    feasibility: float
+
+
+def projection_certificate(y, z, x) -> ProjectionCertificate:
+    """KKT residuals of ``x`` as the projection of ``y``; all 0 exactly when it is.
+
+    ``lam`` is recovered from ``x`` alone. With free coordinates
+    (``0 < x_i < 1`` and ``z_i > 0``), where the optimum has ``x_i = y_i -
+    lam * z_i``, it is their least-squares fit, clipped at 0; this reads 0
+    when the budget is slack, because there ``x_i = y_i``. With none, it is
+    the smallest ``lam >= 0`` that holds every such coordinate at 0 there.
+    The residuals are ``max |x - clamp(y - lam * z, 0, 1)|``
+    (stationarity), ``lam * |1 - <x, z>|`` (complementarity) and the largest
+    violation of the box or the budget (feasibility).
+    """
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not y.shape == z.shape == x.shape or y.ndim != 1:
+        raise ValueError("y, z and x must be 1-d vectors of equal length")
+
+    used = float(x @ z)
+    moving = z > 0.0
+    free = moving & (x > 0.0) & (x < 1.0)
+    if np.any(free):
+        zf = z[free]
+        lam = max(0.0, float(zf @ (y[free] - x[free])) / float(zf @ zf))
+    else:
+        at_zero = moving & (x <= 0.0)
+        lam = float(np.max(y[at_zero] / z[at_zero], initial=0.0))
+    stationarity = float(np.max(np.abs(x - np.clip(y - lam * z, 0.0, 1.0)), initial=0.0))
+    complementarity = lam * abs(1.0 - used)
+    feasibility = max(0.0, used - 1.0, float(np.max(-x, initial=0.0)),
+                      float(np.max(x - 1.0, initial=0.0)))
+    return ProjectionCertificate(lam, stationarity, complementarity, feasibility)
 
 
 def grid_projection(y, z, resolution: float) -> np.ndarray:

@@ -33,14 +33,11 @@ claim a root at their common breakpoint, the left one is asked first, so
 the answer does not depend on where the iteration started. Started from
 the previous multiplier, as :func:`budgetmax.surrogate.learn` does, it
 usually needs one or two iterates, each a few vector operations.
-``projection_certificate`` checks a claimed projection against the KKT
-conditions without calling the solver.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,12 +51,11 @@ _FIRST = 5e-324
 
 
 def is_feasible(x, z, tol: float = FEASIBILITY_TOL) -> bool:
-    """True when ``x`` is inside the box and budget up to ``tol``."""
+    """True when ``x`` (a vector, or a block of rows) is in the box and budget up to ``tol``."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.any(x < -tol) or np.any(x > 1.0 + tol):
-        return False
-    return float(x @ z) <= 1.0 + tol
+    return bool(x.min(initial=0.0) >= -tol and x.max(initial=0.0) <= 1.0 + tol
+                and np.max(x @ z, initial=0.0) <= 1.0 + tol)
 
 
 def project_onto_feasible(y, z) -> np.ndarray:
@@ -140,46 +136,3 @@ def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray
         mid = 0.5 * (lo + hi)
         lam = new if lo < new <= hi else (mid if mid > lo else hi)
     return _clamp(y - lam * z), lam
-
-
-class ProjectionCertificate(NamedTuple):
-    """KKT multiplier recovered from a claimed projection, and its residuals."""
-
-    lam: float
-    stationarity: float
-    complementarity: float
-    feasibility: float
-
-
-def projection_certificate(y, z, x) -> ProjectionCertificate:
-    """KKT residuals of ``x`` as the projection of ``y``; all 0 exactly when it is.
-
-    ``lam`` is recovered from ``x`` alone. With free coordinates
-    (``0 < x_i < 1`` and ``z_i > 0``), where the optimum has ``x_i = y_i -
-    lam * z_i``, it is their least-squares fit, clipped at 0; this reads 0
-    when the budget is slack, because there ``x_i = y_i``. With none, it is
-    the smallest ``lam >= 0`` that holds every such coordinate at 0 there.
-    The residuals are ``max |x - clamp(y - lam * z, 0, 1)|``
-    (stationarity), ``lam * |1 - <x, z>|`` (complementarity) and the largest
-    violation of the box or the budget (feasibility).
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not y.shape == z.shape == x.shape or y.ndim != 1:
-        raise ValueError("y, z and x must be 1-d vectors of equal length")
-
-    used = float(x @ z)
-    moving = z > 0.0
-    free = moving & (x > 0.0) & (x < 1.0)
-    if np.any(free):
-        zf = z[free]
-        lam = max(0.0, float(zf @ (y[free] - x[free])) / float(zf @ zf))
-    else:
-        at_zero = moving & (x <= 0.0)
-        lam = float(np.max(y[at_zero] / z[at_zero], initial=0.0))
-    stationarity = float(np.max(np.abs(x - np.clip(y - lam * z, 0.0, 1.0)), initial=0.0))
-    complementarity = lam * abs(1.0 - used)
-    feasibility = max(0.0, used - 1.0, float(np.max(-x, initial=0.0)),
-                      float(np.max(x - 1.0, initial=0.0)))
-    return ProjectionCertificate(lam, stationarity, complementarity, feasibility)

@@ -69,7 +69,7 @@ import math
 import numpy as np
 
 from .core import ActionSet, BLOCK_ENTRIES, BUDGET_SLACK
-from .projection import FEASIBILITY_TOL
+from .projection import is_feasible
 
 # Class key reserved for zero-energy actions (they never strain the budget).
 ZERO_CLASS = 0
@@ -199,19 +199,19 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     ``cum``: with one weight row shared by many rows (Monte Carlo) through
     a guide table per segment (see :func:`_guide_inverse`); with a weight
     row per row one search over the draws the rows make (see
-    :func:`_draw_per_row`). Uniforms must lie in ``[0, 1)``; at a shared
-    weight row every uniform a draw inverts is checked. A shared weight
-    row yields a column-major (Fortran-ordered) result, so each action's
-    memberships are contiguous; a weight row per row yields a row-major
-    one. The values do not depend on the order.
+    :func:`_draw_per_row`). Uniforms must lie in ``[0, 1)``; every uniform
+    a draw picks with is checked, and the coins are only compared. A shared
+    weight row yields a column-major (Fortran-ordered) result, so each
+    action's memberships are contiguous; a weight row per row yields a
+    row-major one. The values do not depend on the order.
 
     Raises
     ------
     ValueError
-        If the shapes disagree, a weight row is infeasible (box and budget at
-        ``FEASIBILITY_TOL``), a shared weight row's draw inverts a uniform
-        outside ``[0, 1)`` or NaN, or a selection's energy exceeds ``1 +
-        BUDGET_SLACK``.
+        If the shapes disagree, a weight row is infeasible
+        (:func:`budgetmax.projection.is_feasible`), a draw picks with a
+        uniform outside ``[0, 1)`` or NaN, or a selection's energy exceeds
+        ``1 + BUDGET_SLACK``.
     """
     weights = np.asarray(weights, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
@@ -220,9 +220,7 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
             or uniforms.shape != (m, layout.width)):
         raise ValueError(f"expected weights of shape (1 or {m}, {n}) and uniforms of "
                          f"shape ({m}, {layout.width}), got {weights.shape} and {uniforms.shape}")
-    tol = FEASIBILITY_TOL
-    if not (weights.min() >= -tol and weights.max() <= 1.0 + tol
-            and (weights @ layout.z).max() <= 1.0 + tol):
+    if not is_feasible(weights, layout.z):
         raise ValueError("weights must lie in the feasible polytope")
 
     ordered = weights[:, layout.order]
@@ -277,6 +275,13 @@ def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> No
         flat[picks] = True
 
 
+def _check_unit(u) -> None:
+    """Raise a ``ValueError`` naming the first of the uniforms ``u`` outside ``[0, 1)`` or NaN."""
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        bad = u[~((u >= 0.0) & (u < 1.0))][0]
+        raise ValueError(f"uniforms must lie in [0, 1), got {float(bad)!r}")
+
+
 def _guide_inverse(cum, targets):
     """``u -> targets[np.searchsorted(cum, u, side="right")]`` for uniforms ``u`` in ``[0, 1)``.
 
@@ -310,9 +315,7 @@ def _guide_inverse(cum, targets):
     ahead = [padded[step - 1:] for step in steps]
 
     def invert(u):
-        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-            bad = u[~((u >= 0.0) & (u < 1.0))][0]
-            raise ValueError(f"uniforms must lie in [0, 1), got {float(bad)!r}")
+        _check_unit(u)
         j = start.take((u * cells).astype(np.intp))
         for step, values_ahead in zip(steps, ahead):
             below = values_ahead.take(j) <= u
@@ -328,7 +331,7 @@ def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> N
     Segment ``k`` of weight row ``r`` is keyed ``(r * segments + k) + 1j *
     cum``: complex numbers order lexicographically, which keeps segments
     apart while comparing the ``cum`` values exactly. Only the draws a row
-    actually makes are looked up.
+    actually makes are looked up, and only their uniforms are checked.
     """
     rows_w, segments = cum.shape[0], layout.scale.size
     keys = layout.segment_of + 1j * cum
@@ -340,25 +343,12 @@ def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> N
     valid = level < np.concatenate((full, residual), axis=1)[:, layout.bound]
     draws = np.flatnonzero(valid)
     rows, cols = np.divmod(draws, layout.width)
-    query = layout.column_segment[cols] + 1j * uniforms.ravel()[draws]
+    picked = uniforms.ravel()[draws]
+    _check_unit(picked)
+    query = layout.column_segment[cols] + 1j * picked
     if rows_w > 1:
         query.real += rows * segments
     picks = np.searchsorted(keys.ravel(), query, side="right")
     if rows_w > 1:
         picks -= rows * cum.shape[1]
     member[rows, layout.order[picks]] = True
-
-
-def analytic_selection_bounds(w, i: int, delta: float) -> tuple[float, float]:
-    """Sandwich on the marginal: ``1 - exp(-delta*w_i) <= P(i in S) <= delta*w_i``."""
-    w = np.asarray(w, dtype=float)
-    wi = float(w[i])
-    return 1.0 - math.exp(-delta * wi), delta * wi
-
-
-def analytic_intersection_lower_bound(w, subset, delta: float) -> float:
-    """Lower bound on the probability that the selection hits ``subset``."""
-    w = np.asarray(w, dtype=float)
-    idx = sorted({int(i) for i in subset})
-    mass = float(np.sum(w[idx])) if idx else 0.0
-    return 1.0 - math.exp(-delta * mass)

@@ -63,9 +63,10 @@ def _take_rows(values: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _sorted_rewards(rewards) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, r_sorted)``: :func:`reward_order` and the rewards taken in it.
+    """``(order, r_sorted)``: the reward order and the rewards taken in it.
 
-    The unstable default sort (SIMD on most hosts) orders every row; a row
+    The order is ``np.argsort(-rewards, axis=-1, kind="stable")``: the
+    unstable default sort (SIMD on most hosts) orders every row; a row
     whose sorted rewards do not strictly fall holds a tie (0.0 and -0.0
     count as one, and so does any NaN), and only those rows are sorted
     again with ``kind="stable"``, so ties keep ascending index order.
@@ -78,11 +79,6 @@ def _sorted_rewards(rewards) -> tuple[np.ndarray, np.ndarray]:
         order[tied] = np.argsort(-rewards[tied], axis=-1, kind="stable")
         r_sorted[tied] = _take_rows(rewards[tied], order[tied])
     return order, r_sorted
-
-
-def reward_order(rewards) -> np.ndarray:
-    """Indices sorted by descending reward along the last axis; ties keep ascending index order."""
-    return _sorted_rewards(rewards)[0]
 
 
 def _trial_pieces(rewards, costs):

@@ -13,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from budgetmax import (ActionSet, RowLayout, analytic_intersection_lower_bound,
-                       analytic_selection_bounds, is_feasible, project_onto_feasible,
+from budgetmax import (ActionSet, RowLayout, is_feasible, project_onto_feasible,
                        sample_block, surrogate_gradient, surrogate_value)
 from budgetmax.cli import main, parse_config, run_experiment
-from budgetmax.oracles import (estimate_hit_rates, estimate_selection_probs,
+from budgetmax.oracles import (analytic_intersection_lower_bound, analytic_selection_bounds,
+                               estimate_hit_rates, estimate_selection_probs,
                                exact_intersection_prob, finite_diff_gradient,
                                grid_projection)
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import ActionSet, InvalidEnergyError, derive_constants, selection_profits
+from budgetmax import ActionSet, InvalidEnergyError, selection_profits
 from budgetmax.oracles import discounted_profit
 from conftest import random_trial
 
@@ -18,35 +18,34 @@ def profit_of(indices, rewards, costs):
 
 class TestDeriveConstants:
     def test_quarter_max(self):
-        beta, tau, delta, alpha = derive_constants([0.25, 0.10])
-        assert beta == 0.25
-        assert tau == 0.5
-        assert delta == 0.25
-        assert alpha == 1.0 - math.exp(-0.25)
+        aset = ActionSet.from_energies([0.25, 0.10])
+        assert aset.beta == 0.25
+        assert aset.delta == 0.25
+        assert aset.alpha == 1.0 - math.exp(-0.25)
 
     def test_all_zero(self):
-        beta, tau, delta, alpha = derive_constants([0.0, 0.0, 0.0])
-        assert (beta, tau, delta) == (0.0, 1.0, 1.0)
-        assert alpha == 1.0 - math.exp(-1.0)
+        aset = ActionSet.from_energies([0.0, 0.0, 0.0])
+        assert (aset.beta, aset.delta) == (0.0, 1.0)
+        assert aset.alpha == 1.0 - math.exp(-1.0)
 
     def test_energy_of_one_allowed(self):
-        beta, tau, delta, alpha = derive_constants([1.0, 0.3])
-        assert (beta, tau, delta, alpha) == (1.0, 0.0, 0.0, 0.0)
+        aset = ActionSet.from_energies([1.0, 0.3])
+        assert (aset.beta, aset.delta, aset.alpha) == (1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("z", [[1.5], [-0.1, 0.2], [np.nan], [np.inf], [], [[0.2]]])
     def test_invalid_energies(self, z):
         with pytest.raises(InvalidEnergyError):
-            derive_constants(z)
+            ActionSet.from_energies(z)
 
     def test_identities_hold_on_random_energies(self):
         rng = np.random.default_rng(101)
         for _ in range(1000):
             beta = float(rng.uniform(0.0, 1.0))
-            b, tau, delta, alpha = derive_constants([beta, beta / 2.0])
-            assert b == beta
-            assert tau == 1.0 - math.sqrt(beta)
-            assert delta == tau * tau
-            assert alpha == 1.0 - math.exp(-delta)
+            aset = ActionSet.from_energies([beta, beta / 2.0])
+            tau = 1.0 - math.sqrt(beta)
+            assert aset.beta == beta
+            assert aset.delta == tau * tau
+            assert aset.alpha == 1.0 - math.exp(-aset.delta)
 
 
 class TestActionSet:

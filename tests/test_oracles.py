@@ -8,7 +8,8 @@ import pytest
 from budgetmax import (ActionSet, RowLayout, Stream, is_feasible, project_onto_feasible,
                        sample_block, surrogate_value)
 from budgetmax import oracles
-from budgetmax.oracles import (MC_CHUNK, CapacityError, best_fixed_subset, discounted_profit,
+from budgetmax.oracles import (MC_CHUNK, CapacityError, analytic_intersection_lower_bound,
+                               analytic_selection_bounds, best_fixed_subset, discounted_profit,
                                estimate_hit_rates, estimate_selection_probs,
                                exact_expected_profit, exact_intersection_prob,
                                exact_selection_probs, finite_diff_gradient,
@@ -196,7 +197,7 @@ class TestEstimators:
 
     @pytest.mark.parametrize("bad", [-1, 6, 1.5, np.int64(-1)])
     def test_subset_index_outside_the_actions_rejected(self, bad, monkeypatch):
-        # before, -1 wrapped to action 5 in the Monte Carlo oracle and hit nothing in the exact one
+        # -1 must not wrap to action 5, nor 6 raise a bare IndexError
         rng = np.random.default_rng(0)
         aset = random_action_set(rng, 6)
         w = random_feasible_point(rng, aset.z)
@@ -210,6 +211,10 @@ class TestEstimators:
             estimate_hit_rates(w, aset, [[0, 1], [2, bad]], 2000, seed=1)
         with pytest.raises(ValueError, match=message):
             exact_intersection_prob(w, aset, [bad])
+        with pytest.raises(ValueError, match=message):
+            analytic_intersection_lower_bound(w, [bad], aset.delta)
+        with pytest.raises(ValueError, match=message):
+            analytic_selection_bounds(w, bad, aset.delta)
 
     def test_zero_weights_zero_frequency(self):
         aset = ActionSet.from_energies([0.25, 0.0])

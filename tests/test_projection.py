@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import is_feasible, project_onto_feasible, projection_certificate
-from budgetmax.oracles import grid_projection
+from budgetmax import is_feasible, project_onto_feasible
+from budgetmax.oracles import grid_projection, projection_certificate
 from budgetmax.projection import _clamp, _project_from
 from conftest import random_energies
 

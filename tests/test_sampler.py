@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import (ActionSet, RowLayout, ZERO_CLASS,
-                       analytic_intersection_lower_bound, analytic_selection_bounds,
-                       draw_trials, project_onto_feasible, sample_block, uniform_stream)
-from budgetmax.oracles import (estimate_selection_probs, exact_expected_profit,
+from budgetmax import (ActionSet, RowLayout, ZERO_CLASS, draw_trials, project_onto_feasible,
+                       sample_block, uniform_stream)
+from budgetmax.oracles import (analytic_intersection_lower_bound, analytic_selection_bounds,
+                               estimate_selection_probs, exact_expected_profit,
                                exact_intersection_prob, exact_selection_probs)
 from budgetmax import sampler
 from budgetmax.sampler import _guide_inverse
@@ -87,7 +87,7 @@ class TestPartition:
         # below beta of about 3.1e-33, tau = 1 - sqrt(beta) rounds to 1.0, so
         # every positive energy goes to class 1, drawn delta * S + 1 <= n + 1 times
         aset = ActionSet.from_energies([1e-40, 0.0, 3e-41, 1e-300, 1e-40])
-        assert aset.tau == 1.0 and aset.delta == 1.0
+        assert aset.delta == 1.0
         layout = RowLayout(aset)
         assert set(layout.classes) == {ZERO_CLASS, 1}
         npt.assert_array_equal(layout.classes[1], [0, 2, 3, 4])
@@ -335,18 +335,28 @@ class TestGuideInverse:
 
     @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, np.nan])
     def test_sample_block_rejects_a_uniform_a_draw_reads(self, bad):
-        # four zero-energy actions at weight 1: four full draws in every row
-        aset = ActionSet.from_energies(np.zeros(4))
-        layout = RowLayout(aset)
-        uniforms = rows_of(3, 0, 20, layout.width)
-        uniforms[7, 2] = bad
-        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
-            sample_block(np.ones((1, 4)), uniforms, layout)
-        uniforms[7, 2] = -0.0  # compares equal to 0.0, so it is drawn like it
-        zero = uniforms.copy()
-        zero[7, 2] = 0.0
-        npt.assert_array_equal(sample_block(np.ones((1, 4)), uniforms, layout),
-                               sample_block(np.ones((1, 4)), zero, layout))
+        # four zero-energy actions at weight 1: four full draws in every row,
+        # at one weight row shared by the 20 rows and at a weight row per row
+        layout = RowLayout(ActionSet.from_energies(np.zeros(4)))
+        for weights in (np.ones((1, 4)), np.ones((20, 4))):
+            uniforms = rows_of(3, 0, 20, layout.width)
+            uniforms[7, 2] = bad
+            with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+                sample_block(weights, uniforms, layout)
+            uniforms[7, 2] = -0.0  # compares equal to 0.0, so it is drawn like it
+            zero = uniforms.copy()
+            zero[7, 2] = 0.0
+            npt.assert_array_equal(sample_block(weights, uniforms, layout),
+                                   sample_block(weights, zero, layout))
+        # the zero class (actions 0 and 1) fires its coin and picks with bad:
+        # unchecked, a pick at 1.0 lands past the class on action 2, a
+        # zero-weight action of class 1, and a negative one on action 0
+        layout = RowLayout(ActionSet.from_energies([0.0, 0.0, 0.3, 0.3]))
+        assert layout.coins == [0, 2]
+        uniforms = np.array([[0.0, bad, 0.5, 0.5]] * 2)
+        for rows in (1, 2):
+            with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+                sample_block(np.array([[1.0, 1.0, 0.0, 0.5]] * rows), uniforms, layout)
 
 
 class TestUniformStream:

@@ -6,24 +6,23 @@ import numpy.testing as npt
 import pytest
 
 from budgetmax import (KINDS, ActionSet, EnvironmentSpec, generate, is_feasible, learn,
-                       project_onto_feasible, projection_certificate, reward_order,
-                       surrogate_gradient, surrogate_value)
+                       project_onto_feasible, surrogate_gradient, surrogate_value)
 import budgetmax.surrogate as surrogate_module
 from budgetmax.core import BLOCK_ENTRIES
-from budgetmax.oracles import exact_expected_profit, finite_diff_gradient
-from budgetmax.surrogate import _trial_pieces
+from budgetmax.oracles import exact_expected_profit, finite_diff_gradient, projection_certificate
+from budgetmax.surrogate import _sorted_rewards, _trial_pieces
 from conftest import (random_action_set, random_feasible_point, random_trial, stream_of)
 
 
 class TestRewardOrder:
     def test_descending_with_stable_ties(self):
-        npt.assert_array_equal(reward_order([1.0, 3.0, 2.0, 3.0]), [1, 3, 2, 0])
+        npt.assert_array_equal(_sorted_rewards([1.0, 3.0, 2.0, 3.0])[0], [1, 3, 2, 0])
 
     def test_all_equal_keeps_index_order(self):
-        npt.assert_array_equal(reward_order([2.0, 2.0, 2.0]), [0, 1, 2])
+        npt.assert_array_equal(_sorted_rewards([2.0, 2.0, 2.0])[0], [0, 1, 2])
 
     def test_signed_zeros_tie(self):
-        npt.assert_array_equal(reward_order([0.0, -0.0, 1.0, -0.0, 0.0]), [2, 0, 1, 3, 4])
+        npt.assert_array_equal(_sorted_rewards([0.0, -0.0, 1.0, -0.0, 0.0])[0], [2, 0, 1, 3, 4])
 
 
 def stable_pieces(rewards, costs):
@@ -65,9 +64,9 @@ class TestTieRepair:
         for _ in range(40):
             block = tie_block(rng, rows, n)
             stable = np.argsort(-block, axis=-1, kind="stable")
-            npt.assert_array_equal(reward_order(block), stable)
+            npt.assert_array_equal(_sorted_rewards(block)[0], stable)
             for row, expected in zip(block, stable):
-                npt.assert_array_equal(reward_order(row), expected)
+                npt.assert_array_equal(_sorted_rewards(row)[0], expected)
 
     @pytest.mark.parametrize("rows, n", [(1, 1), (16, 7), (16, 100), (3, 1000)])
     def test_trial_pieces_keep_their_bits(self, rows, n):
