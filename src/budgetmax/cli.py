@@ -296,8 +296,11 @@ def _probcheck(n: int, n_samples: int, seed: int, out) -> int:
     z[rng.random(n) < 0.2] = 0.0
     aset = ActionSet.from_energies(z)
     w = project_onto_feasible(rng.uniform(0.0, 1.5, n), aset.z)
-    freq, sigma = estimate_selection_probs(w, aset, n_samples, seed + 1)
+    freq, _ = estimate_selection_probs(w, aset, n_samples, seed + 1)
     exact = exact_selection_probs(w, aset)
+    # the exact marginal's standard error: the estimate's own is 0 when a
+    # rare action is never drawn, which would fail any nonzero exact value
+    sigma = np.sqrt(exact * (1.0 - exact) / n_samples)
     ok = True
     print(f"probcheck: n={n}, samples={n_samples}, delta={aset.delta:.6g}", file=out)
     for i in range(n):

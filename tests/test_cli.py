@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import budgetmax
+from budgetmax import cli
 from budgetmax import ActionSet, Stream
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TRACE_ROW,
                            load_config, main, parse_config, run_experiment)
@@ -507,6 +508,32 @@ class TestMain:
         # Monte Carlo frequency just above it must not fail the sandwich
         assert main(["--seed", "3", "probcheck", "--actions", "40", "--samples", "3000000"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed, actions", [(0, 100), (11, 40)])
+    def test_probcheck_rare_action_passes(self, capsys, seed, actions):
+        # each instance has an action with an exact marginal of 1e-4 to 1.5e-4,
+        # which 20000 samples can miss; a frequency of 0 has a standard error
+        # of 0, so only the exact marginal's standard error allows for the miss
+        argv = ["--seed", str(seed), "probcheck", "--actions", str(actions), "--samples", "20000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("probcheck: PASS\n")
+
+    @pytest.mark.parametrize("scale, verdict", [(0.0, "PASS"), (1.5, "FAIL")])
+    def test_probcheck_tests_against_the_exact_standard_error(self, capsys, monkeypatch,
+                                                              scale, verdict):
+        # the estimate of the rarest action replaced by 0 (a sample that
+        # missed it) passes; 1.5 times every exact marginal fails
+        def estimate(w, aset, n_samples, seed):
+            exact = cli.exact_selection_probs(w, aset)
+            freq = exact.copy()
+            freq[np.argmin(np.where(exact > 0.0, exact, np.inf))] = 0.0
+            if scale:
+                freq = scale * exact
+            return freq, np.zeros_like(freq)
+
+        monkeypatch.setattr(cli, "estimate_selection_probs", estimate)
+        assert main(["probcheck", "--actions", "100", "--samples", "20000"]) == (verdict == "FAIL")
+        assert capsys.readouterr().out.endswith(f"probcheck: {verdict}\n")
 
     def test_probcheck_smoke(self, capsys):
         assert main(["--seed", "5", "probcheck", "--actions", "4", "--samples", "20000"]) == 0
