@@ -177,6 +177,8 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,16 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+    def test_config_not_utf8_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff" + json.dumps(good_config()).encode("ascii"))
+        with pytest.raises(ConfigError, match=f"config {re.escape(str(path))} is not UTF-8: "):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "run"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {path} is not UTF-8: ")
+        assert not out.exists()
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
