@@ -231,12 +231,19 @@ class TestRunExperiment:
     }
     # sha256 of the same traces cut to trial,selected,profit,cum_profit: they
     # change with the random stream (now per-seed Philox rows), but not with
-    # the last digits of the learner's grad_norm and eta
+    # the last digits of the learner's grad_norm and eta; "wrapper" is a
+    # beta_max 0.95 run, which samples through the large-energy wrapper
     PINNED_SELECTION_SHA256 = {
-        "trace_seed0.csv": "27a6f68a44c94cf1217fae38575be7e8ae8afe629921f71f56fcfe8f467fbc9d",
-        "trace_seed1.csv": "30169b2d073163baef79c4a79cfc550b2d7caaae4420f0afc3acd737454cecf4",
-        "trace_seed2.csv": "7ab22de5375eb798683609ff433278127a59ed6583f736fa300c671c80c22102",
-        "trace_seed3.csv": "57d206b03b5e1c4a182583e524cf31f82e1025ccfecb9d974bfd4958f39092c9",
+        "criterion_10": {
+            "trace_seed0.csv": "27a6f68a44c94cf1217fae38575be7e8ae8afe629921f71f56fcfe8f467fbc9d",
+            "trace_seed1.csv": "30169b2d073163baef79c4a79cfc550b2d7caaae4420f0afc3acd737454cecf4",
+            "trace_seed2.csv": "7ab22de5375eb798683609ff433278127a59ed6583f736fa300c671c80c22102",
+            "trace_seed3.csv": "57d206b03b5e1c4a182583e524cf31f82e1025ccfecb9d974bfd4958f39092c9",
+        },
+        "wrapper": {
+            "trace_seed0.csv": "1baaf8677fe222cbba6f581bd48cb6386f4a809ebd59c61bf23e1d2e16e3d930",
+            "trace_seed1.csv": "99a9207cf312d7f98d033364f52b3fb3e292a471191627028a45d9c64a730ee3",
+        },
     }
 
     @staticmethod
@@ -246,19 +253,33 @@ class TestRunExperiment:
             environment=env, seeds=[0, 1, 2, 3], bound_check=True, output_dir=str(out))))
         return sorted(out.iterdir())
 
+    @staticmethod
+    def selection_digests(paths):
+        digests = {}
+        for p in paths:
+            if p.name.startswith("trace_seed"):
+                cut = "".join(",".join(line.split(",")[:4]) + "\n"
+                              for line in p.read_text(encoding="ascii").splitlines())
+                digests[p.name] = hashlib.sha256(cut.encode("ascii")).hexdigest()
+        return digests
+
     def test_outputs_match_pinned_hashes(self, tmp_path):
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in self.criterion_10_outputs(tmp_path / "out")}
         assert digests == self.PINNED_SHA256
 
     def test_selections_match_pinned_hashes(self, tmp_path):
-        digests = {}
-        for p in self.criterion_10_outputs(tmp_path / "out"):
-            if p.name.startswith("trace_seed"):
-                cut = "".join(",".join(line.split(",")[:4]) + "\n"
-                              for line in p.read_text(encoding="ascii").splitlines())
-                digests[p.name] = hashlib.sha256(cut.encode("ascii")).hexdigest()
-        assert digests == self.PINNED_SELECTION_SHA256
+        digests = self.selection_digests(self.criterion_10_outputs(tmp_path / "out"))
+        assert digests == self.PINNED_SELECTION_SHA256["criterion_10"]
+
+    def test_wrapper_selections_match_pinned_hashes(self, tmp_path):
+        env = {"kind": "random_adversarial", "n": 8, "T": 60, "seed": 9, "beta_max": 0.95}
+        out = tmp_path / "out"
+        report = run_experiment(parse_config(good_config(
+            environment=env, seeds=[0, 1], output_dir=str(out))))
+        assert report.large_beta_mode
+        digests = self.selection_digests(sorted(out.iterdir()))
+        assert digests == self.PINNED_SELECTION_SHA256["wrapper"]
 
     def test_large_beta_flagged(self):
         spec = EnvironmentSpec(kind="knapsack_median", n=3, T=5, seed=1, beta_max=0.8)
