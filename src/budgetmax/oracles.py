@@ -258,11 +258,12 @@ def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
     Each draw is sampled as the learner samples a trial, from uniforms of
     ``np.random.default_rng(seed)``. A block's uniforms are drawn column by
     column, as ``rng.random((width, rows)).T``, so the columns the sampler
-    reads at a shared weight row are contiguous. Full blocks refill one
-    reused ``(width, MC_CHUNK)`` buffer, which draws the same values in the
-    same order; a short last block gets its own array. Each block is a
-    column-major ``(rows, n)`` array, so an action's memberships are
-    contiguous.
+    reads at a shared weight row are contiguous: per segment its full-draw
+    columns and its residual column, one uniform per draw. Full blocks
+    refill one reused ``(width, MC_CHUNK)`` buffer, which draws the same
+    values in the same order; a short last block gets its own array. Each
+    block is a column-major ``(rows, n)`` array, so an action's memberships
+    are contiguous.
     """
     layout = RowLayout(action_set)
     rng = np.random.default_rng(seed)

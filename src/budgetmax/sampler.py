@@ -28,25 +28,30 @@ Every draw reads one uniform from a fixed-width row, one row per selection.
 The row layout is fixed per action set (:class:`RowLayout`), because
 ``w <= 1`` caps ``floor(delta * S_q)`` at ``floor(delta * |G_q|)``. A
 *segment* is the set of actions one draw chooses among; its columns are its
-full-draw columns, then one coin and one pick:
+full-draw columns, then one residual column:
 
 - in wrapper mode the heavy actions come first, as a segment with no
-  full-draw column: column 0 is the heavy coin (heads when below
-  ``S_heavy / 4``), column 1 the heavy pick;
+  full-draw column: column 0 is its residual column, with residual mass
+  ``S_heavy / 4`` (heads when it draws);
 - then each class in ascending ``q``: ``floor(delta * |G_q|)`` full-draw
-  columns (column ``j`` is used when ``j < floor(delta * S_q)``), the
-  residual coin (the residual draw happens when it is below the residual
-  mass) and the residual pick;
+  columns (column ``j`` is used when ``j < floor(delta * S_q)``) and the
+  residual column, with residual mass ``r = delta*S_q -
+  floor(delta*S_q)``;
 - zero columns pad the width ``K`` to a multiple of 4.
 
-A draw from a segment with actions ``a_0 < a_1 < ...`` and uniform ``u``
-in ``[0, 1)`` picks ``a_k`` with ``k = np.searchsorted(cum, u,
+A draw from a segment with actions ``a_0 < a_1 < ...`` picks with a value
+``u`` in ``[0, 1)``: ``a_k`` with ``k = np.searchsorted(cum, u,
 side="right")``, where ``cum = np.cumsum(w[a]) / S`` and ``S`` is the last
-entry of that cumsum. On heads the row yields the heavy pick alone. At one
-weight row shared by many rows (Monte Carlo) each segment's ``k`` comes
-from a guide table built once per block, which inverts ``cum`` exactly
-(Chen & Asau 1974); a weight row per row makes one search over all the
-draws of its rows.
+entry of that cumsum. A full draw picks with its column's uniform. A
+residual column's uniform ``u`` makes the residual draw when ``u < r``,
+which has probability ``r``, and that draw picks with ``u / r``: given ``u
+< r`` it is again uniform on ``[0, 1)`` (Devroye 1986, "Non-Uniform Random
+Variate Generation"), and in floating point ``u < r`` implies ``u / r <
+1``. On heads the row yields the heavy pick alone. At one weight row
+shared by many rows (Monte Carlo) each segment's ``k`` comes from a guide
+table built once per block, which inverts ``cum`` exactly (Chen & Asau
+1974); a weight row per row makes one search over all the draws of its
+rows.
 
 The uniforms of engine seed ``s`` are ``Generator(Philox(key=s))`` doubles
 (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3"), read
@@ -75,7 +80,7 @@ from .projection import is_feasible
 ZERO_CLASS = 0
 # Energies at or above this trigger the experimental wrapper.
 LARGE_ENERGY_THRESHOLD = 0.5
-# Level of a coin or padding column: above every full-draw count, so never a draw.
+# Level of a padding column: above every full-draw count, so never a draw.
 _NEVER = 1 << 62
 
 
@@ -88,9 +93,10 @@ class RowLayout:
     wrapper is off), and ``delta`` scales their draws. The classes are cut
     at ``beta``, the largest energy, or 1/2 in wrapper mode, and ``delta =
     (1 - sqrt(beta))**2``. ``width`` is the row width ``K`` (a multiple of
-    4). The remaining attributes index the columns of a row and the
-    concatenated segments (``order`` lists their actions, segment by
-    segment).
+    4): each segment's ``full_columns`` full-draw columns, then its residual
+    column (``residual_columns``; ``is_residual`` marks them), then padding.
+    The remaining attributes index the columns of a row and the concatenated
+    segments (``order`` lists their actions, segment by segment).
     """
 
     def __init__(self, action_set: ActionSet):
@@ -131,22 +137,22 @@ class RowLayout:
         # Per action of the concatenated segments: its segment. Per column of
         # a row: its segment; its level, which must fall below the column's
         # bound in [floor(scale * S) | residual mass] for the column to be a
-        # draw (j for full-draw column j; for a pick, its coin's uniform, read
-        # from coin_of; never for a coin or padding column).
+        # draw (j for full-draw column j; for a residual column, its own
+        # uniform, read at draw time; never for a padding column).
         count = len(segments)
-        segment_of, column_segment, level, is_pick = [], [], [], []
+        segment_of, column_segment, level, is_residual = [], [], [], []
         for s, (actions, f) in enumerate(zip(segments, full)):
             segment_of += [s] * len(actions)
-            column_segment += [s] * (f + 2)
-            level += [*range(f), _NEVER, 0]
-            is_pick += [0] * (f + 1) + [1]
+            column_segment += [s] * (f + 1)
+            level += [*range(f), _NEVER]
+            is_residual += [0] * f + [1]
         self.width = -(-len(level) // 4) * 4
         pad = self.width - len(level)
-        self.column_segment, self.level, self.is_pick = np.array(
-            [column_segment + [0] * pad, level + [_NEVER] * pad, is_pick + [0] * pad])
-        self.bound = self.column_segment + count * self.is_pick
-        self.coin_of = np.arange(self.width) - self.is_pick
-        self.coins = [end - 2 for end in itertools.accumulate(f + 2 for f in full)]
+        self.column_segment, self.level, is_residual = np.array(
+            [column_segment + [0] * pad, level + [_NEVER] * pad, is_residual + [0] * pad])
+        self.bound = self.column_segment + count * is_residual
+        self.is_residual = is_residual.astype(bool)
+        self.residual_columns = [end - 1 for end in itertools.accumulate(f + 1 for f in full)]
         self.full_columns = full
         self.order = np.concatenate(segments)
         self.segment_of = np.array(segment_of)
@@ -199,8 +205,9 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     ``cum``: with one weight row shared by many rows (Monte Carlo) through
     a guide table per segment (see :func:`_guide_inverse`); with a weight
     row per row one search over the draws the rows make (see
-    :func:`_draw_per_row`). Uniforms must lie in ``[0, 1)``; every uniform
-    a draw picks with is checked, and the coins are only compared. A shared
+    :func:`_draw_per_row`). Uniforms must lie in ``[0, 1)``; every value a
+    draw picks with is checked (a residual draw's ``u / r``), and a residual
+    column whose uniform makes no draw is only compared. A shared
     weight row yields a column-major (Fortran-ordered) result, so each
     action's memberships are contiguous; a weight row per row yields a
     row-major one. The values do not depend on the order.
@@ -240,7 +247,7 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     else:
         member = np.zeros((m, n), dtype=bool)
         _draw_per_row(member, uniforms, cum, full, residual, layout)
-    if layout.wrapper:  # heads (the heavy coin, column 0): the heavy pick alone
+    if layout.wrapper:  # heads (the heavy residual column 0 draws): the heavy pick alone
         member[uniforms[:, 0] < residual[:, 0]] &= layout.z >= LARGE_ENERGY_THRESHOLD
     energy = np.einsum("ij,j->i", member, layout.z)
     if m and energy.max() > 1.0 + BUDGET_SLACK:
@@ -257,20 +264,22 @@ def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> No
     """
     rows = len(member)
     flat = member.reshape(-1, order="F")
-    for s, ((start, stop), coin, columns) in enumerate(zip(layout.spans, layout.coins,
-                                                          layout.full_columns)):
+    for s, ((start, stop), last, columns) in enumerate(zip(
+            layout.spans, layout.residual_columns, layout.full_columns)):
         # w <= 1 + tol can push floor(scale * S) past the segment's columns
-        first, draws = coin - columns, min(int(full[s]), columns)
+        first, draws = last - columns, min(int(full[s]), columns)
         if not (draws or residual[s] > 0.0):
-            continue  # no weight mass: no full draw, and no coin falls below 0
+            continue  # no weight mass: no full draw, and no uniform falls below 0
         invert = _guide_inverse(cum[start:stop], layout.order[start:stop] * rows)
         every = np.arange(rows) if draws else None
         for column in range(first, first + draws):
             picks = invert(uniforms[:, column])
             picks += every
             flat[picks] = True
-        fired = np.flatnonzero(uniforms[:, coin] < residual[s])
-        picks = invert(uniforms[:, coin + 1].take(fired))
+        u = uniforms[:, last]
+        fired = np.flatnonzero(u < residual[s])
+        # with no residual mass only a negative uniform fires, and the check names it
+        picks = invert(u.take(fired) / (residual[s] or 1.0))
         picks += fired
         flat[picks] = True
 
@@ -331,19 +340,25 @@ def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> N
     Segment ``k`` of weight row ``r`` is keyed ``(r * segments + k) + 1j *
     cum``: complex numbers order lexicographically, which keeps segments
     apart while comparing the ``cum`` values exactly. Only the draws a row
-    actually makes are looked up, and only their uniforms are checked.
+    actually makes are looked up, and only the values they pick with are
+    checked.
     """
     rows_w, segments = cum.shape[0], layout.scale.size
     keys = layout.segment_of + 1j * cum
     if rows_w > 1:
         keys.real += np.arange(0, segments * rows_w, segments)[:, None]
-    # full-draw column j is a draw when j < floor(scale * S); a pick when its
-    # coin (the column before it) is below the residual mass
-    level = np.where(layout.is_pick, uniforms[:, layout.coin_of], layout.level)
+    # full-draw column j is a draw when j < floor(scale * S); a residual
+    # column when its own uniform is below the residual mass
+    level = np.where(layout.is_residual, uniforms, layout.level)
     valid = level < np.concatenate((full, residual), axis=1)[:, layout.bound]
     draws = np.flatnonzero(valid)
     rows, cols = np.divmod(draws, layout.width)
     picked = uniforms.ravel()[draws]
+    # a residual draw picks with u / r (with no residual mass only a
+    # negative uniform fires, and the check names it)
+    fold = np.flatnonzero(layout.is_residual[cols])
+    r = residual[rows[fold], layout.column_segment[cols[fold]]]
+    picked[fold] /= np.where(r > 0.0, r, 1.0)
     _check_unit(picked)
     query = layout.column_segment[cols] + 1j * picked
     if rows_w > 1:

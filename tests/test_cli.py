@@ -222,27 +222,28 @@ class TestRunExperiment:
     # deliberate change to the random stream, to a file format, or to the
     # rounding of the learner's arithmetic (the trace's grad_norm and eta)
     PINNED_SHA256 = {
-        "report.json": "ecca47580ac4476d63c342e1d2f0abfd38a7ff86bb2b982c9fb11982a3ebcd7c",
+        "report.json": "22e6bbbbd57ca6a496e90c8a511aa578f77c690da79ba6d61aa35a9c2e34bbfc",
         "stream.csv": "dc8edca7d86492ae02d6d88ac850093aaf487f1f4e1e868e395918da41ff3247",
-        "trace_seed0.csv": "a2daec1406198b286d83a7b587743ae9d26042a8f40d20e30625c18de4ee8037",
-        "trace_seed1.csv": "8445071edcb8a1eba7e50a2b63ec261c8eee4d5998fe889484e2ec3dce06c3de",
-        "trace_seed2.csv": "4401f3db61d6059f8de41556420b50dfe694d04214073c91eddc23cb8c2418a8",
-        "trace_seed3.csv": "62044ead2ab550cef1df69a340fbc9838cd602e6fa0784baaee0cec4b2fe6a9f",
+        "trace_seed0.csv": "2adbf0441c6a2b9267d7d6a40135831970969262839275f040e09993276fff9a",
+        "trace_seed1.csv": "4077642ffcc566690bfd6bf06534d70c531256c5776886c43b61bcca89685131",
+        "trace_seed2.csv": "5f495521960cea947263e0e80a49eec09a117b66453b8b305ed9327958a39392",
+        "trace_seed3.csv": "819f8afc09344cd6129aebbe270fe3485279ffce10763d6dede4e4bd77e3d6a1",
     }
     # sha256 of the same traces cut to trial,selected,profit,cum_profit: they
-    # change with the random stream (now per-seed Philox rows), but not with
-    # the last digits of the learner's grad_norm and eta; "wrapper" is a
-    # beta_max 0.95 run, which samples through the large-energy wrapper
+    # change with the random stream (per-seed Philox rows, one uniform per
+    # residual draw), but not with the last digits of the learner's
+    # grad_norm and eta; "wrapper" is a beta_max 0.95 run, which samples
+    # through the large-energy wrapper
     PINNED_SELECTION_SHA256 = {
         "criterion_10": {
-            "trace_seed0.csv": "27a6f68a44c94cf1217fae38575be7e8ae8afe629921f71f56fcfe8f467fbc9d",
-            "trace_seed1.csv": "30169b2d073163baef79c4a79cfc550b2d7caaae4420f0afc3acd737454cecf4",
-            "trace_seed2.csv": "7ab22de5375eb798683609ff433278127a59ed6583f736fa300c671c80c22102",
-            "trace_seed3.csv": "57d206b03b5e1c4a182583e524cf31f82e1025ccfecb9d974bfd4958f39092c9",
+            "trace_seed0.csv": "5f6d04d1eb4ca986759bc29ec7e75e3f936e576402768b7edd782b30bad720ae",
+            "trace_seed1.csv": "57fe142b004e867bae474cf3214c7dedf1f1e330f76b2ef58db802f2ad4c39d6",
+            "trace_seed2.csv": "dd7a9792b6c3a75d79e0282983f8f9c72cfbc622419c69b87c611bd0602bd398",
+            "trace_seed3.csv": "9f356862dfa641356f0679f1a7ae8c33ec20443e45679ca709203929c748466b",
         },
         "wrapper": {
-            "trace_seed0.csv": "1baaf8677fe222cbba6f581bd48cb6386f4a809ebd59c61bf23e1d2e16e3d930",
-            "trace_seed1.csv": "99a9207cf312d7f98d033364f52b3fb3e292a471191627028a45d9c64a730ee3",
+            "trace_seed0.csv": "c8829895c4762c353b13e3f3c92c3b6a8a2dea3060178508e3b1f9fe2722b120",
+            "trace_seed1.csv": "c681e94b2694aa70fe848a8c8de740e4f656cf73faba6660e3c73d8b30bb5b79",
         },
     }
 

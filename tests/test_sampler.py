@@ -33,13 +33,14 @@ def reference_block(weights, uniforms, action_set):
                 scaled = raw[-1] * scale
                 full = math.floor(scaled)
                 draws = [u[col + j] for j in range(min(full, width))]
-                if u[col + width] < scaled - full:
-                    draws.append(u[col + width + 1])
+                residual = scaled - full
+                if u[col + width] < residual:  # the residual draw picks with u / r
+                    draws.append(u[col + width] / residual)
             picks = [actions[np.searchsorted(raw / raw[-1], x, side="right")] for x in draws]
             member[r, picks] = True
             if wrapper and k == 0 and picks:  # heads: the heavy pick alone
                 break
-            col += width + 2
+            col += width + 1
     return member
 
 
@@ -157,7 +158,7 @@ class TestDrawPlans:
                                np.floor(uniforms[:, 0] * 4).astype(int))
 
     def test_fractional_mass(self):
-        # no full draw; the residual coin (column 0) fires below 0.25 * 0.6
+        # no full draw; the residual column (column 0) draws below 0.25 * 0.6
         aset = ActionSet.from_energies([0.25])
         layout = RowLayout(aset)
         assert layout.width == 4
@@ -178,8 +179,8 @@ class TestDrawPlans:
             for _ in range(50):
                 aset = random_action_set(rng, int(rng.integers(1, 60)), beta_max=beta_max)
                 layout = RowLayout(aset)
-                used = sum(math.floor(layout.delta * len(a)) + 2 for a in layout.classes.values())
-                used += 2 * layout.wrapper
+                used = sum(math.floor(layout.delta * len(a)) + 1 for a in layout.classes.values())
+                used += layout.wrapper
                 assert layout.width % 4 == 0 and used <= layout.width < used + 4
 
 
@@ -232,7 +233,7 @@ class TestMatchesSearchsortedReference:
         rng = np.random.default_rng(9)
         aset = ActionSet.from_energies(np.zeros(12))
         layout = RowLayout(aset)
-        assert layout.width == 16  # twelve full draws, a coin and a pick
+        assert layout.width == 16  # twelve full draws and a residual column
         weights = rng.uniform(0.0, 1.0, (300, 12))
         weights[::7] = 0.0
         uniforms = rng.random((300, layout.width))
@@ -348,15 +349,82 @@ class TestGuideInverse:
             zero[7, 2] = 0.0
             npt.assert_array_equal(sample_block(weights, uniforms, layout),
                                    sample_block(weights, zero, layout))
-        # the zero class (actions 0 and 1) fires its coin and picks with bad:
-        # unchecked, a pick at 1.0 lands past the class on action 2, a
-        # zero-weight action of class 1, and a negative one on action 0
+            # column 4 is the residual column, with no residual mass: only a
+            # negative uniform is below it, and the error names that uniform
+            uniforms = rows_of(3, 0, 20, layout.width)
+            uniforms[7, 4] = bad
+            if bad < 0.0:
+                with pytest.raises(ValueError, match=f"got {bad!r}"):
+                    sample_block(weights, uniforms, layout)
+            else:
+                half = uniforms.copy()
+                half[7, 4] = 0.5
+                npt.assert_array_equal(sample_block(weights, uniforms, layout),
+                                       sample_block(weights, half, layout))
+        # the zero class (actions 0 and 1) has residual mass r = 2 * delta
+        # and reads column 0: a negative uniform there is below r, so its
+        # draw picks with bad / r < 0, which unchecked would land on action
+        # 0; 1.0 and NaN are not below r, so they make no draw
         layout = RowLayout(ActionSet.from_energies([0.0, 0.0, 0.3, 0.3]))
-        assert layout.coins == [0, 2]
-        uniforms = np.array([[0.0, bad, 0.5, 0.5]] * 2)
+        assert layout.residual_columns == [0, 1] and layout.full_columns == [0, 0]
+        uniforms = np.array([[bad, 0.5, 0.5, 0.5]] * 2)
         for rows in (1, 2):
-            with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
-                sample_block(np.array([[1.0, 1.0, 0.0, 0.5]] * rows), uniforms, layout)
+            weights = np.array([[1.0, 1.0, 0.0, 0.5]] * rows)
+            if bad < 0.0:
+                with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+                    sample_block(weights, uniforms, layout)
+            else:
+                assert not sample_block(weights, uniforms, layout)[:, :2].any()
+
+
+class TestResidualLattice:
+    """A residual draw picks with u / r: fed the lattice u = k / 2**16, each
+    action is picked by 2**16 * r * (cum_a - cum_(a-1)) rows, give or take
+    one, with no Monte Carlo noise."""
+
+    @staticmethod
+    def segments(action_set, w):
+        """Per segment of the documented layout: its actions, residual column and mass."""
+        layout = RowLayout(action_set)
+        heavy = np.flatnonzero(action_set.z >= 0.5)
+        found, column = [], 0
+        if layout.wrapper:
+            found.append((heavy, column, 0.25 * float(w[heavy].sum())))
+            column += 1
+        for q in sorted(layout.classes):
+            actions = layout.classes[q]
+            column += math.floor(layout.delta * len(actions))
+            found.append((actions, column, layout.delta * float(w[actions].sum())))
+            column += 1
+        assert [c for _, c, _ in found] == layout.residual_columns
+        return found
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("beta_max", [0.45, 0.9])
+    def test_lattice_counts(self, shared, beta_max):
+        rng = np.random.default_rng(17)
+        z = rng.uniform(0.0, beta_max, 12)
+        z[:3] = 0.0
+        if beta_max > 0.5:
+            z[3:5] = [0.6, 0.8]  # two heavy actions, so the heavy column is tested
+        aset = ActionSet.from_energies(z)
+        layout = RowLayout(aset)
+        assert layout.wrapper == (beta_max > 0.5)
+        w = rng.uniform(0.05, 1.0, 12)
+        w /= max(1.0, float(w @ z))
+        k = 2**16
+        lattice = np.arange(k) / k
+        for actions, column, r in self.segments(aset, w):
+            assert 0.0 < r < 1.0  # no full draw: floor(scale * S) = 0
+            uniforms = np.full((k, layout.width), 0.5)
+            uniforms[:, layout.residual_columns] = 1.0 - 2.0**-53  # above every residual mass
+            uniforms[:, column] = lattice
+            weights = w[None] if shared else np.tile(w, (k, 1))
+            counts = sample_block(weights, uniforms, layout).sum(axis=0)
+            cum = np.cumsum(w[actions]) / w[actions].sum()
+            expect = k * r * np.diff(cum, prepend=0.0)
+            assert np.all(np.abs(counts[actions] - expect) <= 1.0)
+            assert counts.sum() == counts[actions].sum() == math.ceil(k * r)
 
 
 class TestUniformStream:
