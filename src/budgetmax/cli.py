@@ -13,8 +13,9 @@ Config files are JSON with an explicit version::
 Unknown keys anywhere are errors, and validation reports every violation at
 once. A run writes one CSV trace per engine seed plus the generated stream
 (so it can be replayed) and a JSON report, each under a temporary name
-until the run has succeeded. A replay writes back the stream
-file's bytes as it read them, not a ``%.17g`` re-rendering. Trace rows are
+until the run has succeeded. A replay copies the stream file it
+read, not a ``%.17g`` re-rendering, once it has checked that the file has
+not changed since. Trace rows are
 ``trial,selected,profit,cum_profit,grad_norm,eta`` with the selected actions
 as ascending semicolon-joined 0-based indices and floats at 17 significant
 digits, which makes repeated runs byte-identical.
@@ -196,11 +197,12 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     selections from it.
 
     With an ``output_dir``, every file is written under ``<name>.tmp``:
-    ``stream.csv`` before learning (a stream read from a file as its
-    ``source`` bytes, a generated one with ``write_stream``), then one
-    ``trace_seed<k>.csv`` per seed and ``report.json``. Any exception
-    unlinks them all; otherwise they are renamed in that order, so a
-    ``report.json`` marks a complete run.
+    ``stream.csv`` before learning (a stream read from a file as a copy of
+    its ``source`` file, a generated one with ``write_stream``), then one
+    ``trace_seed<k>.csv`` per seed and ``report.json``. The copy fails with
+    an ``OSError`` naming the file if that file changed after it was read.
+    Any exception unlinks them all; otherwise they are renamed in that
+    order, so a ``report.json`` marks a complete run.
     """
     env = config.environment
     if stream is None:
@@ -225,7 +227,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
             if stream.source is None:
                 write_stream(stream, create("stream.csv"))
             else:
-                create("stream.csv").write_bytes(stream.source)  # a replay saves the bytes it parsed
+                stream.source.copy_to(create("stream.csv"))  # a replay saves the file it parsed
         trajectory = learn(stream)
         grad_norm, eta = trajectory.grad_norm.tolist(), trajectory.eta.tolist()
         layout = RowLayout(stream.action_set)
@@ -298,10 +300,10 @@ def _probcheck(n: int, n_samples: int, seed: int, out) -> int:
     z[rng.random(n) < 0.2] = 0.0
     aset = ActionSet.from_energies(z)
     w = project_onto_feasible(rng.uniform(0.0, 1.5, n), aset.z)
-    freq, _ = estimate_selection_probs(w, aset, n_samples, seed + 1)
+    freq = estimate_selection_probs(w, aset, n_samples, seed + 1)
     exact = exact_selection_probs(w, aset)
-    # the exact marginal's standard error: the estimate's own is 0 when a
-    # rare action is never drawn, which would fail any nonzero exact value
+    # the exact marginal's standard error: a frequency's own would be 0 when
+    # a rare action is never drawn, which would fail any nonzero exact value
     sigma = np.sqrt(exact * (1.0 - exact) / n_samples)
     ok = True
     print(f"probcheck: n={n}, samples={n_samples}, delta={aset.delta:.6g}", file=out)

@@ -17,27 +17,43 @@ built, with whole-array operations, and an error names the first bad trial.
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
-significant digits so a write/read round trip is bit-exact. ``read_stream``
-reads a file once, as bytes, parses it one trial line at a time and keeps
-the bytes as the stream's ``source``: a replay saves them as they were
-read, not re-rendered with ``%.17g``.
+significant digits so a write/read round trip is bit-exact. Neither
+direction holds a file's text in memory: ``write_stream`` writes a block
+of rows at a time, and ``read_stream`` parses one trial line at a time
+from a buffered reader and keeps only the file's path and identity as
+the stream's ``source``. A replay saves the stream by copying that file,
+as it was read, not re-rendered with ``%.17g``, once it has checked that
+the file is still the one it parsed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import stat
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import ActionSet
+from .core import ActionSet, BLOCK_ENTRIES
 
 KINDS = ("facility_location", "knapsack_median", "knapsack_01", "random_adversarial")
 
 
 class StreamFormatError(ValueError):
-    """Malformed stream file; messages carry the 1-based line number."""
+    """Malformed stream file; messages carry the 1-based line number.
+
+    A path that is not a regular file is refused with a message that names it.
+    """
+
+
+# Buffer of the reader that parses a stream file, and size of the chunks its
+# non-ASCII pre-scan reads. Lines are about 4 KB at n = 100: with the default
+# 8 KiB buffer, reading and splitting the lines of such a 6 MB file lost 42 of
+# 60 interleaved timings to splitting the same bytes held in memory; from
+# 64 KiB to 1 MiB it was at parity.
+READ_BUFFER = 256 * 1024
 
 
 # Largest c_max whose cost range 2 * c_max is finite: above it
@@ -94,6 +110,38 @@ class EnvironmentSpec:
             raise ValueError("invalid environment spec: " + "; ".join(problems))
 
 
+def _identity(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@dataclass(frozen=True)
+class StreamSource:
+    """The file a stream was read from: its path and its identity when read.
+
+    The identity is ``(st_dev, st_ino, st_size, st_mtime_ns)`` of the open
+    file; a file replaced, resized or rewritten since then has another.
+    """
+
+    path: str
+    identity: tuple
+
+    def copy_to(self, dest) -> None:
+        """Copy the file to ``dest`` byte for byte, if it is still the one read.
+
+        ``shutil.copyfile`` copies in the kernel where it can. The file's
+        identity is taken before and after the copy; if either differs from
+        the recorded one, ``OSError`` names the file and ``dest`` may hold a
+        partial copy, which the caller removes.
+        """
+        self._check_unchanged()
+        shutil.copyfile(self.path, dest)
+        self._check_unchanged()
+
+    def _check_unchanged(self) -> None:
+        if _identity(os.stat(self.path)) != self.identity:
+            raise OSError(f"stream file {self.path} changed after it was read")
+
+
 def _first_bad_trial(rewards, costs, n: int) -> tuple[int, str] | None:
     """``(t, reason)`` for the first 1-based trial whose row is bad, else None.
 
@@ -120,14 +168,15 @@ class Stream:
     Building a stream checks its matrices once (a ``ValueError`` names the
     first bad trial, see :func:`_first_bad_trial`), so every consumer takes
     row ``t`` of ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
-    A stream read from a file keeps that file's bytes as ``source``, so a
-    run saves it as it was read; a generated stream has none.
+    A stream read from a file keeps that file's :class:`StreamSource`, so a
+    run saves it by copying the file it was read from; a generated stream
+    has none.
     """
 
     action_set: ActionSet
     rewards: np.ndarray
     costs: np.ndarray
-    source: bytes | None = field(default=None, repr=False, compare=False)
+    source: StreamSource | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rewards.ndim != 2 or self.rewards.shape != self.costs.shape:
@@ -226,35 +275,43 @@ def generate(spec: EnvironmentSpec) -> Stream:
 
 
 def check_constraints(stream: Stream, spec: EnvironmentSpec) -> None:
-    """Assert the constraint pattern the kind promises, on every trial."""
+    """Assert the constraint pattern the kind promises, on every trial.
+
+    Each rule is one whole-array reduction, with no ``(T, n)`` temporary;
+    a stream's values are finite and its rewards non-negative, so the
+    largest reward and the extreme costs decide every rule.
+    """
     z = stream.action_set.z
     R, C = stream.rewards, stream.costs
+    # an empty stream breaks no rule on its values
+    r_top = R.max() if R.size else -np.inf
+    c_lo, c_hi = (C.min(), C.max()) if C.size else (np.inf, -np.inf)
     problems = []
     if R.shape != (spec.T, spec.n) or C.shape != (spec.T, spec.n):
         problems.append(f"stream shape {R.shape}/{C.shape} does not match spec ({spec.T}, {spec.n})")
     if spec.kind == "facility_location":
         if np.any(z != 0.0):
             problems.append("energies must all be zero")
-        if np.any(C < 0.0):
+        if c_lo < 0.0:
             problems.append("costs must be non-negative")
-        if np.any(R > spec.r_max):
+        if r_top > spec.r_max:
             problems.append("rewards exceed r_max")
     elif spec.kind == "knapsack_median":
-        if np.any(C != 0.0):
+        if c_lo < 0.0 or c_hi > 0.0:
             problems.append("costs must all be zero")
         if np.any(z <= 0.0) or np.any(z > spec.beta_max):
             problems.append("energies must lie in (0, beta_max]")
     elif spec.kind == "knapsack_01":
-        if np.any(R != 0.0):
+        if r_top > 0.0:
             problems.append("rewards must all be zero")
-        if np.any(C > 0.0):
+        if c_hi > 0.0:
             problems.append("costs must be non-positive")
         if np.any(z <= 0.0) or np.any(z > spec.beta_max):
             problems.append("energies must lie in (0, beta_max]")
     elif spec.kind == "random_adversarial":
-        if np.any(R > spec.r_max):
+        if r_top > spec.r_max:
             problems.append("rewards exceed r_max")
-        if np.any(np.abs(C) > spec.c_max):
+        if c_hi > spec.c_max or -c_lo > spec.c_max:
             problems.append("costs exceed c_max in magnitude")
         if np.any(z > spec.beta_max):
             problems.append("energies exceed beta_max")
@@ -266,14 +323,22 @@ def write_stream(stream: Stream, path) -> None:
     """Write the preamble plus one line per trial (see module docstring).
 
     Floats are written with ``%.17g``, which formats exactly as
-    ``format(x, ".17g")`` and round-trips every float64.
+    ``format(x, ".17g")`` and round-trips every float64. Rows are
+    converted and written ``BLOCK_ENTRIES // (2n)`` at a time, so the
+    file's text is never held whole.
     """
     n = stream.n
-    lines = [("%d,%d" + ",%.17g" * n) % (n, stream.T, *stream.action_set.z.tolist())]
-    row = "%d" + ",%.17g" * (2 * n)
-    for t, (rewards, costs) in enumerate(zip(stream.rewards.tolist(), stream.costs.tolist()), 1):
-        lines.append(row % (t, *rewards, *costs))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    row = "%d" + ",%.17g" * (2 * n) + "\n"
+    rows = max(1, BLOCK_ENTRIES // (2 * n))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(("%d,%d" + ",%.17g" * n + "\n") % (n, stream.T, *stream.action_set.z.tolist()))
+        for start in range(0, stream.T, rows):
+            stop = start + rows
+            fh.write("".join(
+                row % (t, *rewards, *costs)
+                for t, rewards, costs in zip(range(start + 1, stop + 1),
+                                             stream.rewards[start:stop].tolist(),
+                                             stream.costs[start:stop].tolist())))
 
 
 def _parse_floats(fields, lineno, what):
@@ -283,18 +348,60 @@ def _parse_floats(fields, lineno, what):
         raise StreamFormatError(f"line {lineno}: bad {what}: {exc}") from None
 
 
-def _lines(data: bytes):
-    """Yield the lines of ASCII ``data`` as ``data.decode().splitlines()`` would.
+def _lines(fh, size: int):
+    """Yield the lines of the file's first ``size`` bytes as ``splitlines`` would.
 
-    Each ``\\n``-terminated piece is decoded and split on its own (a line
-    can also end at ``\\r``, ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``, and
-    ``\\r\\n`` stays one line end), so the file is held once, as bytes.
+    Each ``\\n``-terminated piece is read, decoded and split on its own (a
+    line can also end at ``\\r``, ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``,
+    and ``\\r\\n`` stays one line end), so no more than a line of the file
+    is held at once.
     """
-    start, size = 0, len(data)
-    while start < size:
-        stop = data.find(b"\n", start) + 1 or size
-        yield from data[start:stop].decode("ascii").splitlines()
-        start = stop
+    while size > 0:
+        piece = fh.readline(size)
+        if not piece:
+            return
+        size -= len(piece)
+        yield from piece.decode("ascii").splitlines()
+
+
+# The line ends of ``str.splitlines`` within ASCII; ``\r\n`` is one end.
+_LINE_ENDS = (b"\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _check_ascii(fh, size: int) -> None:
+    """Raise ``StreamFormatError`` naming the first non-ASCII byte and its line.
+
+    The file's first ``size`` bytes are scanned in ``READ_BUFFER`` chunks.
+    """
+    done = 0
+    while done < size:
+        chunk = fh.read(min(READ_BUFFER, size - done))
+        if not chunk:
+            return
+        if not chunk.isascii():
+            at = chunk.decode("ascii", "replace").index("\ufffd")
+            raise StreamFormatError("line %d: non-ASCII byte 0x%02x"
+                                    % (_line_at(fh, done + at), chunk[at]))
+        done += len(chunk)
+
+
+def _line_at(fh, offset: int) -> int:
+    """The 1-based line of the byte at ``offset``, as ``splitlines`` counts lines.
+
+    The ASCII bytes before it are read again in chunks and their line ends
+    counted, a ``\\r\\n`` once, also where a chunk boundary splits it.
+    """
+    fh.seek(0)
+    ends, last = 0, b""
+    while offset > 0:
+        chunk = fh.read(min(READ_BUFFER, offset))
+        if not chunk:
+            break
+        offset -= len(chunk)
+        ends += sum(map(chunk.count, _LINE_ENDS)) - chunk.count(b"\r\n")
+        ends -= last == b"\r" and chunk[:1] == b"\n"
+        last = chunk[-1:]
+    return ends + 1
 
 
 def _trial_values(line: str, t: int, n: int) -> list:
@@ -319,59 +426,66 @@ def _trial_values(line: str, t: int, n: int) -> list:
 def read_stream(path) -> Stream:
     """Parse a stream file one trial line at a time.
 
-    The file is read once, as bytes, and the returned stream keeps them as
-    its ``source``. Each trial line's structure is checked, then its ``2n``
-    values are cast to floats at once, before the next line is read, so an
-    error names the first bad line, whether the fault is in its structure or
-    in a value; a non-ASCII byte is reported, with its line, before any
-    other fault.
+    Only a regular file is read: anything else (a FIFO, a device, a
+    directory) is refused with a ``StreamFormatError`` that names the path,
+    before it is opened. The file is opened once; the identity ``os.fstat``
+    gives then becomes, with the path, the stream's :class:`StreamSource`.
+    Its bytes are first scanned for a non-ASCII byte, which is reported,
+    with its line, before any other fault. Then at most the ``st_size``
+    bytes seen then are parsed from a buffered reader: each trial line's
+    structure is checked, then its ``2n`` values are cast to floats at once,
+    before the next line is read, so an error names the first bad line,
+    whether the fault is in its structure or in a value.
     """
-    data = Path(path).read_bytes()
-    if not data.isascii():  # lines counted as splitlines ends them
-        at = data.decode("ascii", "replace").index("\ufffd")
-        line = len((data[:at] + b".").decode("ascii").splitlines())
-        raise StreamFormatError("line %d: non-ASCII byte 0x%02x" % (line, data[at]))
-    lines = _lines(data)
-    first = next(lines, None)
-    if first is None:
-        raise StreamFormatError("line 1: empty stream file")
-    head = first.split(",")
-    if len(head) < 2:
-        raise StreamFormatError("line 1: preamble needs at least n and T")
-    try:
-        n, T = int(head[0]), int(head[1])
-    except ValueError:
-        raise StreamFormatError(f"line 1: n and T must be integers, got {head[:2]}") from None
-    if n < 1 or T < 1:
-        raise StreamFormatError(f"line 1: n and T must be positive, got n={n}, T={T}")
-    if len(head) != 2 + n:
-        raise StreamFormatError(f"line 1: expected {2 + n} fields (n, T, {n} energies), got {len(head)}")
-    z = np.array(_parse_floats(head[2:], 1, "energy"))
-
-    # A trial line that parses holds 2n + 1 non-empty fields and 2n commas and
-    # follows a line end, so the file's size bounds the rows: a preamble T
-    # beyond the file fails at its first missing line, not here.
-    rows = min(T, len(data) // (4 * n + 2))
-    rewards = np.empty((rows, n))
-    costs = np.empty((rows, n))
-    for t in range(1, T + 1):
-        fields = _trial_values(next(lines, ""), t, n)
+    path = os.fspath(path)
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise StreamFormatError(f"{path}: not a regular file")
+    with open(path, "rb", buffering=READ_BUFFER) as fh:
+        identity = _identity(os.fstat(fh.fileno()))
+        size = identity[2]
+        _check_ascii(fh, size)
+        fh.seek(0)
+        lines = _lines(fh, size)
+        first = next(lines, None)
+        if first is None:
+            raise StreamFormatError("line 1: empty stream file")
+        head = first.split(",")
+        if len(head) < 2:
+            raise StreamFormatError("line 1: preamble needs at least n and T")
         try:
-            row = np.array(fields, dtype=float)
+            n, T = int(head[0]), int(head[1])
         except ValueError:
-            _parse_floats(fields, t + 1, "reward/cost")  # names the bad field
-            raise
-        rewards[t - 1] = row[:n]
-        costs[t - 1] = row[n:]
-    for lineno, line in enumerate(lines, T + 2):
-        if line.strip():
-            raise StreamFormatError(f"line {lineno}: trailing data after trial {T}")
+            raise StreamFormatError(f"line 1: n and T must be integers, got {head[:2]}") from None
+        if n < 1 or T < 1:
+            raise StreamFormatError(f"line 1: n and T must be positive, got n={n}, T={T}")
+        if len(head) != 2 + n:
+            raise StreamFormatError(f"line 1: expected {2 + n} fields (n, T, {n} energies), got {len(head)}")
+        z = np.array(_parse_floats(head[2:], 1, "energy"))
+
+        # A trial line that parses holds 2n + 1 non-empty fields and 2n commas and
+        # follows a line end, so the file's size bounds the rows: a preamble T
+        # beyond the file fails at its first missing line, not here.
+        rows = min(T, size // (4 * n + 2))
+        rewards = np.empty((rows, n))
+        costs = np.empty((rows, n))
+        for t in range(1, T + 1):
+            fields = _trial_values(next(lines, ""), t, n)
+            try:
+                row = np.array(fields, dtype=float)
+            except ValueError:
+                _parse_floats(fields, t + 1, "reward/cost")  # names the bad field
+                raise
+            rewards[t - 1] = row[:n]
+            costs[t - 1] = row[n:]
+        for lineno, line in enumerate(lines, T + 2):
+            if line.strip():
+                raise StreamFormatError(f"line {lineno}: trailing data after trial {T}")
     try:
         action_set = ActionSet.from_energies(z)
     except ValueError as exc:
         raise StreamFormatError(f"line 1: {exc}") from None
     try:
-        return Stream(action_set, rewards, costs, source=data)
+        return Stream(action_set, rewards, costs, source=StreamSource(path, identity))
     except ValueError:
         # the stream's own check failed; find the same row again to name its line
         t, reason = _first_bad_trial(rewards, costs, n)

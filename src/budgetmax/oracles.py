@@ -279,20 +279,21 @@ def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
 
 
 def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,
-                             seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo per-action selection frequencies and their standard errors.
+                             seed: int) -> np.ndarray:
+    """Monte Carlo per-action selection frequencies.
 
     Each action's selections are counted on its contiguous column of a
     block. Raises ``ValueError`` unless ``n_samples`` is an integer of at
-    least 1.
+    least 1. No standard error comes with them: a frequency's own,
+    ``sqrt(f (1 - f) / N)``, is 0 for an action the sample never drew, so
+    a caller testing them against exact marginals ``p`` takes
+    ``sqrt(p (1 - p) / N)``.
     """
     n_samples = _sample_count(n_samples)
     counts = np.zeros(action_set.n)
     for member in _membership_blocks(w, action_set, n_samples, seed):
         counts += [np.count_nonzero(column) for column in member.T]
-    freq = counts / n_samples
-    sigma = np.sqrt(freq * (1.0 - freq) / n_samples)
-    return freq, sigma
+    return counts / n_samples
 
 
 def estimate_hit_rates(w, action_set: ActionSet, subsets, n_samples: int,

@@ -112,7 +112,7 @@ def test_criterion_02_selection_probability_sandwich(announce):
     worst = -math.inf
     ok = True
     for idx, (aset, w) in enumerate(fixed_sandwich_instances()):
-        freq, _ = estimate_selection_probs(w, aset, n_samples, seed=5000 + idx)
+        freq = estimate_selection_probs(w, aset, n_samples, seed=5000 + idx)
         for i in range(aset.n):
             lower, upper = analytic_selection_bounds(w, i, aset.delta)
             gap = max(lower - freq[i], freq[i] - upper)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -443,15 +444,60 @@ class TestMain:
         recorded = tmp_path / "run" / "stream.csv"
         assert main(["--config", cfg, "--out", str(recorded.parent), "run"]) == 0
 
-        def half_written(path, data):
-            with open(path, "wb") as fh:
-                fh.write(data[:len(data) // 2])
+        def half_copied(src, dst):
+            data = Path(src).read_bytes()
+            Path(dst).write_bytes(data[:len(data) // 2])
             raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_bytes", half_written)
+        monkeypatch.setattr(shutil, "copyfile", half_copied)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(recorded)]) == 2
         assert list(out.iterdir()) == []
+
+    def test_replay_into_the_stream_directory_keeps_a_hand_written_stream(self, tmp_path):
+        # CRLF and short values, which a re-rendering would not keep
+        env = {"kind": "knapsack_01", "n": 2, "T": 3}
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[0]))
+        data = b"2,3,0.1,0.25\r\n1,0,0,-0.5,-0.1\r\n2,0,0,-1,-0.25\r\n3,0,0,-0.3,-0.7\r\n"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stream.csv").write_bytes(data)
+        assert main(["--config", cfg, "--out", str(out), "replay",
+                     "--stream", str(out / "stream.csv")]) == 0
+        assert (out / "stream.csv").read_bytes() == data
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "stream.csv",
+                                                         "trace_seed0.csv"]
+
+    @pytest.mark.parametrize("change", ["append", "rewrite"])
+    def test_stream_changed_after_it_was_read_fails_with_no_file(self, tmp_path, capsys,
+                                                                  monkeypatch, change):
+        cfg = self.write_config(tmp_path, good_config())
+        recorded = tmp_path / "run" / "stream.csv"
+        assert main(["--config", cfg, "--out", str(recorded.parent), "run"]) == 0
+        data = recorded.read_bytes()
+
+        def read_then_change(path):
+            stream = read_stream(path)
+            if change == "append":
+                recorded.write_bytes(data + b"\n")
+            else:  # the same size, one digit changed, and another mtime
+                recorded.write_bytes(data[:-2] + bytes([data[-2] ^ 1]) + data[-1:])
+                st = recorded.stat()
+                os.utime(recorded, ns=(st.st_atime_ns, stream.source.identity[3] + 10**9))
+            return stream
+
+        monkeypatch.setattr(cli, "read_stream", read_then_change)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(recorded)]) == 2
+        assert capsys.readouterr().err == f"error: stream file {recorded} changed after it was read\n"
+        assert list(out.iterdir()) == []
+
+    def test_non_regular_stream_file_exits_1_before_writing(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, good_config())
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", os.devnull]) == 1
+        assert capsys.readouterr().err == f"error: {os.devnull}: not a regular file\n"
+        assert not out.exists()
 
     def test_failed_trace_write_leaves_no_file(self, tmp_path, monkeypatch):
         import budgetmax.cli as cli
@@ -562,7 +608,7 @@ class TestMain:
             freq[np.argmin(np.where(exact > 0.0, exact, np.inf))] = 0.0
             if scale:
                 freq = scale * exact
-            return freq, np.zeros_like(freq)
+            return freq
 
         monkeypatch.setattr(cli, "estimate_selection_probs", estimate)
         assert main(["probcheck", "--actions", "100", "--samples", "20000"]) == (verdict == "FAIL")

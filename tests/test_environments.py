@@ -1,10 +1,13 @@
 import math
+import os
+import shutil
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import ActionSet, StreamFormatError, read_stream, write_stream
+from budgetmax import ActionSet, StreamFormatError, environments, read_stream, write_stream
 from budgetmax.core import BLOCK_ENTRIES
 from budgetmax.environments import (C_MAX_LIMIT, EnvironmentSpec, Stream, check_constraints,
                                     generate, site_rewards)
@@ -112,6 +115,40 @@ class TestGenerators:
         bad = Stream(stream.action_set, stream.rewards, stream.costs + 0.5)
         with pytest.raises(ValueError, match="costs must all be zero"):
             check_constraints(bad, spec_for("knapsack_median"))
+
+    @pytest.mark.parametrize("kind, where, value, message", [
+        ("facility_location", "z", 0.1, "energies must all be zero"),
+        ("facility_location", "costs", -1e-9, "costs must be non-negative"),
+        ("facility_location", "rewards", 1.5, "rewards exceed r_max"),
+        ("knapsack_median", "costs", 0.5, "costs must all be zero"),
+        ("knapsack_median", "costs", -0.5, "costs must all be zero"),
+        ("knapsack_median", "z", 0.0, "energies must lie in (0, beta_max]"),
+        ("knapsack_median", "z", 0.5, "energies must lie in (0, beta_max]"),
+        ("knapsack_01", "rewards", 0.25, "rewards must all be zero"),
+        ("knapsack_01", "costs", 1e-9, "costs must be non-positive"),
+        ("knapsack_01", "z", 0.0, "energies must lie in (0, beta_max]"),
+        ("knapsack_01", "z", 0.5, "energies must lie in (0, beta_max]"),
+        ("random_adversarial", "rewards", 1.5, "rewards exceed r_max"),
+        ("random_adversarial", "costs", 1.5, "costs exceed c_max in magnitude"),
+        ("random_adversarial", "costs", -1.5, "costs exceed c_max in magnitude"),
+        ("random_adversarial", "z", 0.5, "energies exceed beta_max"),
+        ("random_adversarial", "T", 41, "stream shape (40, 6)/(40, 6) does not match spec (41, 6)"),
+    ])
+    def test_check_constraints_names_each_broken_rule(self, kind, where, value, message):
+        spec = spec_for(kind)
+        stream = generate(spec)
+        check_constraints(stream, spec)
+        z, rewards, costs = stream.action_set.z.copy(), stream.rewards.copy(), stream.costs.copy()
+        if where == "T":
+            spec = spec_for(kind, T=value)
+        elif where == "z":
+            z[2] = value
+        else:
+            {"rewards": rewards, "costs": costs}[where][17, 3] = value
+        bad = Stream(ActionSet.from_energies(z), rewards, costs)
+        with pytest.raises(ValueError) as info:
+            check_constraints(bad, spec)
+        assert str(info.value) == f"{kind} constraints violated: {message}"
 
     def test_r_hat_c_hat(self):
         stream = generate(spec_for("random_adversarial"))
@@ -365,10 +402,88 @@ class TestStreamFiles:
         with pytest.raises(StreamFormatError, match="^line 2: non-ASCII byte 0xc3$"):
             read_stream(path)
 
-    def test_read_stream_keeps_the_bytes_it_parsed(self, tmp_path):
+    def test_non_ascii_byte_beats_an_earlier_structural_fault(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1,4,0.25\n1,0.5\n2,0.5,0.2\n3,0.5,0.3\n4,0.5,\xff0.4\n")
+        with pytest.raises(StreamFormatError, match="^line 5: non-ASCII byte 0xff$"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("chunk", [2, 3, 5, 64])
+    def test_non_ascii_line_is_counted_across_scan_chunks(self, tmp_path, monkeypatch, chunk):
+        # every line end splitlines knows, a \r\n split by a chunk boundary at
+        # some offset, and the bad byte at every offset of the file
+        monkeypatch.setattr(environments, "READ_BUFFER", chunk)
+        path = tmp_path / "s.csv"
+        text = b"1,3,0.25\r\n1,0.5,0.1\r2,0.5,0.2\r\n\r\n\x0b\x0c\x1c\x1d\x1e\n3,0.5,0.3\r\n"
+        for at in range(len(text) + 1):
+            data = text[:at] + b"\xe9" + text[at:]
+            path.write_bytes(data)
+            line = len((data[:at] + b".").decode("ascii").splitlines())
+            with pytest.raises(StreamFormatError, match=f"^line {line}: non-ASCII byte 0xe9$"):
+                read_stream(path)
+
+    def test_replay_saves_exactly_the_bytes_of_the_file_it_parsed(self, tmp_path):
         path = tmp_path / "s.csv"
         data = b"2,2,0.25,0.5\r\n1,0.5,0.1,-0.5,0\r\n2,1,0,0,-1e-3\r\n\r\n"
         path.write_bytes(data)
         stream = read_stream(path)
-        assert stream.source == data
+        assert stream.source.path == str(path)
+        stream.source.copy_to(tmp_path / "saved.csv")
+        assert (tmp_path / "saved.csv").read_bytes() == data
         assert generate(spec_for("knapsack_01", n=2, T=2)).source is None
+
+    @pytest.mark.parametrize("change", ["append", "rewrite"])
+    def test_a_file_changed_after_it_was_read_is_not_copied(self, tmp_path, change):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1,2,0.25\n1,0.5,0.1\n2,0.5,0.2\n")
+        stream = read_stream(path)
+        if change == "append":
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
+        else:  # same size, another mtime
+            path.write_bytes(b"1,2,0.25\n1,0.5,0.1\n2,0.5,0.3\n")
+            st = os.stat(path)
+            os.utime(path, ns=(st.st_atime_ns, stream.source.identity[3] + 10**9))
+        with pytest.raises(OSError, match=f"^stream file {path} changed after it was read$"):
+            stream.source.copy_to(tmp_path / "saved.csv")
+        assert not (tmp_path / "saved.csv").exists()
+
+    def test_a_file_changed_during_the_copy_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1,2,0.25\n1,0.5,0.1\n2,0.5,0.2\n")
+        stream = read_stream(path)
+        real = shutil.copyfile
+
+        def copy_then_append(src, dst):
+            real(src, dst)
+            with open(src, "ab") as fh:
+                fh.write(b"\n")
+
+        monkeypatch.setattr(shutil, "copyfile", copy_then_append)
+        with pytest.raises(OSError, match=f"^stream file {path} changed after it was read$"):
+            stream.source.copy_to(tmp_path / "saved.csv")
+
+    @pytest.mark.parametrize("target", [os.devnull, "directory"])
+    def test_a_path_that_is_not_a_regular_file_is_refused(self, tmp_path, target):
+        path = str(tmp_path) if target == "directory" else target
+        with pytest.raises(StreamFormatError, match=f"^{path}: not a regular file$"):
+            read_stream(path)
+
+    def test_read_and_write_hold_no_copy_of_the_text(self, tmp_path):
+        # about 4 MB of text: reading holds the two arrays plus under 1 MB,
+        # writing under 2 MB in all
+        stream = generate(spec_for("random_adversarial", n=200, T=500))
+        path = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            write_stream(stream, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            back = read_stream(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4_000_000
+        assert write_peak < 2_000_000
+        assert read_peak - start < back.rewards.nbytes + back.costs.nbytes + 1_000_000
