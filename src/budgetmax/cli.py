@@ -42,7 +42,7 @@ from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fi
                       finite_diff_gradient)
 from .projection import project_onto_feasible
 from .sampler import RowLayout, draw_trials
-from .surrogate import learn, surrogate_gradient, surrogate_value
+from .surrogate import learn_blocks, surrogate_gradient, surrogate_value
 
 CONFIG_VERSION = 1
 TRACE_HEADER = "trial,selected,profit,cum_profit,grad_norm,eta"
@@ -193,16 +193,21 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     The stream is generated from the config's environment unless one is
     passed in (replay); either way it is revalidated against the kind's
     constraint pattern before the learner sees it. The weight trajectory
-    does not depend on the engine seed, so each seed only draws its
-    selections from it.
+    does not depend on the engine seed, so the run learns it one block of
+    trials at a time (:func:`~budgetmax.surrogate.learn_blocks`) and every
+    seed draws its selections from each block before the next is learned;
+    the run holds the stream and one block, never the whole trajectory.
 
     With an ``output_dir``, every file is written under ``<name>.tmp``:
     ``stream.csv`` before learning (a stream read from a file as a copy of
     its ``source`` file, a generated one with ``write_stream``), then one
-    ``trace_seed<k>.csv`` per seed and ``report.json``. The copy fails with
-    an ``OSError`` naming the file if that file changed after it was read.
-    Any exception unlinks them all; otherwise they are renamed in that
-    order, so a ``report.json`` marks a complete run.
+    ``trace_seed<k>.csv`` per seed, each created with its header before the
+    first block and appended to once per block, and ``report.json`` last.
+    A trace is open only while one block's rows are appended to it, so one
+    is open at a time however many seeds a config lists. The copy fails
+    with an ``OSError`` naming the file if that file changed after it was
+    read. Any exception, in any block, unlinks them all; otherwise they are
+    renamed in that order, so a ``report.json`` marks a complete run.
     """
     env = config.environment
     if stream is None:
@@ -228,36 +233,35 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
                 write_stream(stream, create("stream.csv"))
             else:
                 stream.source.copy_to(create("stream.csv"))  # a replay saves the file it parsed
-        trajectory = learn(stream)
-        grad_norm, eta = trajectory.grad_norm.tolist(), trajectory.eta.tolist()
         layout = RowLayout(stream.action_set)
-        per_seed = []
-        for seed in config.seeds:
-            cum = 0.0
-            trace = out_dir and open(create(f"trace_seed{seed}.csv"), "w",
-                                     encoding="ascii", newline="\n")
-            try:
-                if trace:
+        traces = []
+        if out_dir:
+            for seed in config.seeds:
+                traces.append(create(f"trace_seed{seed}.csv"))
+                with open(traces[-1], "w", encoding="ascii", newline="\n") as trace:
                     trace.write(TRACE_HEADER + "\n")
-                for start, member in draw_trials(trajectory.weights, seed, layout):
-                    stop = start + len(member)
+        per_seed = [0.0] * len(config.seeds)
+        for start, block in learn_blocks(stream):
+            grad_norm, eta = block.grad_norm.tolist(), block.eta.tolist()
+            for k, seed in enumerate(config.seeds):
+                for first, member in draw_trials(block.weights, seed, layout, start):
+                    stop = first + len(member)
                     rows, cols = np.nonzero(member)
-                    gains = selection_profits(rows, cols, stream.rewards[start:stop],
-                                              stream.costs[start:stop]).tolist()
-                    cums = list(accumulate(gains, initial=cum))
-                    cum = cums[-1]
-                    if trace:
+                    gains = selection_profits(rows, cols, stream.rewards[first:stop],
+                                              stream.costs[first:stop]).tolist()
+                    cums = list(accumulate(gains, initial=per_seed[k]))
+                    per_seed[k] = cums[-1]
+                    if traces:
                         ends = np.searchsorted(rows, np.arange(1, len(member))).tolist()
                         chosen = cols.tolist()
-                        trace.write("".join(
-                            TRACE_ROW % (t + 1, ";".join(map(str, chosen[lo:hi])), gain, total,
-                                         grad_norm[t], eta[t])
-                            for t, gain, total, lo, hi in zip(range(start, stop), gains, cums[1:],
-                                                              [0] + ends, ends + [len(chosen)])))
-            finally:
-                if trace:
-                    trace.close()
-            per_seed.append(cum)
+                        # one trace open at a time, however many seeds a config lists
+                        with open(traces[k], "a", encoding="ascii", newline="\n") as trace:
+                            trace.write("".join(
+                                TRACE_ROW % (t + 1, ";".join(map(str, chosen[lo:hi])), gain,
+                                             total, grad_norm[t - start], eta[t - start])
+                                for t, gain, total, lo, hi in zip(
+                                    range(first, stop), gains, cums[1:],
+                                    [0] + ends, ends + [len(chosen)])))
 
         per_seed_arr = np.array(per_seed)
         mean = float(per_seed_arr.mean())

@@ -59,11 +59,11 @@ row by row: row ``t`` holds stream values ``t*K`` to ``t*K + K - 1``.
 Philox yields four 64-bit words per counter step and each double takes one,
 so ``Philox(key=s).advance(t * K // 4)`` lands exactly on row ``t`` and any
 row can be read on its own (:func:`uniform_stream`). :func:`draw_trials` draws
-an engine seed's selections from a weight trajectory, a block of trials at a
-time; trial ``t`` reads only its own row of uniforms, so it draws the same
-selection at a given weight vector no matter how many other trials were
-drawn, and any trial replays on its own. A selection is an array of action
-indices in ascending order.
+an engine seed's selections from the weight rows of consecutive trials from
+any first trial on, a block of trials at a time; trial ``t`` reads only its
+own row of uniforms, so it draws the same selection at a given weight vector
+no matter how many other trials were drawn, and any trial replays on its
+own. A selection is an array of action indices in ascending order.
 """
 
 from __future__ import annotations
@@ -176,21 +176,23 @@ def uniform_stream(seed: int, width: int, start: int = 0) -> np.random.Generator
     return np.random.Generator(bit_generator)
 
 
-def draw_trials(weights, seed: int, layout: RowLayout):
-    """Yield engine seed ``seed``'s ``(start, member)`` over consecutive blocks of trials.
+def draw_trials(weights, seed: int, layout: RowLayout, start: int = 0):
+    """Yield engine seed ``seed``'s ``(first, member)`` over consecutive blocks of trials.
 
-    Row ``t`` of ``weights`` holds the weights of the 0-based trial ``t``;
-    ``member`` marks the selections of trials ``start`` to ``start +
-    len(member) - 1``. Trial ``t`` reads row ``t`` of the seed's uniforms,
-    so each selection equals :func:`sample_block` at ``weights[t]`` on
-    ``uniform_stream(seed, layout.width, t)``'s first row.
+    Row ``i`` of ``weights`` holds the weights of the 0-based trial ``start
+    + i``, so a run can draw one learned block at a time. ``member`` marks
+    the selections of trials ``first`` to ``first + len(member) - 1``
+    (absolute indices). Trial ``t`` reads row ``t`` of the seed's uniforms,
+    so each selection equals :func:`sample_block` at its weights on
+    ``uniform_stream(seed, layout.width, t)``'s first row, whatever
+    ``start`` is.
     """
     width = layout.width
-    uniforms = uniform_stream(seed, width)
+    uniforms = uniform_stream(seed, width, start)
     rows = max(1, BLOCK_ENTRIES // layout.z.size)
-    for start in range(0, len(weights), rows):
-        block = weights[start:start + rows]
-        yield start, sample_block(block, uniforms.random((len(block), width)), layout)
+    for offset in range(0, len(weights), rows):
+        block = weights[offset:offset + rows]
+        yield start + offset, sample_block(block, uniforms.random((len(block), width)), layout)
 
 
 def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:

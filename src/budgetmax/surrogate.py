@@ -27,20 +27,23 @@ step is taken while it is infinite. The feedback is full-information: the
 step on trial ``t`` uses only the weights ``w_t`` and the revealed rewards
 and costs (row ``t`` of the stream's matrices), never the sampled
 selection. So the weight trajectory is the same for every engine seed:
-:func:`learn` computes it once per stream, and each seed draws its
-selections from it (:func:`budgetmax.sampler.draw_trials`). A trial's reward
-order, drops and sorted cost parts do not depend on ``w``, so :func:`learn`
-finds them for a whole block of trials at once. The reward order comes from
-numpy's default (unstable, SIMD) sort; only the rows whose sorted rewards
-hold an equal neighbour are sorted again stably, so ties keep ascending
-index order and every bit matches one stable sort. Consecutive projections
-have close inputs, so :func:`learn` starts each one's Newton iteration at
-the previous step's multiplier (:mod:`budgetmax.projection`), which
-changes the work but not the bits of the answer, and records the
-multiplier in :attr:`Trajectory.lam`. Instances that the sampler
-draws through its wrapper (largest energy at least 1/2) learn the same way,
-with the action set's own constants; at ``beta == 1``, ``delta == 0`` makes
-every gradient zero, so no step is ever taken.
+:func:`learn_blocks` computes it once per stream, one block of trials at a
+time, and a run draws every seed's selections from a block before the next
+one is learned (:func:`budgetmax.sampler.draw_trials`), so it never holds
+the whole ``(T, n)`` trajectory; :func:`learn` concatenates the blocks. A
+trial's reward order, drops and sorted cost parts do not depend on ``w``,
+so :func:`learn_blocks` finds them for its whole block at once. The
+reward order comes from numpy's default (unstable, SIMD) sort; only the
+rows whose sorted rewards hold an equal neighbour are sorted again stably,
+so ties keep ascending index order and every bit matches one stable sort.
+Consecutive projections have close inputs, so :func:`learn_blocks` starts
+each one's Newton iteration at the previous step's multiplier
+(:mod:`budgetmax.projection`), which changes the work but not the bits of
+the answer, and records the multiplier in :attr:`Trajectory.lam`.
+Instances that the sampler draws through its wrapper (largest energy at
+least 1/2) learn the same way, with the action set's own constants; at
+``beta == 1``, ``delta == 0`` makes every gradient zero, so no step is
+ever taken.
 """
 
 from __future__ import annotations
@@ -134,7 +137,9 @@ class Trajectory:
     non-zero gradient has been seen). ``lam[t]`` is the multiplier of the
     budget in the projection that ends that step: 0.0 when the box clamp
     already meets the budget or no step is taken, positive exactly when the
-    budget binds.
+    budget binds. :func:`learn` returns all of a stream's trials;
+    :func:`learn_blocks` yields one block of them at a time, whose row 0 is
+    the block's first trial.
     """
 
     weights: np.ndarray
@@ -143,49 +148,80 @@ class Trajectory:
     lam: np.ndarray
 
 
-def learn(stream: Stream) -> Trajectory:
-    """One projected-gradient pass over the trials of a stream.
+def learn_blocks(stream: Stream):
+    """Yield ``(start, block)``: one projected-gradient pass over a stream, a block at a time.
 
-    Trial ``t`` is row ``t`` of ``stream.rewards`` and ``stream.costs``. The
-    stream checked its matrices when it was built, so no trial is checked
-    again here.
+    ``block`` is the :class:`Trajectory` of trials ``start`` to ``start +
+    len(block.eta) - 1``, at most ``max(1, BLOCK_ENTRIES // n)`` of them;
+    the starts are consecutive from 0. Trial ``t`` is row ``t`` of
+    ``stream.rewards`` and ``stream.costs``. The stream checked its matrices
+    when it was built, so no trial is checked again here. The step on a
+    trial reads only the current weights and that trial's row, so the pass
+    holds one block of state; each block's arrays are read-only.
 
     Raises
     ------
     ValueError
         If a trial's gradient norm is not finite, which finite but huge
         rewards or costs can cause; the message names the 1-based trial.
+        The blocks before it have been yielded by then.
     """
     action_set = stream.action_set
     T, n, delta, z = stream.T, action_set.n, action_set.delta, action_set.z
-    weights = np.empty((T, n))
-    grad_norm = np.empty(T)
-    eta = np.zeros(T)
-    lam = np.zeros(T)
     w = np.zeros(n)
     eta_prime = math.inf
     multiplier = 0.0
     rows = max(1, BLOCK_ENTRIES // n)
-    # an overflowing |g| is raised below, naming its trial
-    with np.errstate(over="ignore"):
-        for start in range(0, T, rows):
-            order, drops, c_pos, c_neg = _trial_pieces(stream.rewards[start:start + rows],
-                                                       stream.costs[start:start + rows])
-            for i, t in enumerate(range(start, start + len(order))):
-                weights[t] = w
+    for start in range(0, T, rows):
+        stop = min(start + rows, T)
+        weights = np.empty((stop - start, n))
+        grad_norm = np.empty(stop - start)
+        eta = np.zeros(stop - start)
+        lam = np.zeros(stop - start)
+        # an overflowing |g| is raised below, naming its trial; the state is
+        # restored before the yield, so the consumer never runs under it
+        with np.errstate(over="ignore"):
+            order, drops, c_pos, c_neg = _trial_pieces(stream.rewards[start:stop],
+                                                       stream.costs[start:stop])
+            for i, t in enumerate(range(start, stop)):
+                weights[i] = w
                 g = _gradient(w, order[i], drops[i], c_pos[i], c_neg[i], delta)
                 # the bits of np.linalg.norm on a vector, without its wrapper
-                grad_norm[t] = norm = math.sqrt(float(g @ g))
+                grad_norm[i] = norm = math.sqrt(float(g @ g))
                 if not math.isfinite(norm):
                     raise ValueError(f"trial {t + 1}: the surrogate gradient norm is not finite "
                                      f"({norm}); rewards or costs are too large")
                 if norm > 0.0:
                     eta_prime = min(eta_prime, math.sqrt(n) / norm)
                 if eta_prime < math.inf:
-                    eta[t] = step = eta_prime / math.sqrt(2.0 * (t + 1))
+                    eta[i] = step = eta_prime / math.sqrt(2.0 * (t + 1))
                     # finite by construction, so unchecked; warm-started from the last multiplier
                     w, multiplier = _project_from(w - step * g, z, multiplier)
-                    lam[t] = multiplier
-    for array in (weights, grad_norm, eta, lam):
+                    lam[i] = multiplier
+        # The pieces stay bound until the next block's replace them, so the
+        # heap keeps their pages for it (freed first, glibc would hand them
+        # back to the system and fault them in again on every block); the
+        # last block's are dropped before its yield, as nothing reuses them.
+        if stop == T:
+            del order, drops, c_pos, c_neg
+        for array in (weights, grad_norm, eta, lam):
+            array.setflags(write=False)
+        yield start, Trajectory(weights, grad_norm, eta, lam)
+
+
+def learn(stream: Stream) -> Trajectory:
+    """The whole trajectory of a stream: :func:`learn_blocks`' blocks, concatenated.
+
+    Raises
+    ------
+    ValueError
+        As :func:`learn_blocks`, if a trial's gradient norm is not finite.
+    """
+    T, n = stream.T, stream.action_set.n
+    whole = Trajectory(np.empty((T, n)), np.empty(T), np.empty(T), np.empty(T))
+    for start, block in learn_blocks(stream):
+        for array, part in zip(vars(whole).values(), vars(block).values()):
+            array[start:start + len(part)] = part
+    for array in vars(whole).values():
         array.setflags(write=False)
-    return Trajectory(weights, grad_norm, eta, lam)
+    return whole

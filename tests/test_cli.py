@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,16 @@ class TestRunExperiment:
         },
     }
 
+    # sha256 of a run that crosses blocks: n = 1000 learns and draws 16 trials
+    # per block, so T = 60 is four blocks (16/16/16/12), and two seeds
+    # interleave their draws and trace rows across them
+    PINNED_MULTI_BLOCK_SHA256 = {
+        "report.json": "bb63583750a0a87c73b98fd8bd509b61d6a13c126eec792baf0676e7976a7f95",
+        "stream.csv": "51e277843d6d2b21e9afee1206fa7a2f2ff09f3e7ef69e8bc3ddb3434c74b67d",
+        "trace_seed0.csv": "d8dd729a2b66eaf6cb0fcad1ad557f2e076ef7ecd2d860b073186f96c41da598",
+        "trace_seed3.csv": "cd7ff3a4fb4ab75b5d4919b4da8816832f9a26f854f5a2727f05898bdd7e4c94",
+    }
+
     @staticmethod
     def criterion_10_outputs(out):
         env = {"kind": "random_adversarial", "n": 6, "T": 60, "seed": 9, "shift_segments": 3}
@@ -282,6 +293,50 @@ class TestRunExperiment:
         assert report.large_beta_mode
         digests = self.selection_digests(sorted(out.iterdir()))
         assert digests == self.PINNED_SELECTION_SHA256["wrapper"]
+
+    def test_multi_block_outputs_match_pinned_hashes(self, tmp_path):
+        env = {"kind": "random_adversarial", "n": 1000, "T": 60, "seed": 2}
+        out = tmp_path / "out"
+        run_experiment(parse_config(good_config(environment=env, seeds=[0, 3],
+                                                output_dir=str(out))))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+        assert digests == self.PINNED_MULTI_BLOCK_SHA256
+
+    def test_run_holds_the_stream_and_one_block(self):
+        # the excess over the stream must stay below half of the (T, n)
+        # weight trajectory, which a run therefore cannot hold whole
+        T, n = 800, 1000
+        env = {"kind": "random_adversarial", "n": n, "T": T, "seed": 0}
+        config = parse_config(good_config(environment=env, seeds=[0]))
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stream_nbytes = 2 * T * n * 8  # the float64 rewards and costs
+        assert peak - stream_nbytes < T * n * 8 / 2
+
+    def test_one_trace_open_at_a_time(self, tmp_path, monkeypatch):
+        handles = []
+
+        def tracked_open(*args, **kwargs):
+            assert all(fh.closed for fh in handles)
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        seeds = list(range(64))
+        monkeypatch.setattr(cli, "open", tracked_open, raising=False)
+        out = tmp_path / "all"
+        run_experiment(parse_config(good_config(seeds=seeds, output_dir=str(out))))
+        assert handles and all(fh.closed for fh in handles)
+        monkeypatch.undo()
+        for seed in seeds:
+            alone = tmp_path / f"seed{seed}"
+            run_experiment(parse_config(good_config(seeds=[seed], output_dir=str(alone))))
+            name = f"trace_seed{seed}.csv"
+            assert (out / name).read_bytes() == (alone / name).read_bytes(), seed
 
     def test_large_beta_flagged(self):
         spec = EnvironmentSpec(kind="knapsack_median", n=3, T=5, seed=1, beta_max=0.8)
@@ -395,6 +450,30 @@ class TestMain:
         assert err.startswith("error: trial 1: ") and "not finite" in err
         assert err.count("\n") == 1
         assert list(out.iterdir()) == []  # no stream, no trace, no report
+
+    def test_failure_in_a_later_block_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # n = 200 learns 81 trials per block (81/81/38), so trial 150 fails in
+        # the second block, after the first block's trace rows were written
+        env = {"kind": "random_adversarial", "n": 200, "T": 200, "seed": 0}
+        stream = generate(EnvironmentSpec(**env))
+        rewards = stream.rewards.copy()
+        rewards[149, 7] = 1e308
+        path = tmp_path / "stream.csv"
+        write_stream(Stream(stream.action_set, rewards, stream.costs), path)
+        cfg = self.write_config(tmp_path, good_config(environment={**env, "r_max": 1e308}))
+        opened = []
+
+        def recorded_open(file, mode="r", *args, **kwargs):
+            opened.append((Path(file).name, mode))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: trial 150: the surrogate gradient norm is not "
+                                           "finite (inf); rewards or costs are too large\n")
+        assert ("trace_seed0.csv.tmp", "a") in opened
+        assert list(out.iterdir()) == []
 
     def test_failed_stream_write_leaves_no_file(self, tmp_path, monkeypatch):
         import budgetmax.cli as cli

@@ -453,6 +453,11 @@ class TestUniformStream:
                 uniforms = np.random.Generator(np.random.Philox(key=seed)).random(
                     (300, layout.width))
                 npt.assert_array_equal(blocks, sample_block(weights, uniforms, layout))
+                # from trial s on, with absolute starts: rows s: of the whole draw
+                for s in (81, 163):
+                    starts, parts = zip(*draw_trials(weights[s:], seed, layout, s))
+                    assert starts == tuple(range(s, 300, 81))
+                    npt.assert_array_equal(np.vstack(parts), blocks[s:])
                 for t in range(1, 301, 13):
                     npt.assert_array_equal(draw_one(weights[t - 1], seed, t, layout),
                                            np.flatnonzero(blocks[t - 1]))

@@ -287,6 +287,34 @@ class TestUpdateWeights:
         assert np.array_equal(traj.eta, eta)
 
 
+class TestLearnBlocks:
+    """``learn_blocks`` yields consecutive blocks whose rows are ``learn``'s, bit for bit."""
+
+    # n = 100 learns 163 rows per block: one block, an exact multiple of it,
+    # and a short last block; n = 20000 learns one row per block
+    @pytest.mark.parametrize("n, T", [(100, 100), (100, 326), (100, 400), (20000, 3)])
+    def test_blocks_concatenate_to_learn(self, n, T):
+        rng = np.random.default_rng(T)
+        aset = random_action_set(rng, n)
+        stream = stream_of(aset, [random_trial(rng, n, tie_frac=0.3) for _ in range(T)])
+        rows = max(1, BLOCK_ENTRIES // n)
+        starts, blocks = zip(*surrogate_module.learn_blocks(stream))
+        assert list(starts) == list(range(0, T, rows))
+        for block in blocks:
+            for array in (block.weights, block.grad_norm, block.eta, block.lam):
+                assert len(array) == len(block.eta) <= rows
+                assert array.flags.writeable is False
+        assert all(len(block.eta) == rows for block in blocks[:-1])
+        traj = learn(stream)
+        for name in ("weights", "grad_norm", "eta", "lam"):
+            whole = np.concatenate([getattr(block, name) for block in blocks])
+            assert whole.tobytes() == getattr(traj, name).tobytes(), name
+            assert getattr(traj, name).flags.writeable is False
+        for got, expected in zip((traj.weights, traj.grad_norm, traj.eta),
+                                 reference_learn(stream)):
+            assert np.array_equal(got, expected)
+
+
 class TestPinnedTrajectory:
     """SHA-256 of ``learn``'s arrays on two wide streams; these change only with the learner's bits."""
 
