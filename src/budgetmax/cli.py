@@ -35,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, selection_profits
-from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_constraints,
-                           generate, read_stream, write_stream)
+from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_block,
+                           check_constraints, generate, generate_blocks, read_stream,
+                           stream_preamble, write_rows, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -187,36 +188,64 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
+def _revealed(action_set, blocks, spec: EnvironmentSpec, saved):
+    """Yield generated blocks, each once it is checked and its rows appended to ``saved``.
+
+    :func:`~budgetmax.environments.check_block` names the absolute trial.
+    A block is drawn, checked and saved only when the learner asks for it,
+    after the block before it has been drawn and traced. ``saved`` is the
+    stream file, its preamble written, or None.
+    """
+    start = 0
+    for rewards, costs in blocks:
+        check_block(action_set, rewards, costs, start, spec)
+        if saved is not None:
+            with open(saved, "a", encoding="ascii", newline="\n") as fh:
+                write_rows(fh, rewards, costs, start)
+        start += len(rewards)
+        yield rewards, costs
+
+
 def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> RunReport:
     """Learn the weights once over one stream, draw every engine seed, summarize.
 
-    The stream is generated from the config's environment unless one is
-    passed in (replay); either way it is revalidated against the kind's
-    constraint pattern before the learner sees it. The weight trajectory
-    does not depend on the engine seed, so the run learns it one block of
-    trials at a time (:func:`~budgetmax.surrogate.learn_blocks`) and every
-    seed draws its selections from each block before the next is learned;
-    the run holds the stream and one block, never the whole trajectory.
+    The weight trajectory does not depend on the engine seed, so the run
+    learns it one block of trials at a time
+    (:func:`~budgetmax.surrogate.learn_blocks`) and every seed draws its
+    selections from each block before the next is learned. Unless a
+    stream is passed in (replay), each block is generated only when the
+    learner asks for it (:func:`~budgetmax.environments.generate_blocks`)
+    and checked first (:func:`_revealed`), so a generated run holds one
+    block of trials and one of learner state, whatever ``T`` is. A stream
+    passed in is whole in memory already: it is checked against the
+    config's shape and the kind's pattern before any output, then read in
+    row slices. ``r_hat`` and ``c_hat`` are the maxima of the blocks'
+    maxima. A bound check regenerates the stream (``n`` is at most
+    ``MAX_EXHAUSTIVE_ACTIONS``) for its comparator after the pass.
 
     With an ``output_dir``, every file is written under ``<name>.tmp``:
-    ``stream.csv`` before learning (a stream read from a file as a copy of
-    its ``source`` file, a generated one with ``write_stream``), then one
-    ``trace_seed<k>.csv`` per seed, each created with its header before the
-    first block and appended to once per block, and ``report.json`` last.
-    A trace is open only while one block's rows are appended to it, so one
-    is open at a time however many seeds a config lists. The copy fails
-    with an ``OSError`` naming the file if that file changed after it was
-    read. Any exception, in any block, unlinks them all; otherwise they are
-    renamed in that order, so a ``report.json`` marks a complete run.
+    ``stream.csv`` first (a copy of a replayed stream's ``source`` file,
+    ``write_stream`` of a stream passed in without one, or a generated
+    stream's preamble, to which :func:`_revealed` appends each block's
+    rows), then one ``trace_seed<k>.csv`` per seed, each created with its
+    header before the first block and appended to once per block, and
+    ``report.json`` last. A file is open only while one block's rows are
+    appended to it, so one is open at a time however many seeds a config
+    lists. The copy fails with an ``OSError`` naming the file if that file
+    changed after it was read. Any exception, in any block, unlinks them
+    all; otherwise they are renamed in that order, so a ``report.json``
+    marks a complete run.
     """
     env = config.environment
     if stream is None:
-        stream = generate(env)
-    elif (stream.n, stream.T) != (env.n, env.T):
-        raise ConfigError(
-            f"stream shape (n={stream.n}, T={stream.T}) does not match "
-            f"config (n={env.n}, T={env.T})")
-    check_constraints(stream, env)
+        action_set, blocks = generate_blocks(env)
+    else:
+        if (stream.n, stream.T) != (env.n, env.T):
+            raise ConfigError(
+                f"stream shape (n={stream.n}, T={stream.T}) does not match "
+                f"config (n={env.n}, T={env.T})")
+        check_constraints(stream, env)
+        action_set, blocks = stream.action_set, stream.blocks()
 
     out_dir = None if config.output_dir is None else Path(config.output_dir)
     temps = []  # every output file under its temporary name, in rename order
@@ -226,14 +255,20 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         return temps[-1]
 
     try:
+        saved = None
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-            # saved before learn, which keeps the peak RSS down
-            if stream.source is None:
-                write_stream(stream, create("stream.csv"))
+            saved = create("stream.csv")
+            if stream is None:
+                with open(saved, "w", encoding="ascii", newline="\n") as fh:
+                    fh.write(stream_preamble(action_set.z, env.T))
+            elif stream.source is None:
+                write_stream(stream, saved)
             else:
-                stream.source.copy_to(create("stream.csv"))  # a replay saves the file it parsed
-        layout = RowLayout(stream.action_set)
+                stream.source.copy_to(saved)  # a replay saves the file it parsed
+        if stream is None:
+            blocks = _revealed(action_set, blocks, env, saved)
+        layout = RowLayout(action_set)
         traces = []
         if out_dir:
             for seed in config.seeds:
@@ -241,14 +276,17 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
                 with open(traces[-1], "w", encoding="ascii", newline="\n") as trace:
                     trace.write(TRACE_HEADER + "\n")
         per_seed = [0.0] * len(config.seeds)
-        for start, block in learn_blocks(stream):
+        r_hat = c_hat = 0.0
+        for start, rewards, costs, block in learn_blocks(action_set, blocks):
+            r_hat = max(r_hat, float(rewards.max()))
+            c_hat = max(c_hat, float(costs.max()), float(-costs.min()))
             grad_norm, eta = block.grad_norm.tolist(), block.eta.tolist()
             for k, seed in enumerate(config.seeds):
                 for first, member in draw_trials(block.weights, seed, layout, start):
                     stop = first + len(member)
                     rows, cols = np.nonzero(member)
-                    gains = selection_profits(rows, cols, stream.rewards[first:stop],
-                                              stream.costs[first:stop]).tolist()
+                    gains = selection_profits(rows, cols, rewards[first - start:stop - start],
+                                              costs[first - start:stop - start]).tolist()
                     cums = list(accumulate(gains, initial=per_seed[k]))
                     per_seed[k] = cums[-1]
                     if traces:
@@ -267,20 +305,20 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         mean = float(per_seed_arr.mean())
         stderr = (float(per_seed_arr.std(ddof=1) / math.sqrt(len(per_seed)))
                   if len(per_seed) > 1 else 0.0)
-        aset = stream.action_set
-        slack = aset.n * math.sqrt(2.0 * stream.T) * aset.delta * (stream.r_hat + stream.c_hat)
+        slack = action_set.n * math.sqrt(2.0 * env.T) * action_set.delta * (r_hat + c_hat)
 
         comparator_subset = comparator_total = bound_satisfied = None
         if config.bound_check:
-            comp = best_fixed_subset(stream, aset.alpha, aset.delta)
+            comp = best_fixed_subset(generate(env) if stream is None else stream,
+                                     action_set.alpha, action_set.delta)
             comparator_subset = comp.subset
             comparator_total = comp.discounted_total
             bound_satisfied = mean >= comparator_total - slack - 3.0 * stderr
 
         report = RunReport(
-            kind=env.kind, n=stream.n, T=stream.T, seeds=config.seeds,
+            kind=env.kind, n=env.n, T=env.T, seeds=config.seeds,
             per_seed_profit=tuple(per_seed), mean_profit=mean, profit_stderr=stderr,
-            r_hat=stream.r_hat, c_hat=stream.c_hat, alpha=aset.alpha, delta=aset.delta,
+            r_hat=r_hat, c_hat=c_hat, alpha=action_set.alpha, delta=action_set.delta,
             bound_slack=slack, comparator_subset=comparator_subset,
             comparator_total=comparator_total, bound_satisfied=bound_satisfied,
             large_beta_mode=layout.wrapper,
@@ -399,8 +437,8 @@ def main(argv=None, out=None) -> int:
     except (ConfigError, StreamFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

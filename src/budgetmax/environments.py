@@ -11,6 +11,29 @@ Four families:
   optional piecewise-constant shift schedule that changes which action is
   favored from segment to segment.
 
+A spec's trials are generated one block of ``max(1, BLOCK_ENTRIES // n)``
+rows at a time (:func:`generate_blocks`), so a run holds one block of
+them whatever ``T`` is; :func:`generate` stacks the blocks into a whole
+stream. Each matrix has its own ``np.random.PCG64(seed)``, advanced to the
+draw at which one ``np.random.default_rng(seed)`` drawing everything in
+turn would start it (every ``random`` or ``uniform`` double is one 64-bit
+output), so the values do not depend on the block size. The offsets, in
+draws:
+
+====================  ====================================================
+kind                  matrix at its offset
+====================  ====================================================
+facility_location     sites ``(n, 2)`` at 0, users ``(T, 2)`` at ``2n``,
+                      costs at ``2n + 2T``
+knapsack_median       z at 0, sites at ``n``, users at ``3n``; zero costs
+knapsack_01           z at 0, item values at ``n``; zero rewards
+random_adversarial    z at 0, costs at ``n``, rewards at ``n + Tn``; with
+                      ``shift_segments >= 2`` the favored actions
+                      (``permutation``, a variable number of draws) at
+                      ``n + 2Tn``, and the per-trial boosts after them
+                      from that same generator
+====================  ====================================================
+
 A :class:`Stream` holds the ``(T, n)`` reward and cost matrices; trial ``t``
 is row ``t - 1`` of both. A stream checks its matrices once, when it is
 built, with whole-array operations, and an error names the first bad trial.
@@ -19,7 +42,8 @@ Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
 significant digits so a write/read round trip is bit-exact. Neither
 direction holds a file's text in memory: ``write_stream`` writes a block
-of rows at a time, and ``read_stream`` parses one trial line at a time
+of rows at a time (:func:`write_rows`, which a run also appends its
+generated blocks with), and ``read_stream`` parses one trial line at a time
 from a buffered reader and keeps only the file's path and identity as
 the stream's ``source``. A replay saves the stream by copying that file,
 as it was read, not re-rendered with ``%.17g``, once it has checked that
@@ -196,13 +220,23 @@ class Stream:
 
     @property
     def r_hat(self) -> float:
-        """Largest reward in the stream (0 for an all-zero stream)."""
-        return float(np.max(self.rewards)) if self.rewards.size else 0.0
+        """Largest reward in the stream (+0.0 for an all-zero stream)."""
+        return max(0.0, float(self.rewards.max())) if self.rewards.size else 0.0
 
     @property
     def c_hat(self) -> float:
         """Largest absolute cost in the stream, found without a (T, n) temporary."""
         return float(max(0.0, self.costs.max(), -self.costs.min())) if self.costs.size else 0.0
+
+    def blocks(self):
+        """Yield ``(rewards, costs)`` views of ``max(1, BLOCK_ENTRIES // n)`` rows each.
+
+        They are the row slices :func:`generate_blocks` would yield for a
+        stream of this shape.
+        """
+        rows = max(1, BLOCK_ENTRIES // self.n)
+        for start in range(0, self.T, rows):
+            yield self.rewards[start:start + rows], self.costs[start:start + rows]
 
 
 def site_rewards(sites: np.ndarray, users: np.ndarray, r_max: float) -> np.ndarray:
@@ -214,81 +248,149 @@ def site_rewards(sites: np.ndarray, users: np.ndarray, r_max: float) -> np.ndarr
     return np.maximum(0.0, r_max - d)
 
 
-def _geometry(rng, n: int, T: int, r_max: float) -> np.ndarray:
-    sites = rng.random((n, 2))
-    users = rng.random((T, 2))
-    return site_rewards(sites, users, r_max)
+def _rng_at(seed: int, draws: int) -> np.random.Generator:
+    """The generator ``np.random.default_rng(seed)`` is after drawing ``draws`` doubles."""
+    return np.random.Generator(np.random.PCG64(seed).advance(draws))
 
 
-def gen_facility_location(spec: EnvironmentSpec) -> Stream:
-    rng = np.random.default_rng(spec.seed)
-    rewards = _geometry(rng, spec.n, spec.T, spec.r_max)
+def _block_rows(spec: EnvironmentSpec):
+    """The row counts of a spec's blocks: ``max(1, BLOCK_ENTRIES // n)`` each, the last one short."""
+    rows = max(1, BLOCK_ENTRIES // spec.n)
+    for start in range(0, spec.T, rows):
+        yield min(rows, spec.T - start)
+
+
+def _facility_location(spec: EnvironmentSpec):
+    n, T, seed = spec.n, spec.T, spec.seed
+    sites = _rng_at(seed, 0).random((n, 2))
+    users, costs = _rng_at(seed, 2 * n), _rng_at(seed, 2 * n + 2 * T)
     lo, hi = spec.cost_range
-    costs = rng.uniform(lo, hi, size=(spec.T, spec.n))
-    return Stream(ActionSet.from_energies(np.zeros(spec.n)), rewards, costs)
+    return np.zeros(n), ((site_rewards(sites, users.random((m, 2)), spec.r_max),
+                          costs.uniform(lo, hi, size=(m, n))) for m in _block_rows(spec))
 
 
-def gen_knapsack_median(spec: EnvironmentSpec) -> Stream:
-    rng = np.random.default_rng(spec.seed)
-    z = spec.beta_max * (1.0 - rng.random(spec.n))  # strictly positive
-    rewards = _geometry(rng, spec.n, spec.T, spec.r_max)
-    costs = np.zeros((spec.T, spec.n))
-    return Stream(ActionSet.from_energies(z), rewards, costs)
+def _knapsack_median(spec: EnvironmentSpec):
+    n, seed = spec.n, spec.seed
+    z = spec.beta_max * (1.0 - _rng_at(seed, 0).random(n))  # strictly positive
+    sites, users = _rng_at(seed, n).random((n, 2)), _rng_at(seed, 3 * n)
+    return z, ((site_rewards(sites, users.random((m, 2)), spec.r_max), np.zeros((m, n)))
+               for m in _block_rows(spec))
 
 
-def gen_knapsack_01(spec: EnvironmentSpec) -> Stream:
-    rng = np.random.default_rng(spec.seed)
-    z = spec.beta_max * (1.0 - rng.random(spec.n))
+def _knapsack_01(spec: EnvironmentSpec):
+    n, seed = spec.n, spec.seed
+    z = spec.beta_max * (1.0 - _rng_at(seed, 0).random(n))
+    values = _rng_at(seed, n)
     vlo, vhi = spec.value_range
-    values = rng.uniform(vlo, vhi, size=(spec.T, spec.n))
-    return Stream(ActionSet.from_energies(z), np.zeros((spec.T, spec.n)), -values)
+    return z, ((np.zeros((m, n)), -values.uniform(vlo, vhi, size=(m, n)))
+               for m in _block_rows(spec))
 
 
-def gen_random_adversarial(spec: EnvironmentSpec) -> Stream:
-    rng = np.random.default_rng(spec.seed)
-    z = rng.uniform(0.0, spec.beta_max, spec.n)
-    costs = rng.uniform(-spec.c_max, spec.c_max, size=(spec.T, spec.n))
-    if spec.shift_segments >= 2:
-        k = spec.shift_segments
-        rewards = rng.uniform(0.0, 0.5 * spec.r_max, size=(spec.T, spec.n))
-        favored = rng.permutation(spec.n)[:k]
-        segment = np.minimum((np.arange(spec.T) * k) // spec.T, k - 1)
-        boost = rng.uniform(0.75 * spec.r_max, spec.r_max, size=spec.T)
-        rewards[np.arange(spec.T), favored[segment]] = boost
-    else:
-        rewards = rng.uniform(0.0, spec.r_max, size=(spec.T, spec.n))
-    return Stream(ActionSet.from_energies(z), rewards, costs)
+def _random_adversarial(spec: EnvironmentSpec):
+    n, T, seed, c_max = spec.n, spec.T, spec.seed, spec.c_max
+    z = _rng_at(seed, 0).uniform(0.0, spec.beta_max, n)
+    costs, rewards = _rng_at(seed, n), _rng_at(seed, n + T * n)
+    if spec.shift_segments < 2:
+        return z, ((rewards.uniform(0.0, spec.r_max, size=(m, n)),
+                    costs.uniform(-c_max, c_max, size=(m, n))) for m in _block_rows(spec))
+    return z, _shifted_blocks(spec, rewards, costs)
+
+
+def _shifted_blocks(spec: EnvironmentSpec, rewards, costs):
+    """``random_adversarial``'s blocks with its favored-action segments.
+
+    The favored actions and the per-trial boosts come from one generator
+    at draw ``n + 2Tn``: ``permutation`` draws a variable number of values,
+    so the boosts follow it on that generator, one block at a time.
+    """
+    n, T, k, r_max = spec.n, spec.T, spec.shift_segments, spec.r_max
+    boosts = _rng_at(spec.seed, n + 2 * T * n)
+    favored = boosts.permutation(n)[:k]
+    start = 0
+    for m in _block_rows(spec):
+        block = rewards.uniform(0.0, 0.5 * r_max, size=(m, n))
+        segment = np.minimum((np.arange(start, start + m) * k) // T, k - 1)
+        block[np.arange(m), favored[segment]] = boosts.uniform(0.75 * r_max, r_max, size=m)
+        start += m
+        yield block, costs.uniform(-spec.c_max, spec.c_max, size=(m, n))
 
 
 _GENERATORS = {
-    "facility_location": gen_facility_location,
-    "knapsack_median": gen_knapsack_median,
-    "knapsack_01": gen_knapsack_01,
-    "random_adversarial": gen_random_adversarial,
+    "facility_location": _facility_location,
+    "knapsack_median": _knapsack_median,
+    "knapsack_01": _knapsack_01,
+    "random_adversarial": _random_adversarial,
 }
 
 
-def generate(spec: EnvironmentSpec) -> Stream:
-    """Dispatch to the kind's generator after validating the spec."""
+def generate_blocks(spec: EnvironmentSpec):
+    """``(action_set, blocks)``: a spec's energies and its trials, one block at a time.
+
+    The spec is validated first. ``blocks`` yields ``(rewards, costs)``
+    pairs of ``(rows, n)`` arrays, ``max(1, BLOCK_ENTRIES // n)`` rows
+    each (the last may be shorter), that stack to the spec's ``(T, n)``
+    matrices; each matrix comes from its own generator, advanced to the
+    draw where the module docstring's table puts it, so only one block of
+    trials is drawn and held at a time. The blocks are not checked: a
+    :class:`Stream` checks its matrices, and a run checks each block.
+    """
     spec.validate()
-    return _GENERATORS[spec.kind](spec)
+    z, blocks = _GENERATORS[spec.kind](spec)
+    return ActionSet.from_energies(z), blocks
+
+
+def generate(spec: EnvironmentSpec) -> Stream:
+    """The whole stream of a spec: :func:`generate_blocks`' blocks, stacked."""
+    action_set, blocks = generate_blocks(spec)
+    rewards, costs = np.empty((spec.T, spec.n)), np.empty((spec.T, spec.n))
+    start = 0
+    for block_rewards, block_costs in blocks:
+        stop = start + len(block_rewards)
+        rewards[start:stop], costs[start:stop] = block_rewards, block_costs
+        start = stop
+    return Stream(action_set, rewards, costs)
 
 
 def check_constraints(stream: Stream, spec: EnvironmentSpec) -> None:
     """Assert the constraint pattern the kind promises, on every trial.
 
-    Each rule is one whole-array reduction, with no ``(T, n)`` temporary;
-    a stream's values are finite and its rewards non-negative, so the
-    largest reward and the extreme costs decide every rule.
+    The stream's shape must be the spec's ``(T, n)``; the kind's rules on
+    its energies and values are :func:`check_block`'s.
     """
-    z = stream.action_set.z
     R, C = stream.rewards, stream.costs
-    # an empty stream breaks no rule on its values
-    r_top = R.max() if R.size else -np.inf
-    c_lo, c_hi = (C.min(), C.max()) if C.size else (np.inf, -np.inf)
     problems = []
     if R.shape != (spec.T, spec.n) or C.shape != (spec.T, spec.n):
         problems.append(f"stream shape {R.shape}/{C.shape} does not match spec ({spec.T}, {spec.n})")
+    _check_rules(spec, stream.action_set.z, R, C, problems)
+
+
+def check_block(action_set: ActionSet, rewards, costs, start: int, spec: EnvironmentSpec) -> None:
+    """Check one block of trials, ``start + 1`` on, before anything reads it.
+
+    The block first passes the check a :class:`Stream` makes when it is
+    built, whose ``ValueError`` names the absolute 1-based trial, then the
+    kind's rules (see :func:`check_constraints`) on the energies and on the
+    block's values. The rules read only maxima and minima, so blocks that
+    each pass them make a stream that passes them; the shape is the
+    caller's to check, once.
+    """
+    bad = _first_bad_trial(rewards, costs, action_set.n)
+    if bad is not None:
+        raise ValueError("trial %d: %s" % (start + bad[0], bad[1]))
+    _check_rules(spec, action_set.z, rewards, costs, [])
+
+
+def _check_rules(spec: EnvironmentSpec, z, R, C, problems: list) -> None:
+    """Raise one ``ValueError`` listing ``problems`` and every kind's rule broken.
+
+    The rules read energies ``z`` and reward/cost rows ``R``/``C``. Each
+    is one whole-array reduction, with no ``(rows, n)`` temporary; checked
+    values are finite and their rewards non-negative, so the largest
+    reward and the extreme costs decide every rule.
+    """
+    # no rows break no rule on their values
+    r_top = R.max() if R.size else -np.inf
+    c_lo, c_hi = (C.min(), C.max()) if C.size else (np.inf, -np.inf)
     if spec.kind == "facility_location":
         if np.any(z != 0.0):
             problems.append("energies must all be zero")
@@ -319,26 +421,35 @@ def check_constraints(stream: Stream, spec: EnvironmentSpec) -> None:
         raise ValueError(f"{spec.kind} constraints violated: " + "; ".join(problems))
 
 
-def write_stream(stream: Stream, path) -> None:
-    """Write the preamble plus one line per trial (see module docstring).
+def stream_preamble(z, T: int) -> str:
+    """The preamble line ``n,T,z_1,...,z_n`` of a stream file, with its line end."""
+    return ("%d,%d" + ",%.17g" * len(z) + "\n") % (len(z), T, *z.tolist())
+
+
+def write_rows(fh, rewards, costs, start: int) -> None:
+    """Write one line per row of ``rewards``/``costs``, as trials ``start + 1`` on.
 
     Floats are written with ``%.17g``, which formats exactly as
     ``format(x, ".17g")`` and round-trips every float64. Rows are
-    converted and written ``BLOCK_ENTRIES // (2n)`` at a time, so the
-    file's text is never held whole.
+    converted and written ``BLOCK_ENTRIES // (2n)`` at a time, so no more
+    text than that is held.
     """
-    n = stream.n
+    n = rewards.shape[1]
     row = "%d" + ",%.17g" * (2 * n) + "\n"
     rows = max(1, BLOCK_ENTRIES // (2 * n))
+    for lo in range(0, len(rewards), rows):
+        hi = lo + rows
+        fh.write("".join(
+            row % (t, *r, *c)
+            for t, r, c in zip(range(start + lo + 1, start + hi + 1),
+                               rewards[lo:hi].tolist(), costs[lo:hi].tolist())))
+
+
+def write_stream(stream: Stream, path) -> None:
+    """Write the preamble plus one line per trial (see module docstring and :func:`write_rows`)."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(("%d,%d" + ",%.17g" * n + "\n") % (n, stream.T, *stream.action_set.z.tolist()))
-        for start in range(0, stream.T, rows):
-            stop = start + rows
-            fh.write("".join(
-                row % (t, *rewards, *costs)
-                for t, rewards, costs in zip(range(start + 1, stop + 1),
-                                             stream.rewards[start:stop].tolist(),
-                                             stream.costs[start:stop].tolist())))
+        fh.write(stream_preamble(stream.action_set.z, stream.T))
+        write_rows(fh, stream.rewards, stream.costs, 0)
 
 
 def _parse_floats(fields, lineno, what):

@@ -293,6 +293,7 @@ def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,
     counts = np.zeros(action_set.n)
     for member in _membership_blocks(w, action_set, n_samples, seed):
         counts += [np.count_nonzero(column) for column in member.T]
+        del member  # released before the next block is drawn, not after
     return counts / n_samples
 
 
@@ -310,6 +311,7 @@ def estimate_hit_rates(w, action_set: ActionSet, subsets, n_samples: int,
         for k, idx in enumerate(subset_idx):
             if idx.size:
                 counts[k] += np.count_nonzero(member[:, idx].any(axis=1))
+        del member  # released before the next block is drawn, not after
     return counts / n_samples
 
 

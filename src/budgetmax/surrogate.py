@@ -27,10 +27,14 @@ step is taken while it is infinite. The feedback is full-information: the
 step on trial ``t`` uses only the weights ``w_t`` and the revealed rewards
 and costs (row ``t`` of the stream's matrices), never the sampled
 selection. So the weight trajectory is the same for every engine seed:
-:func:`learn_blocks` computes it once per stream, one block of trials at a
-time, and a run draws every seed's selections from a block before the next
-one is learned (:func:`budgetmax.sampler.draw_trials`), so it never holds
-the whole ``(T, n)`` trajectory; :func:`learn` concatenates the blocks. A
+:func:`learn_blocks` computes it once per stream, reading the trials one
+block at a time as they come, and a run draws every seed's selections from
+a block before the next one is read (:func:`budgetmax.sampler.draw_trials`).
+A generated run draws each block of rewards and costs only when the
+learner asks for it (:func:`budgetmax.environments.generate_blocks`), so
+it holds neither the whole ``(T, n)`` trajectory nor the ``(T, n)``
+rewards and costs; :func:`learn` runs over a stream's row slices and
+concatenates the blocks. A
 trial's reward order, drops and sorted cost parts do not depend on ``w``,
 so :func:`learn_blocks` finds them for its whole block at once. The
 reward order comes from numpy's default (unstable, SIMD) sort; only the
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ENTRIES
+from .core import ActionSet
 from .environments import Stream
 from .projection import _project_from
 
@@ -148,16 +152,21 @@ class Trajectory:
     lam: np.ndarray
 
 
-def learn_blocks(stream: Stream):
-    """Yield ``(start, block)``: one projected-gradient pass over a stream, a block at a time.
+def learn_blocks(action_set: ActionSet, blocks):
+    """One projected-gradient pass over blocks of trials, as they come.
 
-    ``block`` is the :class:`Trajectory` of trials ``start`` to ``start +
-    len(block.eta) - 1``, at most ``max(1, BLOCK_ENTRIES // n)`` of them;
-    the starts are consecutive from 0. Trial ``t`` is row ``t`` of
-    ``stream.rewards`` and ``stream.costs``. The stream checked its matrices
-    when it was built, so no trial is checked again here. The step on a
-    trial reads only the current weights and that trial's row, so the pass
-    holds one block of state; each block's arrays are read-only.
+    ``blocks`` yields ``(rewards, costs)`` pairs of ``(rows, n)`` arrays,
+    consecutive trials from the first; each is read only once the block
+    before it has been consumed, so a generator can draw or check it then.
+    For each block this yields ``(start, rewards, costs, trajectory)``:
+    the 0-based index of its first trial, the block itself, and the
+    :class:`Trajectory` of its trials. The block comes back next to its
+    trajectory because drawing a trial's selection and scoring it needs
+    both, and the caller may not hold the blocks otherwise. The values
+    are not checked here (a :class:`~budgetmax.environments.Stream` checks
+    its matrices when built, a run checks each generated block). The step
+    on a trial reads only the current weights and that trial's row, so the
+    pass holds one block of state; each trajectory's arrays are read-only.
 
     Raises
     ------
@@ -166,14 +175,13 @@ def learn_blocks(stream: Stream):
         rewards or costs can cause; the message names the 1-based trial.
         The blocks before it have been yielded by then.
     """
-    action_set = stream.action_set
-    T, n, delta, z = stream.T, action_set.n, action_set.delta, action_set.z
+    n, delta, z = action_set.n, action_set.delta, action_set.z
     w = np.zeros(n)
     eta_prime = math.inf
     multiplier = 0.0
-    rows = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, T, rows):
-        stop = min(start + rows, T)
+    start = 0
+    for rewards, costs in blocks:
+        stop = start + len(rewards)
         weights = np.empty((stop - start, n))
         grad_norm = np.empty(stop - start)
         eta = np.zeros(stop - start)
@@ -181,8 +189,7 @@ def learn_blocks(stream: Stream):
         # an overflowing |g| is raised below, naming its trial; the state is
         # restored before the yield, so the consumer never runs under it
         with np.errstate(over="ignore"):
-            order, drops, c_pos, c_neg = _trial_pieces(stream.rewards[start:stop],
-                                                       stream.costs[start:stop])
+            order, drops, c_pos, c_neg = _trial_pieces(rewards, costs)
             for i, t in enumerate(range(start, stop)):
                 weights[i] = w
                 g = _gradient(w, order[i], drops[i], c_pos[i], c_neg[i], delta)
@@ -200,17 +207,15 @@ def learn_blocks(stream: Stream):
                     lam[i] = multiplier
         # The pieces stay bound until the next block's replace them, so the
         # heap keeps their pages for it (freed first, glibc would hand them
-        # back to the system and fault them in again on every block); the
-        # last block's are dropped before its yield, as nothing reuses them.
-        if stop == T:
-            del order, drops, c_pos, c_neg
+        # back to the system and fault them in again on every block).
         for array in (weights, grad_norm, eta, lam):
             array.setflags(write=False)
-        yield start, Trajectory(weights, grad_norm, eta, lam)
+        yield start, rewards, costs, Trajectory(weights, grad_norm, eta, lam)
+        start = stop
 
 
 def learn(stream: Stream) -> Trajectory:
-    """The whole trajectory of a stream: :func:`learn_blocks`' blocks, concatenated.
+    """The whole trajectory of a stream: :func:`learn_blocks` over its row slices, concatenated.
 
     Raises
     ------
@@ -219,7 +224,7 @@ def learn(stream: Stream) -> Trajectory:
     """
     T, n = stream.T, stream.action_set.n
     whole = Trajectory(np.empty((T, n)), np.empty(T), np.empty(T), np.empty(T))
-    for start, block in learn_blocks(stream):
+    for start, _, _, block in learn_blocks(stream.action_set, stream.blocks()):
         for array, part in zip(vars(whole).values(), vars(block).values()):
             array[start:start + len(part)] = part
     for array in vars(whole).values():

@@ -195,22 +195,32 @@ class TestRunExperiment:
         assert not out.exists()
 
     def test_each_run_checks_the_pattern_once(self, tmp_path, monkeypatch):
+        # a generated run checks each block once, as it is generated; a replay
+        # checks its parsed stream once, whole, before any output
         import budgetmax.cli as cli
         import budgetmax.environments as environments
         calls = []
 
-        def counted(stream, spec):
-            calls.append(spec.kind)
+        def counted_block(action_set, rewards, costs, start, spec):
+            calls.append(("block", start, len(rewards)))
+            return check_block(action_set, rewards, costs, start, spec)
+
+        def counted_stream(stream, spec):
+            calls.append(("stream", 0, stream.T))
             return check_constraints(stream, spec)
 
-        check_constraints = environments.check_constraints
-        monkeypatch.setattr(cli, "check_constraints", counted)
-        monkeypatch.setattr(environments, "check_constraints", counted)
+        check_block, check_constraints = environments.check_block, environments.check_constraints
+        monkeypatch.setattr(cli, "check_block", counted_block)
+        monkeypatch.setattr(cli, "check_constraints", counted_stream)
+        monkeypatch.setattr(environments, "check_constraints", counted_stream)
+        # n = 2000 generates 8 trials per block: 8/8/4
+        env = {"kind": "knapsack_01", "n": 2000, "T": 20, "seed": 3}
         out = tmp_path / "out"
-        run_experiment(parse_config(good_config(output_dir=str(out))))
-        assert calls == ["knapsack_01"]
-        run_experiment(parse_config(good_config()), read_stream(out / "stream.csv"))
-        assert calls == ["knapsack_01"] * 2
+        run_experiment(parse_config(good_config(environment=env, output_dir=str(out))))
+        assert calls == [("block", 0, 8), ("block", 8, 8), ("block", 16, 4)]
+        calls.clear()
+        run_experiment(parse_config(good_config(environment=env)), read_stream(out / "stream.csv"))
+        assert calls == [("stream", 0, 20)]
 
     def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
         traces = []
@@ -303,11 +313,14 @@ class TestRunExperiment:
                    for p in sorted(out.iterdir())}
         assert digests == self.PINNED_MULTI_BLOCK_SHA256
 
-    def test_run_holds_the_stream_and_one_block(self):
-        # the excess over the stream must stay below half of the (T, n)
-        # weight trajectory, which a run therefore cannot hold whole
-        T, n = 800, 1000
+    @pytest.mark.parametrize("T", [800, 3200])
+    def test_generated_run_holds_one_block(self, T):
+        # a generated run draws its trials a block at a time, so its peak stays
+        # below half of one (T, n) matrix and does not grow with T
+        n = 1000
         env = {"kind": "random_adversarial", "n": n, "T": T, "seed": 0}
+        # a short run first, so the modules a first run imports are not counted
+        run_experiment(parse_config(good_config(environment={**env, "T": 2}, seeds=[0])))
         config = parse_config(good_config(environment=env, seeds=[0]))
         tracemalloc.start()
         try:
@@ -315,8 +328,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stream_nbytes = 2 * T * n * 8  # the float64 rewards and costs
-        assert peak - stream_nbytes < T * n * 8 / 2
+        assert peak < T * n * 8 / 2
 
     def test_one_trace_open_at_a_time(self, tmp_path, monkeypatch):
         handles = []
@@ -475,14 +487,67 @@ class TestMain:
         assert ("trace_seed0.csv.tmp", "a") in opened
         assert list(out.iterdir()) == []
 
+    @staticmethod
+    def spoil_second_block(monkeypatch, spoil):
+        real = cli.generate_blocks
+
+        def spoiled(spec):
+            action_set, blocks = real(spec)
+
+            def blocks_with_a_bad_second():
+                for k, (rewards, costs) in enumerate(blocks):
+                    if k == 1:
+                        spoil(rewards)
+                    yield rewards, costs
+            return action_set, blocks_with_a_bad_second()
+
+        monkeypatch.setattr(cli, "generate_blocks", spoiled)
+
+    def test_bad_generated_block_names_its_trial_and_leaves_no_file(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # n = 2000 generates 8 trials per block: row 2 of the second is trial 11
+        def spoil(rewards):
+            rewards[2, 5] = np.nan
+
+        self.spoil_second_block(monkeypatch, spoil)
+        env = {"kind": "random_adversarial", "n": 2000, "T": 20, "seed": 0}
+        cfg = self.write_config(tmp_path, good_config(environment=env))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 1
+        assert capsys.readouterr().err == "error: trial 11: rewards and costs must be finite\n"
+        assert list(out.iterdir()) == []
+
+    def test_memory_error_exits_2_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def spoil(rewards):
+            raise MemoryError()
+
+        self.spoil_second_block(monkeypatch, spoil)
+        env = {"kind": "random_adversarial", "n": 2000, "T": 20, "seed": 0}
+        cfg = self.write_config(tmp_path, good_config(environment=env))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert list(out.iterdir()) == []
+
+        message = "Unable to allocate 153. MiB for an array with shape (20000, 1000)"
+
+        def too_large(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "read_stream", too_large)
+        assert main(["--config", cfg, "--out", str(tmp_path / "replay"), "replay",
+                     "--stream", str(tmp_path / "stream.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "replay").exists()
+
     def test_failed_stream_write_leaves_no_file(self, tmp_path, monkeypatch):
         import budgetmax.cli as cli
 
-        def half_written(stream, path):
-            Path(path).write_text("4,20\n")
+        def half_written(fh, rewards, costs, start):
+            fh.write("1,0")
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "write_stream", half_written)
+        monkeypatch.setattr(cli, "write_rows", half_written)
         cfg = self.write_config(tmp_path, good_config())
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "run"]) == 2

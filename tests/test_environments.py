@@ -7,16 +7,49 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from budgetmax import ActionSet, StreamFormatError, environments, read_stream, write_stream
+from budgetmax import ActionSet, KINDS, StreamFormatError, environments, read_stream, write_stream
 from budgetmax.core import BLOCK_ENTRIES
-from budgetmax.environments import (C_MAX_LIMIT, EnvironmentSpec, Stream, check_constraints,
-                                    generate, site_rewards)
+from budgetmax.environments import (C_MAX_LIMIT, EnvironmentSpec, Stream, check_block,
+                                    check_constraints, generate, generate_blocks, site_rewards,
+                                    stream_preamble, write_rows)
 
 
 def spec_for(kind, **kw):
     base = dict(kind=kind, n=6, T=40, seed=5)
     base.update(kw)
     return EnvironmentSpec(**base)
+
+
+def drawn_in_turn(spec):
+    """``(z, rewards, costs)`` as one ``default_rng(seed)`` draws every matrix in turn.
+
+    The offsets of the module docstring's table are where each draw starts here.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n, T = spec.n, spec.T
+    if spec.kind == "facility_location":
+        z = np.zeros(n)
+        rewards = site_rewards(rng.random((n, 2)), rng.random((T, 2)), spec.r_max)
+        costs = rng.uniform(*spec.cost_range, size=(T, n))
+    elif spec.kind == "knapsack_median":
+        z = spec.beta_max * (1.0 - rng.random(n))
+        rewards = site_rewards(rng.random((n, 2)), rng.random((T, 2)), spec.r_max)
+        costs = np.zeros((T, n))
+    elif spec.kind == "knapsack_01":
+        z = spec.beta_max * (1.0 - rng.random(n))
+        rewards, costs = np.zeros((T, n)), -rng.uniform(*spec.value_range, size=(T, n))
+    else:
+        z = rng.uniform(0.0, spec.beta_max, n)
+        costs = rng.uniform(-spec.c_max, spec.c_max, size=(T, n))
+        k = spec.shift_segments
+        if k >= 2:
+            rewards = rng.uniform(0.0, 0.5 * spec.r_max, size=(T, n))
+            favored = rng.permutation(n)[:k]
+            segment = np.minimum((np.arange(T) * k) // T, k - 1)
+            rewards[np.arange(T), favored[segment]] = rng.uniform(0.75 * spec.r_max, spec.r_max, T)
+        else:
+            rewards = rng.uniform(0.0, spec.r_max, size=(T, n))
+    return z, rewards, costs
 
 
 class TestSpecValidation:
@@ -110,6 +143,46 @@ class TestGenerators:
         halves = [stream.rewards[:100].sum(axis=0), stream.rewards[100:].sum(axis=0)]
         assert int(np.argmax(halves[0])) != int(np.argmax(halves[1]))
 
+    # n = 6 with 48 block entries generates 8 rows per block: T = 40 is five
+    # full blocks, T = 43 ends on a short one; n > BLOCK_ENTRIES is one row
+    # per block at either setting
+    @pytest.mark.parametrize("block_entries", [BLOCK_ENTRIES, 48])
+    @pytest.mark.parametrize("spec", [
+        *(spec_for(kind) for kind in KINDS),
+        *(spec_for(kind, T=43) for kind in KINDS),
+        *(spec_for(kind, T=1) for kind in KINDS),
+        spec_for("random_adversarial", T=43, shift_segments=5),
+        spec_for("random_adversarial", T=1, shift_segments=2),
+        spec_for("random_adversarial", n=BLOCK_ENTRIES + 3, T=3, shift_segments=2),
+        spec_for("facility_location", n=BLOCK_ENTRIES + 3, T=3),
+        spec_for("random_adversarial", c_max=0.0, r_max=0.0),
+        spec_for("facility_location", r_max=0.0, cost_range=(0.3, 0.3)),
+        spec_for("knapsack_median", r_max=0.0),
+        spec_for("knapsack_01", value_range=(0.5, 0.5)),
+    ], ids=repr)
+    def test_blocks_stack_to_one_generator_drawing_in_turn(self, spec, block_entries,
+                                                           monkeypatch):
+        monkeypatch.setattr(environments, "BLOCK_ENTRIES", block_entries)
+        z, rewards, costs = drawn_in_turn(spec)
+        action_set, blocks = generate_blocks(spec)
+        blocks = list(blocks)
+        rows = max(1, block_entries // spec.n)
+        assert [len(r) for r, _ in blocks] == [min(rows, spec.T - start)
+                                               for start in range(0, spec.T, rows)]
+        assert all(r.shape == c.shape for r, c in blocks)
+        assert action_set.z.tobytes() == z.tobytes()
+        assert np.concatenate([r for r, _ in blocks]).tobytes() == rewards.tobytes()
+        assert np.concatenate([c for _, c in blocks]).tobytes() == costs.tobytes()
+        stream = generate(spec)
+        assert stream.rewards.tobytes() == rewards.tobytes()
+        assert stream.costs.tobytes() == costs.tobytes()
+        for start, (r, c) in zip(range(0, spec.T, rows), blocks):
+            check_block(action_set, r, c, start, spec)
+
+    def test_generate_blocks_validates_before_drawing(self):
+        with pytest.raises(ValueError, match="invalid environment spec"):
+            generate_blocks(spec_for("knapsack_01", T=0))
+
     def test_check_constraints_catches_mismatch(self):
         stream = generate(spec_for("knapsack_median"))
         bad = Stream(stream.action_set, stream.rewards, stream.costs + 0.5)
@@ -149,6 +222,22 @@ class TestGenerators:
         with pytest.raises(ValueError) as info:
             check_constraints(bad, spec)
         assert str(info.value) == f"{kind} constraints violated: {message}"
+        if where != "T":  # a block holding the broken row breaks the same rule
+            with pytest.raises(ValueError) as info:
+                check_block(bad.action_set, rewards[16:24], costs[16:24], 16, spec)
+            assert str(info.value) == f"{kind} constraints violated: {message}"
+            if where != "z":
+                check_block(bad.action_set, rewards[24:], costs[24:], 24, spec)
+
+    @pytest.mark.parametrize("value, reason", [(-0.5, "negative reward"),
+                                               (np.nan, "rewards and costs must be finite")])
+    def test_check_block_names_the_absolute_trial(self, value, reason):
+        spec = spec_for("random_adversarial")
+        stream = generate(spec)
+        rewards = stream.rewards[16:24].copy()
+        rewards[3, 1] = value
+        with pytest.raises(ValueError, match=f"^trial 20: {reason}$"):
+            check_block(stream.action_set, rewards, stream.costs[16:24], 16, spec)
 
     def test_r_hat_c_hat(self):
         stream = generate(spec_for("random_adversarial"))
@@ -213,6 +302,17 @@ class TestStreamChecks:
         all_negative_zero = self.make(np.zeros((2, 2)), np.full((2, 2), -0.0))
         assert all_negative_zero.c_hat == 0.0
         assert not np.signbit(all_negative_zero.c_hat)
+        negative_zero_rewards = self.make(np.full((2, 2), -0.0), np.zeros((2, 2)))
+        assert not np.signbit(negative_zero_rewards.r_hat)
+
+    def test_blocks_are_row_slices(self):
+        stream = generate(spec_for("random_adversarial", n=BLOCK_ENTRIES // 5, T=12))
+        blocks = list(stream.blocks())
+        assert [len(r) for r, _ in blocks] == [5, 5, 2]
+        for start, (r, c) in zip((0, 5, 10), blocks):
+            assert np.shares_memory(r, stream.rewards) and np.shares_memory(c, stream.costs)
+            npt.assert_array_equal(r, stream.rewards[start:start + 5])
+            npt.assert_array_equal(c, stream.costs[start:start + 5])
 
 
 class TestStreamFiles:
@@ -262,6 +362,17 @@ class TestStreamFiles:
         for got, want in ((back.rewards, rewards), (back.costs, costs), (back.action_set.z, z)):
             npt.assert_array_equal(got, want)
             npt.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_rows_appended_block_by_block_match_write_stream(self, tmp_path):
+        stream = generate(spec_for("facility_location", n=7, T=30))
+        whole, parts = tmp_path / "whole.csv", tmp_path / "parts.csv"
+        write_stream(stream, whole)
+        with open(parts, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(stream_preamble(stream.action_set.z, stream.T))
+        for start, stop in ((0, 3), (3, 4), (4, 30)):
+            with open(parts, "a", encoding="ascii", newline="\n") as fh:
+                write_rows(fh, stream.rewards[start:stop], stream.costs[start:stop], start)
+        assert parts.read_bytes() == whole.read_bytes()
 
     def test_preamble_shape(self, tmp_path):
         stream = generate(spec_for("knapsack_01", n=3, T=2))

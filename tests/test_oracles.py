@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -218,6 +219,27 @@ class TestEstimators:
         aset = ActionSet.from_energies([0.25, 0.0])
         freq = estimate_selection_probs(np.zeros(2), aset, 1000, seed=1)
         npt.assert_array_equal(freq, 0.0)
+
+    def test_one_membership_block_alive_at_a_time(self):
+        # probcheck --actions 40's instance: the estimates hold the uniforms
+        # buffer and the block being counted, not the last one as well
+        rng = np.random.default_rng(0)
+        n = 40
+        z = rng.uniform(0.0, 0.49, n)
+        z[rng.random(n) < 0.2] = 0.0
+        aset = ActionSet.from_energies(z)
+        w = project_onto_feasible(rng.uniform(0.0, 1.5, n), aset.z)
+        estimate_selection_probs(w, aset, 10, seed=1)  # imports and caches outside the count
+        bound = RowLayout(aset).width * MC_CHUNK * 8 + 2 * MC_CHUNK * n
+        for estimate in (lambda: estimate_selection_probs(w, aset, 6 * MC_CHUNK, seed=1),
+                         lambda: estimate_hit_rates(w, aset, [[0, 1], [5]], 6 * MC_CHUNK, seed=1)):
+            tracemalloc.start()
+            try:
+                estimate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_hit_rate_matches_exact(self):
         rng = np.random.default_rng(191)

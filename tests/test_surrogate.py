@@ -288,7 +288,7 @@ class TestUpdateWeights:
 
 
 class TestLearnBlocks:
-    """``learn_blocks`` yields consecutive blocks whose rows are ``learn``'s, bit for bit."""
+    """``learn_blocks`` over a stream's row slices yields blocks whose rows are ``learn``'s, bit for bit."""
 
     # n = 100 learns 163 rows per block: one block, an exact multiple of it,
     # and a short last block; n = 20000 learns one row per block
@@ -298,8 +298,14 @@ class TestLearnBlocks:
         aset = random_action_set(rng, n)
         stream = stream_of(aset, [random_trial(rng, n, tie_frac=0.3) for _ in range(T)])
         rows = max(1, BLOCK_ENTRIES // n)
-        starts, blocks = zip(*surrogate_module.learn_blocks(stream))
+        starts, block_rewards, block_costs, blocks = zip(
+            *surrogate_module.learn_blocks(stream.action_set, stream.blocks()))
         assert list(starts) == list(range(0, T, rows))
+        # each block comes back next to its trajectory, as it was read
+        for start, rewards, costs in zip(starts, block_rewards, block_costs):
+            assert np.shares_memory(rewards, stream.rewards)
+            assert np.array_equal(rewards, stream.rewards[start:start + rows])
+            assert np.array_equal(costs, stream.costs[start:start + rows])
         for block in blocks:
             for array in (block.weights, block.grad_norm, block.eta, block.lam):
                 assert len(array) == len(block.eta) <= rows
