@@ -47,7 +47,11 @@ from .surrogate import learn_blocks, surrogate_gradient, surrogate_value
 
 CONFIG_VERSION = 1
 TRACE_HEADER = "trial,selected,profit,cum_profit,grad_norm,eta"
-TRACE_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g\n"
+# A trace row is its seed's head (trial, selection, profit, cum_profit) and
+# its trial's tail (grad_norm, eta), which every seed shares.
+TRACE_HEAD = "%d,%s,%.17g,%.17g,"
+TRACE_TAIL = "%.17g,%.17g\n"
+TRACE_ROW = TRACE_HEAD + TRACE_TAIL
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -280,7 +284,9 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         for start, rewards, costs, block in learn_blocks(action_set, blocks):
             r_hat = max(r_hat, float(rewards.max()))
             c_hat = max(c_hat, float(costs.max()), float(-costs.min()))
-            grad_norm, eta = block.grad_norm.tolist(), block.eta.tolist()
+            if traces:  # each trial's grad_norm and eta, formatted once for every seed
+                tails = [TRACE_TAIL % pair
+                         for pair in zip(block.grad_norm.tolist(), block.eta.tolist())]
             for k, seed in enumerate(config.seeds):
                 for first, member in draw_trials(block.weights, seed, layout, start):
                     stop = first + len(member)
@@ -295,8 +301,8 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
                         # one trace open at a time, however many seeds a config lists
                         with open(traces[k], "a", encoding="ascii", newline="\n") as trace:
                             trace.write("".join(
-                                TRACE_ROW % (t + 1, ";".join(map(str, chosen[lo:hi])), gain,
-                                             total, grad_norm[t - start], eta[t - start])
+                                TRACE_HEAD % (t + 1, ";".join(map(str, chosen[lo:hi])), gain,
+                                              total) + tails[t - start]
                                 for t, gain, total, lo, hi in zip(
                                     range(first, stop), gains, cums[1:],
                                     [0] + ends, ends + [len(chosen)])))

@@ -381,12 +381,19 @@ def projection_certificate(y, z, x) -> ProjectionCertificate:
 
 
 def grid_projection(y, z, resolution: float) -> np.ndarray:
-    """Nearest feasible grid point to ``y`` by exhaustive search.
+    """Nearest feasible grid point to ``y`` by exact branch and bound.
 
-    All coordinates but the last are enumerated outright; for each feasible
-    prefix the best last coordinate has a closed form (the grid value nearest
+    All coordinates but the last are enumerated; for each feasible prefix
+    the best last coordinate has a closed form (the grid value nearest
     ``y[-1]`` within the leftover budget), which keeps the search exact at a
-    fraction of the full grid's cost. Capped at 4 actions.
+    fraction of the full grid's cost. The search is a branch and bound
+    (Land & Doig 1960): the first coordinate's values are visited nearest
+    ``y[0]`` first, a point whose first ``n - 1`` coordinates are already
+    farther from ``y`` than the best point found is skipped, and the search
+    stops when the next ``x0`` leaves none. Of the points at the least
+    squared distance it returns the one with the first ``x0``, then the
+    first middle coordinates, in grid order, as the search over every point
+    would. Capped at 4 actions.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -420,21 +427,31 @@ def grid_projection(y, z, resolution: float) -> np.ndarray:
     mid_energy = mid @ z[1:-1]
     mid_dist2 = ((mid - y[1:-1]) ** 2).sum(axis=1)
 
-    # x0 is searched in chunks of rows against every mid point; the first
-    # minimum of a chunk replaces the incumbent only if strictly smaller, so
-    # ties resolve to the earliest x0, then the earliest mid point
+    # x0 is searched in chunks of rows, the rows nearest y[0] first. Rounding
+    # is monotone, so d2 is at least (x0 - y[0])**2 + mid_dist2, and a mid
+    # point past the incumbent beside a chunk's nearest row is past it beside
+    # every row of that chunk and of the chunks after it; with none left the
+    # search ends. A chunk's rows and mid points are in grid order, so its
+    # first minimum is its least (d2, x0, mid) in that order, and it replaces
+    # the incumbent when that is smaller.
+    x0_dist2 = (values - y[0]) ** 2
+    visit = np.argsort(x0_dist2, kind="stable")
     chunk = max(1, 2**16 // len(mid))
-    best_d2 = np.inf
+    best = (np.inf, values.size)  # (d2, x0 index) of the incumbent
     best_x = None
     for start in range(0, values.size, chunk):
-        x0 = values[start:start + chunk, None]
-        left = 1.0 - x0 * z[0] - mid_energy
+        keep = np.flatnonzero(x0_dist2[visit[start]] + mid_dist2 <= best[0])
+        if not keep.size:
+            break
+        rows = np.sort(visit[start:start + chunk])
+        x0 = values[rows, None]
+        left = 1.0 - x0 * z[0] - mid_energy[keep]
         x_last = best_last(np.maximum(left, 0.0))
-        d2 = (x0 - y[0]) ** 2 + mid_dist2 + (x_last - y[-1]) ** 2
+        d2 = x0_dist2[rows, None] + mid_dist2[keep] + (x_last - y[-1]) ** 2
         d2 = np.where(left >= -1e-12, d2, np.inf)
         i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-        if d2[i, j] < best_d2:
-            best_d2 = float(d2[i, j])
-            best_x = np.concatenate([x0[i], mid[j], [x_last[i, j]]])
+        if (d2[i, j], rows[i]) < best:
+            best = (float(d2[i, j]), int(rows[i]))
+            best_x = np.concatenate([x0[i], mid[keep[j]], [x_last[i, j]]])
     assert best_x is not None  # x = 0 is always feasible
     return best_x

@@ -15,7 +15,9 @@ quadratic knapsack problem"):
   from 0. Each leaves 1 at ``(y_i - 1) / z_i`` and reaches 0 at
   ``y_i / z_i``; these breakpoints cut ``[0, max y_i / z_i]`` into pieces
   ``(left, right]``. They are sorted once per call, and each iterate reads
-  its piece's ends with one binary search;
+  its piece's ends with one binary search. Rounding is monotone, so ``(y_i
+  - 1) / z_i <= y_i / z_i`` holds in floating point too, and the last
+  sorted breakpoint is ``max y_i / z_i``;
 * at an iterate ``lam`` the coordinates still at 1 and the free ones (left
   1, not yet at 0) give the linear ``u`` of ``lam``'s piece. The iteration
   solves it for ``u = 1`` from those coordinates, so the rounding of earlier
@@ -80,6 +82,11 @@ def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray
     ``y`` and ``z`` are float vectors of equal length, ``y`` finite; nothing
     is checked. ``lam`` is 0.0 when the box clamp already meets the budget.
     The answer does not depend on ``lam0``, only the work does.
+
+    The live coordinates, and each iterate's free and at-one ones, are
+    gathered with ``compress``: the same elements in the same order as a
+    boolean index, so the dot products and sums see the same arrays, at
+    about half the cost of a boolean index at n = 1000.
     """
     x = _clamp(y)
     if float(x @ z) <= 1.0:
@@ -87,23 +94,23 @@ def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray
 
     # The box clamp overshoots, so the budget is active at the optimum.
     live = (z > 0.0) & (y > 0.0)
-    yl = y[live]
-    zl = z[live]
+    yl = y.compress(live)
+    zl = z.compress(live)
     m = len(zl)
     points = np.concatenate(((yl - 1.0) / zl, yl / zl))  # where each leaves 1, then reaches 0
     ordered = points.copy()  # each iterate reads its piece's ends from this one sort
     ordered.sort()
-    lo, hi = 0.0, float(np.maximum.reduce(points[m:]))  # the root lies in (lo, hi]
+    lo, hi = 0.0, ordered.item(-1)  # the root lies in (lo, hi]; hi is max y / z
     hi_lam, hi_left = 0.0, math.inf  # the answer, once the piece (hi_left, hi] is known to hold it
     lam = min(max(lam0, _FIRST), hi)
     while True:
         past = points >= lam  # breakpoints at or after lam
         at_one, moving = past[:m], past[m:]
         free = moving > at_one
-        zf = zl[free]
+        zf = zl.compress(free)
         curvature = float(zf @ zf)
         # on lam's piece (left, right]: u = level - lam * curvature
-        level = float(zf @ yl[free]) + float(np.add.reduce(zl[at_one]))
+        level = float(zf @ yl.compress(free)) + float(np.add.reduce(zl.compress(at_one)))
         k = ordered.searchsorted(lam)  # ordered[k - 1] < lam <= ordered[k]
         left = max(ordered.item(k - 1), 0.0) if k else 0.0
         right = ordered.item(k)

@@ -341,14 +341,18 @@ def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> N
 
     Segment ``k`` of weight row ``r`` is keyed ``(r * segments + k) + 1j *
     cum``: complex numbers order lexicographically, which keeps segments
-    apart while comparing the ``cum`` values exactly. Only the draws a row
-    actually makes are looked up, and only the values they pick with are
-    checked.
+    apart while comparing the ``cum`` values exactly. The keys are built in
+    place, their real and imaginary parts filled, with no complex arithmetic
+    (a ``-0.0`` in ``cum`` stays ``-0.0``, and compares equal to ``+0.0``).
+    Only the draws a row actually makes are looked up, and only the values
+    they pick with are checked.
     """
     rows_w, segments = cum.shape[0], layout.scale.size
-    keys = layout.segment_of + 1j * cum
+    keys = np.empty(cum.shape, complex)
+    keys.real = layout.segment_of
     if rows_w > 1:
         keys.real += np.arange(0, segments * rows_w, segments)[:, None]
+    keys.imag = cum
     # full-draw column j is a draw when j < floor(scale * S); a residual
     # column when its own uniform is below the residual mass
     level = np.where(layout.is_residual, uniforms, layout.level)

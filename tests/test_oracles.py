@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -30,6 +31,62 @@ def naive_best_subset(stream, aset, alpha, delta):
             if total > best_value or (total == best_value and sub < best_subset):
                 best_value, best_subset = total, sub
     return best_value, best_subset
+
+
+def exhaustive_grid_projection(y, z, resolution):
+    """``grid_projection``'s search over every grid point, with no pruning.
+
+    Each x0 is scored against every mid point in chunks of rows in grid
+    order; a chunk's first minimum replaces the incumbent only if strictly
+    smaller, so ties resolve to the first x0, then the first mid point.
+    """
+    k_top = int(math.floor(1.0 / resolution + 1e-9))
+    values = np.minimum(np.arange(k_top + 1) * resolution, 1.0)
+    target = int(np.clip(round(y[-1] / resolution), 0, k_top))
+
+    def best_last(budget_left):
+        if z[-1] <= 0.0:
+            return np.full(budget_left.shape, values[target])
+        k_max = np.minimum(np.floor(budget_left / (z[-1] * resolution) + 1e-9), k_top)
+        return values[np.minimum(target, k_max).astype(int)]
+
+    if y.size == 1:
+        return best_last(np.array([1.0]))
+    if y.size > 2:
+        grids = np.meshgrid(*([values] * (y.size - 2)), indexing="ij")
+        mid = np.stack([g.ravel() for g in grids], axis=1)
+    else:
+        mid = np.zeros((1, 0))
+    mid_energy = mid @ z[1:-1]
+    mid_dist2 = ((mid - y[1:-1]) ** 2).sum(axis=1)
+    chunk = max(1, 2**16 // len(mid))
+    best_d2, best_x = np.inf, None
+    for start in range(0, values.size, chunk):
+        x0 = values[start:start + chunk, None]
+        left = 1.0 - x0 * z[0] - mid_energy
+        x_last = best_last(np.maximum(left, 0.0))
+        d2 = (x0 - y[0]) ** 2 + mid_dist2 + (x_last - y[-1]) ** 2
+        d2 = np.where(left >= -1e-12, d2, np.inf)
+        i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
+        if d2[i, j] < best_d2:
+            best_d2 = float(d2[i, j])
+            best_x = np.concatenate([x0[i], mid[j], [x_last[i, j]]])
+    return best_x
+
+
+def criterion_8_instances():
+    """Acceptance criterion 8's 200 ``(y, z, resolution)``, drawn as the criterion draws them."""
+    rng = np.random.default_rng(888)
+    resolution = {1: 1e-4, 2: 1e-4, 3: 1e-3, 4: 4e-3}
+    instances = []
+    for k in range(200):
+        n = k % 4 + 1
+        z = rng.uniform(0.0, 1.0, n)
+        if rng.random() < 0.2:
+            z[rng.integers(n)] = 0.0
+        y = rng.uniform(-0.5, 2.0, n)
+        instances.append((y, z, resolution[n]))
+    return instances
 
 
 class TestBestFixedSubset:
@@ -292,6 +349,48 @@ class TestGridProjection:
             assert is_feasible(x, z, tol=res * float(np.sum(z)) + 1e-9)
             k = np.round(x / res)
             npt.assert_allclose(np.minimum(k * res, 1.0), x, atol=1e-12)
+
+    def test_matches_exhaustive_search_on_criterion_8_instances(self):
+        # every n <= 3 instance, and every fifth n = 4 one: the unpruned search
+        # scores 251 x 62 500 points per n = 4 instance
+        instances = criterion_8_instances()
+        checked = 0
+        for k, (y, z, res) in enumerate(instances):
+            if y.size < 4 or k % 20 == 3:
+                npt.assert_array_equal(grid_projection(y, z, res),
+                                       exhaustive_grid_projection(y, z, res), err_msg=str(k))
+                checked += 1
+        assert checked == 160
+
+    def test_matches_exhaustive_search_on_ties(self):
+        # energies from a short list and y on the grid or halfway between two
+        # grid values, so equally near x0 values and mirror-image optima abound
+        rng = np.random.default_rng(2024)
+        for k in range(600):
+            n = int(rng.integers(1, 5))
+            res = float(rng.choice([1.0, 0.5, 0.25, 0.125, 0.1, 0.05]))
+            z = rng.choice([0.0, 0.25, 0.5, 1.0, float(rng.uniform(0.0, 1.0))], n)
+            y = rng.integers(-3, 2 * round(1.0 / res) + 4, n) * (res / 2)
+            if rng.random() < 0.3:
+                y = rng.uniform(-0.5, 2.0, n)
+            npt.assert_array_equal(grid_projection(y, z, res),
+                                   exhaustive_grid_projection(y, z, res), err_msg=str(k))
+
+    @pytest.mark.parametrize("y, z, expect", [
+        # sum k_i <= 819 over four coordinates, all drawn to 1: one at 204, three at 205
+        ((1.0, 1.0, 1.0, 1.0), (0.3125,) * 4, (204, 205, 205, 205)),
+        # sum k_i <= 512 over three, and a free last coordinate on the grid: the
+        # tie is exact with nothing added by the last coordinate
+        ((1.0, 1.0, 1.0, 0.5), (0.5, 0.5, 0.5, 0.0), (170, 171, 171, 128)),
+    ])
+    def test_ties_across_rows_resolve_to_the_first_x0(self, y, z, expect):
+        # at resolution 1/256 every distance and energy is exact and each x0 is a
+        # chunk of its own; x0 is visited from 1 down, so a mirror image with x0 =
+        # 205 (or 171) is found first, and the smaller x0 after it must replace it
+        y, z = np.array(y), np.array(z)
+        got = grid_projection(y, z, 1 / 256)
+        npt.assert_array_equal(got, np.array(expect) / 256)
+        npt.assert_array_equal(got, exhaustive_grid_projection(y, z, 1 / 256))
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):

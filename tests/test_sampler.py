@@ -191,9 +191,14 @@ class TestMatchesSearchsortedReference:
         aset = random_action_set(rng, n, zero_frac=0.2)
         assert ZERO_CLASS in RowLayout(aset).classes or n == 1
         weights = feasible_rows(rng, aset.z, rows)
-        uniforms = rng.random((rows, RowLayout(aset).width))
-        npt.assert_array_equal(sample_block(weights, uniforms, RowLayout(aset)),
-                               reference_block(weights, uniforms, aset))
+        layout = RowLayout(aset)
+        uniforms = rng.random((rows, layout.width))
+        expect = reference_block(weights, uniforms, aset)
+        npt.assert_array_equal(sample_block(weights, uniforms, layout), expect)
+        # a one-row block (criterion 1's shape), whose keys carry no row offset
+        for r in range(0, rows, 10):
+            npt.assert_array_equal(sample_block(weights[r:r + 1], uniforms[r:r + 1], layout),
+                                   expect[r:r + 1])
 
     @pytest.mark.parametrize("n", [1, 8, 50, 1000])
     def test_shared_weight_row(self, n):
@@ -257,6 +262,26 @@ class TestMatchesSearchsortedReference:
         npt.assert_array_equal(member, reference_block(weights, uniforms, aset))
         heads = member[:, aset.z >= 0.5].any(axis=1)
         assert heads.any() and (member[heads].sum(axis=1) == 1).all()
+
+    def test_signed_zeros_and_a_zero_mass_segment(self):
+        # -0.0 weights make -0.0 cum values: a whole segment of them (no mass,
+        # so no draw), and a leading run before another segment's mass; some
+        # uniforms are exactly 0.0, which picks past the leading run
+        rng = np.random.default_rng(71)
+        aset = random_action_set(rng, 60, zero_frac=0.2)
+        layout = RowLayout(aset)
+        sizes = [stop - start for start, stop in layout.spans]
+        empty, leading = (layout.spans[s] for s in np.argsort(sizes, kind="stable")[-2:])
+        weights = feasible_rows(rng, aset.z, 200)
+        weights[:, layout.order[slice(*empty)]] = -0.0
+        start, stop = leading
+        weights[::2, layout.order[start:(start + stop) // 2]] = -0.0
+        uniforms = rng.random((200, layout.width))
+        uniforms[rng.random(uniforms.shape) < 0.2] = 0.0
+        member = sample_block(weights, uniforms, layout)
+        npt.assert_array_equal(member, reference_block(weights, uniforms, aset))
+        assert not member[:, layout.order[slice(*empty)]].any()
+        assert member[:, layout.order[slice(*leading)]].any()
 
 
 def fuzzed_cum(rng, size):

@@ -322,12 +322,15 @@ class TestLearnBlocks:
 
 
 class TestPinnedTrajectory:
-    """SHA-256 of ``learn``'s arrays on two wide streams; these change only with the learner's bits."""
+    """SHA-256 of ``learn``'s arrays on three streams; these change only with the learner's bits."""
 
     PINNED = {
         # a wide stream where the budget binds on every step
         ("random_adversarial", 1000, 100, 0):
             "8abcba25a710cbde53c79075cf261d63cd3f060a3293b6e8b637f263ad172b7c",
+        # a narrow stream where the budget binds on every step (the many_seeds benchmark's)
+        ("knapsack_median", 8, 500, 11):
+            "0a59c02d8f63556d62f366b2315a581ae67af002b94944a1a727cfeffe98c7c9",
         # a tie-heavy stream: about 28 % of its rows hold tied rewards (all ties at 0,
         # where their order leaves the bits alone; TestTieRepair covers the rest)
         ("facility_location", 100, 1500, 3):
@@ -342,6 +345,8 @@ class TestPinnedTrajectory:
             tied = float(np.mean((r_sorted[:, 1:] == r_sorted[:, :-1]).any(axis=1)))
             assert 0.2 < tied < 0.4
         traj = learn(stream)
+        if kind != "facility_location":
+            assert (traj.lam > 0.0).all()  # the budget binds on every step
         digest = hashlib.sha256()
         for array in (traj.weights, traj.grad_norm, traj.eta, traj.lam):
             digest.update(array.tobytes())
