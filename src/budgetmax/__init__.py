@@ -8,8 +8,8 @@ control of every selection probability.
 """
 
 from .core import ActionSet, BUDGET_SLACK, InvalidEnergyError, selection_profits
-from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError,
-                           check_constraints, generate, read_stream, write_stream)
+from .environments import (EnvironmentSpec, KINDS, Stream, StreamFormatError, generate,
+                           read_stream, write_stream)
 from .projection import FEASIBILITY_TOL, is_feasible, project_onto_feasible
 from .sampler import (LARGE_ENERGY_THRESHOLD, RowLayout, ZERO_CLASS, draw_trials, sample_block,
                       uniform_stream)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionSet", "BUDGET_SLACK", "InvalidEnergyError", "selection_profits",
     "EnvironmentSpec", "KINDS", "Stream", "StreamFormatError",
-    "check_constraints", "generate", "read_stream", "write_stream",
+    "generate", "read_stream", "write_stream",
     "FEASIBILITY_TOL", "is_feasible", "project_onto_feasible",
     "LARGE_ENERGY_THRESHOLD", "RowLayout", "ZERO_CLASS",
     "draw_trials", "sample_block", "uniform_stream",

@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, selection_profits
-from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_block,
-                           check_constraints, generate, generate_blocks, read_stream,
-                           stream_preamble, write_rows, write_stream)
+from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_block, generate,
+                           generate_blocks, read_stream, stream_preamble, write_rows,
+                           write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -222,8 +222,9 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     and checked first (:func:`_revealed`), so a generated run holds one
     block of trials and one of learner state, whatever ``T`` is. A stream
     passed in is whole in memory already: it is checked against the
-    config's shape and the kind's pattern before any output, then read in
-    row slices. ``r_hat`` and ``c_hat`` are the maxima of the blocks'
+    config's shape, then whole by
+    :func:`~budgetmax.environments.check_block`, before any output, and
+    read in row slices. ``r_hat`` and ``c_hat`` are the maxima of the blocks'
     maxima. A bound check regenerates the stream (``n`` is at most
     ``MAX_EXHAUSTIVE_ACTIONS``) for its comparator after the pass.
 
@@ -248,7 +249,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
             raise ConfigError(
                 f"stream shape (n={stream.n}, T={stream.T}) does not match "
                 f"config (n={env.n}, T={env.T})")
-        check_constraints(stream, env)
+        check_block(stream.action_set, stream.rewards, stream.costs, 0, env)
         action_set, blocks = stream.action_set, stream.blocks()
 
     out_dir = None if config.output_dir is None else Path(config.output_dir)

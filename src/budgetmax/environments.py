@@ -72,11 +72,10 @@ class StreamFormatError(ValueError):
     """
 
 
-# Buffer of the reader that parses a stream file, and size of the chunks its
-# non-ASCII pre-scan reads. Lines are about 4 KB at n = 100: with the default
-# 8 KiB buffer, reading and splitting the lines of such a 6 MB file lost 42 of
-# 60 interleaved timings to splitting the same bytes held in memory; from
-# 64 KiB to 1 MiB it was at parity.
+# Buffer of the reader that parses a stream file. Lines are about 4 KB at
+# n = 100: with the default 8 KiB buffer, reading and splitting the lines of
+# such a 6 MB file lost 42 of 60 interleaved timings to splitting the same
+# bytes held in memory; from 64 KiB to 1 MiB it was at parity.
 READ_BUFFER = 256 * 1024
 
 
@@ -218,16 +217,6 @@ class Stream:
     def n(self) -> int:
         return self.rewards.shape[1]
 
-    @property
-    def r_hat(self) -> float:
-        """Largest reward in the stream (+0.0 for an all-zero stream)."""
-        return max(0.0, float(self.rewards.max())) if self.rewards.size else 0.0
-
-    @property
-    def c_hat(self) -> float:
-        """Largest absolute cost in the stream, found without a (T, n) temporary."""
-        return float(max(0.0, self.costs.max(), -self.costs.min())) if self.costs.size else 0.0
-
     def blocks(self):
         """Yield ``(rewards, costs)`` views of ``max(1, BLOCK_ENTRIES // n)`` rows each.
 
@@ -351,46 +340,25 @@ def generate(spec: EnvironmentSpec) -> Stream:
     return Stream(action_set, rewards, costs)
 
 
-def check_constraints(stream: Stream, spec: EnvironmentSpec) -> None:
-    """Assert the constraint pattern the kind promises, on every trial.
-
-    The stream's shape must be the spec's ``(T, n)``; the kind's rules on
-    its energies and values are :func:`check_block`'s.
-    """
-    R, C = stream.rewards, stream.costs
-    problems = []
-    if R.shape != (spec.T, spec.n) or C.shape != (spec.T, spec.n):
-        problems.append(f"stream shape {R.shape}/{C.shape} does not match spec ({spec.T}, {spec.n})")
-    _check_rules(spec, stream.action_set.z, R, C, problems)
-
-
 def check_block(action_set: ActionSet, rewards, costs, start: int, spec: EnvironmentSpec) -> None:
-    """Check one block of trials, ``start + 1`` on, before anything reads it.
+    """Check trials ``start + 1`` on, a block or a whole stream, before anything reads them.
 
-    The block first passes the check a :class:`Stream` makes when it is
-    built, whose ``ValueError`` names the absolute 1-based trial, then the
-    kind's rules (see :func:`check_constraints`) on the energies and on the
-    block's values. The rules read only maxima and minima, so blocks that
-    each pass them make a stream that passes them; the shape is the
-    caller's to check, once.
+    The rows first pass the check a :class:`Stream` makes when it is
+    built, whose ``ValueError`` names the absolute 1-based trial. Then one
+    ``ValueError`` lists every rule of the kind that the energies or the
+    rows break. Each rule is one whole-array reduction, with no
+    ``(rows, n)`` temporary: checked values are finite and their rewards
+    non-negative, so the largest reward and the extreme costs decide every
+    rule, and blocks that each pass them make a stream that passes them.
+    The shape is the caller's to check, once.
     """
     bad = _first_bad_trial(rewards, costs, action_set.n)
     if bad is not None:
         raise ValueError("trial %d: %s" % (start + bad[0], bad[1]))
-    _check_rules(spec, action_set.z, rewards, costs, [])
-
-
-def _check_rules(spec: EnvironmentSpec, z, R, C, problems: list) -> None:
-    """Raise one ``ValueError`` listing ``problems`` and every kind's rule broken.
-
-    The rules read energies ``z`` and reward/cost rows ``R``/``C``. Each
-    is one whole-array reduction, with no ``(rows, n)`` temporary; checked
-    values are finite and their rewards non-negative, so the largest
-    reward and the extreme costs decide every rule.
-    """
+    z, problems = action_set.z, []
     # no rows break no rule on their values
-    r_top = R.max() if R.size else -np.inf
-    c_lo, c_hi = (C.min(), C.max()) if C.size else (np.inf, -np.inf)
+    r_top = rewards.max() if rewards.size else -np.inf
+    c_lo, c_hi = (costs.min(), costs.max()) if costs.size else (np.inf, -np.inf)
     if spec.kind == "facility_location":
         if np.any(z != 0.0):
             problems.append("energies must all be zero")
@@ -465,54 +433,25 @@ def _lines(fh, size: int):
     Each ``\\n``-terminated piece is read, decoded and split on its own (a
     line can also end at ``\\r``, ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``,
     and ``\\r\\n`` stays one line end), so no more than a line of the file
-    is held at once.
+    is held at once. A non-ASCII byte raises ``StreamFormatError`` with its
+    value and its line, once the lines before it have been yielded.
     """
+    done = 0  # lines yielded
     while size > 0:
         piece = fh.readline(size)
         if not piece:
             return
         size -= len(piece)
-        yield from piece.decode("ascii").splitlines()
-
-
-# The line ends of ``str.splitlines`` within ASCII; ``\r\n`` is one end.
-_LINE_ENDS = (b"\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-
-
-def _check_ascii(fh, size: int) -> None:
-    """Raise ``StreamFormatError`` naming the first non-ASCII byte and its line.
-
-    The file's first ``size`` bytes are scanned in ``READ_BUFFER`` chunks.
-    """
-    done = 0
-    while done < size:
-        chunk = fh.read(min(READ_BUFFER, size - done))
-        if not chunk:
-            return
-        if not chunk.isascii():
-            at = chunk.decode("ascii", "replace").index("\ufffd")
+        try:
+            lines = piece.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            # the byte's line is the last of the text before it, plus one character
+            head = (piece[:exc.start] + b".").decode("ascii").splitlines()
+            yield from head[:-1]
             raise StreamFormatError("line %d: non-ASCII byte 0x%02x"
-                                    % (_line_at(fh, done + at), chunk[at]))
-        done += len(chunk)
-
-
-def _line_at(fh, offset: int) -> int:
-    """The 1-based line of the byte at ``offset``, as ``splitlines`` counts lines.
-
-    The ASCII bytes before it are read again in chunks and their line ends
-    counted, a ``\\r\\n`` once, also where a chunk boundary splits it.
-    """
-    fh.seek(0)
-    ends, last = 0, b""
-    while offset > 0:
-        chunk = fh.read(min(READ_BUFFER, offset))
-        if not chunk:
-            break
-        offset -= len(chunk)
-        ends += sum(map(chunk.count, _LINE_ENDS)) - chunk.count(b"\r\n")
-        ends -= last == b"\r" and chunk[:1] == b"\n"
-        last = chunk[-1:]
-    return ends + 1
+                                    % (done + len(head), piece[exc.start])) from None
+        done += len(lines)
+        yield from lines
 
 
 def _trial_values(line: str, t: int, n: int) -> list:
@@ -541,12 +480,13 @@ def read_stream(path) -> Stream:
     directory) is refused with a ``StreamFormatError`` that names the path,
     before it is opened. The file is opened once; the identity ``os.fstat``
     gives then becomes, with the path, the stream's :class:`StreamSource`.
-    Its bytes are first scanned for a non-ASCII byte, which is reported,
-    with its line, before any other fault. Then at most the ``st_size``
-    bytes seen then are parsed from a buffered reader: each trial line's
-    structure is checked, then its ``2n`` values are cast to floats at once,
-    before the next line is read, so an error names the first bad line,
-    whether the fault is in its structure or in a value.
+    At most the ``st_size`` bytes seen then are read, once, from a
+    buffered reader: each line is decoded as ASCII (:func:`_lines`), each
+    trial line's structure is checked, then its ``2n`` values are cast to
+    floats at once, before the next line is read, so an error names the
+    first bad line, whether the fault is a non-ASCII byte, in its structure
+    or in a value. Bad energies, non-finite values and negative rewards
+    are found after the parse.
     """
     path = os.fspath(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
@@ -554,8 +494,6 @@ def read_stream(path) -> Stream:
     with open(path, "rb", buffering=READ_BUFFER) as fh:
         identity = _identity(os.fstat(fh.fileno()))
         size = identity[2]
-        _check_ascii(fh, size)
-        fh.seek(0)
         lines = _lines(fh, size)
         first = next(lines, None)
         if first is None:

@@ -192,7 +192,39 @@ class TestRunExperiment:
         short = Stream(stream.action_set, stream.rewards[:5], stream.costs[:5])
         with pytest.raises(ConfigError, match="does not match"):
             run_experiment(config, stream=short)
+        # a replayed file broken only in its last trial, of three blocks (8/8/4 at n = 2000)
+        env = {"kind": "knapsack_01", "n": 2000, "T": 20, "seed": 3}
+        wide = generate(EnvironmentSpec(**env))
+        wide.rewards[-1, 5] = 0.25
+        write_stream(wide, tmp_path / "late.csv")
+        with pytest.raises(ValueError, match="^knapsack_01 constraints violated: "
+                                             "rewards must all be zero$"):
+            run_experiment(parse_config(good_config(environment=env, output_dir=str(out))),
+                           read_stream(tmp_path / "late.csv"))
         assert not out.exists()
+
+    def test_stream_passed_in_without_a_file_saves_the_run_it_generates(self, tmp_path):
+        # write_stream of a stream passed in gives the files a generated run writes
+        env = {"kind": "random_adversarial", "n": 1000, "T": 40, "seed": 0}
+        outputs = []
+        for k, stream in enumerate((None, generate(EnvironmentSpec(**env)))):
+            out = tmp_path / f"run{k}"
+            run_experiment(parse_config(good_config(environment=env, seeds=[0, 3],
+                                                    output_dir=str(out))), stream)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["report.json", "stream.csv", "trace_seed0.csv",
+                                      "trace_seed3.csv"]
+        assert outputs[0] == outputs[1]
+
+    def test_negative_zero_stream_reports_positive_zero_ceilings(self, tmp_path):
+        env = {"kind": "facility_location", "n": 2, "T": 2}
+        path = tmp_path / "zeros.csv"
+        path.write_bytes(b"2,2,0,0\n1,-0,-0,-0,-0\n2,-0,-0,-0,-0\n")
+        out = tmp_path / "out"
+        run_experiment(parse_config(good_config(environment=env, seeds=[0], output_dir=str(out))),
+                       read_stream(path))
+        report = (out / "report.json").read_text(encoding="utf-8")
+        assert '"r_hat": 0.0,' in report and '"c_hat": 0.0,' in report
 
     def test_each_run_checks_the_pattern_once(self, tmp_path, monkeypatch):
         # a generated run checks each block once, as it is generated; a replay
@@ -205,14 +237,8 @@ class TestRunExperiment:
             calls.append(("block", start, len(rewards)))
             return check_block(action_set, rewards, costs, start, spec)
 
-        def counted_stream(stream, spec):
-            calls.append(("stream", 0, stream.T))
-            return check_constraints(stream, spec)
-
-        check_block, check_constraints = environments.check_block, environments.check_constraints
+        check_block = environments.check_block
         monkeypatch.setattr(cli, "check_block", counted_block)
-        monkeypatch.setattr(cli, "check_constraints", counted_stream)
-        monkeypatch.setattr(environments, "check_constraints", counted_stream)
         # n = 2000 generates 8 trials per block: 8/8/4
         env = {"kind": "knapsack_01", "n": 2000, "T": 20, "seed": 3}
         out = tmp_path / "out"
@@ -220,7 +246,7 @@ class TestRunExperiment:
         assert calls == [("block", 0, 8), ("block", 8, 8), ("block", 16, 4)]
         calls.clear()
         run_experiment(parse_config(good_config(environment=env)), read_stream(out / "stream.csv"))
-        assert calls == [("stream", 0, 20)]
+        assert calls == [("block", 0, 20)]
 
     def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
         traces = []
