@@ -29,15 +29,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate
+from itertools import accumulate, count
 from pathlib import Path
 
 import numpy as np
 
 from .core import ActionSet, selection_profits
-from .environments import (EnvironmentSpec, Stream, StreamFormatError, check_block, generate,
-                           generate_blocks, read_stream, stream_preamble, write_rows,
-                           write_stream)
+from .environments import (EnvironmentSpec, Stream, check_block, generate, generate_blocks,
+                           read_stream, stream_preamble, write_rows, write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -193,21 +192,19 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _revealed(action_set, blocks, spec: EnvironmentSpec, saved):
-    """Yield generated blocks, each once it is checked and its rows appended to ``saved``.
+    """Pass generated ``(start, rewards, costs)`` blocks on, each once checked and saved.
 
-    :func:`~budgetmax.environments.check_block` names the absolute trial.
-    A block is drawn, checked and saved only when the learner asks for it,
-    after the block before it has been drawn and traced. ``saved`` is the
-    stream file, its preamble written, or None.
+    :func:`~budgetmax.environments.check_block` and ``write_rows`` (to
+    ``saved``, the stream file with its preamble written, or None) read the
+    block's ``start``. A block is drawn, checked and saved only when the
+    learner asks for it, after the block before it has been drawn and traced.
     """
-    start = 0
-    for rewards, costs in blocks:
+    for start, rewards, costs in blocks:
         check_block(action_set, rewards, costs, start, spec)
         if saved is not None:
             with open(saved, "a", encoding="ascii", newline="\n") as fh:
                 write_rows(fh, rewards, costs, start)
-        start += len(rewards)
-        yield rewards, costs
+        yield start, rewards, costs
 
 
 def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> RunReport:
@@ -215,8 +212,9 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
 
     The weight trajectory does not depend on the engine seed, so the run
     learns it one block of trials at a time
-    (:func:`~budgetmax.surrogate.learn_blocks`) and every seed draws its
-    selections from each block before the next is learned. Unless a
+    (:func:`~budgetmax.surrogate.learn_blocks`) and every seed draws each
+    whole block by one :func:`~budgetmax.sampler.draw_trials` call before
+    the next is learned. Unless a
     stream is passed in (replay), each block is generated only when the
     learner asks for it (:func:`~budgetmax.environments.generate_blocks`)
     and checked first (:func:`_revealed`), so a generated run holds one
@@ -289,24 +287,21 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
                 tails = [TRACE_TAIL % pair
                          for pair in zip(block.grad_norm.tolist(), block.eta.tolist())]
             for k, seed in enumerate(config.seeds):
-                for first, member in draw_trials(block.weights, seed, layout, start):
-                    stop = first + len(member)
-                    rows, cols = np.nonzero(member)
-                    gains = selection_profits(rows, cols, rewards[first - start:stop - start],
-                                              costs[first - start:stop - start]).tolist()
-                    cums = list(accumulate(gains, initial=per_seed[k]))
-                    per_seed[k] = cums[-1]
-                    if traces:
-                        ends = np.searchsorted(rows, np.arange(1, len(member))).tolist()
-                        chosen = cols.tolist()
-                        # one trace open at a time, however many seeds a config lists
-                        with open(traces[k], "a", encoding="ascii", newline="\n") as trace:
-                            trace.write("".join(
-                                TRACE_HEAD % (t + 1, ";".join(map(str, chosen[lo:hi])), gain,
-                                              total) + tails[t - start]
-                                for t, gain, total, lo, hi in zip(
-                                    range(first, stop), gains, cums[1:],
-                                    [0] + ends, ends + [len(chosen)])))
+                member = draw_trials(block.weights, seed, layout, start)
+                rows, cols = np.nonzero(member)
+                gains = selection_profits(rows, cols, rewards, costs).tolist()
+                cums = list(accumulate(gains, initial=per_seed[k]))
+                per_seed[k] = cums[-1]
+                if traces:
+                    ends = np.searchsorted(rows, np.arange(1, len(member))).tolist()
+                    chosen = cols.tolist()
+                    # one trace open at a time, however many seeds a config lists
+                    with open(traces[k], "a", encoding="ascii", newline="\n") as trace:
+                        trace.write("".join(
+                            TRACE_HEAD % (t, ";".join(map(str, chosen[lo:hi])), gain, total) + tail
+                            for t, gain, total, lo, hi, tail in zip(
+                                count(start + 1), gains, cums[1:],
+                                [0] + ends, ends + [len(chosen)], tails)))
 
         per_seed_arr = np.array(per_seed)
         mean = float(per_seed_arr.mean())
@@ -441,7 +436,7 @@ def main(argv=None, out=None) -> int:
             return _probcheck(args.actions, args.samples, args.seed, out)
         elif args.command == "gradcheck":
             return _gradcheck(args.instances, args.seed, out)
-    except (ConfigError, StreamFormatError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and StreamFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (OSError, MemoryError) as exc:

@@ -11,14 +11,15 @@ Four families:
   optional piecewise-constant shift schedule that changes which action is
   favored from segment to segment.
 
-A spec's trials are generated one block of ``max(1, BLOCK_ENTRIES // n)``
-rows at a time (:func:`generate_blocks`), so a run holds one block of
-them whatever ``T`` is; :func:`generate` stacks the blocks into a whole
-stream. Each matrix has its own ``np.random.PCG64(seed)``, advanced to the
-draw at which one ``np.random.default_rng(seed)`` drawing everything in
-turn would start it (every ``random`` or ``uniform`` double is one 64-bit
-output), so the values do not depend on the block size. The offsets, in
-draws:
+Trials are cut into blocks of ``max(1, BLOCK_ENTRIES // n)`` rows in one
+place (:func:`_block_rows`); a block is a triple ``(start, rewards, costs)``
+that carries its first trial's 0-based index, so no later stage cuts or
+counts trials. A spec's blocks are generated one at a time
+(:func:`generate_blocks`), so a run holds one whatever ``T`` is. Each
+matrix has its own ``np.random.PCG64(seed)``, advanced to the draw at which
+one ``np.random.default_rng(seed)`` drawing everything in turn would start
+it (every ``random`` or ``uniform`` double is one 64-bit output), so the
+values do not depend on the block size. The offsets, in draws:
 
 ====================  ====================================================
 kind                  matrix at its offset
@@ -218,14 +219,9 @@ class Stream:
         return self.rewards.shape[1]
 
     def blocks(self):
-        """Yield ``(rewards, costs)`` views of ``max(1, BLOCK_ENTRIES // n)`` rows each.
-
-        They are the row slices :func:`generate_blocks` would yield for a
-        stream of this shape.
-        """
-        rows = max(1, BLOCK_ENTRIES // self.n)
-        for start in range(0, self.T, rows):
-            yield self.rewards[start:start + rows], self.costs[start:start + rows]
+        """Yield ``(start, rewards, costs)`` row-slice views, as :func:`generate_blocks` would."""
+        for start, rows in _block_rows(self):
+            yield start, self.rewards[start:start + rows], self.costs[start:start + rows]
 
 
 def site_rewards(sites: np.ndarray, users: np.ndarray, r_max: float) -> np.ndarray:
@@ -242,11 +238,15 @@ def _rng_at(seed: int, draws: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed).advance(draws))
 
 
-def _block_rows(spec: EnvironmentSpec):
-    """The row counts of a spec's blocks: ``max(1, BLOCK_ENTRIES // n)`` each, the last one short."""
-    rows = max(1, BLOCK_ENTRIES // spec.n)
-    for start in range(0, spec.T, rows):
-        yield min(rows, spec.T - start)
+def _block_rows(shape: EnvironmentSpec | Stream):
+    """The one cut of a spec's or a stream's trials: ``(start, rows)`` per block.
+
+    A block has ``max(1, BLOCK_ENTRIES // n)`` rows (the last may have
+    fewer) from the 0-based trial ``start`` on.
+    """
+    rows = max(1, BLOCK_ENTRIES // shape.n)
+    for start in range(0, shape.T, rows):
+        yield start, min(rows, shape.T - start)
 
 
 def _facility_location(spec: EnvironmentSpec):
@@ -254,16 +254,16 @@ def _facility_location(spec: EnvironmentSpec):
     sites = _rng_at(seed, 0).random((n, 2))
     users, costs = _rng_at(seed, 2 * n), _rng_at(seed, 2 * n + 2 * T)
     lo, hi = spec.cost_range
-    return np.zeros(n), ((site_rewards(sites, users.random((m, 2)), spec.r_max),
-                          costs.uniform(lo, hi, size=(m, n))) for m in _block_rows(spec))
+    return np.zeros(n), ((start, site_rewards(sites, users.random((m, 2)), spec.r_max),
+                          costs.uniform(lo, hi, size=(m, n))) for start, m in _block_rows(spec))
 
 
 def _knapsack_median(spec: EnvironmentSpec):
     n, seed = spec.n, spec.seed
     z = spec.beta_max * (1.0 - _rng_at(seed, 0).random(n))  # strictly positive
     sites, users = _rng_at(seed, n).random((n, 2)), _rng_at(seed, 3 * n)
-    return z, ((site_rewards(sites, users.random((m, 2)), spec.r_max), np.zeros((m, n)))
-               for m in _block_rows(spec))
+    return z, ((start, site_rewards(sites, users.random((m, 2)), spec.r_max), np.zeros((m, n)))
+               for start, m in _block_rows(spec))
 
 
 def _knapsack_01(spec: EnvironmentSpec):
@@ -271,8 +271,8 @@ def _knapsack_01(spec: EnvironmentSpec):
     z = spec.beta_max * (1.0 - _rng_at(seed, 0).random(n))
     values = _rng_at(seed, n)
     vlo, vhi = spec.value_range
-    return z, ((np.zeros((m, n)), -values.uniform(vlo, vhi, size=(m, n)))
-               for m in _block_rows(spec))
+    return z, ((start, np.zeros((m, n)), -values.uniform(vlo, vhi, size=(m, n)))
+               for start, m in _block_rows(spec))
 
 
 def _random_adversarial(spec: EnvironmentSpec):
@@ -280,8 +280,8 @@ def _random_adversarial(spec: EnvironmentSpec):
     z = _rng_at(seed, 0).uniform(0.0, spec.beta_max, n)
     costs, rewards = _rng_at(seed, n), _rng_at(seed, n + T * n)
     if spec.shift_segments < 2:
-        return z, ((rewards.uniform(0.0, spec.r_max, size=(m, n)),
-                    costs.uniform(-c_max, c_max, size=(m, n))) for m in _block_rows(spec))
+        return z, ((start, rewards.uniform(0.0, spec.r_max, size=(m, n)),
+                    costs.uniform(-c_max, c_max, size=(m, n))) for start, m in _block_rows(spec))
     return z, _shifted_blocks(spec, rewards, costs)
 
 
@@ -295,13 +295,11 @@ def _shifted_blocks(spec: EnvironmentSpec, rewards, costs):
     n, T, k, r_max = spec.n, spec.T, spec.shift_segments, spec.r_max
     boosts = _rng_at(spec.seed, n + 2 * T * n)
     favored = boosts.permutation(n)[:k]
-    start = 0
-    for m in _block_rows(spec):
+    for start, m in _block_rows(spec):
         block = rewards.uniform(0.0, 0.5 * r_max, size=(m, n))
         segment = np.minimum((np.arange(start, start + m) * k) // T, k - 1)
         block[np.arange(m), favored[segment]] = boosts.uniform(0.75 * r_max, r_max, size=m)
-        start += m
-        yield block, costs.uniform(-spec.c_max, spec.c_max, size=(m, n))
+        yield start, block, costs.uniform(-spec.c_max, spec.c_max, size=(m, n))
 
 
 _GENERATORS = {
@@ -315,12 +313,12 @@ _GENERATORS = {
 def generate_blocks(spec: EnvironmentSpec):
     """``(action_set, blocks)``: a spec's energies and its trials, one block at a time.
 
-    The spec is validated first. ``blocks`` yields ``(rewards, costs)``
-    pairs of ``(rows, n)`` arrays, ``max(1, BLOCK_ENTRIES // n)`` rows
-    each (the last may be shorter), that stack to the spec's ``(T, n)``
-    matrices; each matrix comes from its own generator, advanced to the
-    draw where the module docstring's table puts it, so only one block of
-    trials is drawn and held at a time. The blocks are not checked: a
+    The spec is validated first. ``blocks`` yields ``(start, rewards,
+    costs)`` triples: the 0-based index of the block's first trial and
+    ``(rows, n)`` arrays of the rows :func:`_block_rows` cuts, which stack
+    to the spec's ``(T, n)`` matrices. Each matrix comes from its own
+    generator, advanced to the draw where the module docstring's table
+    puts it, so only one block of trials is drawn and held at a time. The blocks are not checked: a
     :class:`Stream` checks its matrices, and a run checks each block.
     """
     spec.validate()
@@ -329,14 +327,12 @@ def generate_blocks(spec: EnvironmentSpec):
 
 
 def generate(spec: EnvironmentSpec) -> Stream:
-    """The whole stream of a spec: :func:`generate_blocks`' blocks, stacked."""
+    """The whole stream of a spec: :func:`generate_blocks`' blocks, stacked at their starts."""
     action_set, blocks = generate_blocks(spec)
     rewards, costs = np.empty((spec.T, spec.n)), np.empty((spec.T, spec.n))
-    start = 0
-    for block_rewards, block_costs in blocks:
-        stop = start + len(block_rewards)
-        rewards[start:stop], costs[start:stop] = block_rewards, block_costs
-        start = stop
+    for start, block_rewards, block_costs in blocks:
+        rows = slice(start, start + len(block_rewards))
+        rewards[rows], costs[rows] = block_rewards, block_costs
     return Stream(action_set, rewards, costs)
 
 
@@ -454,11 +450,13 @@ def _lines(fh, size: int):
         yield from lines
 
 
-def _trial_values(line: str, t: int, n: int) -> list:
-    """The ``2n`` value fields of trial ``t``'s line, once its structure is checked."""
+def _trial_values(line: str | None, t: int, n: int) -> list:
+    """The ``2n`` value fields of trial ``t``'s line (None past the file's end), once checked."""
     lineno = t + 1
-    if not line.strip():
+    if line is None:
         raise StreamFormatError(f"line {lineno}: expected trial {t}, found end of file")
+    if not line.strip():
+        raise StreamFormatError(f"line {lineno}: expected trial {t}, found a blank line")
     fields = line.split(",")
     if len(fields) != 1 + 2 * n:
         raise StreamFormatError(
@@ -485,8 +483,9 @@ def read_stream(path) -> Stream:
     trial line's structure is checked, then its ``2n`` values are cast to
     floats at once, before the next line is read, so an error names the
     first bad line, whether the fault is a non-ASCII byte, in its structure
-    or in a value. Bad energies, non-finite values and negative rewards
-    are found after the parse.
+    or in a value; a blank trial line is not named as the end of the file.
+    Bad energies, non-finite values and negative rewards are found after
+    the parse.
     """
     path = os.fspath(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
@@ -518,7 +517,7 @@ def read_stream(path) -> Stream:
         rewards = np.empty((rows, n))
         costs = np.empty((rows, n))
         for t in range(1, T + 1):
-            fields = _trial_values(next(lines, ""), t, n)
+            fields = _trial_values(next(lines, None), t, n)
             try:
                 row = np.array(fields, dtype=float)
             except ValueError:

@@ -60,10 +60,11 @@ Philox yields four 64-bit words per counter step and each double takes one,
 so ``Philox(key=s).advance(t * K // 4)`` lands exactly on row ``t`` and any
 row can be read on its own (:func:`uniform_stream`). :func:`draw_trials` draws
 an engine seed's selections from the weight rows of consecutive trials from
-any first trial on, a block of trials at a time; trial ``t`` reads only its
-own row of uniforms, so it draws the same selection at a given weight vector
-no matter how many other trials were drawn, and any trial replays on its
-own. A selection is an array of action indices in ascending order.
+any first trial on, all the rows it is handed at once; trial ``t`` reads
+only its own row of uniforms, so it draws the same selection at a given
+weight vector no matter how many other trials were drawn, and any trial
+replays on its own. A selection is an array of action indices in ascending
+order.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import math
 
 import numpy as np
 
-from .core import ActionSet, BLOCK_ENTRIES, BUDGET_SLACK
+from .core import ActionSet, BUDGET_SLACK
 from .projection import is_feasible
 
 # Class key reserved for zero-energy actions (they never strain the budget).
@@ -176,23 +177,18 @@ def uniform_stream(seed: int, width: int, start: int = 0) -> np.random.Generator
     return np.random.Generator(bit_generator)
 
 
-def draw_trials(weights, seed: int, layout: RowLayout, start: int = 0):
-    """Yield engine seed ``seed``'s ``(first, member)`` over consecutive blocks of trials.
+def draw_trials(weights, seed: int, layout: RowLayout, start: int = 0) -> np.ndarray:
+    """Engine seed ``seed``'s boolean ``(m, n)`` membership of ``m`` consecutive trials.
 
-    Row ``i`` of ``weights`` holds the weights of the 0-based trial ``start
-    + i``, so a run can draw one learned block at a time. ``member`` marks
-    the selections of trials ``first`` to ``first + len(member) - 1``
-    (absolute indices). Trial ``t`` reads row ``t`` of the seed's uniforms,
-    so each selection equals :func:`sample_block` at its weights on
+    Row ``i`` of ``weights`` and of the result belong to the 0-based trial
+    ``start + i``; all ``m`` rows are drawn by one :func:`sample_block`
+    call. Trial ``t`` reads row ``t`` of the seed's uniforms, so each
+    selection equals :func:`sample_block` at its weights on
     ``uniform_stream(seed, layout.width, t)``'s first row, whatever
     ``start`` is.
     """
-    width = layout.width
-    uniforms = uniform_stream(seed, width, start)
-    rows = max(1, BLOCK_ENTRIES // layout.z.size)
-    for offset in range(0, len(weights), rows):
-        block = weights[offset:offset + rows]
-        yield start + offset, sample_block(block, uniforms.random((len(block), width)), layout)
+    uniforms = uniform_stream(seed, layout.width, start).random((len(weights), layout.width))
+    return sample_block(weights, uniforms, layout)
 
 
 def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:

@@ -29,7 +29,7 @@ and costs (row ``t`` of the stream's matrices), never the sampled
 selection. So the weight trajectory is the same for every engine seed:
 :func:`learn_blocks` computes it once per stream, reading the trials one
 block at a time as they come, and a run draws every seed's selections from
-a block before the next one is read (:func:`budgetmax.sampler.draw_trials`).
+a whole block before the next one is read (:func:`budgetmax.sampler.draw_trials`).
 A generated run draws each block of rewards and costs only when the
 learner asks for it (:func:`budgetmax.environments.generate_blocks`), so
 it holds neither the whole ``(T, n)`` trajectory nor the ``(T, n)``
@@ -155,11 +155,12 @@ class Trajectory:
 def learn_blocks(action_set: ActionSet, blocks):
     """One projected-gradient pass over blocks of trials, as they come.
 
-    ``blocks`` yields ``(rewards, costs)`` pairs of ``(rows, n)`` arrays,
-    consecutive trials from the first; each is read only once the block
-    before it has been consumed, so a generator can draw or check it then.
-    For each block this yields ``(start, rewards, costs, trajectory)``:
-    the 0-based index of its first trial, the block itself, and the
+    ``blocks`` yields ``(start, rewards, costs)`` triples, consecutive
+    trials from the first: the 0-based index of the block's first trial,
+    from which each trial's step size is taken, and ``(rows, n)`` arrays.
+    Each is read only once the block before it has been consumed, so a
+    generator can draw or check it then. For each block this yields
+    ``(start, rewards, costs, trajectory)``: the block and the
     :class:`Trajectory` of its trials. The block comes back next to its
     trajectory because drawing a trial's selection and scoring it needs
     both, and the caller may not hold the blocks otherwise. The values
@@ -179,18 +180,17 @@ def learn_blocks(action_set: ActionSet, blocks):
     w = np.zeros(n)
     eta_prime = math.inf
     multiplier = 0.0
-    start = 0
-    for rewards, costs in blocks:
-        stop = start + len(rewards)
-        weights = np.empty((stop - start, n))
-        grad_norm = np.empty(stop - start)
-        eta = np.zeros(stop - start)
-        lam = np.zeros(stop - start)
+    for start, rewards, costs in blocks:
+        rows = len(rewards)
+        weights = np.empty((rows, n))
+        grad_norm = np.empty(rows)
+        eta = np.zeros(rows)
+        lam = np.zeros(rows)
         # an overflowing |g| is raised below, naming its trial; the state is
         # restored before the yield, so the consumer never runs under it
         with np.errstate(over="ignore"):
             order, drops, c_pos, c_neg = _trial_pieces(rewards, costs)
-            for i, t in enumerate(range(start, stop)):
+            for i, t in enumerate(range(start, start + rows)):
                 weights[i] = w
                 g = _gradient(w, order[i], drops[i], c_pos[i], c_neg[i], delta)
                 # the bits of np.linalg.norm on a vector, without its wrapper
@@ -211,7 +211,6 @@ def learn_blocks(action_set: ActionSet, blocks):
         for array in (weights, grad_norm, eta, lam):
             array.setflags(write=False)
         yield start, rewards, costs, Trajectory(weights, grad_norm, eta, lam)
-        start = stop
 
 
 def learn(stream: Stream) -> Trajectory:

@@ -6,7 +6,7 @@ helpers here build the instances most tests need.
 
 import numpy as np
 
-from budgetmax import ActionSet, Stream, project_onto_feasible, sample_block, uniform_stream
+from budgetmax import ActionSet, Stream, draw_trials, project_onto_feasible
 
 
 def random_energies(rng, n, beta_max=0.49, zero_frac=0.3):
@@ -46,5 +46,4 @@ def draw_one(w, seed, t, layout):
 
     Only that trial's row of uniforms is read, as a replay of one trial does.
     """
-    uniforms = uniform_stream(seed, layout.width, t - 1).random((1, layout.width))
-    return np.flatnonzero(sample_block(np.asarray(w, dtype=float)[None], uniforms, layout)[0])
+    return np.flatnonzero(draw_trials(np.asarray(w, dtype=float)[None], seed, layout, t - 1)[0])

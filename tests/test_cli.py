@@ -142,6 +142,29 @@ class TestRunExperiment:
             assert trace[0] == TRACE_HEADER
             assert len(trace) == 21
 
+    def test_run_draws_each_learned_block_whole(self, monkeypatch):
+        # n = 2000 learns 8 trials per block; each seed draws each block in one call
+        learned, drawn = [], []
+        real_learn, real_draw = cli.learn_blocks, cli.draw_trials
+
+        def recorded_learn(*args):
+            for item in real_learn(*args):
+                learned.append(item[3])
+                yield item
+
+        def recorded_draw(weights, seed, layout, start=0):
+            drawn.append((start, len(weights), weights))
+            return real_draw(weights, seed, layout, start)
+
+        monkeypatch.setattr(cli, "learn_blocks", recorded_learn)
+        monkeypatch.setattr(cli, "draw_trials", recorded_draw)
+        env = {"kind": "random_adversarial", "n": 2000, "T": 20, "seed": 0}
+        run_experiment(parse_config(good_config(environment=env, seeds=[0, 3])))
+        assert [(start, rows) for start, rows, _ in drawn] == [
+            (0, 8), (0, 8), (8, 8), (8, 8), (16, 4), (16, 4)]
+        for (_, _, weights), block in zip(drawn, [b for b in learned for _seed in range(2)]):
+            assert weights is block.weights
+
     def test_single_seed_has_zero_stderr(self):
         config = parse_config(good_config(seeds=[5]))
         report = run_experiment(config)
@@ -521,10 +544,10 @@ class TestMain:
             action_set, blocks = real(spec)
 
             def blocks_with_a_bad_second():
-                for k, (rewards, costs) in enumerate(blocks):
+                for k, (start, rewards, costs) in enumerate(blocks):
                     if k == 1:
                         spoil(rewards)
-                    yield rewards, costs
+                    yield start, rewards, costs
             return action_set, blocks_with_a_bad_second()
 
         monkeypatch.setattr(cli, "generate_blocks", spoiled)
@@ -673,14 +696,18 @@ class TestMain:
         import budgetmax.cli as cli
         out = tmp_path / "out"
         real = cli.draw_trials
+        calls = []
 
-        def fails_after_one_block(*args):
-            blocks = real(*args)
-            yield next(blocks)
-            assert (out / "trace_seed0.csv.tmp").exists()
-            raise OSError("disk full")
+        def fails_on_the_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                # the first seed's rows of the first block are written by now
+                rows = (out / "trace_seed0.csv.tmp").read_text().splitlines()
+                assert rows[0] == TRACE_HEADER and len(rows) > 1
+                raise OSError("disk full")
+            return real(*args)
 
-        monkeypatch.setattr(cli, "draw_trials", fails_after_one_block)
+        monkeypatch.setattr(cli, "draw_trials", fails_on_the_second_call)
         cfg = self.write_config(tmp_path, good_config())
         assert main(["--config", cfg, "--out", str(out), "run"]) == 2
         assert list(out.iterdir()) == []

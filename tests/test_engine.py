@@ -165,7 +165,7 @@ class TestLargeEnergyMode:
         assert len(layout.classes) == 0
         trials = 40_000
         block = np.broadcast_to([1.0, 1.0], (trials, 2))
-        hits = sum(int(member.any(axis=1).sum()) for _, member in draw_trials(block, 13, layout))
+        hits = int(draw_trials(block, 13, layout).any(axis=1).sum())
         freq = hits / trials
         expect = (1.0 + 1.0) / 4.0
         sigma = math.sqrt(expect * (1.0 - expect) / trials)

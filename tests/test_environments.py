@@ -166,16 +166,17 @@ class TestGenerators:
         action_set, blocks = generate_blocks(spec)
         blocks = list(blocks)
         rows = max(1, block_entries // spec.n)
-        assert [len(r) for r, _ in blocks] == [min(rows, spec.T - start)
-                                               for start in range(0, spec.T, rows)]
-        assert all(r.shape == c.shape for r, c in blocks)
+        assert [start for start, _, _ in blocks] == list(range(0, spec.T, rows))
+        assert [len(r) for _, r, _ in blocks] == [min(rows, spec.T - start)
+                                                  for start in range(0, spec.T, rows)]
+        assert all(r.shape == c.shape for _, r, c in blocks)
         assert action_set.z.tobytes() == z.tobytes()
-        assert np.concatenate([r for r, _ in blocks]).tobytes() == rewards.tobytes()
-        assert np.concatenate([c for _, c in blocks]).tobytes() == costs.tobytes()
+        assert np.concatenate([r for _, r, _ in blocks]).tobytes() == rewards.tobytes()
+        assert np.concatenate([c for _, _, c in blocks]).tobytes() == costs.tobytes()
         stream = generate(spec)
         assert stream.rewards.tobytes() == rewards.tobytes()
         assert stream.costs.tobytes() == costs.tobytes()
-        for start, (r, c) in zip(range(0, spec.T, rows), blocks):
+        for start, r, c in blocks:
             check_block(action_set, r, c, start, spec)
 
     def test_generate_blocks_validates_before_drawing(self):
@@ -285,8 +286,9 @@ class TestStreamChecks:
     def test_blocks_are_row_slices(self):
         stream = generate(spec_for("random_adversarial", n=BLOCK_ENTRIES // 5, T=12))
         blocks = list(stream.blocks())
-        assert [len(r) for r, _ in blocks] == [5, 5, 2]
-        for start, (r, c) in zip((0, 5, 10), blocks):
+        assert [start for start, _, _ in blocks] == [0, 5, 10]
+        assert [len(r) for _, r, _ in blocks] == [5, 5, 2]
+        for start, r, c in blocks:
             assert np.shares_memory(r, stream.rewards) and np.shares_memory(c, stream.costs)
             npt.assert_array_equal(r, stream.rewards[start:start + 5])
             npt.assert_array_equal(c, stream.costs[start:start + 5])
@@ -301,6 +303,10 @@ class TestStreamFiles:
             read_stream(path)
         path.write_text("1," + "9" * 400 + ",0.25\r\n1,0.5,0.1\r\n")
         with pytest.raises(StreamFormatError, match=r"^line 3: expected trial 2, found end of file$"):
+            read_stream(path)
+        # trailing blank lines where trials belong are named as blank, not as the end
+        path.write_text("1," + "9" * 400 + ",0.25\n1,0.5,0.1\n\n\n")
+        with pytest.raises(StreamFormatError, match=r"^line 3: expected trial 2, found a blank line$"):
             read_stream(path)
         path.write_text("1,3,0.25\n1,0.5,0.1\x1c2,0.5,0.1\v3,0.5,0.1")
         npt.assert_array_equal(read_stream(path).rewards, [[0.5]] * 3)
@@ -442,12 +448,12 @@ class TestStreamFiles:
 
     def test_bad_value_in_a_later_block_names_its_line(self, tmp_path):
         n = 100
-        rows = BLOCK_ENTRIES // (2 * n)  # trial lines per parse block
+        rows = BLOCK_ENTRIES // (2 * n)  # trial lines per write of write_rows
         stream = generate(spec_for("facility_location", n=n, T=2 * rows + 3))
         path = tmp_path / "s.csv"
         write_stream(stream, path)
         lines = path.read_text().splitlines()
-        for t in (rows + 5, rows + 9):  # two bad trials in the second block
+        for t in (rows + 5, rows + 9):  # two bad trials in the second write
             fields = lines[t].split(",")
             fields[n + 3] = "1.0.0"
             lines[t] = ",".join(fields)
@@ -480,9 +486,14 @@ class TestStreamFiles:
         path = tmp_path / "s.csv"
         path.write_bytes(b"1,4,0.25\r\n1,0.5,0.1\r2,0.5,0.2\x0b3,0.5,0.3\x1e4,0.5,0.4\r\n\x0c\n")
         npt.assert_array_equal(read_stream(path).costs[:, 0], [0.1, 0.2, 0.3, 0.4])
-        path.write_bytes(b"1,1,0.25\r\r\n1,0.5,0.1\n")
-        with pytest.raises(StreamFormatError, match="line 2: expected trial 1, found end of file"):
-            read_stream(path)
+        # \r, then \r\n: line 2 is blank, not the end of the file; so is a
+        # blank or whitespace-only line with trials after it
+        for data in (b"1,1,0.25\r\r\n1,0.5,0.1\n", b"1,2,0.25\n\n1,0.5,0.1\n2,0.5,0.2\n",
+                     b"1,2,0.25\n \t\n1,0.5,0.1\n2,0.5,0.2\n"):
+            path.write_bytes(data)
+            with pytest.raises(StreamFormatError,
+                               match="^line 2: expected trial 1, found a blank line$"):
+                read_stream(path)
 
     def test_non_ascii_byte_rejected(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -467,22 +467,20 @@ class TestUniformStream:
             draw_one(np.ones(1), 21, 0, RowLayout(ActionSet.from_energies([0.25])))
 
     def test_draw_equals_row_of_the_seed_block(self):
-        # 300 trials of 200 actions span four blocks of draw_trials
+        # one call draws all 300 trials; a later start draws the same rows
         rng = np.random.default_rng(10)
         for beta_max in (0.49, 0.9):
             aset = random_action_set(rng, 200, beta_max=beta_max)
             layout = RowLayout(aset)
             weights = feasible_rows(rng, aset.z, 300)
             for seed in (0, 5):
-                blocks = np.vstack([m for _, m in draw_trials(weights, seed, layout)])
+                blocks = draw_trials(weights, seed, layout)
                 uniforms = np.random.Generator(np.random.Philox(key=seed)).random(
                     (300, layout.width))
                 npt.assert_array_equal(blocks, sample_block(weights, uniforms, layout))
-                # from trial s on, with absolute starts: rows s: of the whole draw
+                # from trial s on: rows s: of the whole draw
                 for s in (81, 163):
-                    starts, parts = zip(*draw_trials(weights[s:], seed, layout, s))
-                    assert starts == tuple(range(s, 300, 81))
-                    npt.assert_array_equal(np.vstack(parts), blocks[s:])
+                    npt.assert_array_equal(draw_trials(weights[s:], seed, layout, s), blocks[s:])
                 for t in range(1, 301, 13):
                     npt.assert_array_equal(draw_one(weights[t - 1], seed, t, layout),
                                            np.flatnonzero(blocks[t - 1]))
