@@ -147,10 +147,8 @@ def parse_config(data) -> ExperimentConfig:
         else:
             try:
                 env_spec = EnvironmentSpec(**kwargs)
-                env_spec.validate()
             except (TypeError, ValueError) as exc:
                 problems.append(str(exc))
-                env_spec = None
 
     seeds = data.get("seeds")
     if not (isinstance(seeds, list) and seeds

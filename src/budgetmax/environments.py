@@ -92,7 +92,11 @@ def _finite(value) -> bool:
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Generator parameters. Only the fields of the chosen kind matter."""
+    """Generator parameters. Only the fields of the chosen kind matter.
+
+    A spec checks itself when it is built: one ``ValueError`` lists every
+    field that is out of range, so every spec that exists is valid.
+    """
 
     kind: str
     n: int
@@ -105,7 +109,7 @@ class EnvironmentSpec:
     c_max: float = 1.0                      # adversarial |cost| ceiling
     shift_segments: int = 0                 # adversarial favored-action segments
 
-    def validate(self) -> None:
+    def __post_init__(self):
         problems = []
         if self.kind not in KINDS:
             problems.append(f"unknown kind {self.kind!r} (expected one of {KINDS})")
@@ -313,15 +317,15 @@ _GENERATORS = {
 def generate_blocks(spec: EnvironmentSpec):
     """``(action_set, blocks)``: a spec's energies and its trials, one block at a time.
 
-    The spec is validated first. ``blocks`` yields ``(start, rewards,
-    costs)`` triples: the 0-based index of the block's first trial and
-    ``(rows, n)`` arrays of the rows :func:`_block_rows` cuts, which stack
-    to the spec's ``(T, n)`` matrices. Each matrix comes from its own
+    The spec checked itself when it was built. ``blocks`` yields ``(start,
+    rewards, costs)`` triples: the 0-based index of the block's first trial
+    and ``(rows, n)`` arrays of the rows :func:`_block_rows` cuts, which
+    stack to the spec's ``(T, n)`` matrices. Each matrix comes from its own
     generator, advanced to the draw where the module docstring's table
-    puts it, so only one block of trials is drawn and held at a time. The blocks are not checked: a
-    :class:`Stream` checks its matrices, and a run checks each block.
+    puts it, so only one block of trials is drawn and held at a time. The
+    blocks are not checked: a :class:`Stream` checks its matrices, and a
+    run checks each block.
     """
-    spec.validate()
     z, blocks = _GENERATORS[spec.kind](spec)
     return ActionSet.from_energies(z), blocks
 
@@ -416,9 +420,14 @@ def write_stream(stream: Stream, path) -> None:
         write_rows(fh, stream.rewards, stream.costs, 0)
 
 
-def _parse_floats(fields, lineno, what):
+def _floats(fields, lineno: int, what: str) -> np.ndarray:
+    """The fields cast to a float array, in one cast.
+
+    The cast's ``ValueError`` names the first field that is not a float, as
+    ``float()`` does, and becomes a ``StreamFormatError`` for the line.
+    """
     try:
-        return [float(f) for f in fields]
+        return np.array(fields, dtype=float)
     except ValueError as exc:
         raise StreamFormatError(f"line {lineno}: bad {what}: {exc}") from None
 
@@ -429,8 +438,10 @@ def _lines(fh, size: int):
     Each ``\\n``-terminated piece is read, decoded and split on its own (a
     line can also end at ``\\r``, ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``,
     and ``\\r\\n`` stays one line end), so no more than a line of the file
-    is held at once. A non-ASCII byte raises ``StreamFormatError`` with its
-    value and its line, once the lines before it have been yielded.
+    is held at once. A piece is decoded once, with ``surrogateescape``: a
+    byte above 0x7f becomes one of U+DC80-U+DCFF, which is no line end. The
+    first line that is not ASCII then raises ``StreamFormatError`` with the
+    value of its first such byte, once the lines before it have been yielded.
     """
     done = 0  # lines yielded
     while size > 0:
@@ -438,14 +449,12 @@ def _lines(fh, size: int):
         if not piece:
             return
         size -= len(piece)
-        try:
-            lines = piece.decode("ascii").splitlines()
-        except UnicodeDecodeError as exc:
-            # the byte's line is the last of the text before it, plus one character
-            head = (piece[:exc.start] + b".").decode("ascii").splitlines()
-            yield from head[:-1]
-            raise StreamFormatError("line %d: non-ASCII byte 0x%02x"
-                                    % (done + len(head), piece[exc.start])) from None
+        lines = piece.decode("ascii", "surrogateescape").splitlines()
+        if not piece.isascii():
+            k = next(k for k, line in enumerate(lines) if not line.isascii())
+            yield from lines[:k]
+            byte = next(ord(c) - 0xdc00 for c in lines[k] if not c.isascii())
+            raise StreamFormatError("line %d: non-ASCII byte 0x%02x" % (done + k + 1, byte))
         done += len(lines)
         yield from lines
 
@@ -508,7 +517,7 @@ def read_stream(path) -> Stream:
             raise StreamFormatError(f"line 1: n and T must be positive, got n={n}, T={T}")
         if len(head) != 2 + n:
             raise StreamFormatError(f"line 1: expected {2 + n} fields (n, T, {n} energies), got {len(head)}")
-        z = np.array(_parse_floats(head[2:], 1, "energy"))
+        z = _floats(head[2:], 1, "energy")
 
         # A trial line that parses holds 2n + 1 non-empty fields and 2n commas and
         # follows a line end, so the file's size bounds the rows: a preamble T
@@ -517,12 +526,7 @@ def read_stream(path) -> Stream:
         rewards = np.empty((rows, n))
         costs = np.empty((rows, n))
         for t in range(1, T + 1):
-            fields = _trial_values(next(lines, None), t, n)
-            try:
-                row = np.array(fields, dtype=float)
-            except ValueError:
-                _parse_floats(fields, t + 1, "reward/cost")  # names the bad field
-                raise
+            row = _floats(_trial_values(next(lines, None), t, n), t + 1, "reward/cost")
             rewards[t - 1] = row[:n]
             costs[t - 1] = row[n:]
         for lineno, line in enumerate(lines, T + 2):

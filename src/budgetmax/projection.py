@@ -33,8 +33,8 @@ The root taken is the smallest ``lam`` with ``u(lam) <= 1``, on the piece
 that ends at or after it. Where rounding makes two adjacent pieces both
 claim a root at their common breakpoint, the left one is asked first, so
 the answer does not depend on where the iteration started. Started from
-the previous multiplier, as :func:`budgetmax.surrogate.learn` does, it
-usually needs one or two iterates, each a few vector operations.
+the previous multiplier, as :func:`budgetmax.surrogate.learn_blocks` does,
+it usually needs one or two iterates, each a few vector operations.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-# Default tolerance for feasibility checks on projector output.
+# Tolerance of every feasibility check (is_feasible).
 FEASIBILITY_TOL = 1e-9
 # A solution this close to its piece's left end, relative to itself, is
 # confirmed by the piece to the left before it is taken.
@@ -52,28 +52,38 @@ _NEAR_LEFT = 2.0 ** -30
 _FIRST = 5e-324
 
 
-def is_feasible(x, z, tol: float = FEASIBILITY_TOL) -> bool:
-    """True when ``x`` (a vector, or a block of rows) is in the box and budget up to ``tol``."""
+def is_feasible(x, z) -> bool:
+    """True when ``x`` (a vector, or a block of rows) is in the box and budget.
+
+    Each bound holds up to ``FEASIBILITY_TOL``.
+    """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    tol = FEASIBILITY_TOL
     return bool(x.min(initial=0.0) >= -tol and x.max(initial=0.0) <= 1.0 + tol
                 and np.max(x @ z, initial=0.0) <= 1.0 + tol)
 
 
 def project_onto_feasible(y, z) -> np.ndarray:
-    """Nearest point of ``{x in [0,1]^n : <x, z> <= 1}`` to ``y``."""
+    """Nearest point of ``{x in [0,1]^n : <x, z> <= 1}`` to ``y``.
+
+    ``y`` must be finite and ``z`` finite and non-negative, else a
+    ``ValueError`` is raised.
+    """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if y.shape != z.shape or y.ndim != 1:
         raise ValueError("y and z must be 1-d vectors of equal length")
     if not np.all(np.isfinite(y)):
         raise ValueError("projection input must be finite")
+    if not np.all(np.isfinite(z) & (z >= 0.0)):
+        raise ValueError("energies must be finite and non-negative")
     return _project_from(y, z, 0.0)[0]
 
 
-def _clamp(v: np.ndarray) -> np.ndarray:
-    """``np.clip(v, 0.0, 1.0)`` bit for bit (signed zeros too), without its wrapper."""
-    return np.minimum(np.maximum(0.0, v), 1.0)
+def _clamp(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.clip(v, 0.0, 1.0, out=out)`` bit for bit (signed zeros too), without its wrapper."""
+    return np.minimum(np.maximum(0.0, v, out=out), 1.0, out=out)
 
 
 def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray, float]:

@@ -75,7 +75,7 @@ import math
 import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK
-from .projection import is_feasible
+from .projection import _clamp, is_feasible
 
 # Class key reserved for zero-energy actions (they never strain the budget).
 ZERO_CLASS = 0
@@ -195,7 +195,8 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     """Boolean ``(m, n)`` membership of the selections drawn from ``m`` rows of uniforms.
 
     ``weights`` has one row per uniform row, or a single row shared by all
-    of them; every weight row must lie in the feasible polytope. Row ``r``
+    of them; every weight row must lie in the feasible polytope, up to
+    ``FEASIBILITY_TOL``, and is drawn as its clamp into ``[0, 1]``. Row ``r``
     of the result marks the selection drawn at ``weights[r]`` (or the shared
     row) from ``uniforms[r]`` as the module docstring lays out.
 
@@ -228,12 +229,16 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     if not is_feasible(weights, layout.z):
         raise ValueError("weights must lie in the feasible polytope")
 
+    # a weight within tolerance outside [0, 1] is drawn as its clamp, so every
+    # segment's cum rises and floor(scale * S) cannot pass its full-draw
+    # columns: a float sum of k values, each at most 1, cannot round above k
     ordered = weights[:, layout.order]
+    _clamp(ordered, out=ordered)
     cum = np.empty(ordered.shape)
     for start, stop in layout.spans:
         np.add.accumulate(ordered[:, start:stop], axis=1, out=cum[:, start:stop])
     mass = cum[:, layout.last]
-    scaled = np.maximum(mass, 0.0) * layout.scale
+    scaled = mass * layout.scale
     full = np.floor(scaled)
     cum /= np.where(mass > 0.0, mass, 1.0)[:, layout.segment_of]
 
@@ -264,8 +269,7 @@ def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> No
     flat = member.reshape(-1, order="F")
     for s, ((start, stop), last, columns) in enumerate(zip(
             layout.spans, layout.residual_columns, layout.full_columns)):
-        # w <= 1 + tol can push floor(scale * S) past the segment's columns
-        first, draws = last - columns, min(int(full[s]), columns)
+        first, draws = last - columns, int(full[s])
         if not (draws or residual[s] > 0.0):
             continue  # no weight mass: no full draw, and no uniform falls below 0
         invert = _guide_inverse(cum[start:stop], layout.order[start:stop] * rows)
@@ -292,20 +296,19 @@ def _check_unit(u) -> None:
 def _guide_inverse(cum, targets):
     """``u -> targets[np.searchsorted(cum, u, side="right")]`` for uniforms ``u`` in ``[0, 1)``.
 
-    ``cum`` is a segment's cumulative mass over its total, ending at 1. The
-    inverse is a guide table (Chen & Asau 1974, "On generating random
-    variates from an empirical distribution"). Runs of equal ``cum`` values
-    (zero-weight actions) are collapsed into ``values``. Cell ``c`` of the
-    table covers ``[c / cells, (c + 1) / cells)`` with ``cells = 2**p`` at
-    least four per value, and ``start[c]`` counts the values at or below
-    ``c / cells``. A uniform in cell ``c`` lies at or above those and below
-    the values past the cell, so a branch-free binary search over the few
-    values strictly inside the cell finishes the count. ``u * cells`` is
-    exact and the rest are comparisons, so the count is searchsorted's bit
-    for bit. A uniform outside ``[0, 1)`` or NaN raises a ``ValueError``.
+    ``cum`` is a segment's non-decreasing cumulative mass over its total,
+    ending at 1. The inverse is a guide table (Chen & Asau 1974, "On
+    generating random variates from an empirical distribution"). Runs of
+    equal ``cum`` values (zero-weight actions) are collapsed into
+    ``values``. Cell ``c`` of the table covers ``[c / cells, (c + 1) /
+    cells)`` with ``cells = 2**p`` at least four per value, and
+    ``start[c]`` counts the values at or below ``c / cells``. A uniform in
+    cell ``c`` lies at or above those and below the values past the cell,
+    so a branch-free binary search over the few values strictly inside the
+    cell finishes the count. ``u * cells`` is exact and the rest are
+    comparisons, so the count is searchsorted's bit for bit. A uniform
+    outside ``[0, 1)`` or NaN raises a ``ValueError``.
     """
-    # a weight within tolerance below 0 can make cum dip; search its running maximum
-    cum = np.maximum.accumulate(cum)
     run_end = np.append(cum[1:] != cum[:-1], True)
     values = cum[run_end]
     targets = targets[np.append(True, run_end[:-1])]  # each run's first action

@@ -254,7 +254,7 @@ def test_criterion_08_projection_optimality(announce):
         z = rng.uniform(0.0, 1.0, n)
         y = rng.uniform(-2.0, 3.0, n)
         x = project_onto_feasible(y, z)
-        if not is_feasible(x, z, tol=1e-9):
+        if not is_feasible(x, z):
             ok = False
         if float(np.max(np.abs(project_onto_feasible(x, z) - x))) > 1e-10:
             ok = False

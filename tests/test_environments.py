@@ -53,44 +53,40 @@ def drawn_in_turn(spec):
 
 class TestSpecValidation:
     def test_all_violations_reported_at_once(self):
-        spec = EnvironmentSpec(kind="nope", n=0, T=0, seed=-1, beta_max=2.0)
         with pytest.raises(ValueError) as err:
-            spec.validate()
+            EnvironmentSpec(kind="nope", n=0, T=0, seed=-1, beta_max=2.0)
         msg = str(err.value)
         for fragment in ("unknown kind", "n must be", "T must be", "seed must be", "beta_max"):
             assert fragment in msg
 
     def test_shift_segments_capped_by_n(self):
         with pytest.raises(ValueError, match="shift_segments"):
-            spec_for("random_adversarial", shift_segments=7).validate()
+            spec_for("random_adversarial", shift_segments=7)
 
     def test_valid_spec_passes(self):
-        spec_for("knapsack_01").validate()
+        spec_for("knapsack_01")
 
     def test_bools_and_non_finite_numbers_rejected_together(self):
         inf, nan = float("inf"), float("nan")
-        spec = spec_for("random_adversarial", n=True, T=False, seed=True, shift_segments=True,
-                        r_max=inf, beta_max=True, c_max=-inf,
-                        cost_range=(0.0, inf), value_range=(nan, 1.0))
         with pytest.raises(ValueError) as err:
-            spec.validate()
+            spec_for("random_adversarial", n=True, T=False, seed=True, shift_segments=True,
+                     r_max=inf, beta_max=True, c_max=-inf,
+                     cost_range=(0.0, inf), value_range=(nan, 1.0))
         msg = str(err.value)
         for field in ("n", "T", "seed", "shift_segments", "r_max", "beta_max", "c_max",
                       "cost_range", "value_range"):
             assert f"; {field} must be" in msg or f": {field} must be" in msg
         for field in ("r_max", "c_max"):
             with pytest.raises(ValueError, match=f"{field} must be"):
-                spec_for("random_adversarial", **{field: True}).validate()
+                spec_for("random_adversarial", **{field: True})
 
     def test_c_max_limit_is_where_uniform_overflows(self):
-        spec = spec_for("random_adversarial", c_max=C_MAX_LIMIT)
-        spec.validate()
-        generate(spec)
+        generate(spec_for("random_adversarial", c_max=C_MAX_LIMIT))
         above = math.nextafter(C_MAX_LIMIT, math.inf)
         with pytest.raises(OverflowError):
             np.random.default_rng(0).uniform(-above, above)
         with pytest.raises(ValueError, match="c_max must be"):
-            spec_for("random_adversarial", c_max=above).validate()
+            spec_for("random_adversarial", c_max=above)
 
 
 class TestGenerators:
@@ -179,9 +175,9 @@ class TestGenerators:
         for start, r, c in blocks:
             check_block(action_set, r, c, start, spec)
 
-    def test_generate_blocks_validates_before_drawing(self):
+    def test_invalid_spec_is_refused_when_built(self):
         with pytest.raises(ValueError, match="invalid environment spec"):
-            generate_blocks(spec_for("knapsack_01", T=0))
+            spec_for("knapsack_01", T=0)
 
     def test_whole_stream_check_catches_mismatch(self):
         stream = generate(spec_for("knapsack_median"))
@@ -480,6 +476,17 @@ class TestStreamFiles:
             return
         got = read_stream(path).costs[0, 0]
         assert got == value and np.signbit(got) == np.signbit(value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2,1,x,y\n", "line 1: bad energy"),
+        ("2,1,0.25,0.5\n1,x,y,0,0\n", "line 2: bad reward/cost"),
+    ])
+    def test_first_bad_field_is_named(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(StreamFormatError,
+                           match=f"^{message}: could not convert string to float: 'x'$"):
+            read_stream(path)
 
     def test_lines_end_as_splitlines_ends_them(self, tmp_path):
         # \r\n is one line end; \r, \v, \f and \x1c-\x1e end a line too

@@ -45,6 +45,15 @@ def test_non_finite_input_rejected():
         project_onto_feasible([np.inf, 0.0], [0.1, 0.1])
 
 
+@pytest.mark.parametrize("y, z", [([2.0], [np.nan]), ([2.0], [np.inf]),
+                                  ([2.0, 2.0], [-1.0, 3.0])])
+def test_bad_energies_rejected(y, z):
+    # unchecked, these end in an IndexError, a nan point, and [1, 1/3] for the
+    # last, whose KKT point is [1, 2/3] (lam = 4/9)
+    with pytest.raises(ValueError, match="energies must be finite and non-negative"):
+        project_onto_feasible(y, z)
+
+
 def test_output_always_feasible():
     rng = np.random.default_rng(31)
     for _ in range(10_000):
@@ -52,7 +61,7 @@ def test_output_always_feasible():
         z = random_energies(rng, n, beta_max=1.0)
         y = rng.uniform(-2.0, 3.0, n)
         x = project_onto_feasible(y, z)
-        assert is_feasible(x, z, tol=1e-9)
+        assert is_feasible(x, z)
 
 
 def test_idempotence():

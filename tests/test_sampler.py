@@ -346,12 +346,19 @@ class TestGuideInverse:
         u = np.array([0.0, 0.1, 0.25, np.nextafter(0.25, 0.0), 0.9])
         npt.assert_array_equal(_guide_inverse(cum, targets)(u), [12, 12, 15, 12, 15])
 
-    def test_dip_searches_the_running_maximum(self):
-        # a weight within tolerance below 0 makes cum dip; the pick is the
-        # first action whose running maximum exceeds u
-        cum = np.array([0.5, 0.5 - 1e-10, 0.8, 1.0])
-        u = np.array([0.0, 0.5 - 2e-10, 0.5 - 1e-10, 0.5, 0.7, 0.9])
-        npt.assert_array_equal(_guide_inverse(cum, np.arange(4))(u), [0, 0, 0, 2, 2, 3])
+    def test_row_within_tolerance_draws_as_its_clamp(self):
+        # is_feasible admits the -1e-12 weight, which would make cum dip and
+        # leave the mass S = 1 - 1e-12 to a residual draw at u / S = 0.5, where
+        # the two searches disagree; its clamp [0.5, 0, 0.5] makes one full
+        # draw, at u = 0.5, of action 2
+        layout = RowLayout(ActionSet.from_energies(np.zeros(3)))
+        row = np.array([[0.5, -1e-12, 0.5]])
+        uniforms = np.full((2, layout.width), 0.5)
+        uniforms[:, 3] *= (0.5 - 1e-12) + 0.5  # the residual column
+        for weights in (row, np.repeat(row, 2, axis=0)):
+            npt.assert_array_equal(sample_block(weights, uniforms, layout), [[0, 0, 1]] * 2)
+            npt.assert_array_equal(sample_block(np.maximum(weights, 0.0), uniforms, layout),
+                                   [[0, 0, 1]] * 2)
 
     @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, 1.5, np.nan, np.inf, -np.inf])
     def test_uniform_outside_unit_interval_rejected(self, bad):
