@@ -37,22 +37,27 @@ random_adversarial    z at 0, costs at ``n``, rewards at ``n + Tn``; with
 
 A :class:`Stream` holds the ``(T, n)`` reward and cost matrices; trial ``t``
 is row ``t - 1`` of both. A stream checks its matrices once, when it is
-built, with whole-array operations, and an error names the first bad trial.
+built, with whole-array operations, and a :class:`TrialError` names the
+first bad trial.
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
 significant digits so a write/read round trip is bit-exact. Neither
 direction holds a file's text in memory: ``write_stream`` writes a block
-of rows at a time (:func:`write_rows`, which a run also appends its
-generated blocks with), and ``read_stream`` parses one trial line at a time
-from a buffered reader and keeps only the file's path and identity as
-the stream's ``source``. A replay saves the stream by copying that file,
+of ``BLOCK_ENTRIES // (2n)`` rows at a time (:func:`write_rows`, which a
+run also appends its generated blocks with), and ``read_stream`` reads
+trial lines back a block of that many lines at a time from a buffered
+reader (:func:`_trial_block`), casting a block in one ``np.loadtxt`` call
+when every line is spelled as ``write_rows`` spells it and line by line
+otherwise, and keeps only the file's path and identity as the stream's
+``source``. A replay saves the stream by copying that file,
 as it was read, not re-rendered with ``%.17g``, once it has checked that
 the file is still the one it parsed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import shutil
@@ -71,6 +76,18 @@ class StreamFormatError(ValueError):
 
     A path that is not a regular file is refused with a message that names it.
     """
+
+
+class TrialError(ValueError):
+    """A stream row that fails a :class:`Stream`'s check: its 1-based ``trial`` and ``reason``.
+
+    The message is ``trial <trial>: <reason>``; ``read_stream`` names the
+    trial's line instead, from the same two fields.
+    """
+
+    def __init__(self, trial: int, reason: str):
+        super().__init__(f"trial {trial}: {reason}")
+        self.trial, self.reason = trial, reason
 
 
 # Buffer of the reader that parses a stream file. Lines are about 4 KB at
@@ -193,8 +210,8 @@ def _first_bad_trial(rewards, costs, n: int) -> tuple[int, str] | None:
 class Stream:
     """A full instance: fixed energies plus (T, n) reward and cost matrices.
 
-    Building a stream checks its matrices once (a ``ValueError`` names the
-    first bad trial, see :func:`_first_bad_trial`), so every consumer takes
+    Building a stream checks its matrices once (a :class:`TrialError` names
+    the first bad trial, see :func:`_first_bad_trial`), so every consumer takes
     row ``t`` of ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
     A stream read from a file keeps that file's :class:`StreamSource`, so a
     run saves it by copying the file it was read from; a generated stream
@@ -212,7 +229,7 @@ class Stream:
                              f"got {self.rewards.shape} and {self.costs.shape}")
         bad = _first_bad_trial(self.rewards, self.costs, self.action_set.n)
         if bad is not None:
-            raise ValueError("trial %d: %s" % bad)
+            raise TrialError(*bad)
 
     @property
     def T(self) -> int:
@@ -344,7 +361,7 @@ def check_block(action_set: ActionSet, rewards, costs, start: int, spec: Environ
     """Check trials ``start + 1`` on, a block or a whole stream, before anything reads them.
 
     The rows first pass the check a :class:`Stream` makes when it is
-    built, whose ``ValueError`` names the absolute 1-based trial. Then one
+    built, whose :class:`TrialError` names the absolute 1-based trial. Then one
     ``ValueError`` lists every rule of the kind that the energies or the
     rows break. Each rule is one whole-array reduction, with no
     ``(rows, n)`` temporary: checked values are finite and their rewards
@@ -354,7 +371,7 @@ def check_block(action_set: ActionSet, rewards, costs, start: int, spec: Environ
     """
     bad = _first_bad_trial(rewards, costs, action_set.n)
     if bad is not None:
-        raise ValueError("trial %d: %s" % (start + bad[0], bad[1]))
+        raise TrialError(start + bad[0], bad[1])
     z, problems = action_set.z, []
     # no rows break no rule on their values
     r_top = rewards.max() if rewards.size else -np.inf
@@ -394,6 +411,11 @@ def stream_preamble(z, T: int) -> str:
     return ("%d,%d" + ",%.17g" * len(z) + "\n") % (len(z), T, *z.tolist())
 
 
+def _text_rows(n: int) -> int:
+    """Trial lines per block of stream text, written or read: ``max(1, BLOCK_ENTRIES // (2n))``."""
+    return max(1, BLOCK_ENTRIES // (2 * n))
+
+
 def write_rows(fh, rewards, costs, start: int) -> None:
     """Write one line per row of ``rewards``/``costs``, as trials ``start + 1`` on.
 
@@ -404,7 +426,7 @@ def write_rows(fh, rewards, costs, start: int) -> None:
     """
     n = rewards.shape[1]
     row = "%d" + ",%.17g" * (2 * n) + "\n"
-    rows = max(1, BLOCK_ENTRIES // (2 * n))
+    rows = _text_rows(n)
     for lo in range(0, len(rewards), rows):
         hi = lo + rows
         fh.write("".join(
@@ -420,8 +442,13 @@ def write_stream(stream: Stream, path) -> None:
         write_rows(fh, stream.rewards, stream.costs, 0)
 
 
-def _floats(fields, lineno: int, what: str) -> np.ndarray:
-    """The fields cast to a float array, in one cast.
+def _line_error(t: int, message: str) -> StreamFormatError:
+    """A ``StreamFormatError`` on trial ``t``'s line, line ``t + 1``: the preamble is line 1."""
+    return StreamFormatError(f"line {t + 1}: {message}")
+
+
+def _floats(fields, t: int, what: str) -> np.ndarray:
+    """The fields of trial ``t``'s line (0 for the preamble) cast to a float array, in one cast.
 
     The cast's ``ValueError`` names the first field that is not a float, as
     ``float()`` does, and becomes a ``StreamFormatError`` for the line.
@@ -429,7 +456,7 @@ def _floats(fields, lineno: int, what: str) -> np.ndarray:
     try:
         return np.array(fields, dtype=float)
     except ValueError as exc:
-        raise StreamFormatError(f"line {lineno}: bad {what}: {exc}") from None
+        raise _line_error(t, f"bad {what}: {exc}") from None
 
 
 def _lines(fh, size: int):
@@ -459,42 +486,90 @@ def _lines(fh, size: int):
         yield from lines
 
 
-def _trial_values(line: str | None, t: int, n: int) -> list:
-    """The ``2n`` value fields of trial ``t``'s line (None past the file's end), once checked."""
-    lineno = t + 1
-    if line is None:
-        raise StreamFormatError(f"line {lineno}: expected trial {t}, found end of file")
+def _trial_row(line: str, t: int, n: int) -> np.ndarray:
+    """The ``2n`` values of trial ``t``'s line, rewards then costs, checked and cast on their own.
+
+    A blank line, the field count and the trial tag are checked in that
+    order, then the values are cast (:func:`_floats`).
+    """
     if not line.strip():
-        raise StreamFormatError(f"line {lineno}: expected trial {t}, found a blank line")
+        raise _line_error(t, f"expected trial {t}, found a blank line")
     fields = line.split(",")
     if len(fields) != 1 + 2 * n:
-        raise StreamFormatError(
-            f"line {lineno}: expected {1 + 2 * n} fields (t, {n} rewards, {n} costs), got {len(fields)}")
+        raise _line_error(t, f"expected {1 + 2 * n} fields (t, {n} rewards, {n} costs), got {len(fields)}")
     try:
         tag = int(fields[0])
     except ValueError:
-        raise StreamFormatError(f"line {lineno}: trial index must be an integer, got {fields[0]!r}") from None
+        raise _line_error(t, f"trial index must be an integer, got {fields[0]!r}") from None
     if tag != t:
-        raise StreamFormatError(f"line {lineno}: expected trial {t}, got {tag}")
-    del fields[0]
-    return fields
+        raise _line_error(t, f"expected trial {t}, got {tag}")
+    return _floats(fields[1:], t, "reward/cost")
+
+
+def _trial_block(lines, start: int, count: int, n: int) -> np.ndarray:
+    """Trials ``start + 1`` to ``start + count`` as a ``(count, 2n)`` array, rewards then costs.
+
+    The block's lines are taken from ``lines`` (:func:`_lines`) first. When
+    each starts with its own ``t,`` and holds no ``\\x1f``, one
+    ``np.loadtxt`` call casts the whole block, tags included, in numpy's C
+    tokenizer. It refuses lines of unequal widths, so a cast ``2n + 1``
+    columns wide means ``2n`` commas on every line: the block is spelled
+    as :func:`write_rows` spells it. The tokenizer converts each field
+    with ``PyOS_string_to_double``, the routine under ``float()``, and
+    accepts a subset of what ``float()`` accepts (not ``1_000``), with the
+    same bits; the one exception is ``\\x1f`` around a value, which it
+    strips and ``float()`` rejects, hence that rule. Any other block, and
+    a block whose cast fails, goes a line at a time through
+    :func:`_trial_row`, the only source of messages: a non-ASCII byte
+    that ``lines`` raises on, or the end of the file, is reported once the
+    lines before it have passed, so the first bad line is named.
+    """
+    block, fault = [], None
+    try:
+        for line in itertools.islice(lines, count):
+            block.append(line)
+    except StreamFormatError as exc:  # a non-ASCII byte, after the lines before it
+        fault = exc
+    if fault is None and len(block) == count and all(
+            line.startswith(f"{t},") and "\x1f" not in line for t, line in enumerate(block, start + 1)):
+        try:
+            values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a field that is not a float, or lines of unequal widths
+            pass
+        else:
+            if values.shape[1] == 1 + 2 * n:
+                return values[:, 1:]
+    values = np.empty((count, 2 * n))
+    for i, line in enumerate(block):
+        values[i] = _trial_row(line, start + i + 1, n)
+    if fault is not None:
+        raise fault
+    if len(block) < count:
+        t = start + len(block) + 1
+        raise _line_error(t, f"expected trial {t}, found end of file")
+    return values
 
 
 def read_stream(path) -> Stream:
-    """Parse a stream file one trial line at a time.
+    """Parse a stream file a block of trial lines at a time.
 
     Only a regular file is read: anything else (a FIFO, a device, a
     directory) is refused with a ``StreamFormatError`` that names the path,
     before it is opened. The file is opened once; the identity ``os.fstat``
     gives then becomes, with the path, the stream's :class:`StreamSource`.
     At most the ``st_size`` bytes seen then are read, once, from a
-    buffered reader: each line is decoded as ASCII (:func:`_lines`), each
-    trial line's structure is checked, then its ``2n`` values are cast to
-    floats at once, before the next line is read, so an error names the
-    first bad line, whether the fault is a non-ASCII byte, in its structure
-    or in a value; a blank trial line is not named as the end of the file.
-    Bad energies, non-finite values and negative rewards are found after
-    the parse.
+    buffered reader: each line is decoded as ASCII (:func:`_lines`), and
+    the trial lines are read in blocks of the ``BLOCK_ENTRIES // (2n)``
+    lines :func:`write_rows` writes at a time, each block cast before the
+    next is read (:func:`_trial_block`): in one ``np.loadtxt`` call when
+    every line is spelled as ``write_rows`` spells it, else a line at a
+    time, each line's structure checked, then its ``2n`` values cast to
+    floats at once. The values are those of ``float()`` either way, and an
+    error names the first bad line, whether the fault is a non-ASCII byte,
+    in its structure or in a value; a blank trial line is not named as the
+    end of the file. Bad energies, non-finite values and negative rewards
+    are found after the parse, the last two by the :class:`Stream`'s own
+    check, whose :class:`TrialError` becomes the error of the trial's line.
     """
     path = os.fspath(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
@@ -517,7 +592,7 @@ def read_stream(path) -> Stream:
             raise StreamFormatError(f"line 1: n and T must be positive, got n={n}, T={T}")
         if len(head) != 2 + n:
             raise StreamFormatError(f"line 1: expected {2 + n} fields (n, T, {n} energies), got {len(head)}")
-        z = _floats(head[2:], 1, "energy")
+        z = _floats(head[2:], 0, "energy")
 
         # A trial line that parses holds 2n + 1 non-empty fields and 2n commas and
         # follows a line end, so the file's size bounds the rows: a preamble T
@@ -525,20 +600,19 @@ def read_stream(path) -> Stream:
         rows = min(T, size // (4 * n + 2))
         rewards = np.empty((rows, n))
         costs = np.empty((rows, n))
-        for t in range(1, T + 1):
-            row = _floats(_trial_values(next(lines, None), t, n), t + 1, "reward/cost")
-            rewards[t - 1] = row[:n]
-            costs[t - 1] = row[n:]
-        for lineno, line in enumerate(lines, T + 2):
+        per_block = _text_rows(n)
+        for start in range(0, T, per_block):
+            values = _trial_block(lines, start, min(per_block, T - start), n)
+            rewards[start:start + len(values)] = values[:, :n]
+            costs[start:start + len(values)] = values[:, n:]
+        for t, line in enumerate(lines, T + 1):
             if line.strip():
-                raise StreamFormatError(f"line {lineno}: trailing data after trial {T}")
+                raise _line_error(t, f"trailing data after trial {T}")
     try:
         action_set = ActionSet.from_energies(z)
     except ValueError as exc:
         raise StreamFormatError(f"line 1: {exc}") from None
     try:
         return Stream(action_set, rewards, costs, source=StreamSource(path, identity))
-    except ValueError:
-        # the stream's own check failed; find the same row again to name its line
-        t, reason = _first_bad_trial(rewards, costs, n)
-        raise StreamFormatError(f"line {t + 1}: {reason}") from None
+    except TrialError as exc:
+        raise _line_error(exc.trial, exc.reason) from None

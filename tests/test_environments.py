@@ -607,3 +607,155 @@ class TestStreamFiles:
         assert path.stat().st_size > 4_000_000
         assert write_peak < 2_000_000
         assert read_peak - start < back.rewards.nbytes + back.costs.nbytes + 1_000_000
+
+
+def read_outcome(path):
+    """What ``read_stream`` makes of a file: its arrays' bytes, or its error's type and message."""
+    try:
+        stream = read_stream(path)
+    except ValueError as exc:  # StreamFormatError among them
+        return type(exc), str(exc)
+    return tuple(a.tobytes() for a in (stream.action_set.z, stream.rewards, stream.costs))
+
+
+def per_line_outcome(path, monkeypatch):
+    """:func:`read_outcome` with every block cast refused, so each line is read on its own."""
+    def refuse(*args, **kwargs):
+        raise ValueError("block cast refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", refuse)
+        return read_outcome(path)
+
+
+def mutate(rng, data: bytes) -> bytes:
+    """``data`` with one seeded edit of a value, a tag, a line, a byte or the line ends."""
+    lines = data.split(b"\n")
+    k = int(rng.integers(len(lines)))
+    fields = lines[k].split(b",")
+    kind = int(rng.integers(8))
+    if kind == 0 and len(fields) > 1:  # a value spelled another way, or not a value
+        fields[int(rng.integers(1, len(fields)))] = bytes(rng.choice(
+            [b"1_000", b"+.5", b"5.", b"-0", b"1e-400", b"1e500", b"nan", b"-inf", b" 0.5",
+             b"0.5\t", b"0x10", b"", b"0.1 0.2", b"00.25", b"-1", b"Infinity", b"1__0", b"\x1f1"]))
+    elif kind == 1:  # a tag spelled another way, or another tag
+        tag = fields[0]
+        fields[0] = bytes(rng.choice([b"+" + tag, b"0" + tag, b" " + tag, tag + b" ", tag + b".0",
+                                      b"x", b"", b"%d" % (k + 1), b"%d" % (k - 2)]))
+    elif kind == 2 and len(fields) > 1:  # a field dropped
+        del fields[int(rng.integers(len(fields)))]
+    lines[k] = b",".join(fields)
+    if kind == 3:  # a line dropped, duplicated, blank or of spaces
+        lines[k:k + 1] = [[], [lines[k]] * 2, [lines[k], b""], [b" \t", lines[k]]][int(rng.integers(4))]
+    data = b"\n".join(lines)
+    at = int(rng.integers(len(data) + 1))
+    if kind == 4:
+        data = data[:at] + bytes(rng.choice([b"\xe9", b"\x1f", b"\r", b"\x1c", b",", b"\x0c"])) + data[at:]
+    elif kind == 5:
+        data = data[:at]
+    elif kind == 6:
+        data = data.replace(b"\n", b"\r\n")
+    return data
+
+
+class TestBlockReads:
+    """Trial lines are read a block at a time and cast in one ``np.loadtxt`` call when canonical."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # 4 lines per block at n = 2, so a small file spans several blocks
+        monkeypatch.setattr(environments, "BLOCK_ENTRIES", 16)
+        return 4
+
+    def blocks_file(self, tmp_path, n, T):
+        stream = generate(spec_for("random_adversarial", n=n, T=T, seed=2))
+        path = tmp_path / "s.csv"
+        write_stream(stream, path)
+        return path, stream
+
+    def test_mutated_files_read_as_line_by_line(self, tmp_path, monkeypatch, small_blocks):
+        path, stream = self.blocks_file(tmp_path, 2, 13)
+        stream.rewards[3] = [0.0, -0.0]  # edge values, which the writer spells 0 and -0
+        stream.costs[5] = [5e-324, -1e308]
+        write_stream(stream, path)
+        data = path.read_bytes()
+        casts = []
+        real = np.loadtxt
+
+        def counted(*args, **kwargs):
+            casts.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for i in range(600):
+            path.write_bytes(data if i == 0 else mutate(rng, data))
+            got = read_outcome(path)
+            assert got == per_line_outcome(path, monkeypatch), path.read_bytes()
+            outcomes.add(got[0] if isinstance(got[0], type) else "read")
+        # both paths ran, and some files were read and others refused
+        assert casts and min(casts) == 1 and max(casts) == small_blocks
+        assert outcomes == {"read", StreamFormatError}
+
+    def test_unit_separator_around_a_value_is_refused_as_float_refuses_it(self, tmp_path):
+        # np.loadtxt strips \x1f around a field; float() and the stream do not
+        rows = BLOCK_ENTRIES // 200  # trial lines per block at n = 100
+        path, _ = self.blocks_file(tmp_path, 100, 2 * rows + 3)
+        lines = path.read_text().splitlines()
+        fields = lines[rows + 5].split(",")
+        bad = fields[7] = "\x1f" + fields[7]
+        lines[rows + 5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as refused:
+            float(bad)
+        with pytest.raises(StreamFormatError) as exc:
+            read_stream(path)
+        assert str(exc.value) == f"line {rows + 6}: bad reward/cost: {refused.value}"
+
+    @pytest.mark.parametrize("edit", ["+tag", "0tag", "space", "underscores"])
+    def test_other_spellings_in_a_middle_block_read_as_the_canonical_one(self, tmp_path, edit):
+        rows = BLOCK_ENTRIES // 200
+        path, stream = self.blocks_file(tmp_path, 100, 3 * rows)
+        stream.costs[rows + 9, 4] = 1000.0
+        write_stream(stream, path)
+        lines = path.read_text().splitlines()
+        t = rows + 10  # the middle block's tenth trial, on line t + 1
+        fields = lines[t].split(",")
+        if edit == "+tag":
+            fields[0] = f"+{t}"
+        elif edit == "0tag":
+            fields[0] = f"0{t}"
+        elif edit == "space":
+            fields[1] = " " + fields[1]
+        else:
+            assert fields[1 + 100 + 4] == "1000"
+            fields[1 + 100 + 4] = "1_000"
+        lines[t] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        back = read_stream(path)
+        npt.assert_array_equal(back.rewards, stream.rewards)
+        npt.assert_array_equal(back.costs, stream.costs)
+
+    def test_end_of_file_inside_a_block_names_the_missing_trial(self, tmp_path, small_blocks):
+        path, _ = self.blocks_file(tmp_path, 2, 13)
+        lines = path.read_text().splitlines()
+        # trials 1 to 6: the second block ends after two of its four lines
+        path.write_text("\n".join(lines[:7]) + "\n")
+        with pytest.raises(StreamFormatError, match="^line 8: expected trial 7, found end of file$"):
+            read_stream(path)
+
+    def test_a_bad_trial_is_found_once(self, tmp_path, monkeypatch):
+        # the stream's own check names the trial; the reader maps it to its line
+        path = tmp_path / "s.csv"
+        path.write_text("1,3,0.25\n1,0.5,0.1\n2,0.5,nan\n3,-0.5,0.3\n")
+        calls = []
+        real = environments._first_bad_trial
+        monkeypatch.setattr(environments, "_first_bad_trial",
+                            lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(StreamFormatError, match="^line 3: rewards and costs must be finite$"):
+            read_stream(path)
+        assert len(calls) == 1
+        with pytest.raises(environments.TrialError, match="^trial 2: rewards and costs must be finite$") as exc:
+            Stream(ActionSet.from_energies([0.25]), np.array([[0.5], [0.5]]), np.array([[0.1], [np.nan]]))
+        assert (exc.value.trial, exc.value.reason) == (2, "rewards and costs must be finite")
