@@ -6,7 +6,7 @@ Config files are JSON with an explicit version::
       "version": 1,
       "environment": {"kind": "knapsack_01", "n": 8, "T": 500, "seed": 7},
       "seeds": [0, 1, 2],
-      "output_dir": "out",        // optional
+      "output_dir": "out",        // optional, non-empty; --out replaces it
       "bound_check": true          // optional, default false
     }
 
@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import accumulate, count
 from pathlib import Path
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import ActionSet, selection_profits
 from .environments import (EnvironmentSpec, Stream, check_block, generate, generate_blocks,
-                           read_stream, stream_preamble, write_rows, write_stream)
+                           read_stream, stream_preamble, write_rows)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -163,6 +163,8 @@ def parse_config(data) -> ExperimentConfig:
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         problems.append(f"output_dir must be a string, got {_type_name(output_dir)}")
+    elif output_dir == "":  # Path("") is the working directory
+        problems.append("output_dir must not be empty")
     bound_check = data.get("bound_check", False)
     if not isinstance(bound_check, bool):
         problems.append(f"bound_check must be a boolean, got {_type_name(bound_check)}")
@@ -175,7 +177,12 @@ def parse_config(data) -> ExperimentConfig:
                             output_dir=output_dir, bound_check=bound_check)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, output_dir: str | None = None) -> ExperimentConfig:
+    """Read and check the config file at ``path``.
+
+    An ``output_dir`` given here (``--out``) replaces the file's before the
+    check, so it is checked as the file's would be.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -186,23 +193,9 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if output_dir is not None and isinstance(data, dict):
+        data["output_dir"] = output_dir
     return parse_config(data)
-
-
-def _revealed(action_set, blocks, spec: EnvironmentSpec, saved):
-    """Pass generated ``(start, rewards, costs)`` blocks on, each once checked and saved.
-
-    :func:`~budgetmax.environments.check_block` and ``write_rows`` (to
-    ``saved``, the stream file with its preamble written, or None) read the
-    block's ``start``. A block is drawn, checked and saved only when the
-    learner asks for it, after the block before it has been drawn and traced.
-    """
-    for start, rewards, costs in blocks:
-        check_block(action_set, rewards, costs, start, spec)
-        if saved is not None:
-            with open(saved, "a", encoding="ascii", newline="\n") as fh:
-                write_rows(fh, rewards, costs, start)
-        yield start, rewards, costs
 
 
 def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> RunReport:
@@ -214,39 +207,42 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     whole block by one :func:`~budgetmax.sampler.draw_trials` call before
     the next is learned. Unless a
     stream is passed in (replay), each block is generated only when the
-    learner asks for it (:func:`~budgetmax.environments.generate_blocks`)
-    and checked first (:func:`_revealed`), so a generated run holds one
-    block of trials and one of learner state, whatever ``T`` is. A stream
-    passed in is whole in memory already: it is checked against the
-    config's shape, then whole by
-    :func:`~budgetmax.environments.check_block`, before any output, and
-    read in row slices. ``r_hat`` and ``c_hat`` are the maxima of the blocks'
+    learner asks for it (:func:`~budgetmax.environments.generate_blocks`),
+    so a generated run holds one block of trials and one of learner state,
+    whatever ``T`` is. A stream passed in is whole in memory already: it is
+    checked against the config's shape, and read in row slices. Each run
+    makes one :func:`~budgetmax.environments.check_block` call, before any
+    output: on the whole of a stream passed in, and on a generated
+    stream's energies alone (no rows), since its generator keeps every
+    rule on values. ``r_hat`` and ``c_hat`` are the maxima of the blocks'
     maxima. A bound check regenerates the stream (``n`` is at most
     ``MAX_EXHAUSTIVE_ACTIONS``) for its comparator after the pass.
 
     With an ``output_dir``, every file is written under ``<name>.tmp``:
     ``stream.csv`` first (a copy of a replayed stream's ``source`` file,
-    ``write_stream`` of a stream passed in without one, or a generated
-    stream's preamble, to which :func:`_revealed` appends each block's
-    rows), then one ``trace_seed<k>.csv`` per seed, each created with its
-    header before the first block and appended to once per block, and
-    ``report.json`` last. A file is open only while one block's rows are
-    appended to it, so one is open at a time however many seeds a config
-    lists. The copy fails with an ``OSError`` naming the file if that file
-    changed after it was read. Any exception, in any block, unlinks them
-    all; otherwise they are renamed in that order, so a ``report.json``
-    marks a complete run.
+    or else the stream's preamble, to which each block's rows are appended
+    as the block is learned), then one ``trace_seed<k>.csv`` per seed,
+    each created with its header before the first block and appended to
+    once per block, and ``report.json`` last. A file is open only while
+    one block's rows are appended to it, so one is open at a time however
+    many seeds a config lists. The copy fails with an ``OSError`` naming
+    the file if that file changed after it was read. Any exception, in any
+    block, unlinks them all; otherwise they are renamed in that order, so
+    a ``report.json`` marks a complete run.
     """
     env = config.environment
     if stream is None:
         action_set, blocks = generate_blocks(env)
+        rewards = costs = np.empty((0, env.n))  # its rows keep every rule by construction
+        source = None
     else:
         if (stream.n, stream.T) != (env.n, env.T):
             raise ConfigError(
                 f"stream shape (n={stream.n}, T={stream.T}) does not match "
                 f"config (n={env.n}, T={env.T})")
-        check_block(stream.action_set, stream.rewards, stream.costs, 0, env)
         action_set, blocks = stream.action_set, stream.blocks()
+        rewards, costs, source = stream.rewards, stream.costs, stream.source
+    check_block(action_set, rewards, costs, env)
 
     out_dir = None if config.output_dir is None else Path(config.output_dir)
     temps = []  # every output file under its temporary name, in rename order
@@ -256,19 +252,16 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         return temps[-1]
 
     try:
-        saved = None
+        appended = None  # the stream file each block's rows are appended to
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
             saved = create("stream.csv")
-            if stream is None:
+            if source is not None:
+                source.copy_to(saved)  # a replay saves the file it parsed
+            else:
                 with open(saved, "w", encoding="ascii", newline="\n") as fh:
                     fh.write(stream_preamble(action_set.z, env.T))
-            elif stream.source is None:
-                write_stream(stream, saved)
-            else:
-                stream.source.copy_to(saved)  # a replay saves the file it parsed
-        if stream is None:
-            blocks = _revealed(action_set, blocks, env, saved)
+                appended = saved
         layout = RowLayout(action_set)
         traces = []
         if out_dir:
@@ -279,6 +272,9 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         per_seed = [0.0] * len(config.seeds)
         r_hat = c_hat = 0.0
         for start, rewards, costs, block in learn_blocks(action_set, blocks):
+            if appended is not None:
+                with open(appended, "a", encoding="ascii", newline="\n") as fh:
+                    write_rows(fh, rewards, costs, start)
             r_hat = max(r_hat, float(rewards.max()))
             c_hat = max(c_hat, float(costs.max()), float(-costs.min()))
             if traces:  # each trial's grad_norm and eta, formatted once for every seed
@@ -408,10 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _require_config(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError(f"{args.command} requires --config")
-    config = load_config(args.config)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
-    return config
+    return load_config(args.config, args.out)
 
 
 def main(argv=None, out=None) -> int:

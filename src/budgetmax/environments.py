@@ -38,7 +38,13 @@ random_adversarial    z at 0, costs at ``n``, rewards at ``n + Tn``; with
 A :class:`Stream` holds the ``(T, n)`` reward and cost matrices; trial ``t``
 is row ``t - 1`` of both. A stream checks its matrices once, when it is
 built, with whole-array operations, and a :class:`TrialError` names the
-first bad trial.
+first bad trial. :func:`check_block` checks a kind's rules on its energies
+and rows. Generated rows need neither check: from a valid spec, every
+value is finite, rewards lie in ``[0, r_max]``, ``facility_location``
+costs are at least ``cost_range[0] >= 0``, ``knapsack_median`` costs are
+zero, ``knapsack_01`` costs are at most 0 and ``random_adversarial`` costs
+lie within ``c_max``. Only energies can break their kind's rule:
+``beta_max * (1 - u)`` underflows to 0 when ``beta_max`` is subnormal.
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
@@ -340,8 +346,8 @@ def generate_blocks(spec: EnvironmentSpec):
     stack to the spec's ``(T, n)`` matrices. Each matrix comes from its own
     generator, advanced to the draw where the module docstring's table
     puts it, so only one block of trials is drawn and held at a time. The
-    blocks are not checked: a :class:`Stream` checks its matrices, and a
-    run checks each block.
+    blocks are not checked: they keep every rule on values by construction
+    (see the module docstring), so a run checks the energies alone.
     """
     z, blocks = _GENERATORS[spec.kind](spec)
     return ActionSet.from_energies(z), blocks
@@ -357,21 +363,19 @@ def generate(spec: EnvironmentSpec) -> Stream:
     return Stream(action_set, rewards, costs)
 
 
-def check_block(action_set: ActionSet, rewards, costs, start: int, spec: EnvironmentSpec) -> None:
-    """Check trials ``start + 1`` on, a block or a whole stream, before anything reads them.
+def check_block(action_set: ActionSet, rewards, costs, spec: EnvironmentSpec) -> None:
+    """Check energies and rows, a block or a whole stream, against the rules of the spec's kind.
 
-    The rows first pass the check a :class:`Stream` makes when it is
-    built, whose :class:`TrialError` names the absolute 1-based trial. Then one
-    ``ValueError`` lists every rule of the kind that the energies or the
-    rows break. Each rule is one whole-array reduction, with no
-    ``(rows, n)`` temporary: checked values are finite and their rewards
-    non-negative, so the largest reward and the extreme costs decide every
-    rule, and blocks that each pass them make a stream that passes them.
-    The shape is the caller's to check, once.
+    One ``ValueError`` lists every rule of the kind that the energies or
+    the rows break. The rows must already have passed the check a
+    :class:`Stream` makes when it is built (or come from a generator, whose
+    rows pass it), so their values are finite and their rewards
+    non-negative: the largest reward and the extreme costs then decide
+    every rule, each one whole-array reduction with no ``(rows, n)``
+    temporary, and blocks that each pass make a stream that passes. No
+    rows, ``(0, n)`` arrays, break no rule on values, so they check the
+    energies alone. The shape is the caller's to check, once.
     """
-    bad = _first_bad_trial(rewards, costs, action_set.n)
-    if bad is not None:
-        raise TrialError(start + bad[0], bad[1])
     z, problems = action_set.z, []
     # no rows break no rule on their values
     r_top = rewards.max() if rewards.size else -np.inf

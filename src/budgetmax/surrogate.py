@@ -165,9 +165,10 @@ def learn_blocks(action_set: ActionSet, blocks):
     trajectory because drawing a trial's selection and scoring it needs
     both, and the caller may not hold the blocks otherwise. The values
     are not checked here (a :class:`~budgetmax.environments.Stream` checks
-    its matrices when built, a run checks each generated block). The step
-    on a trial reads only the current weights and that trial's row, so the
-    pass holds one block of state; each trajectory's arrays are read-only.
+    its matrices when built, and generated blocks pass that check by
+    construction). The step on a trial reads only the current weights and
+    that trial's row, so the pass holds one block of state; each
+    trajectory's arrays are read-only.
 
     Raises
     ------

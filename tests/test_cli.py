@@ -250,26 +250,29 @@ class TestRunExperiment:
         assert '"r_hat": 0.0,' in report and '"c_hat": 0.0,' in report
 
     def test_each_run_checks_the_pattern_once(self, tmp_path, monkeypatch):
-        # a generated run checks each block once, as it is generated; a replay
-        # checks its parsed stream once, whole, before any output
+        # a generated run checks its energies once (no rows: its generator
+        # keeps every rule on values), a replay its parsed stream once, whole,
+        # each before the output directory exists
         import budgetmax.cli as cli
         import budgetmax.environments as environments
         calls = []
 
-        def counted_block(action_set, rewards, costs, start, spec):
-            calls.append(("block", start, len(rewards)))
-            return check_block(action_set, rewards, costs, start, spec)
+        def counted_block(action_set, rewards, costs, spec):
+            calls.append((rewards.shape, costs.shape, out.exists()))
+            return check_block(action_set, rewards, costs, spec)
 
         check_block = environments.check_block
         monkeypatch.setattr(cli, "check_block", counted_block)
         # n = 2000 generates 8 trials per block: 8/8/4
         env = {"kind": "knapsack_01", "n": 2000, "T": 20, "seed": 3}
-        out = tmp_path / "out"
+        out = tmp_path / "run"
         run_experiment(parse_config(good_config(environment=env, output_dir=str(out))))
-        assert calls == [("block", 0, 8), ("block", 8, 8), ("block", 16, 4)]
+        assert calls == [((0, 2000), (0, 2000), False)]
         calls.clear()
-        run_experiment(parse_config(good_config(environment=env)), read_stream(out / "stream.csv"))
-        assert calls == [("block", 0, 20)]
+        stream = read_stream(out / "stream.csv")
+        out = tmp_path / "replay"
+        run_experiment(parse_config(good_config(environment=env, output_dir=str(out))), stream)
+        assert calls == [((20, 2000), (20, 2000), False)]
 
     def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
         traces = []
@@ -501,6 +504,32 @@ class TestMain:
         assert capsys.readouterr().err == f"error: invalid config: seeds must be below 2**128, got {2**128}\n"
         assert not out.exists()
 
+    def test_empty_output_dir_exits_1_before_writing(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory, which must stay empty whichever
+        # spelling names it: the config's key, or --out over a valid key
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for data, out in ((good_config(output_dir=""), []),
+                          (good_config(output_dir=str(tmp_path / "out")), ["--out", ""])):
+            cfg = self.write_config(tmp_path, data)
+            assert main(["--config", cfg, *out, "run"]) == 1
+            assert capsys.readouterr().err == "error: invalid config: output_dir must not be empty\n"
+            assert list(cwd.iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["knapsack_median", "knapsack_01"])
+    def test_energies_that_underflow_exit_1_before_writing(self, tmp_path, capsys, kind):
+        # beta_max * (1 - u) rounds to 0 at the smallest subnormal beta_max
+        # whenever u >= 0.5, which breaks the kind's energy rule
+        env = {"kind": kind, "n": 8, "T": 20, "seed": 1, "beta_max": 5e-324}
+        cfg = self.write_config(tmp_path, good_config(environment=env))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 1
+        assert capsys.readouterr().err == (f"error: {kind} constraints violated: "
+                                           "energies must lie in (0, beta_max]\n")
+        assert not out.exists()
+
     def test_gradient_norm_overflow_exits_1_naming_the_trial(self, tmp_path, capsys):
         # every reward and cost is finite, but |g| overflows on the first trial
         env = {"kind": "random_adversarial", "n": 4, "T": 20, "r_max": 1e308}
@@ -554,7 +583,9 @@ class TestMain:
 
     def test_bad_generated_block_names_its_trial_and_leaves_no_file(self, tmp_path, capsys,
                                                                     monkeypatch):
-        # n = 2000 generates 8 trials per block: row 2 of the second is trial 11
+        # n = 2000 generates 8 trials per block: row 2 of the second is trial 11.
+        # No generator makes a nan, so none is checked for; the learner's guard
+        # stops it
         def spoil(rewards):
             rewards[2, 5] = np.nan
 
@@ -563,7 +594,8 @@ class TestMain:
         cfg = self.write_config(tmp_path, good_config(environment=env))
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "run"]) == 1
-        assert capsys.readouterr().err == "error: trial 11: rewards and costs must be finite\n"
+        assert capsys.readouterr().err == ("error: trial 11: the surrogate gradient norm is not "
+                                           "finite (nan); rewards or costs are too large\n")
         assert list(out.iterdir()) == []
 
     def test_memory_error_exits_2_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):

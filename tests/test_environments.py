@@ -172,8 +172,8 @@ class TestGenerators:
         stream = generate(spec)
         assert stream.rewards.tobytes() == rewards.tobytes()
         assert stream.costs.tobytes() == costs.tobytes()
-        for start, r, c in blocks:
-            check_block(action_set, r, c, start, spec)
+        for _, r, c in blocks:
+            check_block(action_set, r, c, spec)
 
     def test_invalid_spec_is_refused_when_built(self):
         with pytest.raises(ValueError, match="invalid environment spec"):
@@ -182,7 +182,7 @@ class TestGenerators:
     def test_whole_stream_check_catches_mismatch(self):
         stream = generate(spec_for("knapsack_median"))
         with pytest.raises(ValueError, match="costs must all be zero"):
-            check_block(stream.action_set, stream.rewards, stream.costs + 0.5, 0,
+            check_block(stream.action_set, stream.rewards, stream.costs + 0.5,
                         spec_for("knapsack_median"))
 
     @pytest.mark.parametrize("kind, where, value, message", [
@@ -205,7 +205,7 @@ class TestGenerators:
     def test_check_block_names_each_broken_rule(self, kind, where, value, message):
         spec = spec_for(kind)
         stream = generate(spec)
-        check_block(stream.action_set, stream.rewards, stream.costs, 0, spec)
+        check_block(stream.action_set, stream.rewards, stream.costs, spec)
         z, rewards, costs = stream.action_set.z.copy(), stream.rewards.copy(), stream.costs.copy()
         if where == "z":
             z[2] = value
@@ -215,20 +215,50 @@ class TestGenerators:
         # the whole stream, and a block holding the broken row, break the same rule
         for lo, hi in ((0, spec.T), (16, 24)):
             with pytest.raises(ValueError) as info:
-                check_block(action_set, rewards[lo:hi], costs[lo:hi], lo, spec)
+                check_block(action_set, rewards[lo:hi], costs[lo:hi], spec)
             assert str(info.value) == f"{kind} constraints violated: {message}"
         if where != "z":
-            check_block(action_set, rewards[24:], costs[24:], 24, spec)
+            check_block(action_set, rewards[24:], costs[24:], spec)
 
-    @pytest.mark.parametrize("value, reason", [(-0.5, "negative reward"),
-                                               (np.nan, "rewards and costs must be finite")])
-    def test_check_block_names_the_absolute_trial(self, value, reason):
-        spec = spec_for("random_adversarial")
-        stream = generate(spec)
-        rewards = stream.rewards[16:24].copy()
-        rewards[3, 1] = value
-        with pytest.raises(ValueError, match=f"^trial 20: {reason}$"):
-            check_block(stream.action_set, rewards, stream.costs[16:24], 16, spec)
+    def test_generated_rows_keep_every_rule_at_the_edges_of_a_spec(self, monkeypatch):
+        # a run checks a generated stream by its energies alone (no rows), so
+        # at every valid spec each generated block must pass the Stream's row
+        # check and its kind's rules; only energies that underflow can fail
+        monkeypatch.setattr(environments, "BLOCK_ENTRIES", 48)
+        rng = np.random.default_rng(26)
+        tiny, big = 5e-324, float(np.finfo(float).max)
+        edges = (0.0, tiny, 1.0, 1e300, big)
+
+        def pick(values, size=None):
+            return rng.choice(np.array(values), size).tolist()
+
+        def verdict(action_set, rewards, costs, spec):
+            try:
+                check_block(action_set, rewards, costs, spec)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        failed = set()
+        for _ in range(1000):
+            n = int(rng.integers(1, 13))
+            spec = EnvironmentSpec(
+                kind=pick(KINDS), n=n, T=int(rng.integers(1, 30)), seed=int(rng.integers(2**32)),
+                r_max=pick(edges), cost_range=tuple(sorted(pick(edges, 2))),
+                value_range=tuple(sorted(pick(edges, 2))),
+                c_max=pick((0.0, tiny, 1.0, C_MAX_LIMIT)),
+                beta_max=pick((tiny, 1e-320, 1e-310, 0.49, 1.0)),
+                shift_segments=int(rng.integers(0, min(n, 4) + 1)))
+            action_set, blocks = generate_blocks(spec)
+            no_rows = np.empty((0, n))
+            energies = verdict(action_set, no_rows, no_rows, spec)
+            if energies is not None:
+                assert energies == f"{spec.kind} constraints violated: energies must lie in (0, beta_max]"
+                failed.add(spec.kind)
+            for _, rewards, costs in blocks:
+                assert environments._first_bad_trial(rewards, costs, n) is None
+                assert verdict(action_set, rewards, costs, spec) == energies
+        assert failed == {"knapsack_median", "knapsack_01"}
 
 
 class TestStreamChecks:
