@@ -11,7 +11,8 @@ Config files are JSON with an explicit version::
     }
 
 Unknown keys anywhere are errors, and validation reports every violation at
-once. A run writes one CSV trace per engine seed plus the generated stream
+once; an :class:`ExperimentConfig` built in code is checked by the same
+rules. A run writes one CSV trace per engine seed plus the generated stream
 (so it can be replayed) and a JSON report, each under a temporary name
 until the run has succeeded. A replay copies the stream file it
 read, not a ``%.17g`` re-rendering, once it has checked that the file has
@@ -66,10 +67,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: an environment, its engine seeds and where to write.
+
+    A config checks itself when it is built: one :class:`ConfigError` lists
+    every violation, so a library caller cannot run a config that
+    :func:`parse_config` would refuse.
+    """
+
     environment: EnvironmentSpec
     seeds: tuple
     output_dir: str | None = None
     bound_check: bool = False
+
+    def __post_init__(self):
+        env = self.environment
+        valid = isinstance(env, EnvironmentSpec)
+        problems = [] if valid else [f"environment must be an EnvironmentSpec, got {_type_name(env)}"]
+        problems += _run_problems(env.n if valid else None,
+                                  self.seeds, self.output_dir, self.bound_check)
+        if problems:
+            raise ConfigError("invalid config: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -151,7 +168,24 @@ def parse_config(data) -> ExperimentConfig:
                 problems.append(str(exc))
 
     seeds = data.get("seeds")
-    if not (isinstance(seeds, list) and seeds
+    output_dir = data.get("output_dir")
+    bound_check = data.get("bound_check", False)
+    problems += _run_problems(None if env_spec is None else env_spec.n,
+                              seeds, output_dir, bound_check)
+    if problems:
+        raise ConfigError("invalid config: " + "; ".join(problems))
+    return ExperimentConfig(environment=env_spec, seeds=tuple(seeds),
+                            output_dir=output_dir, bound_check=bound_check)
+
+
+def _run_problems(n, seeds, output_dir, bound_check) -> list[str]:
+    """The violations among a config's seeds, ``output_dir`` and ``bound_check``.
+
+    ``n`` is the environment's action count, or None when the environment is
+    invalid (its own violations are reported apart).
+    """
+    problems = []
+    if not (isinstance(seeds, (list, tuple)) and seeds
             and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
         problems.append(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
         seeds = []
@@ -160,21 +194,15 @@ def parse_config(data) -> ExperimentConfig:
     if any(s >= 2**128 for s in seeds):  # Philox keys are 128-bit
         problems.append(f"seeds must be below 2**128, got {max(seeds)}")
 
-    output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         problems.append(f"output_dir must be a string, got {_type_name(output_dir)}")
     elif output_dir == "":  # Path("") is the working directory
         problems.append("output_dir must not be empty")
-    bound_check = data.get("bound_check", False)
     if not isinstance(bound_check, bool):
         problems.append(f"bound_check must be a boolean, got {_type_name(bound_check)}")
-    elif bound_check and env_spec is not None and env_spec.n > MAX_EXHAUSTIVE_ACTIONS:
-        problems.append(f"bound_check needs n <= {MAX_EXHAUSTIVE_ACTIONS}, got {env_spec.n}")
-
-    if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
-    return ExperimentConfig(environment=env_spec, seeds=tuple(seeds),
-                            output_dir=output_dir, bound_check=bound_check)
+    elif bound_check and n is not None and n > MAX_EXHAUSTIVE_ACTIONS:
+        problems.append(f"bound_check needs n <= {MAX_EXHAUSTIVE_ACTIONS}, got {n}")
+    return problems
 
 
 def load_config(path, output_dir: str | None = None) -> ExperimentConfig:

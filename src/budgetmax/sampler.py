@@ -51,7 +51,9 @@ Variate Generation"), and in floating point ``u < r`` implies ``u / r <
 shared by many rows (Monte Carlo) each segment's ``k`` comes from a guide
 table built once per block, which inverts ``cum`` exactly (Chen & Asau
 1974); a weight row per row makes one search over all the draws of its
-rows.
+rows. Every selection returned is checked against the budget once more:
+by its member count where ``count * beta`` fits (:attr:`RowLayout.cleared`),
+else by summing its energies.
 
 The uniforms of engine seed ``s`` are ``Generator(Philox(key=s))`` doubles
 (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3"), read
@@ -96,12 +98,28 @@ class RowLayout:
     (1 - sqrt(beta))**2``. ``width`` is the row width ``K`` (a multiple of
     4): each segment's ``full_columns`` full-draw columns, then its residual
     column (``residual_columns``; ``is_residual`` marks them), then padding.
-    The remaining attributes index the columns of a row and the concatenated
-    segments (``order`` lists their actions, segment by segment).
+    ``cleared`` is the most members a selection can have and still be known
+    to fit the unit budget by its count alone. The remaining attributes
+    index the columns of a row and the concatenated segments (``order``
+    lists their actions, segment by segment).
     """
 
     def __init__(self, action_set: ActionSet):
         z = self.z = action_set.z
+        # A selection of c members has energy at most c * beta. einsum's products
+        # are exact, and it adds the c nonzero ones (adding a zero is exact) with
+        # at most c - 1 roundings on any term's path, in any order, each by a
+        # factor of at most 1 + u, u = 2**-53: it returns at most c * beta * (1 +
+        # u)**(c - 1) <= c * beta * (1 + 2 * (c - 1) * u), as (c - 1) * u <= 1.
+        # cleared is the largest c <= n that keeps this at most 1, found in exact
+        # integers on beta = p / q, so a selection of at most cleared members
+        # fits the budget whether summed exactly or by einsum, at any n. The pad
+        # takes at most one member off floor(1 / beta) below about 6e7 members.
+        p, q = action_set.beta.as_integer_ratio()
+        cleared = min(z.size, q // p) if p else z.size
+        while cleared * p * (2**53 + 2 * (cleared - 1)) > q * 2**53:
+            cleared -= 1
+        self.cleared = cleared
         self.wrapper = action_set.beta >= LARGE_ENERGY_THRESHOLD
         beta = LARGE_ENERGY_THRESHOLD if self.wrapper else action_set.beta
         tau = 1.0 - math.sqrt(beta)
@@ -217,7 +235,9 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
         If the shapes disagree, a weight row is infeasible
         (:func:`budgetmax.projection.is_feasible`), a draw picks with a
         uniform outside ``[0, 1)`` or NaN, or a selection's energy exceeds
-        ``1 + BUDGET_SLACK``.
+        ``1 + BUDGET_SLACK``. Each returned selection is checked: one of at
+        most ``layout.cleared`` members fits by its count, and the energies
+        of every other are summed.
     """
     weights = np.asarray(weights, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
@@ -252,9 +272,16 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
         _draw_per_row(member, uniforms, cum, full, residual, layout)
     if layout.wrapper:  # heads (the heavy residual column 0 draws): the heavy pick alone
         member[uniforms[:, 0] < residual[:, 0]] &= layout.z >= LARGE_ENERGY_THRESHOLD
-    energy = np.einsum("ij,j->i", member, layout.z)
-    if m and energy.max() > 1.0 + BUDGET_SLACK:
-        raise ValueError(f"selection energy {energy.max()!r} exceeds the unit budget")
+    # a selection whose count the layout clears fits the budget, so only the
+    # rest are summed; when they are over half the block, gathering them costs
+    # more than summing the whole block (which cannot fail a cleared row)
+    count = np.add.reduce(member, axis=1, dtype=np.min_scalar_type(n))
+    uncleared = np.flatnonzero(count > layout.cleared)
+    if uncleared.size:
+        summed = member if 2 * uncleared.size > m else member[uncleared]
+        energy = np.einsum("ij,j->i", summed, layout.z)
+        if energy.max() > 1.0 + BUDGET_SLACK:
+            raise ValueError(f"selection energy {energy.max()!r} exceeds the unit budget")
     return member
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -401,6 +402,31 @@ class TestRunExperiment:
             run_experiment(parse_config(good_config(seeds=[seed], output_dir=str(alone))))
             name = f"trace_seed{seed}.csv"
             assert (out / name).read_bytes() == (alone / name).read_bytes(), seed
+
+    def test_config_built_in_code_is_refused_before_writing(self, tmp_path, monkeypatch):
+        # an empty output_dir would name the working directory, and no seeds would
+        # report a nan mean profit: both are refused when the config is built
+        monkeypatch.chdir(tmp_path)
+        spec = EnvironmentSpec(kind="knapsack_01", n=4, T=20, seed=3)
+        with pytest.raises(ConfigError, match="^invalid config: output_dir must not be empty$"):
+            run_experiment(ExperimentConfig(spec, (0,), output_dir=""))
+        with pytest.raises(ConfigError, match=re.escape(
+                "invalid config: seeds must be a non-empty list of non-negative integers, got ()")):
+            run_experiment(ExperimentConfig(spec, ()))
+        with pytest.raises(ConfigError, match="output_dir must not be empty"):
+            dataclasses.replace(ExperimentConfig(spec, (0,)), output_dir="")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_built_in_code_lists_every_violation(self):
+        spec = EnvironmentSpec(kind="random_adversarial", n=30, T=5)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(spec, (1, 1, 2**128), output_dir=3, bound_check=True)
+        assert str(err.value) == (
+            f"invalid config: seeds must be distinct; seeds must be below 2**128, got {2**128}; "
+            "output_dir must be a string, got int; bound_check needs n <= 20, got 30")
+        with pytest.raises(ConfigError, match="environment must be an EnvironmentSpec, got dict; "
+                                              "bound_check must be a boolean, got str"):
+            ExperimentConfig({"kind": "knapsack_01"}, (0,), bound_check="yes")
 
     def test_large_beta_flagged(self):
         spec = EnvironmentSpec(kind="knapsack_median", n=3, T=5, seed=1, beta_max=0.8)

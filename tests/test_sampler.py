@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ from budgetmax.oracles import (analytic_intersection_lower_bound, analytic_selec
                                estimate_selection_probs, exact_expected_profit,
                                exact_intersection_prob, exact_selection_probs)
 from budgetmax import sampler
+from budgetmax.core import BUDGET_SLACK
 from budgetmax.sampler import _guide_inverse
 from conftest import draw_one, random_action_set, random_feasible_point
 
@@ -562,6 +564,121 @@ class TestSampling:
         weights = np.full((1 if shared else 6, 3), 0.5)
         with pytest.raises(ValueError, match="selection energy .* exceeds the unit budget"):
             sample_block(weights, rows_of(0, 0, 6, layout.width), layout)
+
+
+class TestCountCheck:
+    """The budget check clears a selection by its member count or sums its energies."""
+
+    @staticmethod
+    def check(monkeypatch, layout, target, shared):
+        """``sample_block`` with both draw routines marking the rows of ``target``."""
+        def mark(member, *args):
+            member[:] = target
+
+        monkeypatch.setattr(sampler, "_draw_shared", mark)
+        monkeypatch.setattr(sampler, "_draw_per_row", mark)
+        m, n = target.shape
+        weights = np.zeros((1 if shared else m, n))  # no residual mass: no wrapper heads
+        return sample_block(weights, rows_of(0, 0, m, layout.width), layout)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.1, 0.25, 1 / 3, 0.4, 0.49, 0.5, 0.75, 1.0])
+    def test_cleared_count_fits_the_budget(self, beta):
+        # every selection of at most `cleared` members of energy beta fits, summed
+        # exactly or by einsum; the pad takes at most one member off floor(1 / beta)
+        n = 2000
+        layout = RowLayout(ActionSet.from_energies(np.full(n, beta)))
+        c = layout.cleared
+        if beta == 0.0:
+            assert c == n
+            return
+        assert min(n, math.floor(1 / beta) - 1) <= c <= min(n, math.floor(1 / beta))
+        # einsum's sum of c terms rounds up by a factor of at most 1 + 2 (c - 1) 2**-53
+        assert c * Fraction(beta) * (1 + Fraction(2 * (c - 1), 2**53)) <= 1
+        assert np.einsum("ij,j->i", np.ones((1, c), bool), layout.z[:c])[0] <= 1.0
+        fewer = c // 2 or 1  # with fewer actions than that, every selection is cleared
+        assert RowLayout(ActionSet.from_energies(np.full(fewer, beta))).cleared == fewer
+
+    def test_probcheck_instances_clear_two_members(self):
+        # a prefix bound over the c largest energies clears the same count on these
+        for n, seed in ((40, 0), (1000, 5)):
+            rng = np.random.default_rng(seed)
+            z = rng.uniform(0.0, 0.49, n)
+            layout = RowLayout(ActionSet.from_energies(z))
+            top = np.sort(z)[::-1].cumsum()
+            assert layout.cleared == int(np.searchsorted(top, 1.0, side="right")) == 2
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_fuzzed_memberships_match_an_einsum_reference(self, shared, monkeypatch):
+        rng = np.random.default_rng(71 + shared)
+        verdicts = set()
+        for trial in range(300):
+            n = int(rng.choice([1, 3, 8, 40, 300]))
+            beta = float(rng.choice([0.05, 0.2, 0.3, 0.45, 0.49, 0.6, 1.0]))
+            z = rng.uniform(0.0, beta, n)
+            z[rng.random(n) < 0.2] = 0.0
+            z[rng.integers(n)] = beta
+            layout = RowLayout(ActionSet.from_energies(z))
+            m = int(rng.integers(1, 60))
+            # most rows at, or one or two above, the count the layout clears
+            counts = np.minimum(n, layout.cleared + rng.integers(-1, 3, m))
+            if trial % 3 == 0:  # a block whose rows are mostly cleared
+                counts[rng.random(m) < 0.8] = min(n, layout.cleared)
+            counts = np.maximum(counts, 0)
+            heaviest = np.argsort(-z, kind="stable")
+            target = np.zeros((m, n), bool)
+            for r, c in enumerate(counts):
+                pool = heaviest[:min(n, 2 * c)] if rng.random() < 0.5 else np.arange(n)
+                target[r, rng.choice(pool, c, replace=False)] = True
+            energy = np.einsum("ij,j->i", target, z)
+            if energy.max() > 1.0 + BUDGET_SLACK:
+                verdicts.add("raised")
+                with pytest.raises(ValueError, match="selection energy .* exceeds the unit budget"):
+                    self.check(monkeypatch, layout, target, shared)
+            else:
+                verdicts.add("passed")
+                npt.assert_array_equal(self.check(monkeypatch, layout, target, shared), target)
+        assert verdicts == {"raised", "passed"}
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("zeros", [253, 254, 300])
+    def test_count_above_255_does_not_wrap(self, shared, zeros, monkeypatch):
+        # 3 heavy actions of 0.45 beside `zeros` zero-energy ones: cleared is 2, and
+        # a row of every action has 256, 257 or 303 members, 0 or 1 in a uint8
+        z = np.concatenate((np.zeros(zeros), [0.45, 0.45, 0.45]))
+        layout = RowLayout(ActionSet.from_energies(z))
+        assert layout.cleared == 2
+        target = np.zeros((4, z.size), bool)
+        target[0] = True
+        target[1, :zeros] = True  # 253 or more members of zero energy fit
+        target[2, -1] = target[3, -2:] = True
+        with pytest.raises(ValueError, match=r"selection energy .*1\.35.* exceeds the unit budget"):
+            self.check(monkeypatch, layout, target, shared)
+        npt.assert_array_equal(self.check(monkeypatch, layout, target[1:], shared), target[1:])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_energy_one_in_wrapper_mode(self, shared, monkeypatch):
+        # beta = 1 clears one member; the action of energy 1 fits beside zero-energy
+        # ones, and beside any other energy it does not
+        z = np.array([1.0, 0.0, 0.0, 0.3, 0.2])
+        layout = RowLayout(ActionSet.from_energies(z))
+        assert layout.wrapper and layout.cleared == 1
+        fits = np.array([[1, 0, 0, 0, 0], [1, 1, 1, 0, 0], [0, 0, 0, 1, 1], [0] * 5], bool)
+        npt.assert_array_equal(self.check(monkeypatch, layout, fits, shared), fits)
+        with pytest.raises(ValueError, match=r"selection energy .*1\.2\b.* exceeds the unit budget"):
+            self.check(monkeypatch, layout, np.vstack((fits, [[1, 0, 0, 0, 1]])), shared)
+
+    def test_draws_at_energy_one_fit(self):
+        rng = np.random.default_rng(83)
+        z = rng.uniform(0.0, 1.0, 30)
+        z[rng.random(30) < 0.3] = 0.0
+        z[[0, 1]] = 1.0
+        aset = ActionSet.from_energies(z)
+        layout = RowLayout(aset)
+        weights = feasible_rows(rng, aset.z, 500)
+        uniforms = rng.random((500, layout.width))
+        for w in (weights, weights[3:4]):
+            npt.assert_array_equal(sample_block(w, uniforms, layout),
+                                   reference_block(w, uniforms, aset))
 
 
 class TestAnalyticBounds:
