@@ -14,7 +14,8 @@ Unknown keys anywhere are errors, and validation reports every violation at
 once; an :class:`ExperimentConfig` built in code is checked by the same
 rules. A run writes one CSV trace per engine seed plus the generated stream
 (so it can be replayed) and a JSON report, each under a temporary name
-until the run has succeeded. A replay copies the stream file it
+until the run has succeeded, into an output directory that holds no
+trace of a seed it does not list. A replay copies the stream file it
 read, not a ``%.17g`` re-rendering, once it has checked that the file has
 not changed since. Trace rows are
 ``trial,selected,profit,cum_profit,grad_norm,eta`` with the selected actions
@@ -246,6 +247,14 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     maxima. A bound check regenerates the stream (``n`` is at most
     ``MAX_EXHAUSTIVE_ACTIONS``) for its comparator after the pass.
 
+    An ``output_dir`` that holds a ``trace_seed*.csv`` of a seed this run
+    does not list is refused with a ``ValueError`` that names the
+    directory and the file, before anything is written or removed: the
+    run would replace its ``report.json`` and ``stream.csv`` and leave
+    that trace beside them. Every other file a run writes replaces one
+    of an earlier run whole, so a replay into its own run's directory
+    still works; a leftover ``*.tmp`` never looks complete.
+
     With an ``output_dir``, every file is written under ``<name>.tmp``:
     ``stream.csv`` first (a copy of a replayed stream's ``source`` file,
     or else the stream's preamble, to which each block's rows are appended
@@ -273,6 +282,11 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     check_block(action_set, rewards, costs, env)
 
     out_dir = None if config.output_dir is None else Path(config.output_dir)
+    if out_dir:  # a run replaces its report, its stream and its own seeds' traces
+        ours = {f"trace_seed{seed}.csv" for seed in config.seeds}
+        for held in sorted(out_dir.glob("trace_seed*.csv")):
+            if held.name not in ours:
+                raise ValueError(f"output directory {out_dir} holds another run's {held.name}")
     temps = []  # every output file under its temporary name, in rename order
 
     def create(name):

@@ -51,12 +51,15 @@ one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
 significant digits so a write/read round trip is bit-exact. Neither
 direction holds a file's text in memory: ``write_stream`` writes a block
 of ``BLOCK_ENTRIES // (2n)`` rows at a time (:func:`write_rows`, which a
-run also appends its generated blocks with), and ``read_stream`` reads
-trial lines back a block of that many lines at a time from a buffered
-reader (:func:`_trial_block`), casting a block in one ``np.loadtxt`` call
-when every line is spelled as ``write_rows`` spells it and line by line
-otherwise, and keeps only the file's path and identity as the stream's
-``source``. A replay saves the stream by copying that file,
+run also appends its generated blocks with), and ``read_stream`` walks a
+buffered reader's lines once, in file order (:func:`_lines` only splits
+them): the preamble, then blocks of that many trial lines
+(:func:`_trial_block`), each cast in one ``np.loadtxt`` call when every
+line is spelled as ``write_rows`` spells it and line by line otherwise,
+then any trailing lines. Each line's own check comes first and names its
+first non-ASCII byte (:func:`_ascii`), so the first bad line is named
+whatever its fault. The reader keeps only the file's path and identity
+as the stream's ``source``. A replay saves the stream by copying that file,
 as it was read, not re-rendered with ``%.17g``, once it has checked that
 the file is still the one it parsed.
 """
@@ -469,34 +472,37 @@ def _lines(fh, size: int):
     Each ``\\n``-terminated piece is read, decoded and split on its own (a
     line can also end at ``\\r``, ``\\v``, ``\\f`` or ``\\x1c``-``\\x1e``,
     and ``\\r\\n`` stays one line end), so no more than a line of the file
-    is held at once. A piece is decoded once, with ``surrogateescape``: a
-    byte above 0x7f becomes one of U+DC80-U+DCFF, which is no line end. The
-    first line that is not ASCII then raises ``StreamFormatError`` with the
-    value of its first such byte, once the lines before it have been yielded.
+    is held at once. A piece is decoded with ``surrogateescape``: a byte
+    above 0x7f becomes one of U+DC80-U+DCFF, which is no line end, and is
+    left for the line's own check (:func:`_ascii`) to name.
     """
-    done = 0  # lines yielded
     while size > 0:
         piece = fh.readline(size)
         if not piece:
             return
         size -= len(piece)
-        lines = piece.decode("ascii", "surrogateescape").splitlines()
-        if not piece.isascii():
-            k = next(k for k, line in enumerate(lines) if not line.isascii())
-            yield from lines[:k]
-            byte = next(ord(c) - 0xdc00 for c in lines[k] if not c.isascii())
-            raise StreamFormatError("line %d: non-ASCII byte 0x%02x" % (done + k + 1, byte))
-        done += len(lines)
-        yield from lines
+        yield from piece.decode("ascii", "surrogateescape").splitlines()
+
+
+def _ascii(line: str, t: int) -> str:
+    """Trial ``t``'s line (0 for the preamble), refused if it holds a byte above 0x7f.
+
+    The error names the line's first such byte.
+    """
+    if not line.isascii():
+        byte = next(ord(c) - 0xdc00 for c in line if not c.isascii())
+        raise _line_error(t, "non-ASCII byte 0x%02x" % byte)
+    return line
 
 
 def _trial_row(line: str, t: int, n: int) -> np.ndarray:
     """The ``2n`` values of trial ``t``'s line, rewards then costs, checked and cast on their own.
 
-    A blank line, the field count and the trial tag are checked in that
-    order, then the values are cast (:func:`_floats`).
+    A non-ASCII byte (:func:`_ascii`), a blank line, the field count and
+    the trial tag are checked in that order, then the values are cast
+    (:func:`_floats`).
     """
-    if not line.strip():
+    if not _ascii(line, t).strip():
         raise _line_error(t, f"expected trial {t}, found a blank line")
     fields = line.split(",")
     if len(fields) != 1 + 2 * n:
@@ -514,7 +520,7 @@ def _trial_block(lines, start: int, count: int, n: int) -> np.ndarray:
     """Trials ``start + 1`` to ``start + count`` as a ``(count, 2n)`` array, rewards then costs.
 
     The block's lines are taken from ``lines`` (:func:`_lines`) first. When
-    each starts with its own ``t,`` and holds no ``\\x1f``, one
+    each is ASCII, starts with its own ``t,`` and holds no ``\\x1f``, one
     ``np.loadtxt`` call casts the whole block, tags included, in numpy's C
     tokenizer. It refuses lines of unequal widths, so a cast ``2n + 1``
     columns wide means ``2n`` commas on every line: the block is spelled
@@ -523,19 +529,14 @@ def _trial_block(lines, start: int, count: int, n: int) -> np.ndarray:
     accepts a subset of what ``float()`` accepts (not ``1_000``), with the
     same bits; the one exception is ``\\x1f`` around a value, which it
     strips and ``float()`` rejects, hence that rule. Any other block, and
-    a block whose cast fails, goes a line at a time through
-    :func:`_trial_row`, the only source of messages: a non-ASCII byte
-    that ``lines`` raises on, or the end of the file, is reported once the
-    lines before it have passed, so the first bad line is named.
+    a block whose cast fails, goes a line at a time, in file order,
+    through :func:`_trial_row`, the only source of messages, so the first
+    bad line is named; a block cut short by the end of the file is
+    reported once its lines have passed.
     """
-    block, fault = [], None
-    try:
-        for line in itertools.islice(lines, count):
-            block.append(line)
-    except StreamFormatError as exc:  # a non-ASCII byte, after the lines before it
-        fault = exc
-    if fault is None and len(block) == count and all(
-            line.startswith(f"{t},") and "\x1f" not in line for t, line in enumerate(block, start + 1)):
+    block = list(itertools.islice(lines, count))
+    if len(block) == count and all(line.isascii() and line.startswith(f"{t},") and "\x1f" not in line
+                                   for t, line in enumerate(block, start + 1)):
         try:
             values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
         except ValueError:  # a field that is not a float, or lines of unequal widths
@@ -546,8 +547,6 @@ def _trial_block(lines, start: int, count: int, n: int) -> np.ndarray:
     values = np.empty((count, 2 * n))
     for i, line in enumerate(block):
         values[i] = _trial_row(line, start + i + 1, n)
-    if fault is not None:
-        raise fault
     if len(block) < count:
         t = start + len(block) + 1
         raise _line_error(t, f"expected trial {t}, found end of file")
@@ -561,17 +560,19 @@ def read_stream(path) -> Stream:
     directory) is refused with a ``StreamFormatError`` that names the path,
     before it is opened. The file is opened once; the identity ``os.fstat``
     gives then becomes, with the path, the stream's :class:`StreamSource`.
-    At most the ``st_size`` bytes seen then are read, once, from a
-    buffered reader: each line is decoded as ASCII (:func:`_lines`), and
-    the trial lines are read in blocks of the ``BLOCK_ENTRIES // (2n)``
-    lines :func:`write_rows` writes at a time, each block cast before the
-    next is read (:func:`_trial_block`): in one ``np.loadtxt`` call when
-    every line is spelled as ``write_rows`` spells it, else a line at a
-    time, each line's structure checked, then its ``2n`` values cast to
-    floats at once. The values are those of ``float()`` either way, and an
-    error names the first bad line, whether the fault is a non-ASCII byte,
-    in its structure or in a value; a blank trial line is not named as the
-    end of the file. Bad energies, non-finite values and negative rewards
+    At most the ``st_size`` bytes seen then are read, once, in file order,
+    from a buffered reader (:func:`_lines`). Each line is checked where it
+    is read, its first non-ASCII byte first (:func:`_ascii`): the
+    preamble, then the trial lines in blocks of the ``BLOCK_ENTRIES //
+    (2n)`` lines :func:`write_rows` writes at a time, each block cast
+    before the next is read (:func:`_trial_block`): in one ``np.loadtxt``
+    call when every line is spelled as ``write_rows`` spells it, else a
+    line at a time, each line's structure checked, then its ``2n`` values
+    cast to floats at once; then any trailing lines, which must be blank.
+    The values are those of ``float()`` either way, and an error names the
+    first bad line, whether the fault is a non-ASCII byte, in its
+    structure or in a value; a blank trial line is not named as the end
+    of the file. Bad energies, non-finite values and negative rewards
     are found after the parse, the last two by the :class:`Stream`'s own
     check, whose :class:`TrialError` becomes the error of the trial's line.
     """
@@ -585,7 +586,7 @@ def read_stream(path) -> Stream:
         first = next(lines, None)
         if first is None:
             raise StreamFormatError("line 1: empty stream file")
-        head = first.split(",")
+        head = _ascii(first, 0).split(",")
         if len(head) < 2:
             raise StreamFormatError("line 1: preamble needs at least n and T")
         try:
@@ -610,7 +611,7 @@ def read_stream(path) -> Stream:
             rewards[start:start + len(values)] = values[:, :n]
             costs[start:start + len(values)] = values[:, n:]
         for t, line in enumerate(lines, T + 1):
-            if line.strip():
+            if _ascii(line, t).strip():
                 raise _line_error(t, f"trailing data after trial {T}")
     try:
         action_set = ActionSet.from_energies(z)

@@ -281,7 +281,7 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
         summed = member if 2 * uncleared.size > m else member[uncleared]
         energy = np.einsum("ij,j->i", summed, layout.z)
         if energy.max() > 1.0 + BUDGET_SLACK:
-            raise ValueError(f"selection energy {energy.max()!r} exceeds the unit budget")
+            raise ValueError(f"selection energy {float(energy.max())} exceeds the unit budget")
     return member
 
 

@@ -19,6 +19,7 @@ from budgetmax import ActionSet, Stream
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TRACE_ROW,
                            load_config, main, parse_config, run_experiment)
 from budgetmax.environments import EnvironmentSpec, generate, read_stream, write_stream
+from budgetmax.oracles import ComparatorResult
 
 
 def good_config(**overrides):
@@ -689,6 +690,50 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(out), "replay",
                      "--stream", str(out / "stream.csv")]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_run_beside_another_runs_trace_exits_1_and_keeps_its_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        first = self.write_config(tmp_path, good_config(seeds=[0, 1]))
+        assert main(["--config", first, "--out", str(out), "run"]) == 0
+        (out / "trace_seed7.csv.tmp").write_text("partial")  # a leftover never counts
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        second = self.write_config(tmp_path, good_config(seeds=[0]))
+        assert main(["--config", second, "--out", str(out), "run"]) == 1
+        assert capsys.readouterr().err == f"error: output directory {out} holds another run's trace_seed1.csv\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the same seeds, or more, replace every file of the earlier run
+        more = self.write_config(tmp_path, good_config(seeds=[0, 1, 2]))
+        assert main(["--config", more, "--out", str(out), "run"]) == 0
+        assert json.loads((out / "report.json").read_text())["seeds"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "config root must be an object, got list"),
+        (good_config(environment=3), "invalid config: environment must be an object, got int"),
+    ])
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys, data, message):
+        cfg = self.write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "run"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {tmp_path}: ")
+
+    def test_violated_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a comparator far above anything the learner earns
+        def unbeatable(stream, alpha, delta):
+            return ComparatorResult((0,), 1e9)
+
+        monkeypatch.setattr(cli, "best_fixed_subset", unbeatable)
+        cfg = self.write_config(tmp_path, good_config(bound_check=True))
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "run"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "best fixed subset: [0] discounted total 1e+09" in lines
+        assert lines[-1] == "performance bound: VIOLATED"
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["bound_satisfied"] is False
 
     def test_failed_replay_write_leaves_no_file(self, tmp_path, monkeypatch):
         cfg = self.write_config(tmp_path, good_config())
