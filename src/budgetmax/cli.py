@@ -15,9 +15,10 @@ once; an :class:`ExperimentConfig` built in code is checked by the same
 rules. A run writes one CSV trace per engine seed plus the generated stream
 (so it can be replayed) and a JSON report, each under a temporary name
 until the run has succeeded, into an output directory that holds no
-trace of a seed it does not list. A replay copies the stream file it
-read, not a ``%.17g`` re-rendering, once it has checked that the file has
-not changed since. Trace rows are
+trace of a seed it does not list. A replay learns the stream file it
+read from a temporary spool, one block at a time, and copies that file,
+not a ``%.17g`` re-rendering, once it has checked that the file has not
+changed since; ``main`` deletes the spool when the run ends. Trace rows are
 ``trial,selected,profit,cum_profit,grad_norm,eta`` with the selected actions
 as ascending semicolon-joined 0-based indices and floats at 17 significant
 digits, which makes repeated runs byte-identical.
@@ -37,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, selection_profits
-from .environments import (EnvironmentSpec, Stream, check_block, generate, generate_blocks,
-                           read_stream, stream_preamble, write_rows)
+from .environments import (EnvironmentSpec, SpooledStream, Stream, check_block, generate,
+                           generate_blocks, read_stream, stream_preamble, write_rows)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -227,7 +228,8 @@ def load_config(path, output_dir: str | None = None) -> ExperimentConfig:
     return parse_config(data)
 
 
-def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> RunReport:
+def run_experiment(config: ExperimentConfig,
+                   stream: Stream | SpooledStream | None = None) -> RunReport:
     """Learn the weights once over one stream, draw every engine seed, summarize.
 
     The weight trajectory does not depend on the engine seed, so the run
@@ -235,17 +237,23 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     (:func:`~budgetmax.surrogate.learn_blocks`) and every seed draws each
     whole block by one :func:`~budgetmax.sampler.draw_trials` call before
     the next is learned. Unless a
-    stream is passed in (replay), each block is generated only when the
-    learner asks for it (:func:`~budgetmax.environments.generate_blocks`),
-    so a generated run holds one block of trials and one of learner state,
-    whatever ``T`` is. A stream passed in is whole in memory already: it is
-    checked against the config's shape, and read in row slices. Each run
-    makes one :func:`~budgetmax.environments.check_block` call, before any
-    output: on the whole of a stream passed in, and on a generated
-    stream's energies alone (no rows), since its generator keeps every
-    rule on values. ``r_hat`` and ``c_hat`` are the maxima of the blocks'
-    maxima. A bound check regenerates the stream (``n`` is at most
-    ``MAX_EXHAUSTIVE_ACTIONS``) for its comparator after the pass.
+    stream is passed in, each block is generated only when the learner
+    asks for it (:func:`~budgetmax.environments.generate_blocks`), so a
+    generated run holds one block of trials and one of learner state,
+    whatever ``T`` is. A stream passed in is checked against the config's
+    shape and read through its ``blocks()``: a replay's
+    :class:`~budgetmax.environments.SpooledStream` reads one block at a
+    time from its spool, so it holds one block too, while a
+    :class:`~budgetmax.environments.Stream` is whole in memory already.
+    Each run makes one :func:`~budgetmax.environments.check_block` call,
+    before any output: on a stream passed in, with the arrays its
+    ``extremes()`` gives (a replay's column extremes, kept as it was
+    parsed, or a ``Stream``'s whole matrices), and on a generated stream's
+    energies alone (no rows), since its generator keeps every rule on
+    values. ``r_hat`` and ``c_hat`` are the maxima of the blocks' maxima.
+    A bound check's comparator (``n`` is at most ``MAX_EXHAUSTIVE_ACTIONS``)
+    reads the whole stream after the pass: a regenerated one, or a stream
+    passed in, a replay's read back from its spool.
 
     An ``output_dir`` that holds a ``trace_seed*.csv`` of a seed this run
     does not list is refused with a ``ValueError`` that names the
@@ -277,8 +285,8 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
             raise ConfigError(
                 f"stream shape (n={stream.n}, T={stream.T}) does not match "
                 f"config (n={env.n}, T={env.T})")
-        action_set, blocks = stream.action_set, stream.blocks()
-        rewards, costs, source = stream.rewards, stream.costs, stream.source
+        action_set, blocks, source = stream.action_set, stream.blocks(), stream.source
+        rewards, costs = stream.extremes()
     check_block(action_set, rewards, costs, env)
 
     out_dir = None if config.output_dir is None else Path(config.output_dir)
@@ -461,7 +469,11 @@ def main(argv=None, out=None) -> int:
         if args.command in ("run", "replay"):
             config = _require_config(args)
             stream = read_stream(args.stream) if args.command == "replay" else None
-            report = run_experiment(config, stream)
+            try:
+                report = run_experiment(config, stream)
+            finally:
+                if stream is not None:  # the replay's spool
+                    stream.close()
             print("\n".join(report.summary_lines()), file=out)
             if report.bound_satisfied is False:
                 return EXIT_INVALID

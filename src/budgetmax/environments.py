@@ -35,15 +35,18 @@ random_adversarial    z at 0, costs at ``n``, rewards at ``n + Tn``; with
                       from that same generator
 ====================  ====================================================
 
-A :class:`Stream` holds the ``(T, n)`` reward and cost matrices; trial ``t``
-is row ``t - 1`` of both. A stream checks its matrices once, when it is
-built, with whole-array operations, and a :class:`TrialError` names the
-first bad trial. :func:`check_block` checks a kind's rules on its energies
-and rows. Generated rows need neither check: from a valid spec, every
-value is finite, rewards lie in ``[0, r_max]``, ``facility_location``
-costs are at least ``cost_range[0] >= 0``, ``knapsack_median`` costs are
-zero, ``knapsack_01`` costs are at most 0 and ``random_adversarial`` costs
-lie within ``c_max``. Only energies can break their kind's rule:
+A :class:`Stream` holds the ``(T, n)`` reward and cost matrices in memory;
+trial ``t`` is row ``t - 1`` of both. A stream checks its matrices once,
+when it is built, with whole-array operations, and a :class:`TrialError`
+names the first bad trial. A stream read from a file is a
+:class:`SpooledStream`: its rows, checked the same way a block at a time,
+wait in a temporary file and are read back one block at a time.
+:func:`check_block` checks a kind's rules on its energies and rows.
+Generated rows need neither check: from a valid spec, every value is
+finite, rewards lie in ``[0, r_max]``, ``facility_location`` costs are at
+least ``cost_range[0] >= 0``, ``knapsack_median`` costs are zero,
+``knapsack_01`` costs are at most 0 and ``random_adversarial`` costs lie
+within ``c_max``. Only energies can break their kind's rule:
 ``beta_max * (1 - u)`` underflows to 0 when ``beta_max`` is subnormal.
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
@@ -58,10 +61,12 @@ them): the preamble, then blocks of that many trial lines
 line is spelled as ``write_rows`` spells it and line by line otherwise,
 then any trailing lines. Each line's own check comes first and names its
 first non-ASCII byte (:func:`_ascii`), so the first bad line is named
-whatever its fault. The reader keeps only the file's path and identity
-as the stream's ``source``. A replay saves the stream by copying that file,
-as it was read, not re-rendered with ``%.17g``, once it has checked that
-the file is still the one it parsed.
+whatever its fault. Each cast block is checked and appended to the spool
+before the next is read, so a replay never holds the ``(T, n)`` matrices.
+The reader keeps the file's path and identity as the stream's ``source``.
+A replay saves the stream by copying that file, as it was read, not
+re-rendered with ``%.17g``, once it has checked that the file is still
+the one it parsed.
 """
 
 from __future__ import annotations
@@ -71,7 +76,10 @@ import math
 import os
 import shutil
 import stat
-from dataclasses import dataclass, field
+import weakref
+from contextlib import ExitStack
+from dataclasses import dataclass
+from tempfile import TemporaryFile
 
 import numpy as np
 
@@ -196,15 +204,16 @@ class StreamSource:
             raise OSError(f"stream file {self.path} changed after it was read")
 
 
-def _first_bad_trial(rewards, costs, n: int) -> tuple[int, str] | None:
+def _first_bad_trial(rewards, costs, n: int, start: int = 0) -> tuple[int, str] | None:
     """``(t, reason)`` for the first 1-based trial whose row is bad, else None.
 
-    A good row holds ``n`` finite rewards and costs, the rewards non-negative.
-    A good stream costs four whole-array reductions; only a bad one builds
-    boolean ``(T, n)`` masks to find its first bad row.
+    Row 0 is trial ``start + 1``. A good row holds ``n`` finite rewards and
+    costs, the rewards non-negative. Good rows cost four whole-array
+    reductions; only bad ones build boolean ``(rows, n)`` masks to find
+    the first.
     """
     if rewards.shape[1] != n:
-        return 1, f"{rewards.shape[1]} rewards and costs, expected {n}"
+        return start + 1, f"{rewards.shape[1]} rewards and costs, expected {n}"
     if rewards.size == 0 or (rewards.min() >= 0.0 and rewards.max() < np.inf
                              and -np.inf < costs.min() and costs.max() < np.inf):
         return None  # nan fails every comparison above
@@ -212,25 +221,24 @@ def _first_bad_trial(rewards, costs, n: int) -> tuple[int, str] | None:
     finite &= np.isfinite(costs)
     row_finite = finite.all(axis=1)
     t = int(np.argmax(~row_finite | (rewards < 0.0).any(axis=1)))
-    return t + 1, "negative reward" if row_finite[t] else "rewards and costs must be finite"
+    return start + t + 1, "negative reward" if row_finite[t] else "rewards and costs must be finite"
 
 
 @dataclass(frozen=True)
 class Stream:
-    """A full instance: fixed energies plus (T, n) reward and cost matrices.
+    """A full instance held in memory: fixed energies plus (T, n) reward and cost matrices.
 
     Building a stream checks its matrices once (a :class:`TrialError` names
     the first bad trial, see :func:`_first_bad_trial`), so every consumer takes
     row ``t`` of ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
-    A stream read from a file keeps that file's :class:`StreamSource`, so a
-    run saves it by copying the file it was read from; a generated stream
-    has none.
+    It has no file to copy (``source`` is None): :func:`read_stream` gives
+    a :class:`SpooledStream`, which serves the same reads.
     """
 
     action_set: ActionSet
     rewards: np.ndarray
     costs: np.ndarray
-    source: StreamSource | None = field(default=None, repr=False, compare=False)
+    source = None
 
     def __post_init__(self):
         if self.rewards.ndim != 2 or self.rewards.shape != self.costs.shape:
@@ -253,6 +261,69 @@ class Stream:
         for start, rows in _block_rows(self):
             yield start, self.rewards[start:start + rows], self.costs[start:start + rows]
 
+    def extremes(self):
+        """``(rewards, costs)`` holding the stream's extreme values: its matrices."""
+        return self.rewards, self.costs
+
+
+class SpooledStream:
+    """A stream read from a file, its rows held in a temporary spool rather than in memory.
+
+    :func:`read_stream` appends each checked row, rewards then costs, as
+    float64 to an unnamed temporary file under ``TMPDIR`` (``16 T n``
+    bytes), and keeps the file's :class:`StreamSource`, so a run saves the
+    stream by copying the file it was read from. :meth:`blocks` reads the
+    rows back one :func:`_block_rows` block at a time with ``np.fromfile``
+    (no mapping, whose pages would stay resident), so a replay holds one
+    block, as a generated run does. ``rewards`` and ``costs`` read the
+    whole matrices back on each access, for callers that need them whole:
+    tests, and the bound check's comparator, whose ``n`` is small.
+    :meth:`close` deletes the spool; a stream dropped unclosed deletes it
+    when it is collected.
+    """
+
+    def __init__(self, action_set: ActionSet, T: int, spool, extremes, source: StreamSource):
+        self.action_set, self.T, self.source = action_set, T, source
+        self._spool, self._extremes = spool, extremes
+        self._close = weakref.finalize(self, spool.close)
+
+    @property
+    def n(self) -> int:
+        return self.action_set.n
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return self._rows(0, self.T)[:, :self.n]
+
+    @property
+    def costs(self) -> np.ndarray:
+        return self._rows(0, self.T)[:, self.n:]
+
+    def blocks(self):
+        """Yield ``(start, rewards, costs)`` from the spool, as :func:`generate_blocks` would."""
+        for start, rows in _block_rows(self):
+            values = self._rows(start, rows)
+            yield start, values[:, :self.n], values[:, self.n:]
+
+    def extremes(self):
+        """``(rewards, costs)``: the rewards' column maxima, the costs' column minima and maxima.
+
+        They are ``(1, n)`` and ``(2, n)`` arrays, kept as the file was
+        parsed. A row breaks one of :func:`check_block`'s rules on values
+        exactly when one of these does, so they stand for the stream there.
+        """
+        return self._extremes[:1], self._extremes[1:]
+
+    def close(self) -> None:
+        """Close, and so delete, the spool; the rows cannot be read after."""
+        self._close()
+
+    def _rows(self, start: int, rows: int) -> np.ndarray:
+        """Trials ``start + 1`` to ``start + rows``: a ``(rows, 2n)`` array, rewards then costs."""
+        width = 2 * self.n
+        self._spool.seek(start * width * 8)
+        return np.fromfile(self._spool, count=rows * width).reshape(rows, width)
+
 
 def site_rewards(sites: np.ndarray, users: np.ndarray, r_max: float) -> np.ndarray:
     """Clipped linear reward ``max(0, r_max - distance)`` per (user, site).
@@ -268,7 +339,7 @@ def _rng_at(seed: int, draws: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed).advance(draws))
 
 
-def _block_rows(shape: EnvironmentSpec | Stream):
+def _block_rows(shape: EnvironmentSpec | Stream | SpooledStream):
     """The one cut of a spec's or a stream's trials: ``(start, rows)`` per block.
 
     A block has ``max(1, BLOCK_ENTRIES // n)`` rows (the last may have
@@ -375,8 +446,9 @@ def check_block(action_set: ActionSet, rewards, costs, spec: EnvironmentSpec) ->
     rows pass it), so their values are finite and their rewards
     non-negative: the largest reward and the extreme costs then decide
     every rule, each one whole-array reduction with no ``(rows, n)``
-    temporary, and blocks that each pass make a stream that passes. No
-    rows, ``(0, n)`` arrays, break no rule on values, so they check the
+    temporary, and blocks that each pass make a stream that passes; so
+    does a replayed stream's column extremes (:meth:`SpooledStream.extremes`).
+    No rows, ``(0, n)`` arrays, break no rule on values, so they check the
     energies alone. The shape is the caller's to check, once.
     """
     z, problems = action_set.z, []
@@ -553,8 +625,8 @@ def _trial_block(lines, start: int, count: int, n: int) -> np.ndarray:
     return values
 
 
-def read_stream(path) -> Stream:
-    """Parse a stream file a block of trial lines at a time.
+def read_stream(path) -> SpooledStream:
+    """Parse a stream file a block of trial lines at a time, into a :class:`SpooledStream`.
 
     Only a regular file is read: anything else (a FIFO, a device, a
     directory) is refused with a ``StreamFormatError`` that names the path,
@@ -572,17 +644,24 @@ def read_stream(path) -> Stream:
     The values are those of ``float()`` either way, and an error names the
     first bad line, whether the fault is a non-ASCII byte, in its
     structure or in a value; a blank trial line is not named as the end
-    of the file. Bad energies, non-finite values and negative rewards
-    are found after the parse, the last two by the :class:`Stream`'s own
-    check, whose :class:`TrialError` becomes the error of the trial's line.
+    of the file. Nothing is sized from the preamble's ``T``: a ``T``
+    beyond the file fails at its first missing line.
+
+    Each cast block is checked as a :class:`Stream` checks its matrices
+    (:func:`_first_bad_trial`), its column extremes are kept for
+    :meth:`SpooledStream.extremes`, and its rows are appended to the
+    spool, so one block is held at a time. Bad energies, then the first
+    non-finite value or negative reward, are raised only once the whole
+    file has parsed, so faults come in the order a parse and then a check
+    of the whole stream would find them. The spool is deleted on any
+    error.
     """
     path = os.fspath(path)
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise StreamFormatError(f"{path}: not a regular file")
-    with open(path, "rb", buffering=READ_BUFFER) as fh:
+    with open(path, "rb", buffering=READ_BUFFER) as fh, ExitStack() as owner:
         identity = _identity(os.fstat(fh.fileno()))
-        size = identity[2]
-        lines = _lines(fh, size)
+        lines = _lines(fh, identity[2])
         first = next(lines, None)
         if first is None:
             raise StreamFormatError("line 1: empty stream file")
@@ -599,25 +678,29 @@ def read_stream(path) -> Stream:
             raise StreamFormatError(f"line 1: expected {2 + n} fields (n, T, {n} energies), got {len(head)}")
         z = _floats(head[2:], 0, "energy")
 
-        # A trial line that parses holds 2n + 1 non-empty fields and 2n commas and
-        # follows a line end, so the file's size bounds the rows: a preamble T
-        # beyond the file fails at its first missing line, not here.
-        rows = min(T, size // (4 * n + 2))
-        rewards = np.empty((rows, n))
-        costs = np.empty((rows, n))
+        spool = owner.enter_context(TemporaryFile())  # closed on any error
+        # the rewards' column maxima, the costs' column minima and maxima
+        extremes = np.repeat([[-np.inf], [np.inf], [-np.inf]], n, axis=1)
+        bad = None  # the first bad trial's (t, reason), raised once the file has parsed
         per_block = _text_rows(n)
         for start in range(0, T, per_block):
             values = _trial_block(lines, start, min(per_block, T - start), n)
-            rewards[start:start + len(values)] = values[:, :n]
-            costs[start:start + len(values)] = values[:, n:]
+            rewards, costs = values[:, :n], values[:, n:]
+            bad = bad or _first_bad_trial(rewards, costs, n, start)
+            if bad is None:
+                np.maximum(extremes[0], rewards.max(axis=0), out=extremes[0])
+                np.minimum(extremes[1], costs.min(axis=0), out=extremes[1])
+                np.maximum(extremes[2], costs.max(axis=0), out=extremes[2])
+                spool.write(np.ascontiguousarray(values))
         for t, line in enumerate(lines, T + 1):
             if _ascii(line, t).strip():
                 raise _line_error(t, f"trailing data after trial {T}")
-    try:
-        action_set = ActionSet.from_energies(z)
-    except ValueError as exc:
-        raise StreamFormatError(f"line 1: {exc}") from None
-    try:
-        return Stream(action_set, rewards, costs, source=StreamSource(path, identity))
-    except TrialError as exc:
-        raise _line_error(exc.trial, exc.reason) from None
+        try:
+            action_set = ActionSet.from_energies(z)
+        except ValueError as exc:
+            raise StreamFormatError(f"line 1: {exc}") from None
+        if bad is not None:
+            raise _line_error(*bad)
+        stream = SpooledStream(action_set, T, spool, extremes, StreamSource(path, identity))
+        owner.pop_all()  # the stream owns the spool now
+    return stream

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -8,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import budgetmax
-from budgetmax import cli
+from budgetmax import cli, environments
 from budgetmax import ActionSet, Stream
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TRACE_ROW,
                            load_config, main, parse_config, run_experiment)
@@ -192,11 +194,15 @@ class TestRunExperiment:
         assert texts[0] == texts[1]
 
     def test_replay_reproduces_report(self, tmp_path):
-        out = tmp_path / "out"
-        config = parse_config(good_config(output_dir=str(out)))
-        first = run_experiment(config)
-        again = run_experiment(parse_config(good_config()), read_stream(out / "stream.csv"))
-        assert again == first
+        # with a bound check, the replay's comparator reads the spool whole
+        for bound_check in (False, True):
+            out = tmp_path / f"out{bound_check}"
+            config = parse_config(good_config(output_dir=str(out), bound_check=bound_check))
+            first = run_experiment(config)
+            again = run_experiment(parse_config(good_config(bound_check=bound_check)),
+                                   read_stream(out / "stream.csv"))
+            assert again == first
+            assert (first.comparator_total is not None) == bound_check
 
     def test_replay_shape_mismatch_rejected(self, tmp_path):
         out = tmp_path / "out"
@@ -253,8 +259,8 @@ class TestRunExperiment:
 
     def test_each_run_checks_the_pattern_once(self, tmp_path, monkeypatch):
         # a generated run checks its energies once (no rows: its generator
-        # keeps every rule on values), a replay its parsed stream once, whole,
-        # each before the output directory exists
+        # keeps every rule on values), a replay its parsed stream once, by the
+        # column extremes the reader kept, each before the output directory exists
         import budgetmax.cli as cli
         import budgetmax.environments as environments
         calls = []
@@ -274,7 +280,7 @@ class TestRunExperiment:
         stream = read_stream(out / "stream.csv")
         out = tmp_path / "replay"
         run_experiment(parse_config(good_config(environment=env, output_dir=str(out))), stream)
-        assert calls == [((20, 2000), (20, 2000), False)]
+        assert calls == [((1, 2000), (2, 2000), False)]
 
     def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
         traces = []
@@ -383,6 +389,28 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak < T * n * 8 / 2
+
+    def test_replay_holds_one_block(self, tmp_path):
+        # a replay parses its file into a spool and learns it a block at a time,
+        # so its peak stays below half of the two (T, n) matrices at T = 4000
+        # and does not grow with T; at T = 1000 the learner's own block state,
+        # which a generated run holds too, is already above that half
+        n, peaks = 100, {}
+        for T in (2, 1000, 4000):  # T = 2 first, so first-use imports are not counted
+            env = {"kind": "random_adversarial", "n": n, "T": T, "seed": 0}
+            out = tmp_path / f"T{T}"
+            run_experiment(parse_config(good_config(environment=env, seeds=[0],
+                                                    output_dir=str(out))))
+            config = parse_config(good_config(environment=env, seeds=[0]))
+            tracemalloc.start()
+            try:
+                with closing(read_stream(out / "stream.csv")) as stream:
+                    run_experiment(config, stream)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] < 4000 * n * 16 / 2
+        assert peaks[4000] < 1.1 * peaks[1000]
 
     def test_one_trace_open_at_a_time(self, tmp_path, monkeypatch):
         handles = []
@@ -647,6 +675,91 @@ class TestMain:
                      "--stream", str(tmp_path / "stream.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "replay").exists()
+
+    # n = 100 parses 81 trial lines and learns 163 trials per block
+    SPOOL_ENV = {"kind": "random_adversarial", "n": 100, "T": 400, "seed": 0}
+
+    @pytest.fixture
+    def spools(self, monkeypatch):
+        """Every temporary file the stream reader makes, as it makes them."""
+        handles = []
+        real = environments.TemporaryFile
+
+        def tracked(*args, **kwargs):
+            handles.append(real(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(environments, "TemporaryFile", tracked)
+        return handles
+
+    def recorded_stream(self, tmp_path):
+        """The stream file a run of ``SPOOL_ENV`` writes."""
+        cfg = self.write_config(tmp_path, good_config(environment=self.SPOOL_ENV, seeds=[0]))
+        assert main(["--config", cfg, "--out", str(tmp_path / "run"), "run"]) == 0
+        return tmp_path / "run" / "stream.csv"
+
+    @pytest.mark.parametrize("fault, code", [(None, 0), ("later line", 1), ("kind", 1),
+                                             ("shape", 1), ("second block", 2), ("copy", 2)])
+    def test_every_replay_closes_its_spool(self, tmp_path, capsys, monkeypatch, spools,
+                                           fault, code):
+        path = self.recorded_stream(tmp_path)
+        env = self.SPOOL_ENV
+        if fault == "later line":  # trial 199, in the third block of lines read
+            lines = path.read_bytes().split(b"\n")
+            lines[199] = lines[199].rsplit(b",", 1)[0] + b",x"
+            path.write_bytes(b"\n".join(lines))
+        elif fault == "kind":  # its rewards reach 1
+            env = {**env, "r_max": 0.5}
+        elif fault == "shape":
+            env = {**env, "T": 399}
+        elif fault == "second block":  # after the first block's trace rows are written
+            real = environments.SpooledStream.blocks
+
+            def spoiled(stream):
+                for k, block in enumerate(real(stream)):
+                    if k == 1:
+                        raise MemoryError()
+                    yield block
+
+            monkeypatch.setattr(environments.SpooledStream, "blocks", spoiled)
+        elif fault == "copy":
+            def no_space(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(shutil, "copyfile", no_space)
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[0]))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(path)]) == code
+        assert len(spools) == 1 and spools[0].closed
+        if fault == "later line":
+            assert capsys.readouterr().err.startswith("error: line 200: bad reward/cost: ")
+        if code == 1:
+            assert not out.exists()
+        elif code == 2:
+            assert list(out.iterdir()) == []
+
+    def test_a_dropped_stream_closes_its_spool(self, tmp_path, spools):
+        stream = read_stream(self.recorded_stream(tmp_path))
+        assert len(spools) == 1 and not spools[0].closed
+        del stream
+        gc.collect()
+        assert spools[0].closed
+
+    def test_a_spool_that_cannot_be_made_exits_2_before_writing(self, tmp_path, capsys,
+                                                                monkeypatch):
+        path = self.recorded_stream(tmp_path)
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(environments, "TemporaryFile", no_space)
+        cfg = self.write_config(tmp_path, good_config(environment=self.SPOOL_ENV, seeds=[0]))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(path)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert not out.exists()
 
     def test_failed_stream_write_leaves_no_file(self, tmp_path, monkeypatch):
         import budgetmax.cli as cli
