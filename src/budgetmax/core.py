@@ -22,9 +22,6 @@ import numpy as np
 
 # Absolute slack allowed when comparing a selection's energy to the unit budget.
 BUDGET_SLACK = 1e-12
-# Entries per (rows, n) block of trials that a loop over a stream holds at
-# once, cut in environments._block_rows: bounds the block's temporaries.
-BLOCK_ENTRIES = 1 << 14
 
 
 class InvalidEnergyError(ValueError):

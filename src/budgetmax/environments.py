@@ -11,10 +11,11 @@ Four families:
   optional piecewise-constant shift schedule that changes which action is
   favored from segment to segment.
 
-Trials are cut into blocks of ``max(1, BLOCK_ENTRIES // n)`` rows in one
-place (:func:`_block_rows`); a block is a triple ``(start, rewards, costs)``
-that carries its first trial's 0-based index, so no later stage cuts or
-counts trials. A spec's blocks are generated one at a time
+Every stream is cut one way, whether generated, read, spooled, learned or
+written (:func:`_block_rows`): into blocks of ``BLOCK_ENTRIES`` entries in
+whole rows of ``n``, at least one. A block is a triple ``(start, rewards,
+costs)`` that carries its first trial's 0-based index, so no later stage
+cuts or counts trials. A spec's blocks are generated one at a time
 (:func:`generate_blocks`), so a run holds one whatever ``T`` is. Each
 matrix has its own ``np.random.PCG64(seed)``, advanced to the draw at which
 one ``np.random.default_rng(seed)`` drawing everything in turn would start
@@ -52,17 +53,17 @@ within ``c_max``. Only energies can break their kind's rule:
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
 significant digits so a write/read round trip is bit-exact. Neither
-direction holds a file's text in memory: ``write_stream`` writes a block
-of ``BLOCK_ENTRIES // (2n)`` rows at a time (:func:`write_rows`, which a
-run also appends its generated blocks with), and ``read_stream`` walks a
-buffered reader's lines once, in file order (:func:`_lines` only splits
-them): the preamble, then blocks of that many trial lines
-(:func:`_trial_block`), each cast in one ``np.loadtxt`` call when every
-line is spelled as ``write_rows`` spells it and line by line otherwise,
-then any trailing lines. Each line's own check comes first and names its
+direction holds more than a block's text: ``write_stream`` writes each
+block in one write (:func:`write_rows`, which a run also appends its
+generated blocks with), and ``read_stream`` walks a buffered reader's
+lines once, in file order (:func:`_lines` only splits them): the
+preamble, then each block's trial lines (:func:`_trial_block`), cast in
+one ``np.loadtxt`` call when every line is spelled as ``write_rows``
+spells it and line by line otherwise, then any trailing lines. Each line's own check comes first and names its
 first non-ASCII byte (:func:`_ascii`), so the first bad line is named
 whatever its fault. Each cast block is checked and appended to the spool
-before the next is read, so a replay never holds the ``(T, n)`` matrices.
+before the next is read, and the learner reads the same blocks back, so
+a replay never holds the ``(T, n)`` matrices.
 The reader keeps the file's path and identity as the stream's ``source``.
 A replay saves the stream by copying that file, as it was read, not
 re-rendered with ``%.17g``, once it has checked that the file is still
@@ -83,7 +84,7 @@ from tempfile import TemporaryFile
 
 import numpy as np
 
-from .core import ActionSet, BLOCK_ENTRIES
+from .core import ActionSet
 
 KINDS = ("facility_location", "knapsack_median", "knapsack_01", "random_adversarial")
 
@@ -99,7 +100,7 @@ class TrialError(ValueError):
     """A stream row that fails a :class:`Stream`'s check: its 1-based ``trial`` and ``reason``.
 
     The message is ``trial <trial>: <reason>``; ``read_stream`` names the
-    trial's line instead, from the same two fields.
+    trial's line instead, from :func:`_first_bad_trial`'s ``(trial, reason)``.
     """
 
     def __init__(self, trial: int, reason: str):
@@ -112,6 +113,10 @@ class TrialError(ValueError):
 # such a 6 MB file lost 42 of 60 interleaved timings to splitting the same
 # bytes held in memory; from 64 KiB to 1 MiB it was at parity.
 READ_BUFFER = 256 * 1024
+
+# Entries per (rows, n) block of trials that a loop over a stream holds at
+# once, cut in _block_rows: bounds the block's temporaries and its text.
+BLOCK_ENTRIES = 1 << 14
 
 
 # Largest c_max whose cost range 2 * c_max is finite: above it
@@ -258,7 +263,7 @@ class Stream:
 
     def blocks(self):
         """Yield ``(start, rewards, costs)`` row-slice views, as :func:`generate_blocks` would."""
-        for start, rows in _block_rows(self):
+        for start, rows in _block_rows(self.n, self.T):
             yield start, self.rewards[start:start + rows], self.costs[start:start + rows]
 
     def extremes(self):
@@ -269,11 +274,11 @@ class Stream:
 class SpooledStream:
     """A stream read from a file, its rows held in a temporary spool rather than in memory.
 
-    :func:`read_stream` appends each checked row, rewards then costs, as
+    :func:`read_stream` appends each checked block, rewards then costs, as
     float64 to an unnamed temporary file under ``TMPDIR`` (``16 T n``
     bytes), and keeps the file's :class:`StreamSource`, so a run saves the
     stream by copying the file it was read from. :meth:`blocks` reads the
-    rows back one :func:`_block_rows` block at a time with ``np.fromfile``
+    same :func:`_block_rows` blocks back one at a time with ``np.fromfile``
     (no mapping, whose pages would stay resident), so a replay holds one
     block, as a generated run does. ``rewards`` and ``costs`` read the
     whole matrices back on each access, for callers that need them whole:
@@ -301,7 +306,7 @@ class SpooledStream:
 
     def blocks(self):
         """Yield ``(start, rewards, costs)`` from the spool, as :func:`generate_blocks` would."""
-        for start, rows in _block_rows(self):
+        for start, rows in _block_rows(self.n, self.T):
             values = self._rows(start, rows)
             yield start, values[:, :self.n], values[:, self.n:]
 
@@ -339,15 +344,16 @@ def _rng_at(seed: int, draws: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed).advance(draws))
 
 
-def _block_rows(shape: EnvironmentSpec | Stream | SpooledStream):
-    """The one cut of a spec's or a stream's trials: ``(start, rows)`` per block.
+def _block_rows(n: int, T: int):
+    """The one cut of ``T`` trials of ``n`` actions: ``(start, rows)`` per block.
 
-    A block has ``max(1, BLOCK_ENTRIES // n)`` rows (the last may have
-    fewer) from the 0-based trial ``start`` on.
+    A block holds ``BLOCK_ENTRIES`` entries in whole rows of ``n``, at
+    least one (the last block may have fewer), from the 0-based trial
+    ``start`` on.
     """
-    rows = max(1, BLOCK_ENTRIES // shape.n)
-    for start in range(0, shape.T, rows):
-        yield start, min(rows, shape.T - start)
+    rows = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, T, rows):
+        yield start, min(rows, T - start)
 
 
 def _facility_location(spec: EnvironmentSpec):
@@ -356,7 +362,7 @@ def _facility_location(spec: EnvironmentSpec):
     users, costs = _rng_at(seed, 2 * n), _rng_at(seed, 2 * n + 2 * T)
     lo, hi = spec.cost_range
     return np.zeros(n), ((start, site_rewards(sites, users.random((m, 2)), spec.r_max),
-                          costs.uniform(lo, hi, size=(m, n))) for start, m in _block_rows(spec))
+                          costs.uniform(lo, hi, size=(m, n))) for start, m in _block_rows(n, T))
 
 
 def _knapsack_median(spec: EnvironmentSpec):
@@ -364,7 +370,7 @@ def _knapsack_median(spec: EnvironmentSpec):
     z = spec.beta_max * (1.0 - _rng_at(seed, 0).random(n))  # strictly positive
     sites, users = _rng_at(seed, n).random((n, 2)), _rng_at(seed, 3 * n)
     return z, ((start, site_rewards(sites, users.random((m, 2)), spec.r_max), np.zeros((m, n)))
-               for start, m in _block_rows(spec))
+               for start, m in _block_rows(n, spec.T))
 
 
 def _knapsack_01(spec: EnvironmentSpec):
@@ -373,7 +379,7 @@ def _knapsack_01(spec: EnvironmentSpec):
     values = _rng_at(seed, n)
     vlo, vhi = spec.value_range
     return z, ((start, np.zeros((m, n)), -values.uniform(vlo, vhi, size=(m, n)))
-               for start, m in _block_rows(spec))
+               for start, m in _block_rows(n, spec.T))
 
 
 def _random_adversarial(spec: EnvironmentSpec):
@@ -382,7 +388,7 @@ def _random_adversarial(spec: EnvironmentSpec):
     costs, rewards = _rng_at(seed, n), _rng_at(seed, n + T * n)
     if spec.shift_segments < 2:
         return z, ((start, rewards.uniform(0.0, spec.r_max, size=(m, n)),
-                    costs.uniform(-c_max, c_max, size=(m, n))) for start, m in _block_rows(spec))
+                    costs.uniform(-c_max, c_max, size=(m, n))) for start, m in _block_rows(n, T))
     return z, _shifted_blocks(spec, rewards, costs)
 
 
@@ -396,7 +402,7 @@ def _shifted_blocks(spec: EnvironmentSpec, rewards, costs):
     n, T, k, r_max = spec.n, spec.T, spec.shift_segments, spec.r_max
     boosts = _rng_at(spec.seed, n + 2 * T * n)
     favored = boosts.permutation(n)[:k]
-    for start, m in _block_rows(spec):
+    for start, m in _block_rows(n, T):
         block = rewards.uniform(0.0, 0.5 * r_max, size=(m, n))
         segment = np.minimum((np.arange(start, start + m) * k) // T, k - 1)
         block[np.arange(m), favored[segment]] = boosts.uniform(0.75 * r_max, r_max, size=m)
@@ -490,35 +496,24 @@ def stream_preamble(z, T: int) -> str:
     return ("%d,%d" + ",%.17g" * len(z) + "\n") % (len(z), T, *z.tolist())
 
 
-def _text_rows(n: int) -> int:
-    """Trial lines per block of stream text, written or read: ``max(1, BLOCK_ENTRIES // (2n))``."""
-    return max(1, BLOCK_ENTRIES // (2 * n))
-
-
 def write_rows(fh, rewards, costs, start: int) -> None:
-    """Write one line per row of ``rewards``/``costs``, as trials ``start + 1`` on.
+    """Write one line per row of ``rewards``/``costs``, as trials ``start + 1`` on, in one write.
 
     Floats are written with ``%.17g``, which formats exactly as
-    ``format(x, ".17g")`` and round-trips every float64. Rows are
-    converted and written ``BLOCK_ENTRIES // (2n)`` at a time, so no more
-    text than that is held.
+    ``format(x, ".17g")`` and round-trips every float64. Callers pass one
+    block, so a block's text is held.
     """
-    n = rewards.shape[1]
-    row = "%d" + ",%.17g" * (2 * n) + "\n"
-    rows = _text_rows(n)
-    for lo in range(0, len(rewards), rows):
-        hi = lo + rows
-        fh.write("".join(
-            row % (t, *r, *c)
-            for t, r, c in zip(range(start + lo + 1, start + hi + 1),
-                               rewards[lo:hi].tolist(), costs[lo:hi].tolist())))
+    row = "%d" + ",%.17g" * (2 * rewards.shape[1]) + "\n"
+    fh.write("".join(row % (t, *r, *c) for t, r, c in zip(
+        itertools.count(start + 1), rewards.tolist(), costs.tolist())))
 
 
-def write_stream(stream: Stream, path) -> None:
-    """Write the preamble plus one line per trial (see module docstring and :func:`write_rows`)."""
+def write_stream(stream: Stream | SpooledStream, path) -> None:
+    """Write the preamble, then each of ``stream.blocks()`` (see :func:`write_rows`)."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(stream_preamble(stream.action_set.z, stream.T))
-        write_rows(fh, stream.rewards, stream.costs, 0)
+        for start, rewards, costs in stream.blocks():
+            write_rows(fh, rewards, costs, start)
 
 
 def _line_error(t: int, message: str) -> StreamFormatError:
@@ -635,9 +630,8 @@ def read_stream(path) -> SpooledStream:
     At most the ``st_size`` bytes seen then are read, once, in file order,
     from a buffered reader (:func:`_lines`). Each line is checked where it
     is read, its first non-ASCII byte first (:func:`_ascii`): the
-    preamble, then the trial lines in blocks of the ``BLOCK_ENTRIES //
-    (2n)`` lines :func:`write_rows` writes at a time, each block cast
-    before the next is read (:func:`_trial_block`): in one ``np.loadtxt``
+    preamble, then the trial lines of each :func:`_block_rows` block, each
+    cast before the next is read (:func:`_trial_block`): in one ``np.loadtxt``
     call when every line is spelled as ``write_rows`` spells it, else a
     line at a time, each line's structure checked, then its ``2n`` values
     cast to floats at once; then any trailing lines, which must be blank.
@@ -682,9 +676,8 @@ def read_stream(path) -> SpooledStream:
         # the rewards' column maxima, the costs' column minima and maxima
         extremes = np.repeat([[-np.inf], [np.inf], [-np.inf]], n, axis=1)
         bad = None  # the first bad trial's (t, reason), raised once the file has parsed
-        per_block = _text_rows(n)
-        for start in range(0, T, per_block):
-            values = _trial_block(lines, start, min(per_block, T - start), n)
+        for start, rows in _block_rows(n, T):
+            values = _trial_block(lines, start, rows, n)
             rewards, costs = values[:, :n], values[:, n:]
             bad = bad or _first_bad_trial(rewards, costs, n, start)
             if bad is None:

@@ -60,8 +60,11 @@ def is_feasible(x, z) -> bool:
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     tol = FEASIBILITY_TOL
+    # einsum, not a block's x @ z: that is a BLAS gemv, and OpenBLAS maps its
+    # buffer pool at the first one; when it cannot, it exits the process from
+    # C, so a run out of address space would die mid-write with no cleanup
     return bool(x.min(initial=0.0) >= -tol and x.max(initial=0.0) <= 1.0 + tol
-                and np.max(x @ z, initial=0.0) <= 1.0 + tol)
+                and np.max(np.einsum("...j,j->...", x, z), initial=0.0) <= 1.0 + tol)
 
 
 def project_onto_feasible(y, z) -> np.ndarray:

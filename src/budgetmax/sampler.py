@@ -75,6 +75,10 @@ import itertools
 import math
 
 import numpy as np
+# numpy loads its random module lazily, at first use: in a run that is
+# draw_trials, after the output directory exists, where an import that
+# cannot map its library would fail outside any cleanup. Load it now.
+import numpy.random
 
 from .core import ActionSet, BUDGET_SLACK
 from .projection import _clamp, is_feasible

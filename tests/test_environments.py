@@ -8,9 +8,9 @@ import numpy.testing as npt
 import pytest
 
 from budgetmax import ActionSet, KINDS, StreamFormatError, environments, read_stream, write_stream
-from budgetmax.core import BLOCK_ENTRIES
-from budgetmax.environments import (C_MAX_LIMIT, EnvironmentSpec, Stream, check_block, generate,
-                                    generate_blocks, site_rewards, stream_preamble, write_rows)
+from budgetmax.environments import (BLOCK_ENTRIES, C_MAX_LIMIT, EnvironmentSpec, Stream, check_block,
+                                    generate, generate_blocks, site_rewards, stream_preamble,
+                                    write_rows)
 
 
 def spec_for(kind, **kw):
@@ -474,12 +474,12 @@ class TestStreamFiles:
 
     def test_bad_value_in_a_later_block_names_its_line(self, tmp_path):
         n = 100
-        rows = BLOCK_ENTRIES // (2 * n)  # trial lines per write of write_rows
+        rows = BLOCK_ENTRIES // n  # trial lines per block
         stream = generate(spec_for("facility_location", n=n, T=2 * rows + 3))
         path = tmp_path / "s.csv"
         write_stream(stream, path)
         lines = path.read_text().splitlines()
-        for t in (rows + 5, rows + 9):  # two bad trials in the second write
+        for t in (rows + 5, rows + 9):  # two bad trials in the second block
             fields = lines[t].split(",")
             fields[n + 3] = "1.0.0"
             lines[t] = ",".join(fields)
@@ -638,6 +638,23 @@ class TestStreamFiles:
         assert write_peak < 2_000_000
         assert read_peak - start < back.rewards.nbytes + back.costs.nbytes + 1_000_000
 
+    def test_a_replayed_stream_is_written_a_block_at_a_time(self, tmp_path):
+        # n = 100, T = 4000: the (T, n) rewards and costs take 3.2 MB each.
+        # Reading spools the rows and writing reads them back a block at a
+        # time, so the two hold under half of those matrices between them
+        path, copy = tmp_path / "s.csv", tmp_path / "copy.csv"
+        write_stream(generate(spec_for("random_adversarial", n=100, T=4000)), path)
+        tracemalloc.start()
+        try:
+            stream = read_stream(path)
+            write_stream(stream, copy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stream.close()
+        assert peak < 4000 * 100 * 8
+        assert copy.read_bytes() == path.read_bytes()
+
 
 def read_outcome(path):
     """What ``read_stream`` makes of a file: its arrays' bytes, or its error's type and message."""
@@ -694,7 +711,7 @@ class TestBlockReads:
     @pytest.fixture
     def small_blocks(self, monkeypatch):
         # 4 lines per block at n = 2, so a small file spans several blocks
-        monkeypatch.setattr(environments, "BLOCK_ENTRIES", 16)
+        monkeypatch.setattr(environments, "BLOCK_ENTRIES", 8)
         return 4
 
     def blocks_file(self, tmp_path, n, T):
@@ -728,9 +745,32 @@ class TestBlockReads:
         assert casts and min(casts) == 1 and max(casts) == small_blocks
         assert outcomes == {"read", StreamFormatError}
 
+    def test_the_blocks_cast_are_the_blocks_learned(self, tmp_path, monkeypatch):
+        # n = 100 cuts 163 rows per block: T = 400 is two full blocks and one
+        # of 74, cast one np.loadtxt call each and read back from the spool as cut
+        path, stream = self.blocks_file(tmp_path, 100, 400)
+        cut = list(environments._block_rows(100, 400))
+        assert cut == [(0, 163), (163, 163), (326, 74)]
+        casts = []
+        real = np.loadtxt
+
+        def counted(*args, **kwargs):
+            casts.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        back = read_stream(path)
+        assert casts == [rows for _, rows in cut]
+        blocks = list(back.blocks())
+        assert [(start, len(r)) for start, r, _ in blocks] == cut
+        for start, r, c in blocks:
+            npt.assert_array_equal(r, stream.rewards[start:start + len(r)])
+            npt.assert_array_equal(c, stream.costs[start:start + len(c)])
+        back.close()
+
     def test_unit_separator_around_a_value_is_refused_as_float_refuses_it(self, tmp_path):
         # np.loadtxt strips \x1f around a field; float() and the stream do not
-        rows = BLOCK_ENTRIES // 200  # trial lines per block at n = 100
+        rows = BLOCK_ENTRIES // 100  # trial lines per block at n = 100
         path, _ = self.blocks_file(tmp_path, 100, 2 * rows + 3)
         lines = path.read_text().splitlines()
         fields = lines[rows + 5].split(",")
@@ -745,7 +785,7 @@ class TestBlockReads:
 
     @pytest.mark.parametrize("edit", ["+tag", "0tag", "space", "underscores"])
     def test_other_spellings_in_a_middle_block_read_as_the_canonical_one(self, tmp_path, edit):
-        rows = BLOCK_ENTRIES // 200
+        rows = BLOCK_ENTRIES // 100
         path, stream = self.blocks_file(tmp_path, 100, 3 * rows)
         stream.costs[rows + 9, 4] = 1000.0
         write_stream(stream, path)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import budgetmax
@@ -29,3 +32,16 @@ def test_every_public_name_resolves():
         assert getattr(budgetmax, name) is not None
     for name in NOT_EXPORTED:
         assert name not in budgetmax.__all__ and not hasattr(budgetmax, name)
+
+
+def test_importing_the_cli_loads_numpy_random():
+    # numpy loads numpy.random at first use, which in a run comes after its
+    # output directory exists; an import that fails there escapes the cleanup
+    src = str(Path(budgetmax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, budgetmax.cli; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

@@ -8,7 +8,7 @@ import pytest
 from budgetmax import (KINDS, ActionSet, EnvironmentSpec, generate, is_feasible, learn,
                        project_onto_feasible, surrogate_gradient, surrogate_value)
 import budgetmax.surrogate as surrogate_module
-from budgetmax.core import BLOCK_ENTRIES
+from budgetmax.environments import BLOCK_ENTRIES
 from budgetmax.oracles import exact_expected_profit, finite_diff_gradient, projection_certificate
 from budgetmax.surrogate import _sorted_rewards, _trial_pieces
 from conftest import (random_action_set, random_feasible_point, random_trial, stream_of)
