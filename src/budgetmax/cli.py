@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, selection_profits
-from .environments import (EnvironmentSpec, SpooledStream, Stream, check_block, generate,
-                           generate_blocks, read_stream, stream_preamble, write_rows)
+from .environments import (EnvironmentSpec, Stream, check_block, generate_blocks, read_stream,
+                           stream_preamble, write_rows)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -228,8 +228,7 @@ def load_config(path, output_dir: str | None = None) -> ExperimentConfig:
     return parse_config(data)
 
 
-def run_experiment(config: ExperimentConfig,
-                   stream: Stream | SpooledStream | None = None) -> RunReport:
+def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> RunReport:
     """Learn the weights once over one stream, draw every engine seed, summarize.
 
     The weight trajectory does not depend on the engine seed, so the run
@@ -241,19 +240,18 @@ def run_experiment(config: ExperimentConfig,
     asks for it (:func:`~budgetmax.environments.generate_blocks`), so a
     generated run holds one block of trials and one of learner state,
     whatever ``T`` is. A stream passed in is checked against the config's
-    shape and read through its ``blocks()``: a replay's
+    shape and read only through its ``blocks()``, once: a replay's
     :class:`~budgetmax.environments.SpooledStream` reads one block at a
-    time from its spool, so it holds one block too, while a
-    :class:`~budgetmax.environments.Stream` is whole in memory already.
+    time from its spool, so it holds one block too.
     Each run makes one :func:`~budgetmax.environments.check_block` call,
     before any output: on a stream passed in, with the arrays its
     ``extremes()`` gives (a replay's column extremes, kept as it was
     parsed, or a ``Stream``'s whole matrices), and on a generated stream's
     energies alone (no rows), since its generator keeps every rule on
     values. ``r_hat`` and ``c_hat`` are the maxima of the blocks' maxima.
-    A bound check's comparator (``n`` is at most ``MAX_EXHAUSTIVE_ACTIONS``)
-    reads the whole stream after the pass: a regenerated one, or a stream
-    passed in, a replay's read back from its spool.
+    A bound check (``n`` is at most ``MAX_EXHAUSTIVE_ACTIONS``) keeps each
+    block the run learned, and its comparator scores the stream they make
+    after the pass, so no stream is generated or read twice.
 
     An ``output_dir`` that holds a ``trace_seed*.csv`` of a seed this run
     does not list is refused with a ``ValueError`` that names the
@@ -263,17 +261,17 @@ def run_experiment(config: ExperimentConfig,
     of an earlier run whole, so a replay into its own run's directory
     still works; a leftover ``*.tmp`` never looks complete.
 
-    With an ``output_dir``, every file is written under ``<name>.tmp``:
-    ``stream.csv`` first (a copy of a replayed stream's ``source`` file,
-    or else the stream's preamble, to which each block's rows are appended
-    as the block is learned), then one ``trace_seed<k>.csv`` per seed,
-    each created with its header before the first block and appended to
-    once per block, and ``report.json`` last. A file is open only while
-    one block's rows are appended to it, so one is open at a time however
-    many seeds a config lists. The copy fails with an ``OSError`` naming
-    the file if that file changed after it was read. Any exception, in any
-    block, unlinks them all; otherwise they are renamed in that order, so
-    a ``report.json`` marks a complete run.
+    With an ``output_dir``, every file is written under ``<name>.tmp``,
+    each name listed before the first write: ``stream.csv`` first (a copy
+    of a replayed stream's ``source`` file, or else the stream's preamble,
+    to which each block's rows are appended as the block is learned), then
+    one ``trace_seed<k>.csv`` per seed, each created with its header before
+    the first block and appended to once per block, and ``report.json``
+    last. A file is open only while one block's rows are appended to it,
+    so one is open at a time however many seeds a config lists. The copy
+    fails with an ``OSError`` naming the file if that file changed after it
+    was read. Any exception, in any block, unlinks them all; otherwise they
+    are renamed in that order, so a ``report.json`` marks a complete run.
     """
     env = config.environment
     if stream is None:
@@ -295,36 +293,36 @@ def run_experiment(config: ExperimentConfig,
         for held in sorted(out_dir.glob("trace_seed*.csv")):
             if held.name not in ours:
                 raise ValueError(f"output directory {out_dir} holds another run's {held.name}")
-    temps = []  # every output file under its temporary name, in rename order
-
-    def create(name):
-        temps.append(out_dir / f"{name}.tmp")
-        return temps[-1]
-
+    # every output file under its temporary name, in rename order: the
+    # stream, each seed's trace, then the report
+    temps = [] if out_dir is None else [out_dir / f"{name}.tmp" for name in (
+        "stream.csv", *(f"trace_seed{seed}.csv" for seed in config.seeds), "report.json")]
+    traces = temps[1:-1]
+    # a bound check's comparator scores the trials the run learns
+    learned = (np.empty((env.T, env.n)), np.empty((env.T, env.n))) if config.bound_check else None
     try:
         appended = None  # the stream file each block's rows are appended to
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-            saved = create("stream.csv")
             if source is not None:
-                source.copy_to(saved)  # a replay saves the file it parsed
+                source.copy_to(temps[0])  # a replay saves the file it parsed
             else:
-                with open(saved, "w", encoding="ascii", newline="\n") as fh:
+                with open(temps[0], "w", encoding="ascii", newline="\n") as fh:
                     fh.write(stream_preamble(action_set.z, env.T))
-                appended = saved
+                appended = temps[0]
         layout = RowLayout(action_set)
-        traces = []
-        if out_dir:
-            for seed in config.seeds:
-                traces.append(create(f"trace_seed{seed}.csv"))
-                with open(traces[-1], "w", encoding="ascii", newline="\n") as trace:
-                    trace.write(TRACE_HEADER + "\n")
+        for path in traces:
+            with open(path, "w", encoding="ascii", newline="\n") as trace:
+                trace.write(TRACE_HEADER + "\n")
         per_seed = [0.0] * len(config.seeds)
         r_hat = c_hat = 0.0
         for start, rewards, costs, block in learn_blocks(action_set, blocks):
             if appended is not None:
                 with open(appended, "a", encoding="ascii", newline="\n") as fh:
                     write_rows(fh, rewards, costs, start)
+            if learned is not None:
+                stop = start + len(rewards)
+                learned[0][start:stop], learned[1][start:stop] = rewards, costs
             r_hat = max(r_hat, float(rewards.max()))
             c_hat = max(c_hat, float(costs.max()), float(-costs.min()))
             if traces:  # each trial's grad_norm and eta, formatted once for every seed
@@ -355,7 +353,7 @@ def run_experiment(config: ExperimentConfig,
 
         comparator_subset = comparator_total = bound_satisfied = None
         if config.bound_check:
-            comp = best_fixed_subset(generate(env) if stream is None else stream,
+            comp = best_fixed_subset(Stream(action_set, *learned),
                                      action_set.alpha, action_set.delta)
             comparator_subset = comp.subset
             comparator_total = comp.discounted_total
@@ -370,7 +368,7 @@ def run_experiment(config: ExperimentConfig,
             large_beta_mode=layout.wrapper,
         )
         if out_dir:
-            create("report.json").write_text(
+            temps[-1].write_text(
                 json.dumps(vars(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
         for path in temps:
             os.replace(path, path.with_suffix(""))

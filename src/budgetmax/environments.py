@@ -41,7 +41,9 @@ trial ``t`` is row ``t - 1`` of both. A stream checks its matrices once,
 when it is built, with whole-array operations, and a :class:`TrialError`
 names the first bad trial. A stream read from a file is a
 :class:`SpooledStream`: its rows, checked the same way a block at a time,
-wait in a temporary file and are read back one block at a time.
+wait in a temporary file and are read back only by its blocks, one at a
+time. Nothing reads a replayed stream whole: a run's bound check (at most
+20 actions) keeps the blocks the run learned instead.
 :func:`check_block` checks a kind's rules on its energies and rows.
 Generated rows need neither check: from a valid spec, every value is
 finite, rewards lie in ``[0, r_max]``, ``facility_location`` costs are at
@@ -229,86 +231,74 @@ def _first_bad_trial(rewards, costs, n: int, start: int = 0) -> tuple[int, str] 
     return start + t + 1, "negative reward" if row_finite[t] else "rewards and costs must be finite"
 
 
-@dataclass(frozen=True)
 class Stream:
     """A full instance held in memory: fixed energies plus (T, n) reward and cost matrices.
 
-    Building a stream checks its matrices once (a :class:`TrialError` names
-    the first bad trial, see :func:`_first_bad_trial`), so every consumer takes
+    Building a stream casts its matrices to float arrays (a float64 array is
+    kept, not copied) and checks them once (a :class:`TrialError` names the
+    first bad trial, see :func:`_first_bad_trial`), so every consumer takes
     row ``t`` of ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
-    It has no file to copy (``source`` is None): :func:`read_stream` gives
-    a :class:`SpooledStream`, which serves the same reads.
+    Every stream is read by its :meth:`blocks`, one :func:`_block_rows`
+    block at a time; only a stream built in memory has whole ``rewards``
+    and ``costs``. It has no file to copy (``source`` is None):
+    :func:`read_stream` gives a :class:`SpooledStream`.
     """
 
-    action_set: ActionSet
-    rewards: np.ndarray
-    costs: np.ndarray
     source = None
 
-    def __post_init__(self):
-        if self.rewards.ndim != 2 or self.rewards.shape != self.costs.shape:
+    def __init__(self, action_set: ActionSet, rewards, costs):
+        rewards, costs = np.asarray(rewards, dtype=float), np.asarray(costs, dtype=float)
+        if rewards.ndim != 2 or rewards.shape != costs.shape:
             raise ValueError(f"rewards and costs must be (T, n) matrices of one shape, "
-                             f"got {self.rewards.shape} and {self.costs.shape}")
-        bad = _first_bad_trial(self.rewards, self.costs, self.action_set.n)
+                             f"got {rewards.shape} and {costs.shape}")
+        bad = _first_bad_trial(rewards, costs, action_set.n)
         if bad is not None:
             raise TrialError(*bad)
-
-    @property
-    def T(self) -> int:
-        return self.rewards.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rewards.shape[1]
-
-    def blocks(self):
-        """Yield ``(start, rewards, costs)`` row-slice views, as :func:`generate_blocks` would."""
-        for start, rows in _block_rows(self.n, self.T):
-            yield start, self.rewards[start:start + rows], self.costs[start:start + rows]
-
-    def extremes(self):
-        """``(rewards, costs)`` holding the stream's extreme values: its matrices."""
-        return self.rewards, self.costs
-
-
-class SpooledStream:
-    """A stream read from a file, its rows held in a temporary spool rather than in memory.
-
-    :func:`read_stream` appends each checked block, rewards then costs, as
-    float64 to an unnamed temporary file under ``TMPDIR`` (``16 T n``
-    bytes), and keeps the file's :class:`StreamSource`, so a run saves the
-    stream by copying the file it was read from. :meth:`blocks` reads the
-    same :func:`_block_rows` blocks back one at a time with ``np.fromfile``
-    (no mapping, whose pages would stay resident), so a replay holds one
-    block, as a generated run does. ``rewards`` and ``costs`` read the
-    whole matrices back on each access, for callers that need them whole:
-    tests, and the bound check's comparator, whose ``n`` is small.
-    :meth:`close` deletes the spool; a stream dropped unclosed deletes it
-    when it is collected.
-    """
-
-    def __init__(self, action_set: ActionSet, T: int, spool, extremes, source: StreamSource):
-        self.action_set, self.T, self.source = action_set, T, source
-        self._spool, self._extremes = spool, extremes
-        self._close = weakref.finalize(self, spool.close)
+        self.action_set, self.T, self.rewards, self.costs = action_set, len(rewards), rewards, costs
 
     @property
     def n(self) -> int:
         return self.action_set.n
 
-    @property
-    def rewards(self) -> np.ndarray:
-        return self._rows(0, self.T)[:, :self.n]
-
-    @property
-    def costs(self) -> np.ndarray:
-        return self._rows(0, self.T)[:, self.n:]
-
     def blocks(self):
-        """Yield ``(start, rewards, costs)`` from the spool, as :func:`generate_blocks` would."""
+        """Yield ``(start, rewards, costs)`` per block, as :func:`generate_blocks` would."""
         for start, rows in _block_rows(self.n, self.T):
-            values = self._rows(start, rows)
-            yield start, values[:, :self.n], values[:, self.n:]
+            yield start, *self._block(start, rows)
+
+    def extremes(self):
+        """``(rewards, costs)`` holding the stream's extreme values: its matrices."""
+        return self.rewards, self.costs
+
+    def close(self) -> None:
+        """Release the rows' storage: a replay's spool is deleted, and cannot be read after.
+
+        A stream in memory holds nothing to release.
+        """
+
+    def _block(self, start: int, rows: int):
+        """Trials ``start + 1`` to ``start + rows``: row-slice views of the matrices."""
+        return self.rewards[start:start + rows], self.costs[start:start + rows]
+
+
+class SpooledStream(Stream):
+    """A stream read from a file, its rows held in a temporary spool rather than in memory.
+
+    :func:`read_stream` appends each checked block, rewards then costs, as
+    float64 to an unnamed temporary file under ``TMPDIR`` (``16 T n``
+    bytes), and keeps the file's :class:`StreamSource`, so a run saves the
+    stream by copying the file it was read from. Its rows are read only by
+    :meth:`~Stream.blocks`, each block with ``np.fromfile`` (no mapping,
+    whose pages would stay resident), so a replay holds one block, as a
+    generated run does; it has no whole ``rewards`` or ``costs``.
+    :meth:`~Stream.close` deletes the spool; a stream dropped unclosed
+    deletes it when it is collected.
+    """
+
+    def __init__(self, action_set: ActionSet, T: int, spool, extremes, source: StreamSource):
+        self.action_set, self.T, self.source = action_set, T, source
+        self._spool, self._extremes = spool, extremes
+        # stands for Stream.close: closes the spool once, or when the stream is collected
+        self.close = weakref.finalize(self, spool.close)
 
     def extremes(self):
         """``(rewards, costs)``: the rewards' column maxima, the costs' column minima and maxima.
@@ -319,15 +309,12 @@ class SpooledStream:
         """
         return self._extremes[:1], self._extremes[1:]
 
-    def close(self) -> None:
-        """Close, and so delete, the spool; the rows cannot be read after."""
-        self._close()
-
-    def _rows(self, start: int, rows: int) -> np.ndarray:
-        """Trials ``start + 1`` to ``start + rows``: a ``(rows, 2n)`` array, rewards then costs."""
+    def _block(self, start: int, rows: int):
+        """Trials ``start + 1`` to ``start + rows``, read back from the spool."""
         width = 2 * self.n
         self._spool.seek(start * width * 8)
-        return np.fromfile(self._spool, count=rows * width).reshape(rows, width)
+        values = np.fromfile(self._spool, count=rows * width).reshape(rows, width)
+        return values[:, :self.n], values[:, self.n:]
 
 
 def site_rewards(sites: np.ndarray, users: np.ndarray, r_max: float) -> np.ndarray:
@@ -508,7 +495,7 @@ def write_rows(fh, rewards, costs, start: int) -> None:
         itertools.count(start + 1), rewards.tolist(), costs.tolist())))
 
 
-def write_stream(stream: Stream | SpooledStream, path) -> None:
+def write_stream(stream: Stream, path) -> None:
     """Write the preamble, then each of ``stream.blocks()`` (see :func:`write_rows`)."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(stream_preamble(stream.action_set.z, stream.T))

@@ -259,22 +259,19 @@ def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
     ``np.random.default_rng(seed)``. A block's uniforms are drawn column by
     column, as ``rng.random((width, rows)).T``, so the columns the sampler
     reads at a shared weight row are contiguous: per segment its full-draw
-    columns and its residual column, one uniform per draw. Full blocks
-    refill one reused ``(width, MC_CHUNK)`` buffer, which draws the same
-    values in the same order; a short last block gets its own array. Each
-    block is a column-major ``(rows, n)`` array, so an action's memberships
-    are contiguous.
+    columns and its residual column, one uniform per draw. Every block,
+    the short last one too, refills the front of one reused flat buffer as
+    a ``(width, rows)`` array, which draws the same values in the same
+    order. Each block is a column-major ``(rows, n)`` array, so an action's
+    memberships are contiguous.
     """
     layout = RowLayout(action_set)
     rng = np.random.default_rng(seed)
     w = np.asarray(w, dtype=float)[None]
-    buffer = np.empty((layout.width, min(MC_CHUNK, n_samples)))
+    buffer = np.empty(layout.width * min(MC_CHUNK, n_samples))
     for start in range(0, n_samples, MC_CHUNK):
         rows = min(MC_CHUNK, n_samples - start)
-        if rows == buffer.shape[1]:
-            uniforms = rng.random(out=buffer)
-        else:
-            uniforms = rng.random((layout.width, rows))
+        uniforms = rng.random(out=buffer[:layout.width * rows].reshape(layout.width, rows))
         yield sample_block(w, uniforms.T, layout)
 
 

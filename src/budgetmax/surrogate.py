@@ -215,7 +215,11 @@ def learn_blocks(action_set: ActionSet, blocks):
 
 
 def learn(stream: Stream) -> Trajectory:
-    """The whole trajectory of a stream: :func:`learn_blocks` over its row slices, concatenated.
+    """The whole trajectory of a stream: :func:`learn_blocks` over its ``blocks()``, concatenated.
+
+    The stream is read only by its blocks, so a replay's
+    :class:`~budgetmax.environments.SpooledStream` is learned one block
+    at a time from its spool, as a stream in memory is.
 
     Raises
     ------

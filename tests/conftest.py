@@ -41,6 +41,12 @@ def stream_of(action_set, trials):
     return Stream(action_set, np.array(rewards, dtype=float), np.array(costs, dtype=float))
 
 
+def stacked(stream):
+    """``(rewards, costs)``: a stream's blocks stacked whole, the only way to read a replay whole."""
+    _, rewards, costs = zip(*stream.blocks())
+    return np.concatenate(rewards), np.concatenate(costs)
+
+
 def draw_one(w, seed, t, layout):
     """Indices engine seed ``seed`` selects on the 1-based trial ``t`` at ``w``.
 

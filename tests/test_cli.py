@@ -21,7 +21,7 @@ from budgetmax import ActionSet, Stream
 from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TRACE_ROW,
                            load_config, main, parse_config, run_experiment)
 from budgetmax.environments import EnvironmentSpec, generate, read_stream, write_stream
-from budgetmax.oracles import ComparatorResult
+from budgetmax.oracles import ComparatorResult, best_fixed_subset
 
 
 def good_config(**overrides):
@@ -194,7 +194,7 @@ class TestRunExperiment:
         assert texts[0] == texts[1]
 
     def test_replay_reproduces_report(self, tmp_path):
-        # with a bound check, the replay's comparator reads the spool whole
+        # with a bound check, the replay's comparator scores the blocks it learned
         for bound_check in (False, True):
             out = tmp_path / f"out{bound_check}"
             config = parse_config(good_config(output_dir=str(out), bound_check=bound_check))
@@ -392,11 +392,11 @@ class TestRunExperiment:
 
     def test_replay_holds_one_block(self, tmp_path):
         # a replay parses its file into a spool and learns it a block at a time,
-        # so its peak stays below half of the two (T, n) matrices at T = 4000
+        # so its peak stays below half of the two (T, n) matrices at T = 3200
         # and does not grow with T; at T = 1000 the learner's own block state,
         # which a generated run holds too, is already above that half
         n, peaks = 100, {}
-        for T in (2, 1000, 4000):  # T = 2 first, so first-use imports are not counted
+        for T in (2, 1000, 3200):  # T = 2 first, so first-use imports are not counted
             env = {"kind": "random_adversarial", "n": n, "T": T, "seed": 0}
             out = tmp_path / f"T{T}"
             run_experiment(parse_config(good_config(environment=env, seeds=[0],
@@ -409,8 +409,44 @@ class TestRunExperiment:
                 peaks[T] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4000] < 4000 * n * 16 / 2
-        assert peaks[4000] < 1.1 * peaks[1000]
+        assert peaks[3200] < 3200 * n * 16 / 2
+        assert peaks[3200] < 1.1 * peaks[1000]
+
+    def test_a_bound_checked_replay_reads_its_spool_a_block_at_a_time(self, tmp_path,
+                                                                       monkeypatch):
+        # n = 20 cuts 819 rows per block (819/181 at T = 1000): the comparator
+        # scores the blocks the run learned, so no read asks for more than one
+        env = {"kind": "knapsack_01", "n": 20, "T": 1000, "seed": 3}
+        out = tmp_path / "run"
+        first = run_experiment(parse_config(good_config(environment=env, bound_check=True,
+                                                        output_dir=str(out))))
+        counts = []
+        real = np.fromfile
+
+        def counted(*args, count=-1, **kwargs):
+            counts.append(count)
+            return real(*args, count=count, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", counted)
+        with closing(read_stream(out / "stream.csv")) as stream:
+            again = run_experiment(parse_config(good_config(environment=env, bound_check=True)),
+                                   stream)
+        assert counts == [819 * 40, 181 * 40]
+        assert again == first and first.comparator_total is not None
+
+    def test_a_bound_checked_run_generates_its_stream_once(self, monkeypatch):
+        # the comparator scores the trials the run learned, not a regenerated stream
+        spec = EnvironmentSpec(**good_config()["environment"])
+        calls = []
+        real = environments._GENERATORS[spec.kind]
+        monkeypatch.setitem(environments._GENERATORS, spec.kind,
+                            lambda spec: calls.append(spec) or real(spec))
+        report = run_experiment(parse_config(good_config(bound_check=True)))
+        assert calls == [spec]
+        monkeypatch.undo()
+        comp = best_fixed_subset(generate(spec), report.alpha, report.delta)
+        assert (report.comparator_subset, report.comparator_total) == (comp.subset,
+                                                                       comp.discounted_total)
 
     def test_one_trace_open_at_a_time(self, tmp_path, monkeypatch):
         handles = []

@@ -6,7 +6,7 @@ import numpy.testing as npt
 from budgetmax import (ActionSet, RowLayout, draw_trials, is_feasible, learn, read_stream,
                        sample_block, selection_profits, surrogate_value)
 from budgetmax.cli import TRACE_HEADER, TRACE_ROW, parse_config, run_experiment
-from conftest import draw_one, random_action_set, random_trial, stream_of
+from conftest import draw_one, random_action_set, random_trial, stacked, stream_of
 
 
 def draw_all(layout, trajectory, seed):
@@ -46,7 +46,7 @@ class TestProtocol:
         member = np.zeros((stream.T, stream.n), dtype=bool)
         for t, sel in enumerate(selections):
             member[t, sel] = True
-        gains = selection_profits(*np.nonzero(member), stream.rewards, stream.costs)
+        gains = selection_profits(*np.nonzero(member), *stacked(stream))
         text, cum = TRACE_HEADER + "\n", 0.0
         for t, (sel, gain) in enumerate(zip(selections, gains.tolist())):
             cum += gain

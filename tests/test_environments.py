@@ -11,6 +11,7 @@ from budgetmax import ActionSet, KINDS, StreamFormatError, environments, read_st
 from budgetmax.environments import (BLOCK_ENTRIES, C_MAX_LIMIT, EnvironmentSpec, Stream, check_block,
                                     generate, generate_blocks, site_rewards, stream_preamble,
                                     write_rows)
+from conftest import stacked
 
 
 def spec_for(kind, **kw):
@@ -300,6 +301,14 @@ class TestStreamChecks:
             with pytest.raises(ValueError, match="matrices of one shape"):
                 self.make(rewards, costs)
 
+    def test_nested_lists_are_cast_and_checked(self):
+        stream = Stream(ActionSet.from_energies([0.25]), [[0.5]], [[0.1]])
+        assert (stream.T, stream.n) == (1, 1) and stream.rewards.dtype == stream.costs.dtype == float
+        with pytest.raises(ValueError, match="^trial 2: negative reward$"):
+            self.make([[0.5, 1.0], [0.5, -1.0]], [[0.1, 0.2], [0.1, 0.2]])
+        with pytest.raises(ValueError):  # ragged rows
+            self.make([[0.5, 1.0], [0.5]], [[0.1, 0.2], [0.1, 0.2]])
+
     def test_good_streams_pass_unchanged(self):
         # -0.0 is a non-negative reward; float64 input is kept, not copied
         rewards = np.array([[-0.0, 2.0], [0.0, 0.5]])
@@ -335,18 +344,19 @@ class TestStreamFiles:
         with pytest.raises(StreamFormatError, match=r"^line 3: expected trial 2, found a blank line$"):
             read_stream(path)
         path.write_text("1,3,0.25\n1,0.5,0.1\x1c2,0.5,0.1\v3,0.5,0.1")
-        npt.assert_array_equal(read_stream(path).rewards, [[0.5]] * 3)
+        npt.assert_array_equal(stacked(read_stream(path))[0], [[0.5]] * 3)
         # the shortest lines that parse fill the bound exactly
         path.write_text("1,2,0\n1,1,1\n2,1,1")
-        npt.assert_array_equal(read_stream(path).costs, [[1.0], [1.0]])
+        npt.assert_array_equal(stacked(read_stream(path))[1], [[1.0], [1.0]])
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         stream = generate(spec_for("random_adversarial", n=5, T=25, shift_segments=2))
         path = tmp_path / "stream.csv"
         write_stream(stream, path)
         back = read_stream(path)
-        npt.assert_array_equal(back.rewards, stream.rewards)
-        npt.assert_array_equal(back.costs, stream.costs)
+        rewards, costs = stacked(back)
+        npt.assert_array_equal(rewards, stream.rewards)
+        npt.assert_array_equal(costs, stream.costs)
         npt.assert_array_equal(back.action_set.z, stream.action_set.z)
 
     def test_write_matches_per_value_formatting(self, tmp_path):
@@ -368,7 +378,7 @@ class TestStreamFiles:
         assert path.read_text(encoding="ascii") == "\n".join(expect) + "\n"
         assert "-0" in path.read_text(encoding="ascii").splitlines()[1].split(",")
         back = read_stream(path)
-        for got, want in ((back.rewards, rewards), (back.costs, costs), (back.action_set.z, z)):
+        for got, want in zip((*stacked(back), back.action_set.z), (rewards, costs, z)):
             npt.assert_array_equal(got, want)
             npt.assert_array_equal(np.signbit(got), np.signbit(want))
 
@@ -504,7 +514,7 @@ class TestStreamFiles:
             with pytest.raises(StreamFormatError, match="^line 2: rewards and costs must be finite$"):
                 read_stream(path)
             return
-        got = read_stream(path).costs[0, 0]
+        got = stacked(read_stream(path))[1][0, 0]
         assert got == value and np.signbit(got) == np.signbit(value)
 
     @pytest.mark.parametrize("text, message", [
@@ -522,7 +532,7 @@ class TestStreamFiles:
         # \r\n is one line end; \r, \v, \f and \x1c-\x1e end a line too
         path = tmp_path / "s.csv"
         path.write_bytes(b"1,4,0.25\r\n1,0.5,0.1\r2,0.5,0.2\x0b3,0.5,0.3\x1e4,0.5,0.4\r\n\x0c\n")
-        npt.assert_array_equal(read_stream(path).costs[:, 0], [0.1, 0.2, 0.3, 0.4])
+        npt.assert_array_equal(stacked(read_stream(path))[1][:, 0], [0.1, 0.2, 0.3, 0.4])
         # \r, then \r\n: line 2 is blank, not the end of the file; so is a
         # blank or whitespace-only line with trials after it
         for data in (b"1,1,0.25\r\r\n1,0.5,0.1\n", b"1,2,0.25\n\n1,0.5,0.1\n2,0.5,0.2\n",
@@ -636,14 +646,14 @@ class TestStreamFiles:
             tracemalloc.stop()
         assert path.stat().st_size > 4_000_000
         assert write_peak < 2_000_000
-        assert read_peak - start < back.rewards.nbytes + back.costs.nbytes + 1_000_000
+        assert read_peak - start < stream.rewards.nbytes + stream.costs.nbytes + 1_000_000
 
     def test_a_replayed_stream_is_written_a_block_at_a_time(self, tmp_path):
-        # n = 100, T = 4000: the (T, n) rewards and costs take 3.2 MB each.
+        # n = 100, T = 3000: the (T, n) rewards and costs take 2.4 MB each.
         # Reading spools the rows and writing reads them back a block at a
         # time, so the two hold under half of those matrices between them
         path, copy = tmp_path / "s.csv", tmp_path / "copy.csv"
-        write_stream(generate(spec_for("random_adversarial", n=100, T=4000)), path)
+        write_stream(generate(spec_for("random_adversarial", n=100, T=3000)), path)
         tracemalloc.start()
         try:
             stream = read_stream(path)
@@ -652,7 +662,7 @@ class TestStreamFiles:
         finally:
             tracemalloc.stop()
         stream.close()
-        assert peak < 4000 * 100 * 8
+        assert peak < 3000 * 100 * 8
         assert copy.read_bytes() == path.read_bytes()
 
 
@@ -662,7 +672,7 @@ def read_outcome(path):
         stream = read_stream(path)
     except ValueError as exc:  # StreamFormatError among them
         return type(exc), str(exc)
-    return tuple(a.tobytes() for a in (stream.action_set.z, stream.rewards, stream.costs))
+    return tuple(a.tobytes() for a in (stream.action_set.z, *stacked(stream)))
 
 
 def per_line_outcome(path, monkeypatch):
@@ -803,9 +813,9 @@ class TestBlockReads:
             fields[1 + 100 + 4] = "1_000"
         lines[t] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        back = read_stream(path)
-        npt.assert_array_equal(back.rewards, stream.rewards)
-        npt.assert_array_equal(back.costs, stream.costs)
+        rewards, costs = stacked(read_stream(path))
+        npt.assert_array_equal(rewards, stream.rewards)
+        npt.assert_array_equal(costs, stream.costs)
 
     def test_end_of_file_inside_a_block_names_the_missing_trial(self, tmp_path, small_blocks):
         path, _ = self.blocks_file(tmp_path, 2, 13)
