@@ -15,10 +15,13 @@ once; an :class:`ExperimentConfig` built in code is checked by the same
 rules. A run writes one CSV trace per engine seed plus the generated stream
 (so it can be replayed) and a JSON report, each under a temporary name
 until the run has succeeded, into an output directory that holds no
-trace of a seed it does not list. A replay learns the stream file it
-read from a temporary spool, one block at a time, and copies that file,
+trace of a seed it does not list. Both commands build a stream and
+learn it one block at a time: ``run`` draws each block of the config's
+generated stream when it is learned, and ``replay`` reads each back from
+the temporary spool of the stream file it read, and copies that file,
 not a ``%.17g`` re-rendering, once it has checked that the file has not
-changed since; ``main`` deletes the spool when the run ends. Trace rows are
+changed since; ``main`` closes the stream, deleting a spool, when the
+run ends. Trace rows are
 ``trial,selected,profit,cum_profit,grad_norm,eta`` with the selected actions
 as ascending semicolon-joined 0-based indices and floats at 17 significant
 digits, which makes repeated runs byte-identical.
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, selection_profits
-from .environments import (EnvironmentSpec, Stream, check_block, generate_blocks, read_stream,
+from .environments import (EnvironmentSpec, Stream, check_block, generate, read_stream,
                            stream_preamble, write_rows)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
@@ -53,7 +56,6 @@ TRACE_HEADER = "trial,selected,profit,cum_profit,grad_norm,eta"
 # its trial's tail (grad_norm, eta), which every seed shares.
 TRACE_HEAD = "%d,%s,%.17g,%.17g,"
 TRACE_TAIL = "%.17g,%.17g\n"
-TRACE_ROW = TRACE_HEAD + TRACE_TAIL
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -235,20 +237,19 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     learns it one block of trials at a time
     (:func:`~budgetmax.surrogate.learn_blocks`) and every seed draws each
     whole block by one :func:`~budgetmax.sampler.draw_trials` call before
-    the next is learned. Unless a
-    stream is passed in, each block is generated only when the learner
-    asks for it (:func:`~budgetmax.environments.generate_blocks`), so a
-    generated run holds one block of trials and one of learner state,
-    whatever ``T`` is. A stream passed in is checked against the config's
-    shape and read only through its ``blocks()``, once: a replay's
-    :class:`~budgetmax.environments.SpooledStream` reads one block at a
-    time from its spool, so it holds one block too.
-    Each run makes one :func:`~budgetmax.environments.check_block` call,
-    before any output: on a stream passed in, with the arrays its
-    ``extremes()`` gives (a replay's column extremes, kept as it was
-    parsed, or a ``Stream``'s whole matrices), and on a generated stream's
-    energies alone (no rows), since its generator keeps every rule on
-    values. ``r_hat`` and ``c_hat`` are the maxima of the blocks' maxima.
+    the next is learned. The stream is the config's generated one
+    (:func:`~budgetmax.environments.generate`) unless one is passed in;
+    either way it is checked against the config's shape and read only
+    through its ``blocks()``, once. A generated stream draws each block
+    only when the learner asks for it, and a replay's
+    :class:`~budgetmax.environments.SpooledStream` reads each back from
+    its spool, so a run holds one block of trials and one of learner
+    state, whatever ``T`` is. Each run makes one
+    :func:`~budgetmax.environments.check_block` call, before any output,
+    with the arrays the stream's ``extremes()`` gives (a replay's column
+    extremes, kept as it was parsed, a ``Stream``'s whole matrices, or a
+    generated stream's no rows, which leave the energies alone to
+    check). ``r_hat`` and ``c_hat`` are the maxima of the blocks' maxima.
     A bound check (``n`` is at most ``MAX_EXHAUSTIVE_ACTIONS``) keeps each
     block the run learned, and its comparator scores the stream they make
     after the pass, so no stream is generated or read twice.
@@ -274,18 +275,13 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     are renamed in that order, so a ``report.json`` marks a complete run.
     """
     env = config.environment
-    if stream is None:
-        action_set, blocks = generate_blocks(env)
-        rewards = costs = np.empty((0, env.n))  # its rows keep every rule by construction
-        source = None
-    else:
-        if (stream.n, stream.T) != (env.n, env.T):
-            raise ConfigError(
-                f"stream shape (n={stream.n}, T={stream.T}) does not match "
-                f"config (n={env.n}, T={env.T})")
-        action_set, blocks, source = stream.action_set, stream.blocks(), stream.source
-        rewards, costs = stream.extremes()
-    check_block(action_set, rewards, costs, env)
+    stream = generate(env) if stream is None else stream
+    if (stream.n, stream.T) != (env.n, env.T):
+        raise ConfigError(
+            f"stream shape (n={stream.n}, T={stream.T}) does not match "
+            f"config (n={env.n}, T={env.T})")
+    action_set = stream.action_set
+    check_block(action_set, *stream.extremes(), env)
 
     out_dir = None if config.output_dir is None else Path(config.output_dir)
     if out_dir:  # a run replaces its report, its stream and its own seeds' traces
@@ -304,8 +300,8 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         appended = None  # the stream file each block's rows are appended to
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-            if source is not None:
-                source.copy_to(temps[0])  # a replay saves the file it parsed
+            if stream.source is not None:
+                stream.source.copy_to(temps[0])  # a replay saves the file it parsed
             else:
                 with open(temps[0], "w", encoding="ascii", newline="\n") as fh:
                     fh.write(stream_preamble(action_set.z, env.T))
@@ -316,7 +312,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
                 trace.write(TRACE_HEADER + "\n")
         per_seed = [0.0] * len(config.seeds)
         r_hat = c_hat = 0.0
-        for start, rewards, costs, block in learn_blocks(action_set, blocks):
+        for start, rewards, costs, block in learn_blocks(action_set, stream.blocks()):
             if appended is not None:
                 with open(appended, "a", encoding="ascii", newline="\n") as fh:
                     write_rows(fh, rewards, costs, start)
@@ -466,12 +462,12 @@ def main(argv=None, out=None) -> int:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command in ("run", "replay"):
             config = _require_config(args)
-            stream = read_stream(args.stream) if args.command == "replay" else None
+            stream = (read_stream(args.stream) if args.command == "replay"
+                      else generate(config.environment))
             try:
                 report = run_experiment(config, stream)
             finally:
-                if stream is not None:  # the replay's spool
-                    stream.close()
+                stream.close()  # a replay's spool
             print("\n".join(report.summary_lines()), file=out)
             if report.bound_satisfied is False:
                 return EXIT_INVALID

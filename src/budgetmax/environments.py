@@ -15,12 +15,13 @@ Every stream is cut one way, whether generated, read, spooled, learned or
 written (:func:`_block_rows`): into blocks of ``BLOCK_ENTRIES`` entries in
 whole rows of ``n``, at least one. A block is a triple ``(start, rewards,
 costs)`` that carries its first trial's 0-based index, so no later stage
-cuts or counts trials. A spec's blocks are generated one at a time
-(:func:`generate_blocks`), so a run holds one whatever ``T`` is. Each
-matrix has its own ``np.random.PCG64(seed)``, advanced to the draw at which
-one ``np.random.default_rng(seed)`` drawing everything in turn would start
-it (every ``random`` or ``uniform`` double is one 64-bit output), so the
-values do not depend on the block size. The offsets, in draws:
+cuts or counts trials. A spec's stream (:func:`generate`) draws each
+block when it is read, so a run holds one whatever ``T`` is. Each block
+of each matrix has its own ``np.random.PCG64(seed)``, advanced to the
+draw at which one ``np.random.default_rng(seed)`` drawing everything in
+turn would start the block (every ``random`` or ``uniform`` double is one
+64-bit output), so the values do not depend on the block size or on how
+often a block is read. The matrices' offsets, in draws:
 
 ====================  ====================================================
 kind                  matrix at its offset
@@ -36,28 +37,31 @@ random_adversarial    z at 0, costs at ``n``, rewards at ``n + Tn``; with
                       from that same generator
 ====================  ====================================================
 
-A :class:`Stream` holds the ``(T, n)`` reward and cost matrices in memory;
-trial ``t`` is row ``t - 1`` of both. A stream checks its matrices once,
-when it is built, with whole-array operations, and a :class:`TrialError`
-names the first bad trial. A stream read from a file is a
-:class:`SpooledStream`: its rows, checked the same way a block at a time,
-wait in a temporary file and are read back only by its blocks, one at a
-time. Nothing reads a replayed stream whole: a run's bound check (at most
-20 actions) keeps the blocks the run learned instead.
-:func:`check_block` checks a kind's rules on its energies and rows.
-Generated rows need neither check: from a valid spec, every value is
-finite, rewards lie in ``[0, r_max]``, ``facility_location`` costs are at
-least ``cost_range[0] >= 0``, ``knapsack_median`` costs are zero,
-``knapsack_01`` costs are at most 0 and ``random_adversarial`` costs lie
-within ``c_max``. Only energies can break their kind's rule:
+Every stream is a :class:`Stream`, read by its blocks. One built in
+memory holds the ``(T, n)`` reward and cost matrices; trial ``t`` is row
+``t - 1`` of both. It checks its matrices once, when it is built, with
+whole-array operations, and a :class:`TrialError` names the first bad
+trial. A stream read from a file is a :class:`SpooledStream`: its rows,
+checked the same way a block at a time, wait in a temporary file and are
+read back only by its blocks, one at a time. A spec's stream is a
+:class:`GeneratedStream`, whose blocks are drawn only when they are read.
+Nothing reads a replayed or generated stream whole: a run's bound check
+(at most 20 actions) keeps the blocks the run learned instead.
+:func:`check_block` checks a kind's rules on its energies and on a
+stream's :meth:`~Stream.extremes`. Generated rows need neither check, so
+a :class:`GeneratedStream`'s extremes are empty: from a valid spec, every
+value is finite, rewards lie in ``[0, r_max]``, ``facility_location``
+costs are at least ``cost_range[0] >= 0``, ``knapsack_median`` costs are
+zero, ``knapsack_01`` costs are at most 0 and ``random_adversarial``
+costs lie within ``c_max``. Only energies can break their kind's rule:
 ``beta_max * (1 - u)`` underflows to 0 when ``beta_max`` is subnormal.
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
 significant digits so a write/read round trip is bit-exact. Neither
 direction holds more than a block's text: ``write_stream`` writes each
-block in one write (:func:`write_rows`, which a run also appends its
-generated blocks with), and ``read_stream`` walks a buffered reader's
+block in one write (:func:`write_rows`, which a run also appends the
+blocks it learns with), and ``read_stream`` walks a buffered reader's
 lines once, in file order (:func:`_lines` only splits them): the
 preamble, then each block's trial lines (:func:`_trial_block`), cast in
 one ``np.loadtxt`` call when every line is spelled as ``write_rows``
@@ -74,6 +78,7 @@ the one it parsed.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -221,8 +226,8 @@ def _first_bad_trial(rewards, costs, n: int, start: int = 0) -> tuple[int, str] 
     """
     if rewards.shape[1] != n:
         return start + 1, f"{rewards.shape[1]} rewards and costs, expected {n}"
-    if rewards.size == 0 or (rewards.min() >= 0.0 and rewards.max() < np.inf
-                             and -np.inf < costs.min() and costs.max() < np.inf):
+    if (rewards.min() >= 0.0 and rewards.max() < np.inf
+            and -np.inf < costs.min() and costs.max() < np.inf):
         return None  # nan fails every comparison above
     finite = np.isfinite(rewards)
     finite &= np.isfinite(costs)
@@ -235,22 +240,27 @@ class Stream:
     """A full instance held in memory: fixed energies plus (T, n) reward and cost matrices.
 
     Building a stream casts its matrices to float arrays (a float64 array is
-    kept, not copied) and checks them once (a :class:`TrialError` names the
-    first bad trial, see :func:`_first_bad_trial`), so every consumer takes
-    row ``t`` of ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
-    Every stream is read by its :meth:`blocks`, one :func:`_block_rows`
-    block at a time; only a stream built in memory has whole ``rewards``
-    and ``costs``. It has no file to copy (``source`` is None):
-    :func:`read_stream` gives a :class:`SpooledStream`.
+    kept, not copied) and checks them once (at least one trial, and a
+    :class:`TrialError` names the first bad trial, see
+    :func:`_first_bad_trial`), so every consumer takes row ``t`` of
+    ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
+
+    A stream has three sources, and every one is read by its
+    :meth:`blocks`, one :func:`_block_rows` block at a time: a stream
+    built in memory, the only one with whole ``rewards`` and ``costs``; a
+    spec's stream (:func:`generate`), a :class:`GeneratedStream` that
+    draws each block when it is read; and a file's (:func:`read_stream`),
+    a :class:`SpooledStream` that reads each block back from its spool.
+    Only the last has a file to copy; the others' ``source`` is None.
     """
 
     source = None
 
     def __init__(self, action_set: ActionSet, rewards, costs):
         rewards, costs = np.asarray(rewards, dtype=float), np.asarray(costs, dtype=float)
-        if rewards.ndim != 2 or rewards.shape != costs.shape:
-            raise ValueError(f"rewards and costs must be (T, n) matrices of one shape, "
-                             f"got {rewards.shape} and {costs.shape}")
+        if rewards.ndim != 2 or rewards.shape != costs.shape or len(rewards) == 0:
+            raise ValueError(f"rewards and costs must be (T, n) matrices of one shape with "
+                             f"T >= 1, got {rewards.shape} and {costs.shape}")
         bad = _first_bad_trial(rewards, costs, action_set.n)
         if bad is not None:
             raise TrialError(*bad)
@@ -261,7 +271,7 @@ class Stream:
         return self.action_set.n
 
     def blocks(self):
-        """Yield ``(start, rewards, costs)`` per block, as :func:`generate_blocks` would."""
+        """Yield ``(start, rewards, costs)`` per block: its trials from ``start + 1`` on."""
         for start, rows in _block_rows(self.n, self.T):
             yield start, *self._block(start, rows)
 
@@ -346,56 +356,56 @@ def _block_rows(n: int, T: int):
 def _facility_location(spec: EnvironmentSpec):
     n, T, seed = spec.n, spec.T, spec.seed
     sites = _rng_at(seed, 0).random((n, 2))
-    users, costs = _rng_at(seed, 2 * n), _rng_at(seed, 2 * n + 2 * T)
     lo, hi = spec.cost_range
-    return np.zeros(n), ((start, site_rewards(sites, users.random((m, 2)), spec.r_max),
-                          costs.uniform(lo, hi, size=(m, n))) for start, m in _block_rows(n, T))
+    return np.zeros(n), lambda start, m: (
+        site_rewards(sites, _rng_at(seed, 2 * n + 2 * start).random((m, 2)), spec.r_max),
+        _rng_at(seed, 2 * n + 2 * T + start * n).uniform(lo, hi, size=(m, n)))
 
 
 def _knapsack_median(spec: EnvironmentSpec):
     n, seed = spec.n, spec.seed
     z = spec.beta_max * (1.0 - _rng_at(seed, 0).random(n))  # strictly positive
-    sites, users = _rng_at(seed, n).random((n, 2)), _rng_at(seed, 3 * n)
-    return z, ((start, site_rewards(sites, users.random((m, 2)), spec.r_max), np.zeros((m, n)))
-               for start, m in _block_rows(n, spec.T))
+    sites = _rng_at(seed, n).random((n, 2))
+    return z, lambda start, m: (
+        site_rewards(sites, _rng_at(seed, 3 * n + 2 * start).random((m, 2)), spec.r_max),
+        np.zeros((m, n)))
 
 
 def _knapsack_01(spec: EnvironmentSpec):
     n, seed = spec.n, spec.seed
     z = spec.beta_max * (1.0 - _rng_at(seed, 0).random(n))
-    values = _rng_at(seed, n)
     vlo, vhi = spec.value_range
-    return z, ((start, np.zeros((m, n)), -values.uniform(vlo, vhi, size=(m, n)))
-               for start, m in _block_rows(n, spec.T))
+    return z, lambda start, m: (
+        np.zeros((m, n)), -_rng_at(seed, n + start * n).uniform(vlo, vhi, size=(m, n)))
 
 
 def _random_adversarial(spec: EnvironmentSpec):
-    n, T, seed, c_max = spec.n, spec.T, spec.seed, spec.c_max
-    z = _rng_at(seed, 0).uniform(0.0, spec.beta_max, n)
-    costs, rewards = _rng_at(seed, n), _rng_at(seed, n + T * n)
-    if spec.shift_segments < 2:
-        return z, ((start, rewards.uniform(0.0, spec.r_max, size=(m, n)),
-                    costs.uniform(-c_max, c_max, size=(m, n))) for start, m in _block_rows(n, T))
-    return z, _shifted_blocks(spec, rewards, costs)
-
-
-def _shifted_blocks(spec: EnvironmentSpec, rewards, costs):
-    """``random_adversarial``'s blocks with its favored-action segments.
+    """``random_adversarial``'s energies and block function, with its favored-action segments.
 
     The favored actions and the per-trial boosts come from one generator
     at draw ``n + 2Tn``: ``permutation`` draws a variable number of values,
-    so the boosts follow it on that generator, one block at a time.
+    so each block's boosts come from a copy of that generator as the
+    permutation left it, advanced by one draw per earlier trial.
     """
-    n, T, k, r_max = spec.n, spec.T, spec.shift_segments, spec.r_max
-    boosts = _rng_at(spec.seed, n + 2 * T * n)
-    favored = boosts.permutation(n)[:k]
-    for start, m in _block_rows(n, T):
-        block = rewards.uniform(0.0, 0.5 * r_max, size=(m, n))
-        segment = np.minimum((np.arange(start, start + m) * k) // T, k - 1)
-        block[np.arange(m), favored[segment]] = boosts.uniform(0.75 * r_max, r_max, size=m)
-        yield start, block, costs.uniform(-spec.c_max, spec.c_max, size=(m, n))
+    n, T, seed, k, r_max = spec.n, spec.T, spec.seed, spec.shift_segments, spec.r_max
+    z = _rng_at(seed, 0).uniform(0.0, spec.beta_max, n)
+    if k >= 2:
+        boosts = _rng_at(seed, n + 2 * T * n).bit_generator
+        favored = np.random.Generator(boosts).permutation(n)[:k]
+
+    def block(start: int, m: int):
+        rewards = _rng_at(seed, n + T * n + start * n).uniform(
+            0.0, r_max if k < 2 else 0.5 * r_max, size=(m, n))
+        if k >= 2:
+            segment = np.minimum((np.arange(start, start + m) * k) // T, k - 1)
+            rewards[np.arange(m), favored[segment]] = np.random.Generator(
+                copy.copy(boosts).advance(start)).uniform(0.75 * r_max, r_max, size=m)
+        return rewards, _rng_at(seed, n + start * n).uniform(-spec.c_max, spec.c_max, size=(m, n))
+    return z, block
 
 
+# Each kind's ``(z, block)``: its energies, and the function that draws
+# trials ``start + 1`` to ``start + m`` as ``(m, n)`` reward and cost arrays.
 _GENERATORS = {
     "facility_location": _facility_location,
     "knapsack_median": _knapsack_median,
@@ -404,30 +414,40 @@ _GENERATORS = {
 }
 
 
-def generate_blocks(spec: EnvironmentSpec):
-    """``(action_set, blocks)``: a spec's energies and its trials, one block at a time.
+class GeneratedStream(Stream):
+    """A spec's stream, each block drawn from the spec's generators when it is read.
 
-    The spec checked itself when it was built. ``blocks`` yields ``(start,
-    rewards, costs)`` triples: the 0-based index of the block's first trial
-    and ``(rows, n)`` arrays of the rows :func:`_block_rows` cuts, which
-    stack to the spec's ``(T, n)`` matrices. Each matrix comes from its own
-    generator, advanced to the draw where the module docstring's table
-    puts it, so only one block of trials is drawn and held at a time. The
-    blocks are not checked: they keep every rule on values by construction
-    (see the module docstring), so a run checks the energies alone.
+    Each matrix comes from its own generator, advanced to the draw where
+    the module docstring's table puts the block's first trial, so only
+    the block read is drawn and held, and every read of a block draws the
+    same values. It has no whole ``rewards`` or ``costs``.
     """
-    z, blocks = _GENERATORS[spec.kind](spec)
-    return ActionSet.from_energies(z), blocks
+
+    def __init__(self, action_set: ActionSet, T: int, block):
+        self.action_set, self.T, self._draw = action_set, T, block
+
+    def extremes(self):
+        """``(0, n)`` arrays: generated rows keep every rule on values (see the module docstring).
+
+        So :func:`check_block` checks a generated stream's energies alone.
+        """
+        rows = np.empty((0, self.n))
+        return rows, rows
+
+    def _block(self, start: int, rows: int):
+        """Trials ``start + 1`` to ``start + rows``, drawn."""
+        return self._draw(start, rows)
 
 
-def generate(spec: EnvironmentSpec) -> Stream:
-    """The whole stream of a spec: :func:`generate_blocks`' blocks, stacked at their starts."""
-    action_set, blocks = generate_blocks(spec)
-    rewards, costs = np.empty((spec.T, spec.n)), np.empty((spec.T, spec.n))
-    for start, block_rewards, block_costs in blocks:
-        rows = slice(start, start + len(block_rewards))
-        rewards[rows], costs[rows] = block_rewards, block_costs
-    return Stream(action_set, rewards, costs)
+def generate(spec: EnvironmentSpec) -> GeneratedStream:
+    """The stream of a spec: its energies, drawn now, and its trials, drawn a block at a time.
+
+    The spec checked itself when it was built. The blocks are not checked:
+    they keep every rule on values by construction (see the module
+    docstring), so a run checks the energies alone.
+    """
+    z, block = _GENERATORS[spec.kind](spec)
+    return GeneratedStream(ActionSet.from_energies(z), spec.T, block)
 
 
 def check_block(action_set: ActionSet, rewards, costs, spec: EnvironmentSpec) -> None:
@@ -442,7 +462,8 @@ def check_block(action_set: ActionSet, rewards, costs, spec: EnvironmentSpec) ->
     temporary, and blocks that each pass make a stream that passes; so
     does a replayed stream's column extremes (:meth:`SpooledStream.extremes`).
     No rows, ``(0, n)`` arrays, break no rule on values, so they check the
-    energies alone. The shape is the caller's to check, once.
+    energies alone; a :class:`GeneratedStream`'s extremes are such rows.
+    The shape is the caller's to check, once.
     """
     z, problems = action_set.z, []
     # no rows break no rule on their values

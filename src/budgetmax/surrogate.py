@@ -30,11 +30,11 @@ selection. So the weight trajectory is the same for every engine seed:
 :func:`learn_blocks` computes it once per stream, reading the trials one
 block at a time as they come, and a run draws every seed's selections from
 a whole block before the next one is read (:func:`budgetmax.sampler.draw_trials`).
-A generated run draws each block of rewards and costs only when the
-learner asks for it (:func:`budgetmax.environments.generate_blocks`), so
-it holds neither the whole ``(T, n)`` trajectory nor the ``(T, n)``
-rewards and costs; :func:`learn` runs over a stream's row slices and
-concatenates the blocks. A
+A generated stream draws each block of rewards and costs only when the
+learner asks for it (:func:`budgetmax.environments.generate`), so a run
+holds neither the whole ``(T, n)`` trajectory nor the ``(T, n)``
+rewards and costs; :func:`learn` runs over a stream's blocks and
+concatenates theirs. A
 trial's reward order, drops and sorted cost parts do not depend on ``w``,
 so :func:`learn_blocks` finds them for its whole block at once. The
 reward order comes from numpy's default (unstable, SIMD) sort; only the
@@ -219,7 +219,8 @@ def learn(stream: Stream) -> Trajectory:
 
     The stream is read only by its blocks, so a replay's
     :class:`~budgetmax.environments.SpooledStream` is learned one block
-    at a time from its spool, as a stream in memory is.
+    at a time from its spool, and a generated stream one block at a time
+    as it is drawn, as a stream in memory is.
 
     Raises
     ------

@@ -42,7 +42,10 @@ def stream_of(action_set, trials):
 
 
 def stacked(stream):
-    """``(rewards, costs)``: a stream's blocks stacked whole, the only way to read a replay whole."""
+    """``(rewards, costs)``: a stream's blocks stacked whole.
+
+    It is the only way to read a replayed or a generated stream whole.
+    """
     _, rewards, costs = zip(*stream.blocks())
     return np.concatenate(rewards), np.concatenate(costs)
 

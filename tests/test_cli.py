@@ -18,10 +18,11 @@ import pytest
 import budgetmax
 from budgetmax import cli, environments
 from budgetmax import ActionSet, Stream
-from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEADER, TRACE_ROW,
+from budgetmax.cli import (ConfigError, ExperimentConfig, TRACE_HEAD, TRACE_HEADER, TRACE_TAIL,
                            load_config, main, parse_config, run_experiment)
 from budgetmax.environments import EnvironmentSpec, generate, read_stream, write_stream
 from budgetmax.oracles import ComparatorResult, best_fixed_subset
+from conftest import stacked
 
 
 def good_config(**overrides):
@@ -106,7 +107,7 @@ class TestConfigParsing:
 
 
 class TestTraces:
-    # (trial, indices, profit, grad_norm, eta): the fields of TRACE_ROW without cum_profit
+    # (trial, indices, profit, grad_norm, eta): a trace row's fields without cum_profit
     ROWS = [(1, [0, 2], 1.5, 0.25, 2.0), (2, [], 0.0, 0.0, 2.0), (3, [1], -0.25, 0.125, 1.0)]
 
     @staticmethod
@@ -114,7 +115,8 @@ class TestTraces:
         text, cum = TRACE_HEADER + "\n", 0.0
         for trial, indices, profit, grad_norm, eta in rows:
             cum += profit
-            text += TRACE_ROW % (trial, ";".join(map(str, indices)), profit, cum, grad_norm, eta)
+            text += (TRACE_HEAD + TRACE_TAIL) % (trial, ";".join(map(str, indices)), profit, cum,
+                                                 grad_norm, eta)
         Path(path).write_bytes(text.encode("ascii"))
 
     def test_header_and_rows(self, tmp_path):
@@ -215,19 +217,21 @@ class TestRunExperiment:
         # a stream off its kind's pattern, or of the wrong size, is refused
         # before the output directory is made
         stream = generate(EnvironmentSpec(**good_config()["environment"]))
+        rewards, costs = stacked(stream)
         out = tmp_path / "out"
         config = parse_config(good_config(output_dir=str(out)))
-        off_pattern = Stream(stream.action_set, stream.rewards + 0.5, stream.costs)
+        off_pattern = Stream(stream.action_set, rewards + 0.5, costs)
         with pytest.raises(ValueError, match="rewards must all be zero"):
             run_experiment(config, stream=off_pattern)
-        short = Stream(stream.action_set, stream.rewards[:5], stream.costs[:5])
+        short = Stream(stream.action_set, rewards[:5], costs[:5])
         with pytest.raises(ConfigError, match="does not match"):
             run_experiment(config, stream=short)
         # a replayed file broken only in its last trial, of three blocks (8/8/4 at n = 2000)
         env = {"kind": "knapsack_01", "n": 2000, "T": 20, "seed": 3}
         wide = generate(EnvironmentSpec(**env))
-        wide.rewards[-1, 5] = 0.25
-        write_stream(wide, tmp_path / "late.csv")
+        rewards, costs = stacked(wide)
+        rewards[-1, 5] = 0.25
+        write_stream(Stream(wide.action_set, rewards, costs), tmp_path / "late.csv")
         with pytest.raises(ValueError, match="^knapsack_01 constraints violated: "
                                              "rewards must all be zero$"):
             run_experiment(parse_config(good_config(environment=env, output_dir=str(out))),
@@ -444,7 +448,9 @@ class TestRunExperiment:
         report = run_experiment(parse_config(good_config(bound_check=True)))
         assert calls == [spec]
         monkeypatch.undo()
-        comp = best_fixed_subset(generate(spec), report.alpha, report.delta)
+        stream = generate(spec)
+        comp = best_fixed_subset(Stream(stream.action_set, *stacked(stream)),
+                                 report.alpha, report.delta)
         assert (report.comparator_subset, report.comparator_total) == (comp.subset,
                                                                        comp.discounted_total)
 
@@ -637,10 +643,10 @@ class TestMain:
         # the second block, after the first block's trace rows were written
         env = {"kind": "random_adversarial", "n": 200, "T": 200, "seed": 0}
         stream = generate(EnvironmentSpec(**env))
-        rewards = stream.rewards.copy()
+        rewards, costs = stacked(stream)
         rewards[149, 7] = 1e308
         path = tmp_path / "stream.csv"
-        write_stream(Stream(stream.action_set, rewards, stream.costs), path)
+        write_stream(Stream(stream.action_set, rewards, costs), path)
         cfg = self.write_config(tmp_path, good_config(environment={**env, "r_max": 1e308}))
         opened = []
 
@@ -658,19 +664,22 @@ class TestMain:
 
     @staticmethod
     def spoil_second_block(monkeypatch, spoil):
-        real = cli.generate_blocks
+        # wraps the block function of the generator that random_adversarial streams draw from
+        real = environments._GENERATORS["random_adversarial"]
 
         def spoiled(spec):
-            action_set, blocks = real(spec)
+            z, block = real(spec)
+            drawn = []
 
-            def blocks_with_a_bad_second():
-                for k, (start, rewards, costs) in enumerate(blocks):
-                    if k == 1:
-                        spoil(rewards)
-                    yield start, rewards, costs
-            return action_set, blocks_with_a_bad_second()
+            def block_with_a_bad_second(start, rows):
+                rewards, costs = block(start, rows)
+                drawn.append(start)
+                if len(drawn) == 2:
+                    spoil(rewards)
+                return rewards, costs
+            return z, block_with_a_bad_second
 
-        monkeypatch.setattr(cli, "generate_blocks", spoiled)
+        monkeypatch.setitem(environments._GENERATORS, "random_adversarial", spoiled)
 
     def test_bad_generated_block_names_its_trial_and_leaves_no_file(self, tmp_path, capsys,
                                                                     monkeypatch):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 
 from budgetmax import (ActionSet, RowLayout, draw_trials, is_feasible, learn, read_stream,
                        sample_block, selection_profits, surrogate_value)
-from budgetmax.cli import TRACE_HEADER, TRACE_ROW, parse_config, run_experiment
+from budgetmax.cli import TRACE_HEAD, TRACE_HEADER, TRACE_TAIL, parse_config, run_experiment
 from conftest import draw_one, random_action_set, random_trial, stacked, stream_of
 
 
@@ -50,8 +50,8 @@ class TestProtocol:
         text, cum = TRACE_HEADER + "\n", 0.0
         for t, (sel, gain) in enumerate(zip(selections, gains.tolist())):
             cum += gain
-            text += TRACE_ROW % (t + 1, ";".join(map(str, sel.tolist())), gain, cum,
-                                 traj.grad_norm[t], traj.eta[t])
+            text += (TRACE_HEAD + TRACE_TAIL) % (t + 1, ";".join(map(str, sel.tolist())), gain,
+                                                 cum, traj.grad_norm[t], traj.eta[t])
         assert (out / "trace_seed9.csv").read_bytes() == text.encode("ascii")
 
     def test_null_trials_leave_weights_untouched(self):

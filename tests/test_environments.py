@@ -9,8 +9,7 @@ import pytest
 
 from budgetmax import ActionSet, KINDS, StreamFormatError, environments, read_stream, write_stream
 from budgetmax.environments import (BLOCK_ENTRIES, C_MAX_LIMIT, EnvironmentSpec, Stream, check_block,
-                                    generate, generate_blocks, site_rewards, stream_preamble,
-                                    write_rows)
+                                    generate, site_rewards, stream_preamble, write_rows)
 from conftest import stacked
 
 
@@ -82,7 +81,7 @@ class TestSpecValidation:
                 spec_for("random_adversarial", **{field: True})
 
     def test_c_max_limit_is_where_uniform_overflows(self):
-        generate(spec_for("random_adversarial", c_max=C_MAX_LIMIT))
+        stacked(generate(spec_for("random_adversarial", c_max=C_MAX_LIMIT)))
         above = math.nextafter(C_MAX_LIMIT, math.inf)
         with pytest.raises(OverflowError):
             np.random.default_rng(0).uniform(-above, above)
@@ -93,33 +92,35 @@ class TestSpecValidation:
 class TestGenerators:
     def test_facility_location_pattern(self):
         stream = generate(spec_for("facility_location"))
+        rewards, costs = stacked(stream)
         assert np.all(stream.action_set.z == 0.0)
-        assert np.all(stream.costs >= 0.0) and np.all(stream.costs <= 0.2)
-        assert np.all(stream.rewards >= 0.0) and np.all(stream.rewards <= 1.0)
+        assert np.all(costs >= 0.0) and np.all(costs <= 0.2)
+        assert np.all(rewards >= 0.0) and np.all(rewards <= 1.0)
         assert stream.action_set.delta == 1.0  # all-zero energies
 
     def test_knapsack_median_pattern(self):
         stream = generate(spec_for("knapsack_median"))
-        assert np.all(stream.costs == 0.0)
+        assert np.all(stacked(stream)[1] == 0.0)
         assert np.all(stream.action_set.z > 0.0)
         assert np.all(stream.action_set.z <= 0.49)
 
     def test_knapsack_01_pattern(self):
-        stream = generate(spec_for("knapsack_01"))
-        assert np.all(stream.rewards == 0.0)
-        assert np.all(stream.costs <= 0.0)
+        rewards, costs = stacked(generate(spec_for("knapsack_01")))
+        assert np.all(rewards == 0.0)
+        assert np.all(costs <= 0.0)
 
     def test_adversarial_bounds(self):
         stream = generate(spec_for("random_adversarial", r_max=2.0, c_max=0.7))
-        assert np.all(stream.rewards <= 2.0) and np.all(stream.rewards >= 0.0)
-        assert np.all(np.abs(stream.costs) <= 0.7)
+        rewards, costs = stacked(stream)
+        assert np.all(rewards <= 2.0) and np.all(rewards >= 0.0)
+        assert np.all(np.abs(costs) <= 0.7)
         assert np.all(stream.action_set.z <= 0.49)
 
     def test_same_seed_reproduces_stream(self):
         a = generate(spec_for("random_adversarial", shift_segments=3))
         b = generate(spec_for("random_adversarial", shift_segments=3))
-        npt.assert_array_equal(a.rewards, b.rewards)
-        npt.assert_array_equal(a.costs, b.costs)
+        for got, want in zip(stacked(a), stacked(b)):
+            npt.assert_array_equal(got, want)
         npt.assert_array_equal(a.action_set.z, b.action_set.z)
 
     def test_coincident_user_earns_full_reward(self):
@@ -135,8 +136,8 @@ class TestGenerators:
 
     def test_shift_schedule_changes_favored_action(self):
         spec = spec_for("random_adversarial", n=8, T=200, shift_segments=2)
-        stream = generate(spec)
-        halves = [stream.rewards[:100].sum(axis=0), stream.rewards[100:].sum(axis=0)]
+        rewards, _ = stacked(generate(spec))
+        halves = [rewards[:100].sum(axis=0), rewards[100:].sum(axis=0)]
         assert int(np.argmax(halves[0])) != int(np.argmax(halves[1]))
 
     # n = 6 with 48 block entries generates 8 rows per block: T = 40 is five
@@ -160,21 +161,19 @@ class TestGenerators:
                                                            monkeypatch):
         monkeypatch.setattr(environments, "BLOCK_ENTRIES", block_entries)
         z, rewards, costs = drawn_in_turn(spec)
-        action_set, blocks = generate_blocks(spec)
-        blocks = list(blocks)
-        rows = max(1, block_entries // spec.n)
-        assert [start for start, _, _ in blocks] == list(range(0, spec.T, rows))
-        assert [len(r) for _, r, _ in blocks] == [min(rows, spec.T - start)
-                                                  for start in range(0, spec.T, rows)]
-        assert all(r.shape == c.shape for _, r, c in blocks)
-        assert action_set.z.tobytes() == z.tobytes()
-        assert np.concatenate([r for _, r, _ in blocks]).tobytes() == rewards.tobytes()
-        assert np.concatenate([c for _, _, c in blocks]).tobytes() == costs.tobytes()
         stream = generate(spec)
-        assert stream.rewards.tobytes() == rewards.tobytes()
-        assert stream.costs.tobytes() == costs.tobytes()
-        for _, r, c in blocks:
-            check_block(action_set, r, c, spec)
+        assert stream.action_set.z.tobytes() == z.tobytes()
+        rows = max(1, block_entries // spec.n)
+        for _ in range(2):  # each read of a block draws it again, to the same values
+            blocks = list(stream.blocks())
+            assert [start for start, _, _ in blocks] == list(range(0, spec.T, rows))
+            assert [len(r) for _, r, _ in blocks] == [min(rows, spec.T - start)
+                                                      for start in range(0, spec.T, rows)]
+            assert all(r.shape == c.shape for _, r, c in blocks)
+            assert np.concatenate([r for _, r, _ in blocks]).tobytes() == rewards.tobytes()
+            assert np.concatenate([c for _, _, c in blocks]).tobytes() == costs.tobytes()
+            for _, r, c in blocks:
+                check_block(stream.action_set, r, c, spec)
 
     def test_invalid_spec_is_refused_when_built(self):
         with pytest.raises(ValueError, match="invalid environment spec"):
@@ -182,9 +181,9 @@ class TestGenerators:
 
     def test_whole_stream_check_catches_mismatch(self):
         stream = generate(spec_for("knapsack_median"))
+        rewards, costs = stacked(stream)
         with pytest.raises(ValueError, match="costs must all be zero"):
-            check_block(stream.action_set, stream.rewards, stream.costs + 0.5,
-                        spec_for("knapsack_median"))
+            check_block(stream.action_set, rewards, costs + 0.5, spec_for("knapsack_median"))
 
     @pytest.mark.parametrize("kind, where, value, message", [
         ("facility_location", "z", 0.1, "energies must all be zero"),
@@ -206,8 +205,9 @@ class TestGenerators:
     def test_check_block_names_each_broken_rule(self, kind, where, value, message):
         spec = spec_for(kind)
         stream = generate(spec)
-        check_block(stream.action_set, stream.rewards, stream.costs, spec)
-        z, rewards, costs = stream.action_set.z.copy(), stream.rewards.copy(), stream.costs.copy()
+        rewards, costs = stacked(stream)
+        check_block(stream.action_set, rewards, costs, spec)
+        z = stream.action_set.z.copy()
         if where == "z":
             z[2] = value
         else:
@@ -250,15 +250,14 @@ class TestGenerators:
                 c_max=pick((0.0, tiny, 1.0, C_MAX_LIMIT)),
                 beta_max=pick((tiny, 1e-320, 1e-310, 0.49, 1.0)),
                 shift_segments=int(rng.integers(0, min(n, 4) + 1)))
-            action_set, blocks = generate_blocks(spec)
-            no_rows = np.empty((0, n))
-            energies = verdict(action_set, no_rows, no_rows, spec)
+            stream = generate(spec)
+            energies = verdict(stream.action_set, *stream.extremes(), spec)
             if energies is not None:
                 assert energies == f"{spec.kind} constraints violated: energies must lie in (0, beta_max]"
                 failed.add(spec.kind)
-            for _, rewards, costs in blocks:
+            for _, rewards, costs in stream.blocks():
                 assert environments._first_bad_trial(rewards, costs, n) is None
-                assert verdict(action_set, rewards, costs, spec) == energies
+                assert verdict(stream.action_set, rewards, costs, spec) == energies
         assert failed == {"knapsack_median", "knapsack_01"}
 
 
@@ -300,6 +299,9 @@ class TestStreamChecks:
                                (np.ones((1, 4, 2)), np.zeros((1, 4, 2)))):
             with pytest.raises(ValueError, match="matrices of one shape"):
                 self.make(rewards, costs)
+        # no trial: a file written from it would be one no reader accepts
+        with pytest.raises(ValueError, match=r"with T >= 1, got \(0, 2\) and \(0, 2\)$"):
+            self.make(np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_nested_lists_are_cast_and_checked(self):
         stream = Stream(ActionSet.from_energies([0.25]), [[0.5]], [[0.1]])
@@ -315,11 +317,10 @@ class TestStreamChecks:
         costs = np.array([[-3.0, 1e308], [0.0, -0.0]])
         stream = self.make(rewards, costs)
         assert stream.rewards is rewards and stream.costs is costs
-        empty = self.make(np.zeros((0, 2)), np.zeros((0, 2)))
-        assert empty.T == 0
 
     def test_blocks_are_row_slices(self):
-        stream = generate(spec_for("random_adversarial", n=BLOCK_ENTRIES // 5, T=12))
+        generated = generate(spec_for("random_adversarial", n=BLOCK_ENTRIES // 5, T=12))
+        stream = Stream(generated.action_set, *stacked(generated))
         blocks = list(stream.blocks())
         assert [start for start, _, _ in blocks] == [0, 5, 10]
         assert [len(r) for _, r, _ in blocks] == [5, 5, 2]
@@ -354,9 +355,8 @@ class TestStreamFiles:
         path = tmp_path / "stream.csv"
         write_stream(stream, path)
         back = read_stream(path)
-        rewards, costs = stacked(back)
-        npt.assert_array_equal(rewards, stream.rewards)
-        npt.assert_array_equal(costs, stream.costs)
+        for got, want in zip(stacked(back), stacked(stream)):
+            npt.assert_array_equal(got, want)
         npt.assert_array_equal(back.action_set.z, stream.action_set.z)
 
     def test_write_matches_per_value_formatting(self, tmp_path):
@@ -388,9 +388,10 @@ class TestStreamFiles:
         write_stream(stream, whole)
         with open(parts, "w", encoding="ascii", newline="\n") as fh:
             fh.write(stream_preamble(stream.action_set.z, stream.T))
+        rewards, costs = stacked(stream)
         for start, stop in ((0, 3), (3, 4), (4, 30)):
             with open(parts, "a", encoding="ascii", newline="\n") as fh:
-                write_rows(fh, stream.rewards[start:stop], stream.costs[start:stop], start)
+                write_rows(fh, rewards[start:stop], costs[start:stop], start)
         assert parts.read_bytes() == whole.read_bytes()
 
     def test_preamble_shape(self, tmp_path):
@@ -630,10 +631,11 @@ class TestStreamFiles:
             read_stream(path)
 
     def test_read_and_write_hold_no_copy_of_the_text(self, tmp_path):
-        # about 4 MB of text: reading holds the two arrays plus under 1 MB,
-        # writing under 2 MB in all
-        stream = generate(spec_for("random_adversarial", n=200, T=500))
-        path = tmp_path / "s.csv"
+        # about 4 MB of text, cut 81 trials to a block at n = 200: reading
+        # holds under twice one block's arrays and text, writing under 2 MB
+        n, T = 200, 500
+        generated = generate(spec_for("random_adversarial", n=n, T=T))
+        stream, path = Stream(generated.action_set, *stacked(generated)), tmp_path / "s.csv"
         tracemalloc.start()
         try:
             write_stream(stream, path)
@@ -644,9 +646,12 @@ class TestStreamFiles:
             _, read_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        back.close()
+        _, rows = next(environments._block_rows(n, T))
+        block = rows * 2 * n * 8 + path.stat().st_size * rows / T
         assert path.stat().st_size > 4_000_000
         assert write_peak < 2_000_000
-        assert read_peak - start < stream.rewards.nbytes + stream.costs.nbytes + 1_000_000
+        assert read_peak - start < 2 * block
 
     def test_a_replayed_stream_is_written_a_block_at_a_time(self, tmp_path):
         # n = 100, T = 3000: the (T, n) rewards and costs take 2.4 MB each.
@@ -725,7 +730,8 @@ class TestBlockReads:
         return 4
 
     def blocks_file(self, tmp_path, n, T):
-        stream = generate(spec_for("random_adversarial", n=n, T=T, seed=2))
+        generated = generate(spec_for("random_adversarial", n=n, T=T, seed=2))
+        stream = Stream(generated.action_set, *stacked(generated))
         path = tmp_path / "s.csv"
         write_stream(stream, path)
         return path, stream

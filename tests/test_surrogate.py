@@ -11,7 +11,7 @@ import budgetmax.surrogate as surrogate_module
 from budgetmax.environments import BLOCK_ENTRIES
 from budgetmax.oracles import exact_expected_profit, finite_diff_gradient, projection_certificate
 from budgetmax.surrogate import _sorted_rewards, _trial_pieces
-from conftest import (random_action_set, random_feasible_point, random_trial, stream_of)
+from conftest import (random_action_set, random_feasible_point, random_trial, stacked, stream_of)
 
 
 class TestRewardOrder:
@@ -193,7 +193,7 @@ def reference_learn(stream):
     aset = stream.action_set
     w, eta_prime = np.zeros(aset.n), math.inf
     weights, grad_norm, eta = [], [], []
-    for t, (rewards, costs) in enumerate(zip(stream.rewards, stream.costs), start=1):
+    for t, (rewards, costs) in enumerate(zip(*stacked(stream)), start=1):
         weights.append(w)
         g = surrogate_gradient(w, rewards, costs, aset.delta)
         grad_norm.append(float(np.linalg.norm(g)))
@@ -341,7 +341,7 @@ class TestPinnedTrajectory:
     def test_trajectory_bytes(self, kind, n, T, seed):
         stream = generate(EnvironmentSpec(kind=kind, n=n, T=T, seed=seed))
         if kind == "facility_location":
-            r_sorted = np.sort(stream.rewards, axis=1)
+            r_sorted = np.sort(stacked(stream)[0], axis=1)
             tied = float(np.mean((r_sorted[:, 1:] == r_sorted[:, :-1]).any(axis=1)))
             assert 0.2 < tied < 0.4
         traj = learn(stream)
@@ -360,14 +360,14 @@ class TestMultiplier:
                              + [("random_adversarial", 100, 60)])
     def test_multiplier_is_the_certificates_and_positive_exactly_when_binding(self, kind, n, T):
         stream = generate(EnvironmentSpec(kind=kind, n=n, T=T, seed=6))
-        aset = stream.action_set
+        aset, (rewards, costs) = stream.action_set, stacked(stream)
         traj = learn(stream)
         binding = 0
         for t in range(T - 1):
             if traj.eta[t] == 0.0:
                 assert traj.lam[t] == 0.0
                 continue
-            g = surrogate_gradient(traj.weights[t], stream.rewards[t], stream.costs[t], aset.delta)
+            g = surrogate_gradient(traj.weights[t], rewards[t], costs[t], aset.delta)
             y = traj.weights[t] - traj.eta[t] * g
             binds = float(np.clip(y, 0.0, 1.0) @ aset.z) > 1.0
             assert (traj.lam[t] > 0.0) == binds, t
