@@ -12,11 +12,15 @@ Each group keeps as far from the production code as its purpose allows:
   independent-draw product form in plain scalar code, and
   :func:`exact_expected_profit` takes its reward order from its own stable
   sort;
-- the Monte Carlo estimators draw through ``sampler.sample_block`` itself, so
-  they test the sampler against the exact oracles, not apart from them (at
-  their shared weight row it picks through a guide table per segment); they
-  refill one reused uniforms buffer per block of ``MC_CHUNK`` draws and count
-  on the block's contiguous (column-major) action columns;
+- the Monte Carlo estimators draw through the sampler itself, so they test
+  it against the exact oracles, not apart from them: they prepare their
+  weight row once as a ``sampler.SharedRow`` (the one shared-row path of
+  ``sample_block``, which picks through a guide table per segment) and draw
+  every block of ``MC_CHUNK`` rows from it. Into one reused uniforms buffer
+  they generate only the columns the row's draws read (``SharedRow.columns``),
+  advance the stream past the rest and fill those with NaN, which a draw
+  would refuse; they count on the block's contiguous (column-major) action
+  columns;
 - :func:`finite_diff_gradient` and :func:`grid_projection` share no code with
   the surrogate or the projection they check.
 
@@ -32,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ActionSet, BUDGET_SLACK
-from .sampler import LARGE_ENERGY_THRESHOLD, RowLayout, sample_block
+from .sampler import LARGE_ENERGY_THRESHOLD, RowLayout, SharedRow
 
 MAX_EXHAUSTIVE_ACTIONS = 20
 MAX_GRID_ACTIONS = 4
@@ -256,23 +260,33 @@ def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
     """Membership blocks of ``n_samples`` independent draws at ``w``, ``MC_CHUNK`` rows at a time.
 
     Each draw is sampled as the learner samples a trial, from uniforms of
-    ``np.random.default_rng(seed)``. A block's uniforms are drawn column by
-    column, as ``rng.random((width, rows)).T``, so the columns the sampler
-    reads at a shared weight row are contiguous: per segment its full-draw
-    columns and its residual column, one uniform per draw. Every block,
-    the short last one too, refills the front of one reused flat buffer as
-    a ``(width, rows)`` array, which draws the same values in the same
-    order. Each block is a column-major ``(rows, n)`` array, so an action's
-    memberships are contiguous.
+    ``np.random.default_rng(seed)``. ``w`` is prepared once as a
+    ``SharedRow``, and every block is drawn from it. A block's uniforms are
+    the values of ``rng.random((width, rows)).T``, filled column by column
+    into the front of one reused flat buffer (the short last block too), so
+    the columns the sampler reads at a shared weight row are contiguous:
+    per segment its full-draw columns and its residual column, one uniform
+    per draw. A column the row never reads (``SharedRow.columns``) is not
+    generated: the stream is advanced past its ``rows`` values, and it holds
+    NaN, which a draw that read it would refuse. Every value read is the one
+    the whole-block ``rng.random`` call would put there. Each block is a
+    column-major ``(rows, n)`` array, so an action's memberships are
+    contiguous.
     """
     layout = RowLayout(action_set)
+    row = SharedRow(w, layout)
     rng = np.random.default_rng(seed)
-    w = np.asarray(w, dtype=float)[None]
     buffer = np.empty(layout.width * min(MC_CHUNK, n_samples))
     for start in range(0, n_samples, MC_CHUNK):
         rows = min(MC_CHUNK, n_samples - start)
-        uniforms = rng.random(out=buffer[:layout.width * rows].reshape(layout.width, rows))
-        yield sample_block(w, uniforms.T, layout)
+        uniforms = buffer[:layout.width * rows].reshape(layout.width, rows)
+        for column, read in zip(uniforms, row.columns.tolist()):
+            if read:
+                rng.random(out=column)
+            else:
+                rng.bit_generator.advance(rows)
+                column.fill(np.nan)
+        yield row.draw(uniforms.T)
 
 
 def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,

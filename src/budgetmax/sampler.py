@@ -47,11 +47,14 @@ residual column's uniform ``u`` makes the residual draw when ``u < r``,
 which has probability ``r``, and that draw picks with ``u / r``: given ``u
 < r`` it is again uniform on ``[0, 1)`` (Devroye 1986, "Non-Uniform Random
 Variate Generation"), and in floating point ``u < r`` implies ``u / r <
-1``. On heads the row yields the heavy pick alone. At one weight row
-shared by many rows (Monte Carlo) each segment's ``k`` comes from a guide
-table built once per block, which inverts ``cum`` exactly (Chen & Asau
-1974); a weight row per row makes one search over all the draws of its
-rows. Every selection returned is checked against the budget once more:
+1``. On heads the row yields the heavy pick alone. One weight row
+shared by many rows (Monte Carlo) is prepared once as a :class:`SharedRow`:
+each segment's ``k`` comes from a guide table built once per weight row
+and block height, which inverts ``cum`` exactly (Chen & Asau 1974), and
+``SharedRow.columns`` marks the uniform columns its draws read, so a
+caller need not generate the rest. A weight row per row makes one search
+over all the draws of its rows. Every selection returned is checked
+against the budget once more:
 by its member count where ``count * beta`` fits (:attr:`RowLayout.cleared`),
 else by summing its energies.
 
@@ -222,10 +225,11 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     of the result marks the selection drawn at ``weights[r]`` (or the shared
     row) from ``uniforms[r]`` as the module docstring lays out.
 
-    Each draw finds what ``np.searchsorted`` finds on its own segment's
-    ``cum``: with one weight row shared by many rows (Monte Carlo) through
-    a guide table per segment (see :func:`_guide_inverse`); with a weight
-    row per row one search over the draws the rows make (see
+    A single row shared by many rows (Monte Carlo) is prepared as a
+    :class:`SharedRow` and drawn once: each draw finds what
+    ``np.searchsorted`` finds on its own segment's ``cum`` through a guide
+    table per segment (see :func:`_guide_inverse`). With a weight row per
+    row, one search covers the draws the rows make (see
     :func:`_draw_per_row`). Uniforms must lie in ``[0, 1)``; every value a
     draw picks with is checked (a residual draw's ``u / r``), and a residual
     column whose uniform makes no draw is only compared. A shared
@@ -250,9 +254,73 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
             or uniforms.shape != (m, layout.width)):
         raise ValueError(f"expected weights of shape (1 or {m}, {n}) and uniforms of "
                          f"shape ({m}, {layout.width}), got {weights.shape} and {uniforms.shape}")
+    if len(weights) < m:
+        return SharedRow(weights[0], layout).draw(uniforms)
+    cum, full, residual = _segments(weights, layout)
+    member = np.zeros((m, n), dtype=bool)
+    _draw_per_row(member, uniforms, cum, full, residual, layout)
+    return _finish(member, uniforms, residual[:, 0], layout)
+
+
+class SharedRow:
+    """One weight row, prepared once to draw any number of blocks of selections.
+
+    The weight row (shape ``(n,)``) is checked and its segments' ``cum``,
+    ``full`` (full-draw counts) and ``residual`` (masses) computed as
+    :func:`sample_block` does for every row, once. ``columns`` marks the
+    ``layout.width`` uniform columns a draw at this row reads: every
+    residual column and each full-draw column ``j < floor(scale * S)`` of
+    its segment; the other full-draw columns and the padding are never read,
+    so a caller may leave them out of the uniforms it generates.
+    :meth:`draw` takes one block of uniform rows and returns what
+    :func:`sample_block` returns at this row. Each segment with mass has a
+    guide table (:func:`_guide_inverse`) whose targets are flat offsets
+    into a column-major block of a given height, so the tables are kept
+    for the last height drawn and built again when it changes.
+    """
+
+    def __init__(self, weights, layout: RowLayout):
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != layout.z.shape:
+            raise ValueError(f"expected a weight row of shape {layout.z.shape}, "
+                             f"got {weights.shape}")
+        cum, full, residual = _segments(weights[None], layout)
+        self.layout = layout
+        self.cum, self.full, self.residual = cum[0], full[0], residual[0]
+        self.columns = layout.is_residual | (layout.level < self.full[layout.column_segment])
+        self._rows, self._inverses = None, None
+
+    def draw(self, uniforms) -> np.ndarray:
+        """Column-major boolean ``(m, n)`` membership drawn from ``m`` rows of uniforms.
+
+        Only the uniform columns in ``columns`` are read. Raises a
+        ``ValueError`` as :func:`sample_block` does.
+        """
+        uniforms = np.asarray(uniforms, dtype=float)
+        layout = self.layout
+        if uniforms.ndim != 2 or uniforms.shape[1] != layout.width:
+            raise ValueError(f"expected uniforms of shape (m, {layout.width}), "
+                             f"got {uniforms.shape}")
+        rows = len(uniforms)
+        if rows != self._rows:
+            # no weight mass: no full draw, and no uniform falls below 0
+            self._rows, self._inverses = rows, [
+                _guide_inverse(self.cum[start:stop], layout.order[start:stop] * rows)
+                if self.full[s] or self.residual[s] > 0.0 else None
+                for s, (start, stop) in enumerate(layout.spans)]
+        # column-major, like the uniform columns each segment's draws read
+        member = np.zeros((rows, layout.z.size), dtype=bool, order="F")
+        _draw_shared(member, uniforms, self._inverses, self.full, self.residual, layout)
+        return _finish(member, uniforms, self.residual[0], layout)
+
+
+def _segments(weights, layout: RowLayout):
+    """Per weight row: each segment's ``cum``, full-draw count and residual mass.
+
+    Raises a ``ValueError`` unless every row is feasible.
+    """
     if not is_feasible(weights, layout.z):
         raise ValueError("weights must lie in the feasible polytope")
-
     # a weight within tolerance outside [0, 1] is drawn as its clamp, so every
     # segment's cum rises and floor(scale * S) cannot pass its full-draw
     # columns: a float sum of k values, each at most 1, cannot round above k
@@ -265,45 +333,42 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     scaled = mass * layout.scale
     full = np.floor(scaled)
     cum /= np.where(mass > 0.0, mass, 1.0)[:, layout.segment_of]
+    return cum, full, scaled - full
 
-    residual = scaled - full
-    if len(weights) < m:
-        # column-major, like the uniform columns each segment's draws read
-        member = np.zeros((m, n), dtype=bool, order="F")
-        _draw_shared(member, uniforms, cum[0], full[0], residual[0], layout)
-    else:
-        member = np.zeros((m, n), dtype=bool)
-        _draw_per_row(member, uniforms, cum, full, residual, layout)
+
+def _finish(member, uniforms, heavy_residual, layout: RowLayout) -> np.ndarray:
+    """Apply the wrapper's heads rule to ``member`` and check every selection's budget."""
     if layout.wrapper:  # heads (the heavy residual column 0 draws): the heavy pick alone
-        member[uniforms[:, 0] < residual[:, 0]] &= layout.z >= LARGE_ENERGY_THRESHOLD
+        member[uniforms[:, 0] < heavy_residual] &= layout.z >= LARGE_ENERGY_THRESHOLD
     # a selection whose count the layout clears fits the budget, so only the
     # rest are summed; when they are over half the block, gathering them costs
     # more than summing the whole block (which cannot fail a cleared row)
-    count = np.add.reduce(member, axis=1, dtype=np.min_scalar_type(n))
+    count = np.add.reduce(member, axis=1, dtype=np.min_scalar_type(layout.z.size))
     uncleared = np.flatnonzero(count > layout.cleared)
     if uncleared.size:
-        summed = member if 2 * uncleared.size > m else member[uncleared]
+        summed = member if 2 * uncleared.size > len(member) else member[uncleared]
         energy = np.einsum("ij,j->i", summed, layout.z)
         if energy.max() > 1.0 + BUDGET_SLACK:
             raise ValueError(f"selection energy {float(energy.max())} exceeds the unit budget")
     return member
 
 
-def _draw_shared(member, uniforms, cum, full, residual, layout: RowLayout) -> None:
+def _draw_shared(member, uniforms, inverses, full, residual, layout: RowLayout) -> None:
     """Mark the draws of every row at one shared weight row, segment by segment.
 
     ``member`` is column-major, so action ``a`` of row ``r`` is entry ``a *
     rows + r`` of its flat view, and each column's picks are marked through
-    one flat index.
+    one flat index. ``inverses`` holds each segment's guide table for this
+    block height, or ``None`` for a segment without weight mass, which
+    makes no draw.
     """
     rows = len(member)
     flat = member.reshape(-1, order="F")
-    for s, ((start, stop), last, columns) in enumerate(zip(
-            layout.spans, layout.residual_columns, layout.full_columns)):
+    for s, (invert, last, columns) in enumerate(zip(
+            inverses, layout.residual_columns, layout.full_columns)):
+        if invert is None:
+            continue
         first, draws = last - columns, int(full[s])
-        if not (draws or residual[s] > 0.0):
-            continue  # no weight mass: no full draw, and no uniform falls below 0
-        invert = _guide_inverse(cum[start:stop], layout.order[start:stop] * rows)
         every = np.arange(rows) if draws else None
         for column in range(first, first + draws):
             picks = invert(uniforms[:, column])

@@ -16,6 +16,7 @@ from budgetmax.oracles import (MC_CHUNK, CapacityError, analytic_intersection_lo
                                exact_expected_profit, exact_intersection_prob,
                                exact_selection_probs, finite_diff_gradient,
                                grid_projection)
+from budgetmax.sampler import SharedRow
 from conftest import random_action_set, random_feasible_point, random_trial
 
 
@@ -241,6 +242,49 @@ class TestEstimators:
         got_hits = estimate_hit_rates(w, aset, subsets, np.int64(n_samples), seed=n)
         assert got_hits.tobytes() == hits.tobytes()
         assert hits[0] == 0.0 and 0.0 < hits[-1]
+
+    def test_only_the_columns_a_shared_row_reads_are_generated(self, monkeypatch):
+        # the rule: every residual column, and full-draw column j of a segment
+        # when j < floor(scale * S), S summed in segment order over the clamp
+        rng = np.random.default_rng(29)
+        seen, misread = set(), None
+        for trial in range(200):
+            n = int(rng.choice([1, 3, 8, 40, 300]))
+            z = random_action_set(rng, n).z.copy()
+            if trial % 2:
+                z[rng.integers(n)] = 0.75
+            aset = ActionSet.from_energies(z)
+            layout = RowLayout(aset)
+            w = np.zeros(n) if trial % 5 == 0 else random_feasible_point(rng, aset.z)
+            expect = np.zeros(layout.width, bool)
+            for (start, stop), scale, last, full in zip(
+                    layout.spans, layout.scale, layout.residual_columns, layout.full_columns):
+                mass = 0.0
+                for i in layout.order[start:stop]:
+                    mass += min(max(float(w[i]), 0.0), 1.0)
+                expect[last] = True
+                expect[last - full:last - full + math.floor(scale * mass)] = True
+                seen.add((layout.wrapper, 0 < math.floor(scale * mass) < full,
+                          math.floor(scale * mass) == full > 0))
+                if misread is None and 0 < math.floor(scale * mass):
+                    misread = aset, w, last - full
+            npt.assert_array_equal(SharedRow(w, layout).columns, expect)
+        assert {(wrapper, True, False) for wrapper in (False, True)} <= seen
+        assert (False, False, True) in seen
+
+        # a draw that read a column left out of the uniforms picks with NaN, and is refused
+        aset, w, dropped = misread
+
+        class Misread(SharedRow):
+            def __init__(self, *args):
+                super().__init__(*args)
+                assert self.columns[dropped]
+                self.columns = self.columns.copy()
+                self.columns[dropped] = False
+
+        monkeypatch.setattr(oracles, "SharedRow", Misread)
+        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\), got nan"):
+            estimate_selection_probs(w, aset, 1000, seed=1)
 
     @pytest.mark.parametrize("n_samples", [0, -5, 2.5, True, np.float64(3.0)])
     def test_sample_count_must_be_a_positive_integer(self, n_samples):

@@ -532,6 +532,14 @@ class TestSampling:
                 sample_block(np.array(w), uniforms[:len(w)], layout)
         with pytest.raises(ValueError, match="shape"):
             sample_block(np.zeros((3, 2)), uniforms, layout)
+        # a prepared shared row checks its weight row once, and each block's width
+        for w in ([1.5, 1.5], [-0.1, 0.0]):
+            with pytest.raises(ValueError, match="feasible polytope"):
+                sampler.SharedRow(np.array(w), layout)
+        with pytest.raises(ValueError, match="shape"):
+            sampler.SharedRow(np.zeros((1, 2)), layout)
+        with pytest.raises(ValueError, match="shape"):
+            sampler.SharedRow(np.zeros(2), layout).draw(uniforms[:, 1:])
 
     def test_selections_always_within_budget(self):
         rng = np.random.default_rng(59)
