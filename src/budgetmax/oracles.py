@@ -16,11 +16,10 @@ Each group keeps as far from the production code as its purpose allows:
   it against the exact oracles, not apart from them: they prepare their
   weight row once as a ``sampler.SharedRow`` (the one shared-row path of
   ``sample_block``, which picks through a guide table per segment) and draw
-  every block of ``MC_CHUNK`` rows from it. Into one reused uniforms buffer
-  they generate only the columns the row's draws read (``SharedRow.columns``),
-  advance the stream past the rest and fill those with NaN, which a draw
-  would refuse; they count on the block's contiguous (column-major) action
-  columns;
+  every block of ``MC_CHUNK`` rows from it. The draw pulls the uniforms a
+  column at a time, and they generate each column it asks for into one
+  reused column buffer, advancing the stream past the rest; they count on
+  the block's contiguous (column-major) action columns;
 - :func:`finite_diff_gradient` and :func:`grid_projection` share no code with
   the surrogate or the projection they check.
 
@@ -262,31 +261,41 @@ def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
     Each draw is sampled as the learner samples a trial, from uniforms of
     ``np.random.default_rng(seed)``. ``w`` is prepared once as a
     ``SharedRow``, and every block is drawn from it. A block's uniforms are
-    the values of ``rng.random((width, rows)).T``, filled column by column
-    into the front of one reused flat buffer (the short last block too), so
-    the columns the sampler reads at a shared weight row are contiguous:
-    per segment its full-draw columns and its residual column, one uniform
-    per draw. A column the row never reads (``SharedRow.columns``) is not
-    generated: the stream is advanced past its ``rows`` values, and it holds
-    NaN, which a draw that read it would refuse. Every value read is the one
-    the whole-block ``rng.random`` call would put there. Each block is a
+    the values of ``rng.random((width, rows))``, row ``j`` of it uniform
+    column ``j``. The draw asks for the columns it reads one at a time, in
+    ascending order, and each is generated when asked for into one reused
+    buffer of ``rows`` doubles: the stream is first advanced past the
+    columns nobody asked for, and after the block past the columns left at
+    its end. A column asked for that ``SharedRow.columns`` does not mark is
+    not generated: the stream is advanced past it, and it holds NaN, which
+    a draw that read it would refuse. Every value read is the one the
+    whole-block ``rng.random`` call would put there. Each block is a
     column-major ``(rows, n)`` array, so an action's memberships are
     contiguous.
     """
     layout = RowLayout(action_set)
     row = SharedRow(w, layout)
+    read = row.columns.tolist()
     rng = np.random.default_rng(seed)
-    buffer = np.empty(layout.width * min(MC_CHUNK, n_samples))
+    buffer = np.empty(min(MC_CHUNK, n_samples))
+    rows = ahead = 0  # the block's height, and the column the stream stands at
+
+    def column(j):
+        nonlocal ahead
+        u = buffer[:rows]
+        rng.bit_generator.advance((j - ahead) * rows)  # past the columns nobody asked for
+        if read[j]:
+            rng.random(out=u)
+        else:
+            rng.bit_generator.advance(rows)
+            u.fill(np.nan)
+        ahead = j + 1
+        return u
+
     for start in range(0, n_samples, MC_CHUNK):
-        rows = min(MC_CHUNK, n_samples - start)
-        uniforms = buffer[:layout.width * rows].reshape(layout.width, rows)
-        for column, read in zip(uniforms, row.columns.tolist()):
-            if read:
-                rng.random(out=column)
-            else:
-                rng.bit_generator.advance(rows)
-                column.fill(np.nan)
-        yield row.draw(uniforms.T)
+        rows, ahead = min(MC_CHUNK, n_samples - start), 0
+        yield row.draw(rows, column)
+        rng.bit_generator.advance((layout.width - ahead) * rows)
 
 
 def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,

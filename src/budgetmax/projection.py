@@ -102,7 +102,7 @@ def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray
     about half the cost of a boolean index at n = 1000.
     """
     x = _clamp(y)
-    if float(x @ z) <= 1.0:
+    if float(x.dot(z)) <= 1.0:
         return x, 0.0
 
     # The box clamp overshoots, so the budget is active at the optimum.
@@ -121,9 +121,9 @@ def _project_from(y: np.ndarray, z: np.ndarray, lam0: float) -> tuple[np.ndarray
         at_one, moving = past[:m], past[m:]
         free = moving > at_one
         zf = zl.compress(free)
-        curvature = float(zf @ zf)
+        curvature = float(zf.dot(zf))
         # on lam's piece (left, right]: u = level - lam * curvature
-        level = float(zf @ yl.compress(free)) + float(np.add.reduce(zl.compress(at_one)))
+        level = float(zf.dot(yl.compress(free))) + float(np.add.reduce(zl.compress(at_one)))
         k = ordered.searchsorted(lam)  # ordered[k - 1] < lam <= ordered[k]
         left = max(ordered.item(k - 1), 0.0) if k else 0.0
         right = ordered.item(k)

@@ -50,11 +50,13 @@ Variate Generation"), and in floating point ``u < r`` implies ``u / r <
 1``. On heads the row yields the heavy pick alone. One weight row
 shared by many rows (Monte Carlo) is prepared once as a :class:`SharedRow`:
 each segment's ``k`` comes from a guide table built once per weight row
-and block height, which inverts ``cum`` exactly (Chen & Asau 1974), and
-``SharedRow.columns`` marks the uniform columns its draws read, so a
-caller need not generate the rest. A weight row per row makes one search
-over all the draws of its rows. Every selection returned is checked
-against the budget once more:
+and block height, which inverts ``cum`` exactly (Chen & Asau 1974). It
+pulls a block's uniforms one column at a time, from a column source: each
+column its draws read, once, in ascending order, just before the segment
+that reads it. ``SharedRow.columns`` marks the columns it can ask for, so
+a caller generates only those, and holds one column at a time. A weight
+row per row makes one search over all the draws of its rows. Every
+selection returned is checked against the budget once more:
 by its member count where ``count * beta`` fits (:attr:`RowLayout.cleared`),
 else by summing its energies.
 
@@ -226,9 +228,10 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
     row) from ``uniforms[r]`` as the module docstring lays out.
 
     A single row shared by many rows (Monte Carlo) is prepared as a
-    :class:`SharedRow` and drawn once: each draw finds what
-    ``np.searchsorted`` finds on its own segment's ``cum`` through a guide
-    table per segment (see :func:`_guide_inverse`). With a weight row per
+    :class:`SharedRow` and drawn once, pulling its columns from
+    ``uniforms``: each draw finds what ``np.searchsorted`` finds on its own
+    segment's ``cum`` through a guide table per segment (see
+    :func:`_guide_inverse`). With a weight row per
     row, one search covers the draws the rows make (see
     :func:`_draw_per_row`). Uniforms must lie in ``[0, 1)``; every value a
     draw picks with is checked (a residual draw's ``u / r``), and a residual
@@ -255,11 +258,11 @@ def sample_block(weights, uniforms, layout: RowLayout) -> np.ndarray:
         raise ValueError(f"expected weights of shape (1 or {m}, {n}) and uniforms of "
                          f"shape ({m}, {layout.width}), got {weights.shape} and {uniforms.shape}")
     if len(weights) < m:
-        return SharedRow(weights[0], layout).draw(uniforms)
+        return SharedRow(weights[0], layout).draw(m, lambda j: uniforms[:, j])
     cum, full, residual = _segments(weights, layout)
     member = np.zeros((m, n), dtype=bool)
     _draw_per_row(member, uniforms, cum, full, residual, layout)
-    return _finish(member, uniforms, residual[:, 0], layout)
+    return _finish(member, uniforms[:, 0] < residual[:, 0] if layout.wrapper else None, layout)
 
 
 class SharedRow:
@@ -270,13 +273,13 @@ class SharedRow:
     :func:`sample_block` does for every row, once. ``columns`` marks the
     ``layout.width`` uniform columns a draw at this row reads: every
     residual column and each full-draw column ``j < floor(scale * S)`` of
-    its segment; the other full-draw columns and the padding are never read,
-    so a caller may leave them out of the uniforms it generates.
-    :meth:`draw` takes one block of uniform rows and returns what
-    :func:`sample_block` returns at this row. Each segment with mass has a
-    guide table (:func:`_guide_inverse`) whose targets are flat offsets
-    into a column-major block of a given height, so the tables are kept
-    for the last height drawn and built again when it changes.
+    its segment; the other full-draw columns and the padding are never
+    asked for, so a caller need not generate them. :meth:`draw` takes a
+    block height and a column source, and returns what :func:`sample_block`
+    returns at this row on that block's uniforms. Each segment with mass
+    has a guide table (:func:`_guide_inverse`) whose targets are flat
+    offsets into a column-major block of a given height, so the tables are
+    kept for the last height drawn and built again when it changes.
     """
 
     def __init__(self, weights, layout: RowLayout):
@@ -290,28 +293,40 @@ class SharedRow:
         self.columns = layout.is_residual | (layout.level < self.full[layout.column_segment])
         self._rows, self._inverses = None, None
 
-    def draw(self, uniforms) -> np.ndarray:
-        """Column-major boolean ``(m, n)`` membership drawn from ``m`` rows of uniforms.
+    def draw(self, rows: int, column) -> np.ndarray:
+        """Column-major boolean ``(rows, n)`` membership drawn from a block of ``rows`` rows.
 
-        Only the uniform columns in ``columns`` are read. Raises a
-        ``ValueError`` as :func:`sample_block` does.
+        ``column(j)`` returns uniform column ``j`` of the block, ``rows``
+        values. It is asked only for columns in ``columns``, each once and
+        in ascending order, and a column is read through before the next is
+        asked for, so a source may hand back one reused buffer. Raises a
+        ``ValueError`` as :func:`sample_block` does, or if a column is not of
+        shape ``(rows,)``.
         """
-        uniforms = np.asarray(uniforms, dtype=float)
         layout = self.layout
-        if uniforms.ndim != 2 or uniforms.shape[1] != layout.width:
-            raise ValueError(f"expected uniforms of shape (m, {layout.width}), "
-                             f"got {uniforms.shape}")
-        rows = len(uniforms)
         if rows != self._rows:
             # no weight mass: no full draw, and no uniform falls below 0
             self._rows, self._inverses = rows, [
                 _guide_inverse(self.cum[start:stop], layout.order[start:stop] * rows)
                 if self.full[s] or self.residual[s] > 0.0 else None
                 for s, (start, stop) in enumerate(layout.spans)]
+        last = u = None
+
+        def pull(j):
+            # the wrapper's column 0 gives the heads mask, then the heavy draw: one request
+            nonlocal last, u
+            if j != last:
+                last, u = j, column(j)
+                if u.shape != (rows,):
+                    raise ValueError(f"expected uniform column {j} of shape ({rows},), "
+                                     f"got {u.shape}")
+            return u
+
+        heads = pull(0) < self.residual[0] if layout.wrapper else None
         # column-major, like the uniform columns each segment's draws read
         member = np.zeros((rows, layout.z.size), dtype=bool, order="F")
-        _draw_shared(member, uniforms, self._inverses, self.full, self.residual, layout)
-        return _finish(member, uniforms, self.residual[0], layout)
+        _draw_shared(member, pull, self._inverses, self.full, self.residual, layout)
+        return _finish(member, heads, layout)
 
 
 def _segments(weights, layout: RowLayout):
@@ -336,10 +351,15 @@ def _segments(weights, layout: RowLayout):
     return cum, full, scaled - full
 
 
-def _finish(member, uniforms, heavy_residual, layout: RowLayout) -> np.ndarray:
-    """Apply the wrapper's heads rule to ``member`` and check every selection's budget."""
-    if layout.wrapper:  # heads (the heavy residual column 0 draws): the heavy pick alone
-        member[uniforms[:, 0] < heavy_residual] &= layout.z >= LARGE_ENERGY_THRESHOLD
+def _finish(member, heads, layout: RowLayout) -> np.ndarray:
+    """Apply the wrapper's heads rule to ``member`` and check every selection's budget.
+
+    ``heads`` marks the rows whose heavy residual column 0 draws (its
+    uniform is below the heavy residual mass), or is ``None`` outside
+    wrapper mode. A row on heads keeps the heavy pick alone.
+    """
+    if heads is not None:
+        member[heads] &= layout.z >= LARGE_ENERGY_THRESHOLD
     # a selection whose count the layout clears fits the budget, so only the
     # rest are summed; when they are over half the block, gathering them costs
     # more than summing the whole block (which cannot fail a cleared row)
@@ -353,28 +373,30 @@ def _finish(member, uniforms, heavy_residual, layout: RowLayout) -> np.ndarray:
     return member
 
 
-def _draw_shared(member, uniforms, inverses, full, residual, layout: RowLayout) -> None:
+def _draw_shared(member, column, inverses, full, residual, layout: RowLayout) -> None:
     """Mark the draws of every row at one shared weight row, segment by segment.
 
-    ``member`` is column-major, so action ``a`` of row ``r`` is entry ``a *
-    rows + r`` of its flat view, and each column's picks are marked through
-    one flat index. ``inverses`` holds each segment's guide table for this
-    block height, or ``None`` for a segment without weight mass, which
-    makes no draw.
+    ``column(j)`` returns uniform column ``j`` of the block; each column a
+    draw reads is asked for once, in ascending order, just before the
+    segment's draws that read it. ``member`` is column-major, so action
+    ``a`` of row ``r`` is entry ``a * rows + r`` of its flat view, and each
+    column's picks are marked through one flat index. ``inverses`` holds
+    each segment's guide table for this block height, or ``None`` for a
+    segment without weight mass, which makes no draw and reads no column.
     """
     rows = len(member)
     flat = member.reshape(-1, order="F")
-    for s, (invert, last, columns) in enumerate(zip(
+    for s, (invert, last, count) in enumerate(zip(
             inverses, layout.residual_columns, layout.full_columns)):
         if invert is None:
             continue
-        first, draws = last - columns, int(full[s])
+        first, draws = last - count, int(full[s])
         every = np.arange(rows) if draws else None
-        for column in range(first, first + draws):
-            picks = invert(uniforms[:, column])
+        for j in range(first, first + draws):
+            picks = invert(column(j))
             picks += every
             flat[picks] = True
-        u = uniforms[:, last]
+        u = column(last)
         fired = np.flatnonzero(u < residual[s])
         # with no residual mass only a negative uniform fires, and the check names it
         picks = invert(u.take(fired) / (residual[s] or 1.0))

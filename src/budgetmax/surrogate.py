@@ -195,7 +195,7 @@ def learn_blocks(action_set: ActionSet, blocks):
                 weights[i] = w
                 g = _gradient(w, order[i], drops[i], c_pos[i], c_neg[i], delta)
                 # the bits of np.linalg.norm on a vector, without its wrapper
-                grad_norm[i] = norm = math.sqrt(float(g @ g))
+                grad_norm[i] = norm = math.sqrt(float(g.dot(g)))
                 if not math.isfinite(norm):
                     raise ValueError(f"trial {t + 1}: the surrogate gradient norm is not finite "
                                      f"({norm}); rewards or costs are too large")

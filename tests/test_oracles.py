@@ -342,6 +342,27 @@ class TestEstimators:
                 tracemalloc.stop()
             assert peak < bound
 
+    def test_no_block_wide_uniforms(self):
+        # probcheck --seed 5 --actions 300's instance and Monte Carlo seed, one
+        # block: its membership is 50 000 x 300 bools, 15.0 MB, and the draw
+        # adds a column of 50 000 doubles and its picks, under 3 MB. Uniforms for
+        # the whole block (32 columns of doubles, 12.8 MB) would peak near 30 MB
+        rng = np.random.default_rng(5)
+        n = 300
+        z = rng.uniform(0.0, 0.49, n)
+        z[rng.random(n) < 0.2] = 0.0
+        aset = ActionSet.from_energies(z)
+        w = project_onto_feasible(rng.uniform(0.0, 1.5, n), aset.z)
+        assert RowLayout(aset).width == 32
+        estimate_selection_probs(w, aset, 10, seed=6)  # imports and caches outside the count
+        tracemalloc.start()
+        try:
+            estimate_selection_probs(w, aset, MC_CHUNK, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
     def test_hit_rate_matches_exact(self):
         rng = np.random.default_rng(191)
         aset = random_action_set(rng, 8)

@@ -256,6 +256,36 @@ class TestMatchesSearchsortedReference:
         assert member.flags.f_contiguous
         npt.assert_array_equal(member, reference_block(w[None], uniforms, aset))
 
+    def test_shared_row_pulls_each_column_it_reads_once_in_order(self):
+        # a source that records its requests and hands back one reused buffer,
+        # as the Monte Carlo estimators' does
+        rng = np.random.default_rng(34)
+        for trial in range(200):
+            n = int(rng.choice([1, 3, 8, 40, 300]))
+            z = random_action_set(rng, n).z.copy()
+            if trial % 2:
+                z[rng.integers(n)] = 0.75
+            aset = ActionSet.from_energies(z)
+            layout = RowLayout(aset)
+            w = np.zeros(n) if trial % 5 == 0 else random_feasible_point(rng, aset.z)
+            rows = int(rng.integers(1, 60))
+            uniforms = rng.random((layout.width, rows))
+            buffer, asked = np.empty(rows), []
+
+            def column(j):
+                asked.append(j)
+                buffer[:] = uniforms[j]
+                return buffer
+
+            row = sampler.SharedRow(w, layout)
+            member = row.draw(rows, column)
+            assert asked == sorted(set(asked)) and row.columns[asked].all()
+            if layout.wrapper:  # the heads mask comes first, with or without heavy mass
+                assert asked[0] == 0
+            whole = sample_block(w[None], uniforms.T, layout)
+            assert member.tobytes() == whole.tobytes()
+            npt.assert_array_equal(member, reference_block(w[None], uniforms.T, aset))
+
     def test_zero_energy_class_only(self):
         # beta = 0: tau = delta = 1, so every unit of weight mass is a full draw
         rng = np.random.default_rng(9)
@@ -532,14 +562,14 @@ class TestSampling:
                 sample_block(np.array(w), uniforms[:len(w)], layout)
         with pytest.raises(ValueError, match="shape"):
             sample_block(np.zeros((3, 2)), uniforms, layout)
-        # a prepared shared row checks its weight row once, and each block's width
+        # a prepared shared row checks its weight row once, and each column's length
         for w in ([1.5, 1.5], [-0.1, 0.0]):
             with pytest.raises(ValueError, match="feasible polytope"):
                 sampler.SharedRow(np.array(w), layout)
         with pytest.raises(ValueError, match="shape"):
             sampler.SharedRow(np.zeros((1, 2)), layout)
         with pytest.raises(ValueError, match="shape"):
-            sampler.SharedRow(np.zeros(2), layout).draw(uniforms[:, 1:])
+            sampler.SharedRow(np.zeros(2), layout).draw(2, lambda j: uniforms[1:, j])
 
     def test_selections_always_within_budget(self):
         rng = np.random.default_rng(59)
