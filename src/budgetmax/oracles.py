@@ -17,8 +17,8 @@ Each group keeps as far from the production code as its purpose allows:
   weight row once as a ``sampler.SharedRow`` (the one shared-row path of
   ``sample_block``, which picks through a guide table per segment) and draw
   every block of ``MC_CHUNK`` rows from it. The draw pulls the uniforms a
-  column at a time, and they generate each column it asks for into one
-  reused column buffer, advancing the stream past the rest; they count on
+  column at a time, and they fill each column it asks for from one
+  sequential SFC64 stream into one reused column buffer; they count on
   the block's contiguous (column-major) action columns;
 - :func:`finite_diff_gradient` and :func:`grid_projection` share no code with
   the surrogate or the projection they check.
@@ -259,43 +259,25 @@ def _membership_blocks(w, action_set: ActionSet, n_samples: int, seed: int):
     """Membership blocks of ``n_samples`` independent draws at ``w``, ``MC_CHUNK`` rows at a time.
 
     Each draw is sampled as the learner samples a trial, from uniforms of
-    ``np.random.default_rng(seed)``. ``w`` is prepared once as a
-    ``SharedRow``, and every block is drawn from it. A block's uniforms are
-    the values of ``rng.random((width, rows))``, row ``j`` of it uniform
-    column ``j``. The draw asks for the columns it reads one at a time, in
-    ascending order, and each is generated when asked for into one reused
-    buffer of ``rows`` doubles: the stream is first advanced past the
-    columns nobody asked for, and after the block past the columns left at
-    its end. A column asked for that ``SharedRow.columns`` does not mark is
-    not generated: the stream is advanced past it, and it holds NaN, which
-    a draw that read it would refuse. Every value read is the one the
-    whole-block ``rng.random`` call would put there. Each block is a
-    column-major ``(rows, n)`` array, so an action's memberships are
-    contiguous.
+    one sequential ``np.random.Generator(np.random.SFC64(seed))`` stream.
+    ``w`` is prepared once as a ``SharedRow``, and every block is drawn
+    from it. The draw asks for the columns it reads one at a time, and each
+    is filled when asked for with the stream's next ``rows`` doubles, in
+    one reused buffer: the stream holds the pulled columns of every block,
+    in pull order, and nothing else. Each block is a column-major ``(rows,
+    n)`` array, so an action's memberships are contiguous.
     """
-    layout = RowLayout(action_set)
-    row = SharedRow(w, layout)
-    read = row.columns.tolist()
-    rng = np.random.default_rng(seed)
+    row = SharedRow(w, RowLayout(action_set))
+    rng = np.random.Generator(np.random.SFC64(seed))
     buffer = np.empty(min(MC_CHUNK, n_samples))
-    rows = ahead = 0  # the block's height, and the column the stream stands at
+    rows = 0
 
     def column(j):
-        nonlocal ahead
-        u = buffer[:rows]
-        rng.bit_generator.advance((j - ahead) * rows)  # past the columns nobody asked for
-        if read[j]:
-            rng.random(out=u)
-        else:
-            rng.bit_generator.advance(rows)
-            u.fill(np.nan)
-        ahead = j + 1
-        return u
+        return rng.random(out=buffer[:rows])
 
     for start in range(0, n_samples, MC_CHUNK):
-        rows, ahead = min(MC_CHUNK, n_samples - start), 0
+        rows = min(MC_CHUNK, n_samples - start)
         yield row.draw(rows, column)
-        rng.bit_generator.advance((layout.width - ahead) * rows)
 
 
 def estimate_selection_probs(w, action_set: ActionSet, n_samples: int,

@@ -53,11 +53,10 @@ each segment's ``k`` comes from a guide table built once per weight row
 and block height, which inverts ``cum`` exactly (Chen & Asau 1974). It
 pulls a block's uniforms one column at a time, from a column source: each
 column its draws read, once, in ascending order, just before the segment
-that reads it. ``SharedRow.columns`` marks the columns it can ask for, so
-a caller generates only those, and holds one column at a time. A weight
-row per row makes one search over all the draws of its rows. Every
-selection returned is checked against the budget once more:
-by its member count where ``count * beta`` fits (:attr:`RowLayout.cleared`),
+that reads it, so a caller makes only those, and holds one column at a
+time. A weight row per row makes one search over all the draws of its
+rows. Every selection returned is checked against the budget once more: by
+its member count where ``count * beta`` fits (:attr:`RowLayout.cleared`),
 else by summing its energies.
 
 The uniforms of engine seed ``s`` are ``Generator(Philox(key=s))`` doubles
@@ -270,16 +269,17 @@ class SharedRow:
 
     The weight row (shape ``(n,)``) is checked and its segments' ``cum``,
     ``full`` (full-draw counts) and ``residual`` (masses) computed as
-    :func:`sample_block` does for every row, once. ``columns`` marks the
-    ``layout.width`` uniform columns a draw at this row reads: every
-    residual column and each full-draw column ``j < floor(scale * S)`` of
-    its segment; the other full-draw columns and the padding are never
-    asked for, so a caller need not generate them. :meth:`draw` takes a
+    :func:`sample_block` does for every row, once. :meth:`draw` takes a
     block height and a column source, and returns what :func:`sample_block`
-    returns at this row on that block's uniforms. Each segment with mass
-    has a guide table (:func:`_guide_inverse`) whose targets are flat
-    offsets into a column-major block of a given height, so the tables are
-    kept for the last height drawn and built again when it changes.
+    returns at this row on that block's uniforms. It asks only for the
+    columns its draws read: in each segment with weight mass, each
+    full-draw column ``j < floor(scale * S)`` and the residual column, and
+    in wrapper mode column 0, which gives the heads mask; the other
+    full-draw columns and the padding are never asked for, so a caller
+    need not make them. Each segment with mass has a guide table
+    (:func:`_guide_inverse`) whose targets are flat offsets into a
+    column-major block of a given height, so the tables are kept for the
+    last height drawn and built again when it changes.
     """
 
     def __init__(self, weights, layout: RowLayout):
@@ -290,18 +290,18 @@ class SharedRow:
         cum, full, residual = _segments(weights[None], layout)
         self.layout = layout
         self.cum, self.full, self.residual = cum[0], full[0], residual[0]
-        self.columns = layout.is_residual | (layout.level < self.full[layout.column_segment])
         self._rows, self._inverses = None, None
 
     def draw(self, rows: int, column) -> np.ndarray:
         """Column-major boolean ``(rows, n)`` membership drawn from a block of ``rows`` rows.
 
         ``column(j)`` returns uniform column ``j`` of the block, ``rows``
-        values. It is asked only for columns in ``columns``, each once and
-        in ascending order, and a column is read through before the next is
-        asked for, so a source may hand back one reused buffer. Raises a
-        ``ValueError`` as :func:`sample_block` does, or if a column is not of
-        shape ``(rows,)``.
+        values. It is asked only for the columns the draws read (see the
+        class docstring), each once and in ascending order, and a column is
+        read through before the next is asked for, so a source may hand
+        back one reused buffer, filled from a sequential stream as each
+        column is asked for. Raises a ``ValueError`` as :func:`sample_block`
+        does, or if a column is not of shape ``(rows,)``.
         """
         layout = self.layout
         if rows != self._rows:
@@ -362,8 +362,9 @@ def _finish(member, heads, layout: RowLayout) -> np.ndarray:
         member[heads] &= layout.z >= LARGE_ENERGY_THRESHOLD
     # a selection whose count the layout clears fits the budget, so only the
     # rest are summed; when they are over half the block, gathering them costs
-    # more than summing the whole block (which cannot fail a cleared row)
-    count = np.add.reduce(member, axis=1, dtype=np.min_scalar_type(layout.z.size))
+    # more than summing the whole block (which cannot fail a cleared row);
+    # the bools are summed as bytes: below 256 actions, with no cast buffer
+    count = np.add.reduce(member.view(np.uint8), axis=1, dtype=np.min_scalar_type(layout.z.size))
     uncleared = np.flatnonzero(count > layout.cleared)
     if uncleared.size:
         summed = member if 2 * uncleared.size > len(member) else member[uncleared]

@@ -4,6 +4,8 @@ Randomized tests draw from seeded generators so every run is deterministic;
 helpers here build the instances most tests need.
 """
 
+import math
+
 import numpy as np
 
 from budgetmax import ActionSet, Stream, draw_trials, project_onto_feasible
@@ -56,3 +58,24 @@ def draw_one(w, seed, t, layout):
     Only that trial's row of uniforms is read, as a replay of one trial does.
     """
     return np.flatnonzero(draw_trials(np.asarray(w, dtype=float)[None], seed, layout, t - 1)[0])
+
+
+def read_columns(layout, w):
+    """The uniform columns a shared-row draw at ``w`` reads, ascending.
+
+    In each segment with weight mass ``S`` (summed in segment order over the
+    clamp into ``[0, 1]``, as the sampler sums it): full-draw column ``j``
+    when ``j < floor(scale * S)``, and the residual column. A segment with no
+    mass reads none. In wrapper mode column 0, which gives the heads mask, is
+    read whatever the heavy mass.
+    """
+    read = {0} if layout.wrapper else set()
+    for (start, stop), scale, last, full in zip(
+            layout.spans, layout.scale, layout.residual_columns, layout.full_columns):
+        mass = 0.0
+        for i in layout.order[start:stop]:
+            mass += min(max(float(w[i]), 0.0), 1.0)
+        if scale * mass > 0.0:
+            read.update(range(last - full, last - full + math.floor(scale * mass)))
+            read.add(last)
+    return sorted(read)

@@ -17,7 +17,7 @@ from budgetmax.oracles import (MC_CHUNK, CapacityError, analytic_intersection_lo
                                exact_selection_probs, finite_diff_gradient,
                                grid_projection)
 from budgetmax.sampler import SharedRow
-from conftest import random_action_set, random_feasible_point, random_trial
+from conftest import random_action_set, random_feasible_point, random_trial, read_columns
 
 
 def naive_best_subset(stream, aset, alpha, delta):
@@ -207,13 +207,21 @@ class TestExactExpectedProfit:
 
 
 def reference_estimates(w, action_set, subsets, n_samples, seed):
-    """Both estimators as a plain loop over the documented uniforms, block by block."""
+    """Both estimators as a plain loop over the documented uniforms, block by block.
+
+    A block's column ``j`` holds the next ``rows`` values of one
+    ``Generator(SFC64(seed))`` for each column the draw reads, in ascending
+    order; every other column holds NaN, which a draw that read it would refuse.
+    """
     layout = RowLayout(action_set)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     counts, hits = np.zeros(action_set.n), np.zeros(len(subsets))
     for start in range(0, n_samples, MC_CHUNK):
         rows = min(MC_CHUNK, n_samples - start)
-        member = sample_block(w[None], rng.random((layout.width, rows)).T, layout)
+        uniforms = np.full((rows, layout.width), np.nan)
+        for j in read_columns(layout, w):
+            uniforms[:, j] = rng.random(rows)
+        member = sample_block(w[None], uniforms, layout)
         counts += member.sum(axis=0)
         for k, sub in enumerate(subsets):
             if sub:
@@ -243,11 +251,21 @@ class TestEstimators:
         assert got_hits.tobytes() == hits.tobytes()
         assert hits[0] == 0.0 and 0.0 < hits[-1]
 
-    def test_only_the_columns_a_shared_row_reads_are_generated(self, monkeypatch):
-        # the rule: every residual column, and full-draw column j of a segment
-        # when j < floor(scale * S), S summed in segment order over the clamp
+    def test_each_block_pulls_the_columns_its_draw_reads(self, monkeypatch):
+        # the rule (conftest.read_columns): every residual column and full-draw
+        # column j < floor(scale * S) of a segment with mass, S summed in segment
+        # order over the clamp, and the wrapper's column 0; nothing else
+        monkeypatch.setattr(oracles, "MC_CHUNK", 5)  # blocks of 5, 5 and 2 rows
+        pulls, draw = [], SharedRow.draw
+
+        def recorded(row, rows, column):
+            asked = []
+            pulls.append(asked)
+            return draw(row, rows, lambda j: asked.append(j) or column(j))
+
+        monkeypatch.setattr(SharedRow, "draw", recorded)
         rng = np.random.default_rng(29)
-        seen, misread = set(), None
+        seen = set()
         for trial in range(200):
             n = int(rng.choice([1, 3, 8, 40, 300]))
             z = random_action_set(rng, n).z.copy()
@@ -256,35 +274,21 @@ class TestEstimators:
             aset = ActionSet.from_energies(z)
             layout = RowLayout(aset)
             w = np.zeros(n) if trial % 5 == 0 else random_feasible_point(rng, aset.z)
-            expect = np.zeros(layout.width, bool)
-            for (start, stop), scale, last, full in zip(
-                    layout.spans, layout.scale, layout.residual_columns, layout.full_columns):
-                mass = 0.0
-                for i in layout.order[start:stop]:
-                    mass += min(max(float(w[i]), 0.0), 1.0)
-                expect[last] = True
-                expect[last - full:last - full + math.floor(scale * mass)] = True
-                seen.add((layout.wrapper, 0 < math.floor(scale * mass) < full,
-                          math.floor(scale * mass) == full > 0))
-                if misread is None and 0 < math.floor(scale * mass):
-                    misread = aset, w, last - full
-            npt.assert_array_equal(SharedRow(w, layout).columns, expect)
+            pulls.clear()
+            estimate_selection_probs(w, aset, 12, seed=trial)
+            expect = read_columns(layout, w)
+            assert len(pulls) == 3
+            for asked in pulls:
+                assert asked == sorted(set(asked)) == expect
+            for (start, stop), scale, full in zip(layout.spans, layout.scale,
+                                                  layout.full_columns):
+                mass = np.clip(w[layout.order[start:stop]], 0.0, 1.0).sum()
+                draws = math.floor(scale * mass)
+                seen.add((layout.wrapper, 0 < draws < full, draws == full > 0))
+            if not w.any():
+                assert expect == ([0] if layout.wrapper else [])
         assert {(wrapper, True, False) for wrapper in (False, True)} <= seen
         assert (False, False, True) in seen
-
-        # a draw that read a column left out of the uniforms picks with NaN, and is refused
-        aset, w, dropped = misread
-
-        class Misread(SharedRow):
-            def __init__(self, *args):
-                super().__init__(*args)
-                assert self.columns[dropped]
-                self.columns = self.columns.copy()
-                self.columns[dropped] = False
-
-        monkeypatch.setattr(oracles, "SharedRow", Misread)
-        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\), got nan"):
-            estimate_selection_probs(w, aset, 1000, seed=1)
 
     @pytest.mark.parametrize("n_samples", [0, -5, 2.5, True, np.float64(3.0)])
     def test_sample_count_must_be_a_positive_integer(self, n_samples):
@@ -322,8 +326,9 @@ class TestEstimators:
         npt.assert_array_equal(freq, 0.0)
 
     def test_one_membership_block_alive_at_a_time(self):
-        # probcheck --actions 40's instance: the estimates hold the uniforms
-        # buffer and the block being counted, not the last one as well
+        # probcheck --actions 40's instance: the estimates hold one uniform
+        # column and the block being counted, not the last one as well (two
+        # blocks of 50 000 x 40 bools would bring the peak near 5.4 MB)
         rng = np.random.default_rng(0)
         n = 40
         z = rng.uniform(0.0, 0.49, n)
@@ -331,7 +336,7 @@ class TestEstimators:
         aset = ActionSet.from_energies(z)
         w = project_onto_feasible(rng.uniform(0.0, 1.5, n), aset.z)
         estimate_selection_probs(w, aset, 10, seed=1)  # imports and caches outside the count
-        bound = RowLayout(aset).width * MC_CHUNK * 8 + 2 * MC_CHUNK * n
+        bound = MC_CHUNK * 8 + 2 * MC_CHUNK * n
         for estimate in (lambda: estimate_selection_probs(w, aset, 6 * MC_CHUNK, seed=1),
                          lambda: estimate_hit_rates(w, aset, [[0, 1], [5]], 6 * MC_CHUNK, seed=1)):
             tracemalloc.start()

@@ -14,7 +14,7 @@ from budgetmax.oracles import (analytic_intersection_lower_bound, analytic_selec
 from budgetmax import sampler
 from budgetmax.core import BUDGET_SLACK
 from budgetmax.sampler import _guide_inverse
-from conftest import draw_one, random_action_set, random_feasible_point
+from conftest import draw_one, random_action_set, random_feasible_point, read_columns
 
 
 def reference_block(weights, uniforms, action_set):
@@ -279,7 +279,7 @@ class TestMatchesSearchsortedReference:
 
             row = sampler.SharedRow(w, layout)
             member = row.draw(rows, column)
-            assert asked == sorted(set(asked)) and row.columns[asked].all()
+            assert asked == read_columns(layout, w)  # ascending, each once
             if layout.wrapper:  # the heads mask comes first, with or without heavy mass
                 assert asked[0] == 0
             whole = sample_block(w[None], uniforms.T, layout)
@@ -713,6 +713,30 @@ class TestCountCheck:
         with pytest.raises(ValueError, match=r"selection energy .*1\.35.* exceeds the unit budget"):
             self.check(monkeypatch, layout, target, shared)
         npt.assert_array_equal(self.check(monkeypatch, layout, target[1:], shared), target[1:])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_all_true_rows_are_counted_exactly(self, shared, n, monkeypatch):
+        # every action of energy 0.45: a row of 3 or more members is over budget,
+        # so it is refused exactly when its count is above `cleared`. Refused at
+        # cleared = c - 1 and passed at cleared = c, a row of c members counts c,
+        # in a uint8 (n = 255) and across the uint16 boundary
+        layout = RowLayout(ActionSet.from_energies(np.full(n, 0.45)))
+        assert layout.cleared == 2
+        whole = np.ones((1, n), bool)
+        with pytest.raises(ValueError, match="selection energy .* exceeds the unit budget"):
+            self.check(monkeypatch, layout, whole, shared)
+        for c in (n, n - 1, 255, 3):
+            target = np.zeros((2, n), bool)  # two rows: F- and C-order blocks differ
+            target[0, :c] = True
+            assert target.sum() == c
+            layout.cleared = c - 1
+            with pytest.raises(ValueError, match="selection energy .* exceeds the unit budget"):
+                self.check(monkeypatch, layout, target, shared)
+            layout.cleared = c
+            member = self.check(monkeypatch, layout, target, shared)
+            assert member.flags.f_contiguous == shared != member.flags.c_contiguous
+            npt.assert_array_equal(member, target)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_energy_one_in_wrapper_mode(self, shared, monkeypatch):
