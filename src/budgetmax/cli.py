@@ -75,7 +75,9 @@ class ExperimentConfig:
 
     A config checks itself when it is built: one :class:`ConfigError` lists
     every violation, so a library caller cannot run a config that
-    :func:`parse_config` would refuse.
+    :func:`parse_config` would refuse. Seeds given as a list are kept as a
+    tuple once they pass, so the config equals and hashes as one built
+    with a tuple, or parsed from the same JSON.
     """
 
     environment: EnvironmentSpec
@@ -91,6 +93,7 @@ class ExperimentConfig:
                                   self.seeds, self.output_dir, self.bound_check)
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,6 @@ def parse_config(data) -> ExperimentConfig:
         for key in sorted(set(env) - allowed_env):
             problems.append(f"unknown environment key {key!r}")
         kwargs = {k: v for k, v in env.items() if k in allowed_env}
-        for rng_key in ("cost_range", "value_range"):
-            if rng_key in kwargs and isinstance(kwargs[rng_key], list):
-                kwargs[rng_key] = tuple(kwargs[rng_key])
         missing = [k for k in ("kind", "n", "T") if k not in kwargs]
         if missing:
             problems.append(f"environment missing required keys: {missing}")
@@ -178,7 +178,7 @@ def parse_config(data) -> ExperimentConfig:
                               seeds, output_dir, bound_check)
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
-    return ExperimentConfig(environment=env_spec, seeds=tuple(seeds),
+    return ExperimentConfig(environment=env_spec, seeds=seeds,
                             output_dir=output_dir, bound_check=bound_check)
 
 
@@ -240,7 +240,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     the next is learned. The stream is the config's generated one
     (:func:`~budgetmax.environments.generate`) unless one is passed in;
     either way it is checked against the config's shape and read only
-    through its ``blocks()``, once. A generated stream draws each block
+    through its ``blocks()``. A generated stream draws each block
     only when the learner asks for it, and a replay's
     :class:`~budgetmax.environments.SpooledStream` reads each back from
     its spool, so a run holds one block of trials and one of learner
@@ -250,9 +250,11 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     extremes, kept as it was parsed, a ``Stream``'s whole matrices, or a
     generated stream's no rows, which leave the energies alone to
     check). ``r_hat`` and ``c_hat`` are the maxima of the blocks' maxima.
-    A bound check (``n`` is at most ``MAX_EXHAUSTIVE_ACTIONS``) keeps each
-    block the run learned, and its comparator scores the stream they make
-    after the pass, so no stream is generated or read twice.
+    A bound check (``n`` is at most ``MAX_EXHAUSTIVE_ACTIONS``) passes the
+    stream to its comparator after the pass, which stacks its ``blocks()``,
+    read a second time, into whole matrices: a generated stream draws the
+    same values again, and a replay reads its spool again, a block at a
+    time.
 
     An ``output_dir`` that holds a ``trace_seed*.csv`` of a seed this run
     does not list is refused with a ``ValueError`` that names the
@@ -294,8 +296,6 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     temps = [] if out_dir is None else [out_dir / f"{name}.tmp" for name in (
         "stream.csv", *(f"trace_seed{seed}.csv" for seed in config.seeds), "report.json")]
     traces = temps[1:-1]
-    # a bound check's comparator scores the trials the run learns
-    learned = (np.empty((env.T, env.n)), np.empty((env.T, env.n))) if config.bound_check else None
     try:
         appended = None  # the stream file each block's rows are appended to
         if out_dir:
@@ -316,9 +316,6 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
             if appended is not None:
                 with open(appended, "a", encoding="ascii", newline="\n") as fh:
                     write_rows(fh, rewards, costs, start)
-            if learned is not None:
-                stop = start + len(rewards)
-                learned[0][start:stop], learned[1][start:stop] = rewards, costs
             r_hat = max(r_hat, float(rewards.max()))
             c_hat = max(c_hat, float(costs.max()), float(-costs.min()))
             if traces:  # each trial's grad_norm and eta, formatted once for every seed
@@ -349,8 +346,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
 
         comparator_subset = comparator_total = bound_satisfied = None
         if config.bound_check:
-            comp = best_fixed_subset(Stream(action_set, *learned),
-                                     action_set.alpha, action_set.delta)
+            comp = best_fixed_subset(stream, action_set.alpha, action_set.delta)
             comparator_subset = comp.subset
             comparator_total = comp.discounted_total
             bound_satisfied = mean >= comparator_total - slack - 3.0 * stderr

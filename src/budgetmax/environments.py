@@ -45,8 +45,9 @@ trial. A stream read from a file is a :class:`SpooledStream`: its rows,
 checked the same way a block at a time, wait in a temporary file and are
 read back only by its blocks, one at a time. A spec's stream is a
 :class:`GeneratedStream`, whose blocks are drawn only when they are read.
-Nothing reads a replayed or generated stream whole: a run's bound check
-(at most 20 actions) keeps the blocks the run learned instead.
+Nothing but a run's bound check (at most 20 actions) reads a replayed or
+generated stream whole: its comparator stacks the stream's blocks, read
+a second time after the run's pass.
 :func:`check_block` checks a kind's rules on its energies and on a
 stream's :meth:`~Stream.extremes`. Generated rows need neither check, so
 a :class:`GeneratedStream`'s extremes are empty: from a valid spec, every
@@ -141,7 +142,9 @@ class EnvironmentSpec:
     """Generator parameters. Only the fields of the chosen kind matter.
 
     A spec checks itself when it is built: one ``ValueError`` lists every
-    field that is out of range, so every spec that exists is valid.
+    field that is out of range, so every spec that exists is valid. A
+    ``cost_range`` or ``value_range`` given as a list is kept as a tuple,
+    before the check, so a spec equals and hashes as one built with tuples.
     """
 
     kind: str
@@ -156,6 +159,9 @@ class EnvironmentSpec:
     shift_segments: int = 0                 # adversarial favored-action segments
 
     def __post_init__(self):
+        for name in ("cost_range", "value_range"):  # a JSON pair is a list: kept as a tuple
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         problems = []
         if self.kind not in KINDS:
             problems.append(f"unknown kind {self.kind!r} (expected one of {KINDS})")
@@ -168,7 +174,7 @@ class EnvironmentSpec:
         if not (_finite(self.r_max) and self.r_max >= 0.0):
             problems.append(f"r_max must be a finite number >= 0, got {self.r_max!r}")
         for name, pair in (("cost_range", self.cost_range), ("value_range", self.value_range)):
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            if not (isinstance(pair, tuple) and len(pair) == 2
                     and all(map(_finite, pair)) and 0.0 <= pair[0] <= pair[1]):
                 problems.append(f"{name} must be a pair of finite numbers with 0 <= lo <= hi, "
                                 f"got {pair!r}")

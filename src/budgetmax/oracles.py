@@ -75,6 +75,8 @@ def discounted_profit(indices, rewards, costs, alpha: float, delta: float) -> fl
 def best_fixed_subset(stream, alpha: float, delta: float) -> ComparatorResult:
     """Exact maximizer of the summed discounted profit over ``stream``'s feasible subsets.
 
+    ``stream`` is any ``Stream``, built in memory, generated or replayed:
+    its ``blocks()`` are read once and stacked into ``(T, n)`` matrices.
     Depth-first branch and bound over actions in descending-energy order.
     The upper bound adds every remaining action's non-negative additive part
     plus the best possible per-trial reward lift, so pruning (strictly below
@@ -84,8 +86,8 @@ def best_fixed_subset(stream, alpha: float, delta: float) -> ComparatorResult:
     n = stream.n
     if n > MAX_EXHAUSTIVE_ACTIONS:
         raise CapacityError(f"comparator limited to {MAX_EXHAUSTIVE_ACTIONS} actions, got {n}")
-    R = stream.rewards
-    C = stream.costs
+    _, R, C = zip(*stream.blocks())
+    R, C = np.concatenate(R), np.concatenate(C)
     T = R.shape[0]
     pos = np.maximum(C, 0.0)
     neg = np.minimum(C, 0.0)

@@ -323,6 +323,10 @@ class SharedRow:
             return u
 
         heads = pull(0) < self.residual[0] if layout.wrapper else None
+        if heads is not None and self._inverses[0] is None:
+            # with no heavy mass no heavy draw checks the uniforms that fire
+            # heads: only a negative one fires, and the check names it
+            _check_unit(pull(0)[heads])
         # column-major, like the uniform columns each segment's draws read
         member = np.zeros((rows, layout.z.size), dtype=bool, order="F")
         _draw_shared(member, pull, self._inverses, self.full, self.residual, layout)

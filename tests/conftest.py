@@ -46,7 +46,8 @@ def stream_of(action_set, trials):
 def stacked(stream):
     """``(rewards, costs)``: a stream's blocks stacked whole.
 
-    It is the only way to read a replayed or a generated stream whole.
+    A replayed or a generated stream is read whole only this way, as
+    ``best_fixed_subset`` reads it.
     """
     _, rewards, costs = zip(*stream.blocks())
     return np.concatenate(rewards), np.concatenate(costs)

@@ -418,8 +418,9 @@ class TestRunExperiment:
 
     def test_a_bound_checked_replay_reads_its_spool_a_block_at_a_time(self, tmp_path,
                                                                        monkeypatch):
-        # n = 20 cuts 819 rows per block (819/181 at T = 1000): the comparator
-        # scores the blocks the run learned, so no read asks for more than one
+        # n = 20 cuts 819 rows per block (819/181 at T = 1000): the learner and
+        # then the comparator each read the spool by its blocks, so no read
+        # asks for more than one
         env = {"kind": "knapsack_01", "n": 20, "T": 1000, "seed": 3}
         out = tmp_path / "run"
         first = run_experiment(parse_config(good_config(environment=env, bound_check=True,
@@ -435,11 +436,12 @@ class TestRunExperiment:
         with closing(read_stream(out / "stream.csv")) as stream:
             again = run_experiment(parse_config(good_config(environment=env, bound_check=True)),
                                    stream)
-        assert counts == [819 * 40, 181 * 40]
+        assert counts == [819 * 40, 181 * 40] * 2
         assert again == first and first.comparator_total is not None
 
     def test_a_bound_checked_run_generates_its_stream_once(self, monkeypatch):
-        # the comparator scores the trials the run learned, not a regenerated stream
+        # the comparator reads the run's own stream again, drawing its blocks a
+        # second time, and generates no second stream
         spec = EnvironmentSpec(**good_config()["environment"])
         calls = []
         real = environments._GENERATORS[spec.kind]
@@ -487,6 +489,22 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="output_dir must not be empty"):
             dataclasses.replace(ExperimentConfig(spec, (0,)), output_dir="")
         assert list(tmp_path.iterdir()) == []
+
+    def test_config_built_with_lists_equals_one_built_with_tuples(self):
+        # parse_config passes JSON lists; each one is kept as a tuple
+        spec = EnvironmentSpec(kind="facility_location", n=4, T=20, cost_range=[0.0, 0.1],
+                               value_range=[0.0, 0.5])
+        twin = EnvironmentSpec(kind="facility_location", n=4, T=20, cost_range=(0.0, 0.1),
+                               value_range=(0.0, 0.5))
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec.cost_range == (0.0, 0.1) and spec.value_range == (0.0, 0.5)
+        config = ExperimentConfig(spec, [0, 1])
+        assert config == ExperimentConfig(twin, (0, 1)) and config.seeds == (0, 1)
+        assert hash(config) == hash(ExperimentConfig(twin, (0, 1)))
+        parsed = parse_config(good_config(environment={
+            "kind": "facility_location", "n": 4, "T": 20, "cost_range": [0.0, 0.1],
+            "value_range": [0.0, 0.5]}, seeds=[0, 1]))
+        assert parsed == config and hash(parsed) == hash(config)
 
     def test_config_built_in_code_lists_every_violation(self):
         spec = EnvironmentSpec(kind="random_adversarial", n=30, T=5)

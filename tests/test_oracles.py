@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ import pytest
 from budgetmax import (ActionSet, RowLayout, Stream, project_onto_feasible, sample_block,
                        surrogate_value)
 from budgetmax import oracles
+from budgetmax.environments import EnvironmentSpec, generate, read_stream, write_stream
 from budgetmax.oracles import (MC_CHUNK, CapacityError, analytic_intersection_lower_bound,
                                analytic_selection_bounds, best_fixed_subset, discounted_profit,
                                estimate_hit_rates, estimate_selection_probs,
@@ -17,7 +19,8 @@ from budgetmax.oracles import (MC_CHUNK, CapacityError, analytic_intersection_lo
                                exact_selection_probs, finite_diff_gradient,
                                grid_projection)
 from budgetmax.sampler import SharedRow
-from conftest import random_action_set, random_feasible_point, random_trial, read_columns
+from conftest import (random_action_set, random_feasible_point, random_trial, read_columns,
+                      stacked)
 
 
 def naive_best_subset(stream, aset, alpha, delta):
@@ -140,6 +143,25 @@ class TestBestFixedSubset:
         res = best_fixed_subset(Stream(aset, rewards, costs), 1.0, 1.0)
         assert res.discounted_total == 2.0
         assert res.subset == (1,)  # {1}, {2}, {1,2} tie; lexicographic min wins
+
+    @pytest.mark.parametrize("kind, n, T, seed, extra", [
+        ("facility_location", 6, 40, 1, {}),
+        ("knapsack_median", 12, 1500, 2, {}),  # two blocks of 1365 and 135 rows
+        ("knapsack_01", 10, 300, 3, {}),
+        ("random_adversarial", 8, 2500, 4, {"shift_segments": 3}),  # 2048 and 452 rows
+    ])
+    def test_same_result_on_every_kind_of_stream(self, tmp_path, kind, n, T, seed, extra):
+        # a generated stream, its replay from a file and its stacked matrices in
+        # memory are the same trials, read by their blocks
+        spec = EnvironmentSpec(kind=kind, n=n, T=T, seed=seed, **extra)
+        generated = generate(spec)
+        aset = generated.action_set
+        expected = best_fixed_subset(Stream(aset, *stacked(generated)), aset.alpha, aset.delta)
+        assert best_fixed_subset(generated, aset.alpha, aset.delta) == expected
+        write_stream(generated, tmp_path / "stream.csv")
+        with closing(read_stream(tmp_path / "stream.csv")) as replayed:
+            assert best_fixed_subset(replayed, aset.alpha, aset.delta) == expected
+        assert expected.subset  # a nonempty comparator: the streams' values count
 
     def test_beats_every_enumerated_subset(self):
         rng = np.random.default_rng(173)

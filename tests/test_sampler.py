@@ -460,6 +460,19 @@ class TestGuideInverse:
                     sample_block(weights, uniforms, layout)
             else:
                 assert not sample_block(weights, uniforms, layout)[:, :2].any()
+        # wrapper mode with no heavy mass: column 0 fires heads only below 0,
+        # which would keep the (absent) heavy pick alone and return an empty
+        # selection unchecked; 1.0 and NaN fire nothing, and the light draws stand
+        layout = RowLayout(ActionSet.from_energies([0.75, 0.1, 0.0]))
+        assert layout.wrapper and layout.residual_columns == [0, 1, 2]
+        uniforms = np.full((2, layout.width), 0.01)  # below both light residual masses
+        uniforms[0, 0] = bad
+        for weights in (np.array([[0.0, 0.5, 1.0]]), np.array([[0.0, 0.5, 1.0]] * 2)):
+            if bad < 0.0:
+                with pytest.raises(ValueError, match=f"got {bad!r}"):
+                    sample_block(weights, uniforms, layout)
+            else:
+                npt.assert_array_equal(sample_block(weights, uniforms, layout), [[0, 1, 1]] * 2)
 
 
 class TestResidualLattice:
