@@ -18,10 +18,12 @@ until the run has succeeded, into an output directory that holds no
 trace of a seed it does not list. Both commands build a stream and
 learn it one block at a time: ``run`` draws each block of the config's
 generated stream when it is learned, and ``replay`` reads each back from
-the temporary spool of the stream file it read, and copies that file,
-not a ``%.17g`` re-rendering, once it has checked that the file has not
-changed since; ``main`` closes the stream, deleting a spool, when the
-run ends. Trace rows are
+the temporary spool of the stream file it read; ``main`` closes the
+stream, deleting a spool, when the run ends. Before it learns, a run
+saves its stream with :func:`~budgetmax.environments.write_stream`, the
+one writer of stream files: a generated stream is rendered, and a
+replayed one is copied as it was read, not re-rendered with ``%.17g``.
+Trace rows are
 ``trial,selected,profit,cum_profit,grad_norm,eta`` with the selected actions
 as ascending semicolon-joined 0-based indices and floats at 17 significant
 digits, which makes repeated runs byte-identical.
@@ -42,7 +44,7 @@ import numpy as np
 
 from .core import ActionSet, selection_profits
 from .environments import (EnvironmentSpec, Stream, check_block, generate, read_stream,
-                           stream_preamble, write_rows)
+                           write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
                       finite_diff_gradient)
@@ -264,17 +266,24 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     of an earlier run whole, so a replay into its own run's directory
     still works; a leftover ``*.tmp`` never looks complete.
 
+    A replay whose stream file is one of the run's temporary names (the
+    leftover of a crashed run) is refused with a ``ValueError`` naming it,
+    before any output, since the cleanup would delete it.
+
     With an ``output_dir``, every file is written under ``<name>.tmp``,
-    each name listed before the first write: ``stream.csv`` first (a copy
-    of a replayed stream's ``source`` file, or else the stream's preamble,
-    to which each block's rows are appended as the block is learned), then
-    one ``trace_seed<k>.csv`` per seed, each created with its header before
-    the first block and appended to once per block, and ``report.json``
-    last. A file is open only while one block's rows are appended to it,
-    so one is open at a time however many seeds a config lists. The copy
-    fails with an ``OSError`` naming the file if that file changed after it
-    was read. Any exception, in any block, unlinks them all; otherwise they
-    are renamed in that order, so a ``report.json`` marks a complete run.
+    each name listed before the first write: ``stream.csv`` first, saved
+    whole by :func:`~budgetmax.environments.write_stream` before the first
+    block is learned (a generated stream's blocks are drawn for it, and
+    again for the learner; a replayed stream's file is copied, and the
+    copy fails with an ``OSError`` naming the file if that file changed
+    after it was read), then one ``trace_seed<k>.csv`` per seed, each
+    created with its header before the first block and appended to once
+    per block, and ``report.json`` last. A trace is open only while one
+    block's rows are appended to it, so one is open at a time however many
+    seeds a config lists. Any exception, in any block, unlinks them all.
+    Otherwise an earlier run's ``report.json`` is unlinked and they are
+    renamed in that order, so a ``report.json`` marks a complete run even
+    if a rename fails.
     """
     env = config.environment
     stream = generate(env) if stream is None else stream
@@ -296,16 +305,13 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     temps = [] if out_dir is None else [out_dir / f"{name}.tmp" for name in (
         "stream.csv", *(f"trace_seed{seed}.csv" for seed in config.seeds), "report.json")]
     traces = temps[1:-1]
+    for path in temps:  # the cleanup below would delete the stream a replay reads
+        if stream.source and path.exists() and os.path.samefile(path, stream.source.path):
+            raise ValueError(f"stream file {stream.source.path} is this run's temporary {path.name}")
     try:
-        appended = None  # the stream file each block's rows are appended to
         if out_dir:
             out_dir.mkdir(parents=True, exist_ok=True)
-            if stream.source is not None:
-                stream.source.copy_to(temps[0])  # a replay saves the file it parsed
-            else:
-                with open(temps[0], "w", encoding="ascii", newline="\n") as fh:
-                    fh.write(stream_preamble(action_set.z, env.T))
-                appended = temps[0]
+            write_stream(stream, temps[0])
         layout = RowLayout(action_set)
         for path in traces:
             with open(path, "w", encoding="ascii", newline="\n") as trace:
@@ -313,9 +319,6 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         per_seed = [0.0] * len(config.seeds)
         r_hat = c_hat = 0.0
         for start, rewards, costs, block in learn_blocks(action_set, stream.blocks()):
-            if appended is not None:
-                with open(appended, "a", encoding="ascii", newline="\n") as fh:
-                    write_rows(fh, rewards, costs, start)
             r_hat = max(r_hat, float(rewards.max()))
             c_hat = max(c_hat, float(costs.max()), float(-costs.min()))
             if traces:  # each trial's grad_norm and eta, formatted once for every seed
@@ -362,6 +365,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
         if out_dir:
             temps[-1].write_text(
                 json.dumps(vars(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            (out_dir / "report.json").unlink(missing_ok=True)  # no old report beside new files
         for path in temps:
             os.replace(path, path.with_suffix(""))
     except BaseException:

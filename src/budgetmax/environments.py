@@ -59,11 +59,11 @@ costs lie within ``c_max``. Only energies can break their kind's rule:
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
 one line ``t,r_1,...,r_n,c_1,...,c_n`` per trial, floats printed with 17
-significant digits so a write/read round trip is bit-exact. Neither
-direction holds more than a block's text: ``write_stream`` writes each
-block in one write (:func:`write_rows`, which a run also appends the
-blocks it learns with), and ``read_stream`` walks a buffered reader's
-lines once, in file order (:func:`_lines` only splits them): the
+significant digits so a write/read round trip is bit-exact.
+:func:`write_stream` is the one writer of the format. Neither direction
+holds more than a block's text: ``write_stream`` renders each block in
+one write (:func:`write_rows`), and ``read_stream`` walks a buffered
+reader's lines once, in file order (:func:`_lines` only splits them): the
 preamble, then each block's trial lines (:func:`_trial_block`), cast in
 one ``np.loadtxt`` call when every line is spelled as ``write_rows``
 spells it and line by line otherwise, then any trailing lines. Each line's own check comes first and names its
@@ -71,10 +71,10 @@ first non-ASCII byte (:func:`_ascii`), so the first bad line is named
 whatever its fault. Each cast block is checked and appended to the spool
 before the next is read, and the learner reads the same blocks back, so
 a replay never holds the ``(T, n)`` matrices.
-The reader keeps the file's path and identity as the stream's ``source``.
-A replay saves the stream by copying that file, as it was read, not
-re-rendered with ``%.17g``, once it has checked that the file is still
-the one it parsed.
+The reader keeps the file's path and identity as the stream's ``source``,
+and ``write_stream`` saves such a stream by copying that file, as it was
+read, not re-rendered with ``%.17g``, once it has checked that the file
+is still the one it parsed.
 """
 
 from __future__ import annotations
@@ -301,11 +301,12 @@ class SpooledStream(Stream):
 
     :func:`read_stream` appends each checked block, rewards then costs, as
     float64 to an unnamed temporary file under ``TMPDIR`` (``16 T n``
-    bytes), and keeps the file's :class:`StreamSource`, so a run saves the
-    stream by copying the file it was read from. Its rows are read only by
-    :meth:`~Stream.blocks`, each block with ``np.fromfile`` (no mapping,
-    whose pages would stay resident), so a replay holds one block, as a
-    generated run does; it has no whole ``rewards`` or ``costs``.
+    bytes), and keeps the file's :class:`StreamSource`, so
+    :func:`write_stream` saves the stream by copying the file it was read
+    from. Its rows are read only by :meth:`~Stream.blocks`, each block
+    with ``np.fromfile`` (no mapping, whose pages would stay resident), so
+    a replay holds one block, as a generated run does; it has no whole
+    ``rewards`` or ``costs``.
     :meth:`~Stream.close` deletes the spool; a stream dropped unclosed
     deletes it when it is collected.
     """
@@ -505,11 +506,6 @@ def check_block(action_set: ActionSet, rewards, costs, spec: EnvironmentSpec) ->
         raise ValueError(f"{spec.kind} constraints violated: " + "; ".join(problems))
 
 
-def stream_preamble(z, T: int) -> str:
-    """The preamble line ``n,T,z_1,...,z_n`` of a stream file, with its line end."""
-    return ("%d,%d" + ",%.17g" * len(z) + "\n") % (len(z), T, *z.tolist())
-
-
 def write_rows(fh, rewards, costs, start: int) -> None:
     """Write one line per row of ``rewards``/``costs``, as trials ``start + 1`` on, in one write.
 
@@ -523,9 +519,20 @@ def write_rows(fh, rewards, costs, start: int) -> None:
 
 
 def write_stream(stream: Stream, path) -> None:
-    """Write the preamble, then each of ``stream.blocks()`` (see :func:`write_rows`)."""
+    """Save ``stream`` to ``path`` as a stream file: the one writer of the format.
+
+    A stream read from a file is saved as that file, copied byte for byte
+    by its ``source`` (:meth:`StreamSource.copy_to`), which raises
+    ``OSError`` naming the file if it changed after it was read. Any other
+    stream is rendered: the preamble ``n,T,z_1,...,z_n``, then each of
+    ``stream.blocks()`` in one write (:func:`write_rows`).
+    """
+    if stream.source is not None:
+        stream.source.copy_to(path)
+        return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(stream_preamble(stream.action_set.z, stream.T))
+        z = stream.action_set.z.tolist()
+        fh.write(("%d,%d" + ",%.17g" * len(z) + "\n") % (len(z), stream.T, *z))
         for start, rewards, costs in stream.blocks():
             write_rows(fh, rewards, costs, start)
 

@@ -682,17 +682,17 @@ class TestMain:
 
     @staticmethod
     def spoil_second_block(monkeypatch, spoil):
-        # wraps the block function of the generator that random_adversarial streams draw from
+        # wraps the block function of the generator that random_adversarial streams draw
+        # from; at n = 2000 the second block starts at trial 9, and it is spoiled on every
+        # draw, the stream write's and the learner's alike
         real = environments._GENERATORS["random_adversarial"]
 
         def spoiled(spec):
             z, block = real(spec)
-            drawn = []
 
             def block_with_a_bad_second(start, rows):
                 rewards, costs = block(start, rows)
-                drawn.append(start)
-                if len(drawn) == 2:
+                if start == 8:
                     spoil(rewards)
                 return rewards, costs
             return z, block_with_a_bad_second
@@ -825,20 +825,18 @@ class TestMain:
         assert not out.exists()
 
     def test_failed_stream_write_leaves_no_file(self, tmp_path, monkeypatch):
-        import budgetmax.cli as cli
-
         def half_written(fh, rewards, costs, start):
             fh.write("1,0")
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "write_rows", half_written)
+        monkeypatch.setattr(environments, "write_rows", half_written)
         cfg = self.write_config(tmp_path, good_config())
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "run"]) == 2
         assert list(out.iterdir()) == []
 
     def test_replay_writes_back_the_bytes_it_read(self, tmp_path):
-        # short reprs, CRLF line ends and a trailing blank line: write_stream
+        # short reprs, CRLF line ends and a trailing blank line: a re-rendering
         # would keep none of them, and the traces and report must not care
         env = {"kind": "knapsack_01", "n": 2, "T": 3}
         cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[0, 1]))
@@ -846,7 +844,8 @@ class TestMain:
         hand = tmp_path / "hand.csv"
         hand.write_bytes(data)
         copy = tmp_path / "copy.csv"
-        write_stream(read_stream(hand), copy)
+        with closing(read_stream(hand)) as stream:  # rendered from memory, not copied
+            write_stream(Stream(stream.action_set, *stacked(stream)), copy)
         assert copy.read_bytes() != data
         for stream, out in ((hand, "hand"), (copy, "copy")):
             argv = ["--config", cfg, "--out", str(tmp_path / out), "replay", "--stream", str(stream)]
@@ -866,6 +865,38 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(out), "replay",
                      "--stream", str(out / "stream.csv")]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_replay_of_its_own_temporary_stream_exits_1_and_keeps_it(self, tmp_path, capsys):
+        # a crashed run's leftover stream.csv.tmp, replayed into that directory: the
+        # cleanup after a failed copy would delete it
+        cfg = self.write_config(tmp_path, good_config())
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+        leftover = out / "stream.csv.tmp"
+        shutil.copyfile(out / "stream.csv", leftover)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(leftover)]) == 1
+        assert capsys.readouterr().err == (f"error: stream file {leftover} is this run's "
+                                           f"temporary stream.csv.tmp\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_rename_leaves_no_old_report(self, tmp_path, monkeypatch):
+        # the third rename is the report's, after the stream's and the one trace's
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, good_config(seeds=[0]))
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+        real, calls = os.replace, []
+
+        def fails_on_the_third_call(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("rename failed")
+            return real(*args)
+
+        monkeypatch.setattr(cli.os, "replace", fails_on_the_third_call)
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["stream.csv", "trace_seed0.csv"]
 
     def test_run_beside_another_runs_trace_exits_1_and_keeps_its_files(self, tmp_path, capsys):
         out = tmp_path / "out"

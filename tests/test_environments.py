@@ -9,7 +9,7 @@ import pytest
 
 from budgetmax import ActionSet, KINDS, StreamFormatError, environments, read_stream, write_stream
 from budgetmax.environments import (BLOCK_ENTRIES, C_MAX_LIMIT, EnvironmentSpec, Stream, check_block,
-                                    generate, site_rewards, stream_preamble, write_rows)
+                                    generate, site_rewards, write_rows)
 from conftest import stacked
 
 
@@ -387,7 +387,7 @@ class TestStreamFiles:
         whole, parts = tmp_path / "whole.csv", tmp_path / "parts.csv"
         write_stream(stream, whole)
         with open(parts, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(stream_preamble(stream.action_set.z, stream.T))
+            fh.write(",".join(["7", "30"] + ["0"] * 7) + "\n")  # facility_location's zero energies
         rewards, costs = stacked(stream)
         for start, stop in ((0, 3), (3, 4), (4, 30)):
             with open(parts, "a", encoding="ascii", newline="\n") as fh:
@@ -591,6 +591,8 @@ class TestStreamFiles:
         assert stream.source.path == str(path)
         stream.source.copy_to(tmp_path / "saved.csv")
         assert (tmp_path / "saved.csv").read_bytes() == data
+        write_stream(stream, tmp_path / "written.csv")  # copied, not re-rendered
+        assert (tmp_path / "written.csv").read_bytes() == data
         assert generate(spec_for("knapsack_01", n=2, T=2)).source is None
 
     @pytest.mark.parametrize("change", ["append", "rewrite"])
@@ -607,6 +609,8 @@ class TestStreamFiles:
             os.utime(path, ns=(st.st_atime_ns, stream.source.identity[3] + 10**9))
         with pytest.raises(OSError, match=f"^stream file {path} changed after it was read$"):
             stream.source.copy_to(tmp_path / "saved.csv")
+        with pytest.raises(OSError, match=f"^stream file {path} changed after it was read$"):
+            write_stream(stream, tmp_path / "saved.csv")
         assert not (tmp_path / "saved.csv").exists()
 
     def test_a_file_changed_during_the_copy_is_refused(self, tmp_path, monkeypatch):

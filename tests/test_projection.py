@@ -45,6 +45,12 @@ def test_non_finite_input_rejected():
         project_onto_feasible([np.inf, 0.0], [0.1, 0.1])
 
 
+@pytest.mark.parametrize("y, z", [([1.0, 0.5], [0.1]), ([[1.0, 0.5]], [0.1, 0.1])])
+def test_bad_shapes_rejected(y, z):
+    with pytest.raises(ValueError, match="y and z must be 1-d vectors of equal length"):
+        project_onto_feasible(y, z)
+
+
 @pytest.mark.parametrize("y, z", [([2.0], [np.nan]), ([2.0], [np.inf]),
                                   ([2.0, 2.0], [-1.0, 3.0])])
 def test_bad_energies_rejected(y, z):
@@ -134,6 +140,9 @@ def test_certificate_rejects_non_projections():
     # an optimum recovers the multiplier lam = 5/18 of test_symmetric_active_budget
     cert = projection_certificate(y, z, [5.0 / 6.0, 5.0 / 6.0])
     assert cert.lam == pytest.approx(5.0 / 18.0)
+    # a point of another length is no projection of y
+    with pytest.raises(ValueError, match="y, z and x must be 1-d vectors of equal length"):
+        projection_certificate(y, z, [1.0])
 
 
 def test_duplicate_breakpoints():
