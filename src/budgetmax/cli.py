@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ActionSet, selection_profits
-from .environments import (EnvironmentSpec, Stream, check_block, generate, read_stream,
+from .environments import (EnvironmentSpec, Stream, check_stream, generate, read_stream,
                            write_stream)
 from .oracles import (MAX_EXHAUSTIVE_ACTIONS, analytic_selection_bounds, best_fixed_subset,
                       estimate_selection_probs, exact_selection_probs,
@@ -247,11 +247,13 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     :class:`~budgetmax.environments.SpooledStream` reads each back from
     its spool, so a run holds one block of trials and one of learner
     state, whatever ``T`` is. Each run makes one
-    :func:`~budgetmax.environments.check_block` call, before any output,
-    with the arrays the stream's ``extremes()`` gives (a replay's column
-    extremes, kept as it was parsed, a ``Stream``'s whole matrices, or a
-    generated stream's no rows, which leave the energies alone to
-    check). ``r_hat`` and ``c_hat`` are the maxima of the blocks' maxima.
+    :func:`~budgetmax.environments.check_stream` call, before any output,
+    on the stream's energies and its ``value_range``, computed where its
+    rows entered (a replay's folded as it was parsed, a ``Stream``'s from
+    its matrices; a generated stream has none, which leaves its energies
+    alone to check). ``r_hat`` and ``c_hat`` are the maxima of the blocks'
+    maxima, taken as the learner reads them, so no block is drawn for the
+    check.
     A bound check (``n`` is at most ``MAX_EXHAUSTIVE_ACTIONS``) passes the
     stream to its comparator after the pass, which stacks its ``blocks()``,
     read a second time, into whole matrices: a generated stream draws the
@@ -292,7 +294,7 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
             f"stream shape (n={stream.n}, T={stream.T}) does not match "
             f"config (n={env.n}, T={env.T})")
     action_set = stream.action_set
-    check_block(action_set, *stream.extremes(), env)
+    check_stream(stream, env)
 
     out_dir = None if config.output_dir is None else Path(config.output_dir)
     if out_dir:  # a run replaces its report, its stream and its own seeds' traces

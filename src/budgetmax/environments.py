@@ -48,13 +48,16 @@ read back only by its blocks, one at a time. A spec's stream is a
 Nothing but a run's bound check (at most 20 actions) reads a replayed or
 generated stream whole: its comparator stacks the stream's blocks, read
 a second time after the run's pass.
-:func:`check_block` checks a kind's rules on its energies and on a
-stream's :meth:`~Stream.extremes`. Generated rows need neither check, so
-a :class:`GeneratedStream`'s extremes are empty: from a valid spec, every
-value is finite, rewards lie in ``[0, r_max]``, ``facility_location``
-costs are at least ``cost_range[0] >= 0``, ``knapsack_median`` costs are
-zero, ``knapsack_01`` costs are at most 0 and ``random_adversarial``
-costs lie within ``c_max``. Only energies can break their kind's rule:
+Every stream has one :attr:`~Stream.value_range`, ``(largest reward,
+smallest cost, largest cost)``, computed once where its rows enter: from
+the matrices of one built in memory, folded block by block as a file is
+read. :func:`check_stream` checks a kind's rules on a stream's energies
+and on that range. Generated rows need no check, so a
+:class:`GeneratedStream`'s range is None: from a valid spec, every value
+is finite, rewards lie in ``[0, r_max]``, ``facility_location`` costs are
+at least ``cost_range[0] >= 0``, ``knapsack_median`` costs are zero,
+``knapsack_01`` costs are at most 0 and ``random_adversarial`` costs lie
+within ``c_max``. Only energies can break their kind's rule:
 ``beta_max * (1 - u)`` underflows to 0 when ``beta_max`` is subnormal.
 
 Stream files are plain text: a preamble line ``n,T,z_1,...,z_n`` followed by
@@ -242,6 +245,16 @@ def _first_bad_trial(rewards, costs, n: int, start: int = 0) -> tuple[int, str] 
     return start + t + 1, "negative reward" if row_finite[t] else "rewards and costs must be finite"
 
 
+def _value_range(rewards, costs, fold=(-np.inf, np.inf, -np.inf)) -> tuple:
+    """Checked rows' ``(largest reward, smallest cost, largest cost)``, widening ``fold``'s.
+
+    Three whole-array reductions, with no ``(rows, n)`` temporary. The
+    default ``fold`` is the range of no rows, so a block's range is its own.
+    """
+    return (max(fold[0], float(rewards.max())), min(fold[1], float(costs.min())),
+            max(fold[2], float(costs.max())))
+
+
 class Stream:
     """A full instance held in memory: fixed energies plus (T, n) reward and cost matrices.
 
@@ -249,7 +262,9 @@ class Stream:
     kept, not copied) and checks them once (at least one trial, and a
     :class:`TrialError` names the first bad trial, see
     :func:`_first_bad_trial`), so every consumer takes row ``t`` of
-    ``rewards`` and ``costs`` as trial ``t + 1`` unchecked.
+    ``rewards`` and ``costs`` as trial ``t + 1`` unchecked. Its
+    ``value_range``, ``(largest reward, smallest cost, largest cost)`` as
+    floats, is computed then too, once, for :func:`check_stream`.
 
     A stream has three sources, and every one is read by its
     :meth:`blocks`, one :func:`_block_rows` block at a time: a stream
@@ -271,6 +286,7 @@ class Stream:
         if bad is not None:
             raise TrialError(*bad)
         self.action_set, self.T, self.rewards, self.costs = action_set, len(rewards), rewards, costs
+        self.value_range = _value_range(rewards, costs)
 
     @property
     def n(self) -> int:
@@ -280,10 +296,6 @@ class Stream:
         """Yield ``(start, rewards, costs)`` per block: its trials from ``start + 1`` on."""
         for start, rows in _block_rows(self.n, self.T):
             yield start, *self._block(start, rows)
-
-    def extremes(self):
-        """``(rewards, costs)`` holding the stream's extreme values: its matrices."""
-        return self.rewards, self.costs
 
     def close(self) -> None:
         """Release the rows' storage: a replay's spool is deleted, and cannot be read after.
@@ -301,30 +313,21 @@ class SpooledStream(Stream):
 
     :func:`read_stream` appends each checked block, rewards then costs, as
     float64 to an unnamed temporary file under ``TMPDIR`` (``16 T n``
-    bytes), and keeps the file's :class:`StreamSource`, so
-    :func:`write_stream` saves the stream by copying the file it was read
-    from. Its rows are read only by :meth:`~Stream.blocks`, each block
-    with ``np.fromfile`` (no mapping, whose pages would stay resident), so
-    a replay holds one block, as a generated run does; it has no whole
-    ``rewards`` or ``costs``.
+    bytes), folds their ``value_range`` a block at a time, and keeps the
+    file's :class:`StreamSource`, so :func:`write_stream` saves the stream
+    by copying the file it was read from. Its rows are read only by
+    :meth:`~Stream.blocks`, each block with ``np.fromfile`` (no mapping,
+    whose pages would stay resident), so a replay holds one block, as a
+    generated run does; it has no whole ``rewards`` or ``costs``.
     :meth:`~Stream.close` deletes the spool; a stream dropped unclosed
     deletes it when it is collected.
     """
 
-    def __init__(self, action_set: ActionSet, T: int, spool, extremes, source: StreamSource):
-        self.action_set, self.T, self.source = action_set, T, source
-        self._spool, self._extremes = spool, extremes
+    def __init__(self, action_set: ActionSet, T: int, spool, value_range, source: StreamSource):
+        self.action_set, self.T, self.value_range, self.source = action_set, T, value_range, source
+        self._spool = spool
         # stands for Stream.close: closes the spool once, or when the stream is collected
         self.close = weakref.finalize(self, spool.close)
-
-    def extremes(self):
-        """``(rewards, costs)``: the rewards' column maxima, the costs' column minima and maxima.
-
-        They are ``(1, n)`` and ``(2, n)`` arrays, kept as the file was
-        parsed. A row breaks one of :func:`check_block`'s rules on values
-        exactly when one of these does, so they stand for the stream there.
-        """
-        return self._extremes[:1], self._extremes[1:]
 
     def _block(self, start: int, rows: int):
         """Trials ``start + 1`` to ``start + rows``, read back from the spool."""
@@ -427,19 +430,16 @@ class GeneratedStream(Stream):
     Each matrix comes from its own generator, advanced to the draw where
     the module docstring's table puts the block's first trial, so only
     the block read is drawn and held, and every read of a block draws the
-    same values. It has no whole ``rewards`` or ``costs``.
+    same values. It has no whole ``rewards`` or ``costs``, and its
+    ``value_range`` is None: its rows keep every rule on values by
+    construction (see the module docstring), so :func:`check_stream`
+    checks its energies alone, and no block is drawn to learn a range.
     """
+
+    value_range = None
 
     def __init__(self, action_set: ActionSet, T: int, block):
         self.action_set, self.T, self._draw = action_set, T, block
-
-    def extremes(self):
-        """``(0, n)`` arrays: generated rows keep every rule on values (see the module docstring).
-
-        So :func:`check_block` checks a generated stream's energies alone.
-        """
-        rows = np.empty((0, self.n))
-        return rows, rows
 
     def _block(self, start: int, rows: int):
         """Trials ``start + 1`` to ``start + rows``, drawn."""
@@ -457,25 +457,19 @@ def generate(spec: EnvironmentSpec) -> GeneratedStream:
     return GeneratedStream(ActionSet.from_energies(z), spec.T, block)
 
 
-def check_block(action_set: ActionSet, rewards, costs, spec: EnvironmentSpec) -> None:
-    """Check energies and rows, a block or a whole stream, against the rules of the spec's kind.
+def check_stream(stream: Stream, spec: EnvironmentSpec) -> None:
+    """Check a stream's energies and ``value_range`` against the rules of the spec's kind.
 
     One ``ValueError`` lists every rule of the kind that the energies or
-    the rows break. The rows must already have passed the check a
-    :class:`Stream` makes when it is built (or come from a generator, whose
-    rows pass it), so their values are finite and their rewards
-    non-negative: the largest reward and the extreme costs then decide
-    every rule, each one whole-array reduction with no ``(rows, n)``
-    temporary, and blocks that each pass make a stream that passes; so
-    does a replayed stream's column extremes (:meth:`SpooledStream.extremes`).
-    No rows, ``(0, n)`` arrays, break no rule on values, so they check the
-    energies alone; a :class:`GeneratedStream`'s extremes are such rows.
-    The shape is the caller's to check, once.
+    the rows break. A stream's rows passed its own check where they
+    entered, so their values are finite and their rewards non-negative:
+    the largest reward and the extreme costs then decide every rule on
+    values. A ``value_range`` of None (a :class:`GeneratedStream`'s) is
+    the range of no rows, which breaks no rule, so the energies alone are
+    checked. The shape is the caller's to check, once.
     """
-    z, problems = action_set.z, []
-    # no rows break no rule on their values
-    r_top = rewards.max() if rewards.size else -np.inf
-    c_lo, c_hi = (costs.min(), costs.max()) if costs.size else (np.inf, -np.inf)
+    z, problems = stream.action_set.z, []
+    r_top, c_lo, c_hi = stream.value_range or (-np.inf, np.inf, -np.inf)
     if spec.kind == "facility_location":
         if np.any(z != 0.0):
             problems.append("energies must all be zero")
@@ -663,12 +657,12 @@ def read_stream(path) -> SpooledStream:
     beyond the file fails at its first missing line.
 
     Each cast block is checked as a :class:`Stream` checks its matrices
-    (:func:`_first_bad_trial`), its column extremes are kept for
-    :meth:`SpooledStream.extremes`, and its rows are appended to the
-    spool, so one block is held at a time. Bad energies, then the first
-    non-finite value or negative reward, are raised only once the whole
-    file has parsed, so faults come in the order a parse and then a check
-    of the whole stream would find them. The spool is deleted on any
+    (:func:`_first_bad_trial`), its range is folded into the stream's
+    ``value_range`` (:func:`_value_range`), and its rows are appended to
+    the spool, so one block is held at a time. Bad energies, then the
+    first non-finite value or negative reward, are raised only once the
+    whole file has parsed, so faults come in the order a parse and then a
+    check of the whole stream would find them. The spool is deleted on any
     error.
     """
     path = os.fspath(path)
@@ -694,17 +688,14 @@ def read_stream(path) -> SpooledStream:
         z = _floats(head[2:], 0, "energy")
 
         spool = owner.enter_context(TemporaryFile())  # closed on any error
-        # the rewards' column maxima, the costs' column minima and maxima
-        extremes = np.repeat([[-np.inf], [np.inf], [-np.inf]], n, axis=1)
+        value_range = (-np.inf, np.inf, -np.inf)  # no rows' range, widened by each checked block
         bad = None  # the first bad trial's (t, reason), raised once the file has parsed
         for start, rows in _block_rows(n, T):
             values = _trial_block(lines, start, rows, n)
             rewards, costs = values[:, :n], values[:, n:]
             bad = bad or _first_bad_trial(rewards, costs, n, start)
             if bad is None:
-                np.maximum(extremes[0], rewards.max(axis=0), out=extremes[0])
-                np.minimum(extremes[1], costs.min(axis=0), out=extremes[1])
-                np.maximum(extremes[2], costs.max(axis=0), out=extremes[2])
+                value_range = _value_range(rewards, costs, value_range)
                 spool.write(np.ascontiguousarray(values))
         for t, line in enumerate(lines, T + 1):
             if _ascii(line, t).strip():
@@ -715,6 +706,6 @@ def read_stream(path) -> SpooledStream:
             raise StreamFormatError(f"line 1: {exc}") from None
         if bad is not None:
             raise _line_error(*bad)
-        stream = SpooledStream(action_set, T, spool, extremes, StreamSource(path, identity))
+        stream = SpooledStream(action_set, T, spool, value_range, StreamSource(path, identity))
         owner.pop_all()  # the stream owns the spool now
     return stream

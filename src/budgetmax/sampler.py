@@ -469,11 +469,9 @@ def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> N
     Only the draws a row actually makes are looked up, and only the values
     they pick with are checked.
     """
-    rows_w, segments = cum.shape[0], layout.scale.size
+    segments = layout.scale.size
     keys = np.empty(cum.shape, complex)
-    keys.real = layout.segment_of
-    if rows_w > 1:
-        keys.real += np.arange(0, segments * rows_w, segments)[:, None]
+    keys.real = layout.segment_of + np.arange(0, segments * len(cum), segments)[:, None]
     keys.imag = cum
     # full-draw column j is a draw when j < floor(scale * S); a residual
     # column when its own uniform is below the residual mass
@@ -489,9 +487,6 @@ def _draw_per_row(member, uniforms, cum, full, residual, layout: RowLayout) -> N
     picked[fold] /= np.where(r > 0.0, r, 1.0)
     _check_unit(picked)
     query = layout.column_segment[cols] + 1j * picked
-    if rows_w > 1:
-        query.real += rows * segments
-    picks = np.searchsorted(keys.ravel(), query, side="right")
-    if rows_w > 1:
-        picks -= rows * cum.shape[1]
+    query.real += rows * segments
+    picks = np.searchsorted(keys.ravel(), query, side="right") - rows * cum.shape[1]
     member[rows, layout.order[picks]] = True

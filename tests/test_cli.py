@@ -262,29 +262,30 @@ class TestRunExperiment:
         assert '"r_hat": 0.0,' in report and '"c_hat": 0.0,' in report
 
     def test_each_run_checks_the_pattern_once(self, tmp_path, monkeypatch):
-        # a generated run checks its energies once (no rows: its generator
-        # keeps every rule on values), a replay its parsed stream once, by the
-        # column extremes the reader kept, each before the output directory exists
-        import budgetmax.cli as cli
-        import budgetmax.environments as environments
+        # a generated run checks its energies once (no value range: its
+        # generator keeps every rule on values), a replay its parsed stream
+        # once, by the value range the reader folded, each before the output
+        # directory exists
         calls = []
 
-        def counted_block(action_set, rewards, costs, spec):
-            calls.append((rewards.shape, costs.shape, out.exists()))
-            return check_block(action_set, rewards, costs, spec)
+        def counted_check(stream, spec):
+            calls.append((stream.value_range, out.exists()))
+            return check_stream(stream, spec)
 
-        check_block = environments.check_block
-        monkeypatch.setattr(cli, "check_block", counted_block)
+        check_stream = environments.check_stream
+        monkeypatch.setattr(cli, "check_stream", counted_check)
         # n = 2000 generates 8 trials per block: 8/8/4
         env = {"kind": "knapsack_01", "n": 2000, "T": 20, "seed": 3}
         out = tmp_path / "run"
         run_experiment(parse_config(good_config(environment=env, output_dir=str(out))))
-        assert calls == [((0, 2000), (0, 2000), False)]
+        assert calls == [(None, False)]
         calls.clear()
         stream = read_stream(out / "stream.csv")
+        rewards, costs = stacked(stream)
         out = tmp_path / "replay"
         run_experiment(parse_config(good_config(environment=env, output_dir=str(out))), stream)
-        assert calls == [((1, 2000), (2, 2000), False)]
+        assert calls == [((rewards.max(), costs.min(), costs.max()), False)]
+        assert all(type(value) is float for value in calls[0][0])
 
     def test_trace_does_not_depend_on_other_seeds(self, tmp_path):
         traces = []

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from budgetmax import ActionSet, KINDS, StreamFormatError, environments, read_stream, write_stream
-from budgetmax.environments import (BLOCK_ENTRIES, C_MAX_LIMIT, EnvironmentSpec, Stream, check_block,
+from budgetmax.environments import (BLOCK_ENTRIES, C_MAX_LIMIT, EnvironmentSpec, Stream, check_stream,
                                     generate, site_rewards, write_rows)
 from conftest import stacked
 
@@ -173,7 +173,7 @@ class TestGenerators:
             assert np.concatenate([r for _, r, _ in blocks]).tobytes() == rewards.tobytes()
             assert np.concatenate([c for _, _, c in blocks]).tobytes() == costs.tobytes()
             for _, r, c in blocks:
-                check_block(stream.action_set, r, c, spec)
+                check_stream(Stream(stream.action_set, r, c), spec)
 
     def test_invalid_spec_is_refused_when_built(self):
         with pytest.raises(ValueError, match="invalid environment spec"):
@@ -183,7 +183,7 @@ class TestGenerators:
         stream = generate(spec_for("knapsack_median"))
         rewards, costs = stacked(stream)
         with pytest.raises(ValueError, match="costs must all be zero"):
-            check_block(stream.action_set, rewards, costs + 0.5, spec_for("knapsack_median"))
+            check_stream(Stream(stream.action_set, rewards, costs + 0.5), spec_for("knapsack_median"))
 
     @pytest.mark.parametrize("kind, where, value, message", [
         ("facility_location", "z", 0.1, "energies must all be zero"),
@@ -206,7 +206,7 @@ class TestGenerators:
         spec = spec_for(kind)
         stream = generate(spec)
         rewards, costs = stacked(stream)
-        check_block(stream.action_set, rewards, costs, spec)
+        check_stream(Stream(stream.action_set, rewards, costs), spec)
         z = stream.action_set.z.copy()
         if where == "z":
             z[2] = value
@@ -216,13 +216,13 @@ class TestGenerators:
         # the whole stream, and a block holding the broken row, break the same rule
         for lo, hi in ((0, spec.T), (16, 24)):
             with pytest.raises(ValueError) as info:
-                check_block(action_set, rewards[lo:hi], costs[lo:hi], spec)
+                check_stream(Stream(action_set, rewards[lo:hi], costs[lo:hi]), spec)
             assert str(info.value) == f"{kind} constraints violated: {message}"
         if where != "z":
-            check_block(action_set, rewards[24:], costs[24:], spec)
+            check_stream(Stream(action_set, rewards[24:], costs[24:]), spec)
 
     def test_generated_rows_keep_every_rule_at_the_edges_of_a_spec(self, monkeypatch):
-        # a run checks a generated stream by its energies alone (no rows), so
+        # a run checks a generated stream by its energies alone (no range), so
         # at every valid spec each generated block must pass the Stream's row
         # check and its kind's rules; only energies that underflow can fail
         monkeypatch.setattr(environments, "BLOCK_ENTRIES", 48)
@@ -233,9 +233,9 @@ class TestGenerators:
         def pick(values, size=None):
             return rng.choice(np.array(values), size).tolist()
 
-        def verdict(action_set, rewards, costs, spec):
+        def verdict(stream, spec):
             try:
-                check_block(action_set, rewards, costs, spec)
+                check_stream(stream, spec)
             except ValueError as exc:
                 return str(exc)
             return None
@@ -251,13 +251,14 @@ class TestGenerators:
                 beta_max=pick((tiny, 1e-320, 1e-310, 0.49, 1.0)),
                 shift_segments=int(rng.integers(0, min(n, 4) + 1)))
             stream = generate(spec)
-            energies = verdict(stream.action_set, *stream.extremes(), spec)
+            assert stream.value_range is None
+            energies = verdict(stream, spec)
             if energies is not None:
                 assert energies == f"{spec.kind} constraints violated: energies must lie in (0, beta_max]"
                 failed.add(spec.kind)
             for _, rewards, costs in stream.blocks():
                 assert environments._first_bad_trial(rewards, costs, n) is None
-                assert verdict(stream.action_set, rewards, costs, spec) == energies
+                assert verdict(Stream(stream.action_set, rewards, costs), spec) == energies
         assert failed == {"knapsack_median", "knapsack_01"}
 
 
@@ -328,6 +329,70 @@ class TestStreamChecks:
             assert np.shares_memory(r, stream.rewards) and np.shares_memory(c, stream.costs)
             npt.assert_array_equal(r, stream.rewards[start:start + 5])
             npt.assert_array_equal(c, stream.costs[start:start + 5])
+
+
+class TestValueRange:
+    """A stream's value range is the same whether it was built in memory or read from its file."""
+
+    # each kind's reward and cost levels at the edges of its rules (r_max and
+    # c_max are 1), zeros of both signs among them
+    LEVELS = {
+        "facility_location": ((0.0, -0.0, 0.5, 1.0), (0.0, -0.0, 0.2)),
+        "knapsack_median": ((0.0, -0.0, 0.5, 1.0), (0.0, -0.0)),
+        "knapsack_01": ((0.0, -0.0), (-1.0, -0.5, -0.0, 0.0)),
+        "random_adversarial": ((0.0, -0.0, 0.5, 1.0), (-1.0, -0.0, 0.0, 1.0)),
+    }
+
+    # 12 entries per block: n = 1 reads 12 trials per block, n = 3 four and
+    # n = 40 one; blocks = 3 is three full blocks and a short one
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    @pytest.mark.parametrize("kind, where, value, message", [
+        *((kind, None, None, None) for kind in KINDS),
+        ("facility_location", "costs", -1e-9, "costs must be non-negative"),
+        ("facility_location", "rewards", 1.5, "rewards exceed r_max"),
+        ("knapsack_median", "costs", 0.5, "costs must all be zero"),
+        ("knapsack_median", "costs", -0.5, "costs must all be zero"),
+        ("knapsack_01", "rewards", 0.25, "rewards must all be zero"),
+        ("knapsack_01", "costs", 1e-9, "costs must be non-positive"),
+        ("random_adversarial", "rewards", 1.5, "rewards exceed r_max"),
+        ("random_adversarial", "costs", 1.5, "costs exceed c_max in magnitude"),
+        ("random_adversarial", "costs", -1.5, "costs exceed c_max in magnitude"),
+    ])
+    def test_a_stream_and_its_file_have_one_range_and_one_verdict(
+            self, tmp_path, monkeypatch, kind, where, value, message, n, blocks):
+        monkeypatch.setattr(environments, "BLOCK_ENTRIES", 12)
+        rows = max(1, 12 // n)
+        spec = spec_for(kind, n=n, T=rows * blocks + (blocks > 1))
+        rng = np.random.default_rng(n * blocks)
+        reward_levels, cost_levels = self.LEVELS[kind]
+        rewards = rng.choice(reward_levels, (spec.T, n))
+        costs = rng.choice(cost_levels, (spec.T, n))
+        # every extreme ties: each is set at the first entries and the last ones
+        for matrix, levels in ((rewards, reward_levels), (costs, cost_levels)):
+            matrix.flat[[0, -1]] = max(levels)
+            matrix.flat[[1, -2]] = min(levels)
+        if where is not None:  # the last trial, in the last block, breaks one rule
+            {"rewards": rewards, "costs": costs}[where][-1, n // 2] = value
+        stream = Stream(generate(spec).action_set, rewards, costs)
+        write_stream(stream, tmp_path / "stream.csv")
+        read = read_stream(tmp_path / "stream.csv")
+        try:
+            # == compares a zero's sign away: no rule reads it, and which zero a
+            # numpy reduction keeps depends on its order
+            assert read.value_range == stream.value_range == (
+                rewards.max(), costs.min(), costs.max())
+            verdicts = []
+            for checked in (stream, read):
+                try:
+                    check_stream(checked, spec)
+                    verdicts.append(None)
+                except ValueError as exc:
+                    verdicts.append(str(exc))
+        finally:
+            read.close()
+        expected = None if message is None else f"{kind} constraints violated: {message}"
+        assert verdicts == [expected, expected]
 
 
 class TestStreamFiles:
