@@ -279,10 +279,10 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
     again for the learner; a replayed stream's file is copied, and the
     copy fails with an ``OSError`` naming the file if that file changed
     after it was read), then one ``trace_seed<k>.csv`` per seed, each
-    created with its header before the first block and appended to once
-    per block, and ``report.json`` last. A trace is open only while one
-    block's rows are appended to it, so one is open at a time however many
-    seeds a config lists. Any exception, in any block, unlinks them all.
+    created by its first block's write and appended to once per block,
+    and ``report.json`` last. A trace is open only while one block's rows
+    are appended to it, so one is open at a time however many seeds a
+    config lists. Any exception, in any block, unlinks them all.
     Otherwise an earlier run's ``report.json`` is unlinked and they are
     renamed in that order, so a ``report.json`` marks a complete run even
     if a rename fails.
@@ -315,9 +315,6 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
             out_dir.mkdir(parents=True, exist_ok=True)
             write_stream(stream, temps[0])
         layout = RowLayout(action_set)
-        for path in traces:
-            with open(path, "w", encoding="ascii", newline="\n") as trace:
-                trace.write(TRACE_HEADER + "\n")
         per_seed = [0.0] * len(config.seeds)
         r_hat = c_hat = 0.0
         for start, rewards, costs, block in learn_blocks(action_set, stream.blocks()):
@@ -335,8 +332,11 @@ def run_experiment(config: ExperimentConfig, stream: Stream | None = None) -> Ru
                 if traces:
                     ends = np.searchsorted(rows, np.arange(1, len(member))).tolist()
                     chosen = cols.tolist()
-                    # one trace open at a time, however many seeds a config lists
-                    with open(traces[k], "a", encoding="ascii", newline="\n") as trace:
+                    # one trace open at a time, however many seeds a config lists; the
+                    # first block creates it, over any leftover of a crashed run
+                    with open(traces[k], "a" if start else "w", encoding="ascii", newline="\n") as trace:
+                        if not start:
+                            trace.write(TRACE_HEADER + "\n")
                         trace.write("".join(
                             TRACE_HEAD % (t, ";".join(map(str, chosen[lo:hi])), gain, total) + tail
                             for t, gain, total, lo, hi, tail in zip(
@@ -486,9 +486,5 @@ def main(argv=None, out=None) -> int:
     return EXIT_OK
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

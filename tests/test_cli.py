@@ -678,8 +678,31 @@ class TestMain:
         assert main(["--config", cfg, "--out", str(out), "replay", "--stream", str(path)]) == 1
         assert capsys.readouterr().err == ("error: trial 150: the surrogate gradient norm is not "
                                            "finite (inf); rewards or costs are too large\n")
-        assert ("trace_seed0.csv.tmp", "a") in opened
+        assert ("trace_seed0.csv.tmp", "w") in opened
         assert list(out.iterdir()) == []
+
+    def test_each_trace_is_opened_once_per_block(self, tmp_path, monkeypatch):
+        # n = 2000 learns 8 trials per block (8/8/4): the first block creates each
+        # trace, over a crashed run's leftover, and every later block appends to it
+        env = {"kind": "random_adversarial", "n": 2000, "T": 20, "seed": 0}
+        cfg = self.write_config(tmp_path, good_config(environment=env, seeds=[0, 1]))
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(clean), "run"]) == 0
+        out.mkdir()
+        (out / "trace_seed0.csv.tmp").write_text("junk from a crashed run\n" * 100)
+        opened = []
+
+        def recorded_open(file, mode="r", *args, **kwargs):
+            opened.append((Path(file).name, mode))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+        assert main(["--config", cfg, "--out", str(out), "run"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in clean.iterdir())
+        for seed in (0, 1):
+            name = f"trace_seed{seed}.csv"
+            assert [mode for file, mode in opened if file == f"{name}.tmp"] == ["w", "a", "a"]
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
 
     @staticmethod
     def spoil_second_block(monkeypatch, spoil):
