@@ -45,3 +45,23 @@ def test_importing_the_cli_loads_numpy_random():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+def test_the_suite_fails_a_leaked_file_and_a_deprecation(tmp_path):
+    # the warning policy lives in pyproject.toml, so a bare pytest applies it
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    tests = tmp_path / "test_policy.py"
+    tests.write_text(
+        "import warnings\n\n\n"
+        "def test_leaves_a_file_open():\n"
+        "    open(__file__, encoding='utf-8')\n\n\n"
+        "def test_warns_a_deprecation():\n"
+        "    warnings.warn('old', DeprecationWarning)\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         str(tests)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "2 failed" in proc.stdout
+    assert "ResourceWarning: unclosed file" in proc.stdout
+    assert "DeprecationWarning: old" in proc.stdout
